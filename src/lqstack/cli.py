@@ -123,8 +123,8 @@ def cmd_solve(config: RunConfig) -> int:
     reporting.write_riccati_csv(out("riccati.csv"), times, eq.P.values, eq.leader.p1, eq.leader.p2)
     reporting.write_gains_csv(out("gains.csv"), times, eq.gains)
     reporting.write_xhat_csv(out("xhat.csv"), times, fp, eq.xhat)
-    print(f"solved: P(0)={eq.P.values[0]!r}, min|det| gain guards: "
-          f"{eq.leader.min_det_m1!r}, {eq.leader.min_det_m2!r}")
+    print(f"solved: P(0)={float(eq.P.values[0])!r}, min|det| gain guards: "
+          f"{float(eq.leader.min_det_m1)!r}, {float(eq.leader.min_det_m2)!r}")
     print(f"wrote {out('riccati.csv')}, {out('gains.csv')}, {out('xhat.csv')}")
     return EXIT_OK
 
@@ -238,7 +238,9 @@ def _verify_rows(config: RunConfig, model: LQModel, eq, noise, ens) -> list[repo
         add("density_martingale", "statistical", abs(float(zt.mean()) - 1.0),
             tol.stderr_mult * float(zt.std(ddof=1) / np.sqrt(len(zt))) + 1e-12)
 
-    # Optimality perturbations.
+    # Optimality perturbations.  The reconstructions are done with; freeing
+    # them first keeps the sweeps below the memory peak of the checks above.
+    del theta, recon, X
     t = model.grid.times()
     dirs = {"const": np.ones(n + 1), "ramp": t / model.grid.horizon,
             "sine": np.sin(2.0 * np.pi * t / model.grid.horizon)}
@@ -253,10 +255,12 @@ def _verify_rows(config: RunConfig, model: LQModel, eq, noise, ens) -> list[repo
                 "3 stderr + O(dt) allowance")
             add(f"{player}_curvature_{c.name}", "statistical", -c.curvature, 0.0)
 
-    # Brute-force dominance on a reduced path count.
-    grid_paths = max(min(config.paths, 4000), 2)
-    sub_noise = generate_noise(config.seed, grid_paths, model.grid)
-    sub_ens = simulate_closed_loop(eq.closed_loop(), sub_noise)
+    # Brute-force dominance on the first paths of the ensemble (noise streams
+    # are keyed per path, so a prefix equals a fresh ensemble of that size).
+    grid_paths = min(config.paths, 4000)
+    sub_noise = replace(noise, dw=noise.dw[:grid_paths], dwbar=noise.dwbar[:grid_paths])
+    sub_ens = replace(ens, x=ens.x[:grid_paths], q=ens.q[:grid_paths], u2=ens.u2[:grid_paths],
+                      noise=sub_noise)
     grid = costs_mod.gain_grid_search(eq, sub_ens, np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
     add("grid_dominance", "statistical", -grid.dominance_margin(tol.grid_stderr_mult), 0.0,
         f"best grid ({grid.best_alpha!r},{grid.best_beta!r}) J1={grid.best_mean!r}")

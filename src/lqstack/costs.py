@@ -4,15 +4,30 @@ Costs are trapezoidal quadratures of the quadratic running terms plus the
 terminal term, averaged over paths.  Optimality checks perturb the
 equilibrium control processes (not the feedback laws): the baseline controls
 are frozen as realized processes, a deterministic direction scaled by
-epsilon is added, and the state is re-simulated under the same noise
-(common random numbers), so cost differences carry very low variance.
-For leader deviations the follower re-optimizes first: the filtered pair is
-re-solved under the perturbed filtered control and the follower's response
-feeds the re-simulation, which is the leader-follower discipline.
+epsilon is added, and the state follows under the baseline noise (common
+random numbers), so cost differences carry very low variance.  For leader
+deviations the follower re-optimizes first: the filtered pair is re-solved
+under the shifted filtered control and the follower's response drives the
+state, which is the leader-follower discipline.
+
+No epsilon is simulated.  The Euler map is affine in a deterministic control
+shift and the follower's response is affine in the filtered leader shift, so
+along every path J(eps) - J(0) = eps * a + eps^2 * b exactly.  One
+sensitivity simulation per direction, the unit shift differenced against the
+baseline, gives each path's a and b; every eps, the slope E[a] and the
+curvature E[b] then follow in closed form (pathwise sensitivities, as in
+Glasserman, Monte Carlo Methods in Financial Engineering, 2004, ch. 7).  The
+constant-feedback grid search is likewise a per-path quadratic form in
+(alpha, beta) assembled from three simulations.
+
+Means and variances over paths are elementwise products reduced with
+sum/mean, never BLAS products over the path axis, so results do not depend
+on the thread count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +35,10 @@ import numpy as np
 from .equilibrium import EquilibriumSolution
 from .filtering import DeterministicPath, solve_follower_filter
 from .model import LQModel
-from .simulate import TrajectoryEnsemble, simulate_open_loop
+from .simulate import TrajectoryEnsemble, generate_noise, simulate_closed_loop, simulate_open_loop
+
+# Player -> (state weight, control weight, terminal weight) of its cost.
+_WEIGHTS = {"J1": ("Q1", "R1", "G1"), "J2": ("Q2", "R2", "G2")}
 
 
 @dataclass(frozen=True)
@@ -40,23 +58,30 @@ def _stderr(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / np.sqrt(m))
 
 
-def _pathwise_cost(model: LQModel, x: np.ndarray, u: np.ndarray,
-                   state_weight: str, control_weight: str, terminal: float) -> np.ndarray:
+def _cost_form(model: LQModel, which: str, x: np.ndarray, u: np.ndarray,
+               y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-path symmetric bilinear form of a player's cost: J = form(x, u, x, u).
+
+    States are (m, N+1); controls are (N+1,) shared or (m, N+1) per path.
+    In-place updates keep the temporaries to one (m, N+1) array.
+    """
+    state_weight, control_weight, terminal = _WEIGHTS[which]
     q = model.nodes(state_weight)
     r = model.nodes(control_weight)
-    if u.ndim == 1:
-        u = np.broadcast_to(u, x.shape)
-    integrand = 0.5 * (q[None, :] * x * x + r[None, :] * u * u)
+    integrand = q * x
+    integrand *= y
+    integrand += r * w * u
+    integrand *= 0.5
     running = np.trapezoid(integrand, dx=model.grid.dt, axis=1)
-    return running + 0.5 * terminal * x[:, -1] ** 2
+    return running + 0.5 * getattr(model, terminal) * x[:, -1] * y[:, -1]
 
 
 def pathwise_J1(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
-    return _pathwise_cost(model, ens.x, ens.u1, "Q1", "R1", model.G1)
+    return _cost_form(model, "J1", ens.x, ens.u1, ens.x, ens.u1)
 
 
 def pathwise_J2(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
-    return _pathwise_cost(model, ens.x, ens.u2, "Q2", "R2", model.G2)
+    return _cost_form(model, "J2", ens.x, ens.u2, ens.x, ens.u2)
 
 
 def estimate_J1(model: LQModel, ens: TrajectoryEnsemble) -> CostEstimate:
@@ -80,9 +105,11 @@ def estimate_J2(model: LQModel, ens: TrajectoryEnsemble) -> CostEstimate:
 class PerturbationCurve:
     """Cost differences along one deterministic perturbation direction.
 
-    delta_mean[i] estimates J(eps[i]) - J(0) with common random numbers;
-    slope is the central difference at the smallest |eps| pair, curvature the
-    quadratic coefficient of a least-squares fit c1*eps + c2*eps^2.
+    delta_mean[i] estimates J(eps[i]) - J(0) with common random numbers.
+    Pathwise the difference is eps * a + eps^2 * b: slope is the mean of a
+    (the directional derivative at eps = 0), curvature the mean of b, and
+    fit_max_residual the largest gap between delta_mean and
+    slope * eps + curvature * eps^2, which is rounding only.
     """
 
     name: str
@@ -132,29 +159,69 @@ def _symmetrize_eps(eps_list) -> np.ndarray:
     return np.array(sorted({s * m for m in magnitudes for s in (-1.0, 1.0)}))
 
 
-def _fit_quadratic(eps: np.ndarray, delta: np.ndarray):
-    design = np.column_stack([eps, eps * eps])
-    coef, *_ = np.linalg.lstsq(design, delta, rcond=None)
-    fit = design @ coef
-    return float(coef[0]), float(coef[1]), float(np.max(np.abs(fit - delta)))
-
-
 def _curve(name: str, eps: np.ndarray, base_cost: np.ndarray,
-           costs: dict[float, np.ndarray]) -> PerturbationCurve:
-    m = len(base_cost)
-    deltas = {e: costs[e] - base_cost for e in eps}
-    delta_mean = np.array([deltas[e].mean() for e in eps])
-    delta_stderr = np.array([_stderr(deltas[e]) for e in eps])
-    e0 = float(np.min(np.abs(eps)))
-    slope_samples = (deltas[e0] - deltas[-e0]) / (2.0 * e0)
-    slope = float(slope_samples.mean())
-    slope_stderr = _stderr(slope_samples)
-    c1, c2, fit_res = _fit_quadratic(eps, delta_mean)
+           a: np.ndarray, b: np.ndarray) -> PerturbationCurve:
+    deltas = [e * a + (e * e) * b for e in eps]
+    delta_mean = np.array([d.mean() for d in deltas])
+    slope = float(a.mean())
+    curvature = float(b.mean())
+    fit_res = float(np.max(np.abs(delta_mean - (slope * eps + curvature * eps * eps))))
     return PerturbationCurve(
-        name=name, eps=eps, delta_mean=delta_mean, delta_stderr=delta_stderr,
+        name=name, eps=eps, delta_mean=delta_mean,
+        delta_stderr=np.array([_stderr(d) for d in deltas]),
         baseline_mean=float(base_cost.mean()), baseline_stderr=_stderr(base_cost),
-        slope=slope, slope_stderr=slope_stderr, curvature=c2, fit_max_residual=fit_res,
+        slope=slope, slope_stderr=_stderr(a), curvature=curvature, fit_max_residual=fit_res,
     )
+
+
+def _shifted(path: DeterministicPath, v: np.ndarray) -> DeterministicPath:
+    """path + v, with v read linearly between nodes."""
+    return DeterministicPath(nodes=path.nodes + v,
+                             mids=path.half_values()[1::2] + 0.5 * (v[:-1] + v[1:]))
+
+
+def _sweep(eq: EquilibriumSolution, which: str, directions: dict[str, np.ndarray], eps_list,
+           baselines: Iterable[TrajectoryEnsemble]) -> PerturbationReport:
+    """The optimality verifier, streaming over chunks of baseline paths.
+
+    which="J1" shifts the follower's deterministic control by each direction
+    with the leader process frozen; which="J2" shifts the frozen leader
+    process and lets the follower respond to the shifted filtered control.
+    Per chunk the baseline and one unit-shift run per direction are
+    simulated; only each path's cost and its a, b coefficients are kept, so
+    a chunked run matches the run on all paths at once.
+    """
+    model = eq.model
+    eps = _symmetrize_eps(eps_list)
+    dirs = {name: np.asarray(v, dtype=float) for name, v in directions.items()}
+    if which == "J2":
+        u2hat = eq.u2hat_path()
+        u1_lead = follower_response(eq, u2hat)
+        responses = {name: follower_response(eq, _shifted(u2hat, v)) for name, v in dirs.items()}
+
+    base_parts: list[np.ndarray] = []
+    ab_parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {name: [] for name in dirs}
+    for ens in baselines:
+        u1 = np.asarray(ens.u1, dtype=float) if which == "J1" else u1_lead
+        base = simulate_open_loop(model, u1, ens.u2, ens.noise)
+        u = base.u1 if which == "J1" else base.u2
+        base_parts.append(_cost_form(model, which, base.x, u, base.x, u))
+        for name, v in dirs.items():
+            # Only the state of the run is kept, and it is overwritten by the
+            # difference: peak memory stays at the baseline plus one run.
+            dx = (simulate_open_loop(model, u1 + v, ens.u2, ens.noise) if which == "J1" else
+                  simulate_open_loop(model, responses[name], ens.u2 + v, ens.noise)).x
+            dx -= base.x
+            ab_parts[name].append((2.0 * _cost_form(model, which, base.x, u, dx, v),
+                                   _cost_form(model, which, dx, v, dx, v)))
+            del dx
+
+    base_cost = np.concatenate(base_parts)
+    curves = [_curve(name, eps, base_cost, np.concatenate([p[0] for p in parts]),
+                     np.concatenate([p[1] for p in parts]))
+              for name, parts in ab_parts.items()]
+    proven = which == "J1" or bool(np.all(model.nodes("D1") == 0.0) and np.all(model.nodes("D2") == 0.0))
+    return PerturbationReport(which=which, curves=curves, proven_scope=proven)
 
 
 def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
@@ -163,30 +230,12 @@ def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnse
 
     The leader's control is frozen pathwise as the realized equilibrium
     process; the follower's deterministic equilibrium control is shifted by
-    eps times each direction and the state re-simulated with the baseline
-    noise.  The zero-eps re-simulation is the differencing baseline, so a
-    zero direction yields exactly zero differences.
+    eps times each direction and the state follows under the baseline noise.
+    A zero direction yields exactly zero differences.
     """
-    model = eq.model
-    eps = _symmetrize_eps(eps_list)
-    u1_bar = np.asarray(baseline.u1, dtype=float)
-    if u1_bar.ndim != 1:
+    if np.asarray(baseline.u1).ndim != 1:
         raise ValueError("baseline follower control must be deterministic")
-    u2_frozen = baseline.u2
-    noise = baseline.noise
-
-    base_ens = simulate_open_loop(model, u1_bar, u2_frozen, noise)
-    base_cost = pathwise_J1(model, base_ens)
-
-    curves = []
-    for name, v in directions.items():
-        v = np.asarray(v, dtype=float)
-        costs = {}
-        for e in eps:
-            ens = simulate_open_loop(model, u1_bar + e * v, u2_frozen, noise)
-            costs[float(e)] = pathwise_J1(model, ens)
-        curves.append(_curve(name, eps, base_cost, costs))
-    return PerturbationReport(which="J1", curves=curves, proven_scope=True)
+    return _sweep(eq, "J1", directions, eps_list, [baseline])
 
 
 def follower_response(eq: EquilibriumSolution, u2hat: DeterministicPath) -> np.ndarray:
@@ -212,48 +261,12 @@ def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemb
                              directions: dict[str, np.ndarray], eps_list) -> PerturbationReport:
     """Check that no tested leader deviation improves the leader's cost.
 
-    For each eps the filtered leader control is shifted deterministically,
-    the follower re-optimizes (filter re-solve plus response formula), and
-    the state is re-simulated with the pathwise-frozen leader process plus
-    the shift, under the baseline noise.
+    The filtered leader control is shifted deterministically, the follower
+    re-optimizes (filter re-solve plus response formula), and the state
+    follows the pathwise-frozen leader process plus the shift under the
+    baseline noise.
     """
-    model = eq.model
-    eps = _symmetrize_eps(eps_list)
-    u2_frozen = baseline.u2
-    u2hat = eq.u2hat_path()
-    noise = baseline.noise
-
-    def run(e: float, v: np.ndarray) -> np.ndarray:
-        shifted = DeterministicPath(
-            nodes=u2hat.nodes + e * v,
-            mids=u2hat.half_values()[1::2] + e * 0.5 * (v[:-1] + v[1:]),
-        )
-        u1 = follower_response(eq, shifted)
-        ens = simulate_open_loop(model, u1, u2_frozen + e * v[None, :], noise)
-        return _pathwise_cost(model, ens.x, ens.u2, "Q2", "R2", model.G2)
-
-    curves = []
-    zero = np.zeros(model.grid.steps + 1)
-    base_cost = run(0.0, zero)
-    for name, v in directions.items():
-        v = np.asarray(v, dtype=float)
-        costs = {float(e): run(float(e), v) for e in eps}
-        curves.append(_curve(name, eps, base_cost, costs))
-
-    d1 = model.nodes("D1")
-    d2 = model.nodes("D2")
-    proven = bool(np.all(d1 == 0.0) and np.all(d2 == 0.0))
-    return PerturbationReport(which="J2", curves=curves, proven_scope=proven)
-
-
-def _assemble_curves(which: str, directions, eps, base_parts: list[np.ndarray],
-                     cost_parts: dict[str, dict[float, list[np.ndarray]]]) -> list[PerturbationCurve]:
-    base = np.concatenate(base_parts)
-    curves = []
-    for name in directions:
-        costs = {e: np.concatenate(cost_parts[name][e]) for e in cost_parts[name]}
-        curves.append(_curve(name, eps, base, costs))
-    return curves
+    return _sweep(eq, "J2", directions, eps_list, [baseline])
 
 
 def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
@@ -262,66 +275,15 @@ def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
     """Memory-bounded variant of the optimality verifiers.
 
     Streams paths in chunks: per chunk the closed loop is simulated to freeze
-    the leader process, then the baseline and every (direction, eps)
-    re-simulation run on that chunk before it is discarded.  Per-path
-    determinism of the noise streams makes the result identical to the
-    monolithic run with m paths.
+    the leader process and the sensitivity runs follow before the chunk is
+    discarded.  Per-path determinism of the noise streams makes the result
+    identical to the monolithic run with m paths.
     """
-    from .simulate import generate_noise as _gen, simulate_closed_loop as _closed
-
-    model = eq.model
-    eps = _symmetrize_eps(eps_list)
     system = eq.closed_loop()
-    u2hat = eq.u2hat_path()
-
-    if which == "J2":
-        responses = {}
-        zero = np.zeros(model.grid.steps + 1)
-        items = [("", 0.0, zero)] + [(name, float(e), np.asarray(v, dtype=float))
-                                     for name, v in directions.items() for e in eps]
-        for name, e, v in items:
-            shifted = DeterministicPath(
-                nodes=u2hat.nodes + e * v,
-                mids=u2hat.half_values()[1::2] + e * 0.5 * (v[:-1] + v[1:]),
-            )
-            responses[(name, e)] = follower_response(eq, shifted)
-
-    base_parts: list[np.ndarray] = []
-    cost_parts: dict[str, dict[float, list[np.ndarray]]] = {
-        name: {float(e): [] for e in eps} for name in directions
-    }
-    done = 0
-    while done < m:
-        size = min(chunk, m - done)
-        noise = _gen(seed, size, model.grid, first_path=done)
-        ens = _closed(system, noise)
-        if which == "J1":
-            u1_bar = np.asarray(ens.u1, dtype=float)
-            base = simulate_open_loop(model, u1_bar, ens.u2, noise)
-            base_parts.append(pathwise_J1(model, base))
-            for name, v in directions.items():
-                v = np.asarray(v, dtype=float)
-                for e in eps:
-                    run = simulate_open_loop(model, u1_bar + e * v, ens.u2, noise)
-                    cost_parts[name][float(e)].append(pathwise_J1(model, run))
-        else:
-            base = simulate_open_loop(model, responses[("", 0.0)], ens.u2, noise)
-            base_parts.append(pathwise_J2(model, base))
-            for name, v in directions.items():
-                v = np.asarray(v, dtype=float)
-                for e in eps:
-                    run = simulate_open_loop(model, responses[(name, float(e))],
-                                             ens.u2 + e * v[None, :], noise)
-                    cost_parts[name][float(e)].append(
-                        _pathwise_cost(model, run.x, run.u2, "Q2", "R2", model.G2))
-        done += size
-
-    curves = _assemble_curves(which, directions, eps, base_parts, cost_parts)
-    if which == "J1":
-        proven = True
-    else:
-        proven = bool(np.all(model.nodes("D1") == 0.0) and np.all(model.nodes("D2") == 0.0))
-    return PerturbationReport(which=which, curves=curves, proven_scope=proven)
+    chunks = (simulate_closed_loop(system, generate_noise(seed, min(chunk, m - first), eq.model.grid,
+                                                          first_path=first))
+              for first in range(0, m, chunk))
+    return _sweep(eq, which, directions, eps_list, chunks)
 
 
 @dataclass(frozen=True)
@@ -349,8 +311,21 @@ class GridSearchResult:
         return self.best_mean + stderr_mult * self.best_stderr - self.equilibrium_mean
 
 
+# Feature k of the grid cost pairs basis responses (i, j) with weight c; it
+# multiplies the monomial [1, alpha, beta, alpha^2, alpha*beta, beta^2][k].
+_GRID_FEATURES = ((0, 0, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0))
+
+
 def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
                      alphas, betas) -> GridSearchResult:
+    """Constant-feedback grid for the follower, every point in closed form.
+
+    Under u1 = alpha * xhat + beta the state is x0 + alpha * e1 + beta * e2,
+    with x0 simulated at u1 = 0 and e1, e2 the responses to u1 = xhat and
+    u1 = 1, so each path's cost is a quadratic form in (1, alpha, beta) with
+    six features.  Grid means come from the feature means and grid stderrs
+    from the covariance of the features.
+    """
     model = eq.model
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -361,16 +336,27 @@ def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
     base_ens = simulate_open_loop(model, np.asarray(baseline.u1, dtype=float), u2_frozen, noise)
     base_cost = pathwise_J1(model, base_ens)
 
-    mean = np.empty((len(alphas), len(betas)))
-    stderr = np.empty_like(mean)
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            ens = simulate_open_loop(model, a * xhat + b, u2_frozen, noise)
-            cost = pathwise_J1(model, ens)
-            mean[i, j] = cost.mean()
-            stderr[i, j] = _stderr(cost)
-    flat = int(np.argmin(mean))
-    bi, bj = np.unravel_index(flat, mean.shape)
+    zero = np.zeros_like(xhat)
+    x0 = simulate_open_loop(model, zero, u2_frozen, noise).x
+    basis = [(x0, zero)] + [(simulate_open_loop(model, u1, u2_frozen, noise).x - x0, u1)
+                            for u1 in (xhat, np.ones_like(xhat))]
+    features = np.stack([c * _cost_form(model, "J1", *basis[i], *basis[j])
+                         for i, j, c in _GRID_FEATURES])
+    m = features.shape[1]
+    feature_mean = features.mean(axis=1)
+
+    a, b = np.meshgrid(alphas, betas, indexing="ij")
+    monomials = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
+    mean = (monomials * feature_mean).sum(axis=-1)
+    if m < 2:
+        stderr = np.zeros_like(mean)
+    else:
+        centered = features - feature_mean[:, None]
+        cov = (centered[:, None, :] * centered[None, :, :]).sum(axis=-1) / (m - 1)
+        var = (monomials[..., :, None] * cov * monomials[..., None, :]).sum(axis=(-2, -1))
+        stderr = np.sqrt(np.maximum(var, 0.0)) / np.sqrt(m)
+
+    bi, bj = np.unravel_index(int(np.argmin(mean)), mean.shape)
     return GridSearchResult(
         alphas=alphas, betas=betas, cost_mean=mean, cost_stderr=stderr,
         best_alpha=float(alphas[bi]), best_beta=float(betas[bj]),

@@ -64,6 +64,14 @@ def test_solve_writes_artifacts(tmp_path):
     assert header.startswith("t,P,PI1_11")
 
 
+def test_solve_message_prints_plain_floats(tmp_path, capsys):
+    path = write_model(tmp_path)
+    assert main(["solve", "--model", path, "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "solved: P(0)=" in out
+    assert "np.float64" not in out
+
+
 def test_solve_oracle_column(tmp_path):
     # the rational closed-form case: the P column of riccati.csv starts at 1/2
     path = write_model(tmp_path, steps=1000, A=0.0, C=0.0, Q1=0.0, G1=1.0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lqstack.costs import (estimate_J1, estimate_J2, follower_response, gain_grid_search,
-                           pathwise_J1, verify_follower_optimality, verify_leader_optimality,
-                           verify_optimality_chunked)
+                           pathwise_J1, pathwise_J2, verify_follower_optimality,
+                           verify_leader_optimality, verify_optimality_chunked)
 from lqstack.equilibrium import solve_equilibrium
+from lqstack.filtering import DeterministicPath
 from lqstack.simulate import generate_noise, simulate_closed_loop, simulate_open_loop
 
 from conftest import make_model
@@ -138,10 +139,11 @@ def test_chunked_matches_monolithic(eq_b200):
     dirs = {"ramp": t}
     noise = generate_noise(55, 3000, eq_b200.model.grid)
     ens = simulate_closed_loop(eq_b200.closed_loop(), noise)
-    mono = verify_follower_optimality(eq_b200, ens, dirs, [0.1])
-    chunked = verify_optimality_chunked(eq_b200, "J1", dirs, [0.1], seed=55, m=3000, chunk=700)
-    assert np.allclose(mono.curves[0].delta_mean, chunked.curves[0].delta_mean, rtol=0, atol=1e-15)
-    assert np.allclose(mono.curves[0].delta_stderr, chunked.curves[0].delta_stderr, rtol=0, atol=1e-15)
+    for which, verify in (("J1", verify_follower_optimality), ("J2", verify_leader_optimality)):
+        mono = verify(eq_b200, ens, dirs, [0.1])
+        chunked = verify_optimality_chunked(eq_b200, which, dirs, [0.1], seed=55, m=3000, chunk=700)
+        assert np.allclose(mono.curves[0].delta_mean, chunked.curves[0].delta_mean, rtol=0, atol=1e-15)
+        assert np.allclose(mono.curves[0].delta_stderr, chunked.curves[0].delta_stderr, rtol=0, atol=1e-15)
 
 
 def test_leader_report_scope_label(eq_b200):
@@ -188,3 +190,69 @@ def test_follower_response_matches_gain_form(eq_b200):
     u1 = follower_response(eq_b200, eq_b200.u2hat_path())
     u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f_nodes, eq_b200.xhat.nodes)
     assert np.max(np.abs(u1 - u1_gain)) <= 1e-9
+
+
+# Oracles for the closed forms: each compares against a direct re-simulation
+# of the perturbed controls under the same noise.
+
+@pytest.fixture(scope="module", params=["benchmark", "control_diffusion"])
+def eq_ens_oracle(request, eq_b200):
+    eq = eq_b200 if request.param == "benchmark" else solve_equilibrium(
+        make_model(steps=80, D1=0.3, D2=0.4, C=0.3))
+    noise = generate_noise(31, 1500, eq.model.grid)
+    return eq, simulate_closed_loop(eq.closed_loop(), noise)
+
+
+def _oracle_dirs(model):
+    t = model.grid.times()
+    return {"const": np.ones(len(t)), "ramp": t, "sine": np.sin(2.0 * np.pi * t)}
+
+
+def _assert_matches_resimulation(rep, resimulated_delta):
+    for c in rep.curves:
+        for e, dm, ds in zip(c.eps, c.delta_mean, c.delta_stderr):
+            delta = resimulated_delta(c.name, e)
+            assert dm == pytest.approx(delta.mean(), rel=1e-12)
+            assert ds == pytest.approx(delta.std(ddof=1) / np.sqrt(len(delta)), rel=1e-12)
+
+
+def test_follower_sweep_matches_resimulation(eq_ens_oracle):
+    eq, ens = eq_ens_oracle
+    model = eq.model
+    dirs = _oracle_dirs(model)
+    base = pathwise_J1(model, simulate_open_loop(model, ens.u1, ens.u2, ens.noise))
+
+    def resimulated_delta(name, e):
+        run = simulate_open_loop(model, ens.u1 + e * dirs[name], ens.u2, ens.noise)
+        return pathwise_J1(model, run) - base
+
+    _assert_matches_resimulation(verify_follower_optimality(eq, ens, dirs, [0.2]), resimulated_delta)
+
+
+def test_leader_sweep_matches_resimulation(eq_ens_oracle):
+    eq, ens = eq_ens_oracle
+    model = eq.model
+    dirs = _oracle_dirs(model)
+    u2hat = eq.u2hat_path()
+
+    def run(e, v):
+        shifted = DeterministicPath(nodes=u2hat.nodes + e * v,
+                                    mids=u2hat.half_values()[1::2] + e * 0.5 * (v[:-1] + v[1:]))
+        u1 = follower_response(eq, shifted)
+        return pathwise_J2(model, simulate_open_loop(model, u1, ens.u2 + e * v, ens.noise))
+
+    base = run(0.0, np.zeros(model.grid.steps + 1))
+    _assert_matches_resimulation(verify_leader_optimality(eq, ens, dirs, [0.2]),
+                                 lambda name, e: run(e, dirs[name]) - base)
+
+
+def test_grid_search_matches_resimulation(eq_ens_oracle):
+    eq, ens = eq_ens_oracle
+    model = eq.model
+    xhat = eq.xhat_scalar_path().nodes
+    alphas, betas = [-3.0, 0.4, 2.5], [-1.5, 0.0, 3.0]
+    res = gain_grid_search(eq, ens, alphas, betas)
+    for i, (a, b) in enumerate(zip(alphas, betas)):
+        est = estimate_J1(model, simulate_open_loop(model, a * xhat + b, ens.u2, ens.noise))
+        assert res.cost_mean[i, i] == pytest.approx(est.mean, rel=1e-10)
+        assert res.cost_stderr[i, i] == pytest.approx(est.stderr, rel=1e-10)
