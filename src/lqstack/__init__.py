@@ -13,7 +13,7 @@ from .costs import (CostEstimate, GridSearchResult, PerturbationReport, estimate
                     verify_follower_optimality, verify_leader_optimality)
 from .equilibrium import (AdjointReconstruction, EquilibriumSolution, FeedbackGains,
                           bsde_residual, build_gains, drift_residuals,
-                          follower_stationarity_residual, hamiltonian_H1,
+                          follower_stationarity_residual, gain_consistency_residual, hamiltonian_H1,
                           leader_stationarity_residual, reconstruct_adjoints,
                           solve_equilibrium)
 from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,

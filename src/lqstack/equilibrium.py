@@ -37,8 +37,11 @@ class FeedbackGains:
 
     lx: np.ndarray
     lxhat: np.ndarray
-    lhat: np.ndarray
     f: np.ndarray
+
+    @property
+    def lhat(self) -> np.ndarray:
+        return self.lx + self.lxhat
 
     @property
     def lx_nodes(self) -> np.ndarray:
@@ -57,70 +60,51 @@ class FeedbackGains:
         return self.f[::2]
 
 
+def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row vectors times 2x2 matrices, batched over the leading grid axis."""
+    return (v[:, None, :] @ m)[:, 0]
+
+
 def build_gains(model: LQModel, P: FollowerRiccati, blocks: LeaderBlocks,
                 leader: LeaderRiccati, sigmas: Sigmas) -> FeedbackGains:
     """Evaluate both players' feedback rows at every half-grid point."""
-    n2 = 2 * model.grid.steps
-    D1 = model.nodes("D1", 4)
-    D2 = model.nodes("D2", 4)
-    cross = blocks.s_inv * D1 * D2 * P.fine
-
-    lx = np.empty((n2 + 1, 2))
-    lxhat = np.empty((n2 + 1, 2))
-    f = np.empty((n2 + 1, 2))
-    for j in range(n2 + 1):
-        q = blocks.half_index(j)
-        rr = 1.0 / blocks.r2[q]
-        p1 = leader.p1_fine[j]
-        p2 = leader.p2_at_half(j)
-        p12 = p1 + p2
-        s1 = sigmas.s1[j]
-        lx[j] = -rr * (blocks.d2[q] @ p1 + blocks.d4[q] @ sigmas.s2[j])
-        lxhat[j] = -rr * (blocks.d1[q] @ p12 + blocks.d2[q] @ p2
-                          + blocks.d3[q] @ s1 + blocks.d4[q] @ sigmas.s3[j] + blocks.d5[q])
-        d12 = blocks.d1[q] + blocks.d2[q]
-        d34 = blocks.d3[q] + blocks.d4[q]
-        f[j] = blocks.a6[q] + blocks.b2[q] @ p12 + cross[q] * rr * (d12 @ p12 + d34 @ s1 + blocks.d5[q])
-    return FeedbackGains(lx=lx, lxhat=lxhat, lhat=lx + lxhat, f=f)
+    q = blocks.half_points
+    D1 = model.nodes("D1", blocks.refine)
+    cross = (blocks.s_inv * D1 * model.nodes("D2", blocks.refine) * P.fine)[q, None]
+    rr = blocks.rr[q, None]
+    p1 = leader.p1_fine
+    p2 = leader.p2_fine
+    p12 = p1 + p2
+    s1 = sigmas.s1
+    d5 = blocks.d5[q]
+    lx = -rr * (_rows(blocks.d2[q], p1) + _rows(blocks.d4[q], sigmas.s2))
+    lxhat = -rr * (_rows(blocks.d1[q], p12) + _rows(blocks.d2[q], p2)
+                   + _rows(blocks.d3[q], s1) + _rows(blocks.d4[q], sigmas.s3) + d5)
+    f = (blocks.a6[q] + _rows(blocks.b2[q], p12)
+         + cross * rr * (_rows(blocks.d1[q], p12) + _rows(blocks.d2[q], p12)
+                         + _rows(blocks.d3[q], s1) + _rows(blocks.d4[q], s1) + d5))
+    return FeedbackGains(lx=lx, lxhat=lxhat, f=f)
 
 
 def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas):
     """Node-sampled drift/diffusion coefficient matrices of the closed loop."""
-    n = leader.grid.steps
-    fx = np.empty((n + 1, 2, 2))
-    fxh = np.empty((n + 1, 2, 2))
-    gx = np.empty((n + 1, 2, 2))
-    gxh = np.empty((n + 1, 2, 2))
-    p1n = leader.p1
-    for k in range(n + 1):
-        q = blocks.node_index(k)
-        j = 2 * k
-        rr = 1.0 / blocks.r2[q]
-        p1 = p1n[k]
-        p2 = leader.p2[k]
-        p12 = p1 + p2
-        s1 = sigmas.s1[j]
-        s2 = sigmas.s2[j]
-        s3 = sigmas.s3[j]
-        d1 = blocks.d1[q]
-        d2 = blocks.d2[q]
-        d3 = blocks.d3[q]
-        d4 = blocks.d4[q]
-        d5 = blocks.d5[q]
-        d12 = d1 + d2
-        d34 = d3 + d4
-        bb = blocks.b1[q] - np.outer(d2, d2) * rr
-        cc = blocks.c1[q] - np.outer(d2, d4) * rr
-        cct = blocks.c1[q].T - np.outer(d4, d2) * rr
-        fx[k] = blocks.a1[q] + bb @ p1 + cc @ s2
-        fxh[k] = (blocks.a2[q] - np.outer(d12, d5) * rr + bb @ p2
-                  - (np.outer(d1, d12) + np.outer(d2, d1)) * rr @ p12
-                  + cc @ s3 - (np.outer(d1, d34) + np.outer(d2, d3)) * rr @ s1)
-        gx[k] = blocks.a3[q] + cct @ p1 - np.outer(d4, d4) * rr @ s2
-        gxh[k] = (blocks.a4[q] - np.outer(d34, d5) * rr + cct @ p2
-                  - (np.outer(d3, d12) + np.outer(d4, d1)) * rr @ p12
-                  - np.outer(d4, d4) * rr @ s3
-                  - (np.outer(d3, d34) + np.outer(d4, d3)) * rr @ s1)
+    q = slice(None, None, blocks.refine)
+    p1 = leader.p1
+    p2 = leader.p2
+    p12 = p1 + p2
+    s1 = sigmas.s1_nodes
+    s2 = sigmas.s2_nodes
+    s3 = sigmas.s3_nodes
+    bb = blocks.bb[q]
+    cc = blocks.cc[q]
+    cct = cc.swapaxes(-1, -2)
+    e13 = blocks.e13[q]
+    e44 = blocks.e44[q]
+    fx = blocks.a1[q] + bb @ p1 + cc @ s2
+    fxh = blocks.a2e[q] + bb @ p2 - blocks.e11[q] @ p12 + cc @ s3 - e13 @ s1
+    gx = blocks.a3[q] + cct @ p1 - e44 @ s2
+    gxh = (blocks.a4e[q] + cct @ p2 - e13.swapaxes(-1, -2) @ p12 - e44 @ s3
+           - blocks.e33[q] @ s1)
     return fx, fxh, gx, gxh
 
 
@@ -144,23 +128,9 @@ class EquilibriumSolution:
             xhat=self.xhat,
         )
 
-    def u1_path(self) -> DeterministicPath:
-        """The follower's equilibrium control (deterministic along the filter)."""
-        vals = np.einsum("ji,ji->j", self.gains.f, self._xhat_half())
-        return DeterministicPath(nodes=vals[::2], mids=vals[1::2])
-
     def u2hat_path(self) -> DeterministicPath:
         """The leader's filtered equilibrium control."""
         vals = np.einsum("ji,ji->j", self.gains.lhat, self._xhat_half())
-        return DeterministicPath(nodes=vals[::2], mids=vals[1::2])
-
-    def theta_hat_path(self) -> DeterministicPath:
-        """Filtered offset reconstructed from the estimate coupling."""
-        n2 = 2 * self.model.grid.steps
-        vals = np.empty(n2 + 1)
-        for j in range(n2 + 1):
-            p12 = self.leader.p1_fine[j] + self.leader.p2_at_half(j)
-            vals[j] = p12[1] @ self._xhat_half()[j]
         return DeterministicPath(nodes=vals[::2], mids=vals[1::2])
 
     def xhat_scalar_path(self) -> DeterministicPath:
@@ -276,6 +246,36 @@ def follower_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsem
     return ResidualStats(residual=residual, stderr=stderr, scale=scale)
 
 
+def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
+    """(p1 + p2) xhat at the nodes: the filtered leader adjoint pair.
+
+    Its first component is the filtered phi of the leader's condition, its
+    second the follower's filtered offset theta_hat.
+    """
+    return np.einsum("kij,kj->ki", eq.leader.p1 + eq.leader.p2, eq.xhat.nodes)
+
+
+def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
+    """Follower control in gain form against the filtered-feedback substitution.
+
+    u1 = f . xhat must equal -(D1^2 P + R1)^-1 [(B1 + D1 C) P xhat + B1 theta_hat
+    + D1 D2 P u2hat] with the offset and the filtered leader control read from
+    the leader's solution: an algebraic identity, zero to rounding.
+    """
+    model = eq.model
+    xh = eq.xhat.nodes
+    pn = eq.P.values
+    B1 = model.nodes("B1")
+    D1 = model.nodes("D1")
+    si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
+    u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
+    u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
+    u1_sub = -si * ((B1 + D1 * model.nodes("C")) * pn * xh[:, 0] + B1 * _filtered_adjoint(eq)[:, 1]
+                    + D1 * model.nodes("D2") * pn * u2hat)
+    return ResidualStats(residual=u1_gain - u1_sub, stderr=None,
+                         scale=float(np.max(np.abs(u1_gain))) + 1.0)
+
+
 @dataclass(frozen=True)
 class LeaderStationarity:
     """Leader first-order condition residuals, algebraic and statistical.
@@ -298,7 +298,6 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     n = model.grid.steps
     m = ens.m
     xh = eq.xhat.nodes
-    p1n = eq.leader.p1
 
     R2 = model.nodes("R2")
     qn = blocks.node_index(np.arange(n + 1))
@@ -310,7 +309,7 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
 
     phi = recon.y[:, :, 0]
     delta = recon.z[:, :, 0]
-    phih_rec = np.array([(p1n[j] + eq.leader.p2[j])[0] @ xh[j] for j in range(n + 1)])
+    phih_rec = _filtered_adjoint(eq)[:, 0]
     deltah_rec = recon.zhat[:, 0]
     qh_rec = xh[:, 1]
 
@@ -391,49 +390,36 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
 
     p1n = eq.leader.p1
     p2n = eq.leader.p2
-    s1n = eq.sigmas.s1_nodes
-    s2n = eq.sigmas.s2_nodes
-    s3n = eq.sigmas.s3_nodes
-    lead_x = np.empty((n - 1, 2, 2))
-    lead_xh = np.empty((n - 1, 2, 2))
-    for k in range(1, n):
-        q = blocks.node_index(k)
-        rr = 1.0 / blocks.r2[q]
-        p1 = p1n[k]
-        p2 = p2n[k]
-        p12 = p1 + p2
-        d1 = blocks.d1[q]
-        d2 = blocks.d2[q]
-        d3 = blocks.d3[q]
-        d4 = blocks.d4[q]
-        d5 = blocks.d5[q]
-        d12 = d1 + d2
-        d34 = d3 + d4
-        a1 = blocks.a1[q]
-        a2 = blocks.a2[q]
-        a3 = blocks.a3[q]
-        c1 = blocks.c1[q]
-        bb = blocks.b1[q] - np.outer(d2, d2) * rr
-        dp1 = (p1n[k + 1] - p1n[k - 1]) / (2.0 * dt)
-        dp2 = (p2n[k + 1] - p2n[k - 1]) / (2.0 * dt)
+    q = slice(blocks.refine, blocks.refine * n, blocks.refine)
+    p1 = p1n[inner]
+    p2 = p2n[inner]
+    p12 = p1 + p2
+    s1 = eq.sigmas.s1_nodes[inner]
+    s2 = eq.sigmas.s2_nodes[inner]
+    s3 = eq.sigmas.s3_nodes[inner]
+    a1 = blocks.a1[q]
+    a2e = blocks.a2e[q]
+    a3 = blocks.a3[q]
+    bb = blocks.bb[q]
+    cc = blocks.cc[q]
+    dp1 = (p1n[2:] - p1n[:-2]) / (2.0 * dt)
+    dp2 = (p2n[2:] - p2n[:-2]) / (2.0 * dt)
 
-        lead_x[k - 1] = (dp1 + p1 @ a1 + a1 @ p1 + p1 @ bb @ p1
-                         + (p1 @ (c1 - np.outer(d2, d4) * rr) + a3) @ s2n[k] + blocks.a5[q])
-        term = p1 @ (a2 - np.outer(d12, d5) * rr)
-        term += p1 @ bb @ p2
-        term -= p1 @ (np.outer(d1, d12) + np.outer(d2, d1)) * rr @ p12
-        term += p1 @ (c1 - np.outer(d2, d4) * rr) @ s3n[k]
-        term -= p1 @ (np.outer(d1, d34) + np.outer(d2, d3)) * rr @ s1n[k]
-        term += dp2
-        term += p2 @ (a1 + a2 - np.outer(d12, d5) * rr)
-        term += p2 @ (blocks.b1[q] - np.outer(d12, d12) * rr) @ p12
-        term += p2 @ (c1 - np.outer(d12, d34) * rr) @ s1n[k]
-        term += a1 @ p2
-        term += (a2 - np.outer(d5, d12) * rr) @ p12
-        term += a3 @ s3n[k]
-        term += (blocks.a4[q] - np.outer(d5, d34) * rr) @ s1n[k]
-        term -= np.outer(d5, d5) * rr
-        lead_xh[k - 1] = term
+    lead_x = dp1 + p1 @ a1 + a1 @ p1 + p1 @ bb @ p1 + (p1 @ cc + a3) @ s2 + blocks.a5[q]
+    lead_xh = p1 @ a2e
+    lead_xh += p1 @ bb @ p2
+    lead_xh -= p1 @ blocks.e11[q] @ p12
+    lead_xh += p1 @ cc @ s3
+    lead_xh -= p1 @ blocks.e13[q] @ s1
+    lead_xh += dp2
+    lead_xh += p2 @ (a1 + a2e)
+    lead_xh += p2 @ blocks.bb12[q] @ p12
+    lead_xh += p2 @ blocks.cc12[q] @ s1
+    lead_xh += a1 @ p2
+    lead_xh += a2e.swapaxes(-1, -2) @ p12
+    lead_xh += a3 @ s3
+    lead_xh += blocks.a4e[q].swapaxes(-1, -2) @ s1
+    lead_xh -= blocks.e55[q]
 
     return DriftResiduals(
         times=model.grid.times()[inner],

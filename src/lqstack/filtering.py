@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
 from .model import LQModel
 from .riccati import FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas
 
@@ -68,6 +69,7 @@ class FilterPath:
     theta_hat: DeterministicPath
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness guards report overflow
 def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPath:
     """Solve the follower's filtering pair for a given filtered leader control.
 
@@ -76,22 +78,22 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
     The offset integrates backward from 0 using only (u2hat, itself); the
     filtered state then integrates forward from x0 using (offset, u2hat).
     Both are node-grid RK4 with stages at half points, so a step never
-    crosses a kink of the piecewise-linear input.
+    crosses a kink of the piecewise-linear input.  Raises SolverError at the
+    first node where either solution is not finite.
     """
     grid = model.grid
     n = grid.steps
     dt = grid.dt
     u2h = as_path(u2hat)
 
-    # Coefficient scalars on the half grid; P.fine is at dt/4, so every
-    # second entry lands on a half-grid point.
+    # Coefficient scalars on the half grid, where P is stored.
     A = model.nodes("A", 2)
     B1 = model.nodes("B1", 2)
     B2 = model.nodes("B2", 2)
     C = model.nodes("C", 2)
     D1 = model.nodes("D1", 2)
     D2 = model.nodes("D2", 2)
-    p = P.fine[::2]
+    p = P.fine
     si = 1.0 / (D1 * D1 * p + model.nodes("R1", 2))
     bc = B1 + D1 * C
 
@@ -116,6 +118,8 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
         k3 = dtheta_dtau(j0 - 1, th + 0.5 * dt * k2)
         k4 = dtheta_dtau(j0 - 2, th + dt * k3)
         th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(th):
+            raise SolverError("follower's filtered offset is not finite", (n - 1 - i) * dt)
         theta[n - 1 - i] = th
     theta_slope[0] = dtheta_dtau(0, th)
     # Hermite midpoints; forward slope is -d/dtau.
@@ -143,6 +147,8 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
         k3 = dxhat_dt(j0 + 1, x + 0.5 * dt * k2)
         k4 = dxhat_dt(j0 + 2, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x):
+            raise SolverError("follower's filtered state is not finite", (k + 1) * dt)
         xhat[k + 1] = x
     f_nodes[n] = dxhat_dt(2 * n, x)
     mids = 0.5 * (xhat[:-1] + xhat[1:]) + (dt / 8.0) * (f_nodes[:-1] - f_nodes[1:])
@@ -160,34 +166,24 @@ class FilteredLeaderPath:
     nodes: np.ndarray
     mids: np.ndarray
 
-    def at_half(self, j: int) -> np.ndarray:
-        if j % 2 == 0:
-            return self.nodes[j // 2]
-        return self.mids[(j - 1) // 2]
-
 
 def leader_xhat_matrix(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> np.ndarray:
     """(2N+1, 2, 2) drift matrix of the filtered augmented state ODE."""
-    n2 = 2 * leader.grid.steps
-    out = np.empty((n2 + 1, 2, 2))
-    for j in range(n2 + 1):
-        q = blocks.half_index(j)
-        rr = 1.0 / blocks.r2[q]
-        d12 = blocks.d1[q] + blocks.d2[q]
-        d34 = blocks.d3[q] + blocks.d4[q]
-        p12 = leader.p1_fine[j] + leader.p2_at_half(j)
-        k = blocks.a1[q] + blocks.a2[q]
-        k += (blocks.b1[q] - np.outer(d12, d12) * rr) @ p12
-        k -= np.outer(d12, blocks.d5[q]) * rr
-        k += (blocks.c1[q] - np.outer(blocks.d2[q], blocks.d4[q]) * rr) @ (sigmas.s2[j] + sigmas.s3[j])
-        k -= (np.outer(blocks.d1[q], d34) + np.outer(blocks.d2[q], blocks.d3[q])) * rr @ sigmas.s1[j]
-        out[j] = k
+    q = blocks.half_points
+    out = blocks.a1[q] + blocks.a2e[q]
+    out += blocks.bb12[q] @ (leader.p1_fine + leader.p2_fine)
+    out += blocks.cc[q] @ (sigmas.s2 + sigmas.s3)
+    out -= blocks.e13[q] @ sigmas.s1
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness guards report overflow
 def solve_leader_xhat(model: LQModel, blocks: LeaderBlocks, leader: LeaderRiccati,
                       sigmas: Sigmas) -> FilteredLeaderPath:
-    """Integrate the filtered augmented state forward from (x0, 0) by RK4."""
+    """Integrate the filtered augmented state forward from (x0, 0) by RK4.
+
+    Raises SolverError at the first node where the state is not finite.
+    """
     grid = model.grid
     n = grid.steps
     dt = grid.dt
@@ -205,6 +201,8 @@ def solve_leader_xhat(model: LQModel, blocks: LeaderBlocks, leader: LeaderRiccat
         k3 = K[j0 + 1] @ (y + 0.5 * dt * k2)
         k4 = K[j0 + 2] @ (y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise SolverError("filtered leader state is not finite", (k + 1) * dt)
         nodes[k + 1] = y
     f_nodes[n] = K[2 * n] @ y
     mids = 0.5 * (nodes[:-1] + nodes[1:]) + (dt / 8.0) * (f_nodes[:-1] - f_nodes[1:])

@@ -10,14 +10,22 @@ reversal tau = T - t:
   * the leader's second 2x2 equation (consumes the first, terminal 0).
 
 Because each downstream solve evaluates the upstream solution at its RK4
-stage times, storage is nested: P and the coefficient blocks are sampled at
-dt/4 spacing, both 2x2 solves step dt with stages at half-grid points, and
-off-node values of the 2x2 solutions are stored as cubic-Hermite midpoints
-(4th order, from node values and node slopes).  Every stage then reads
-upstream data at full accuracy and each solve keeps genuine 4th-order
-convergence for constant coefficients (array coefficients interpolate
-linearly, which caps accuracy at 2nd order there, as for the rest of the
-pipeline).
+stage times, P is integrated with step dt/4 and both 2x2 solves step dt with
+stages at half-grid points.  Everything is stored on the half grid, the only
+points any later stage reads: P, the coefficient blocks, and both 2x2
+solutions, whose off-node values are cubic-Hermite midpoints (4th order,
+from node values and node slopes).  Every stage then reads upstream data at
+full accuracy and each solve keeps genuine 4th-order convergence for
+constant coefficients (array coefficients interpolate linearly, which caps
+accuracy at 2nd order there, as for the rest of the pipeline).
+
+Everything downstream of P reads one family of effective blocks (1/r2,
+b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
+assemble_leader_blocks evaluates once on the whole half grid; a transpose is
+a swapaxes view.  gain_inverses, sigma1-sigma3, rhs_p1 and rhs_p2 broadcast
+over a leading grid axis, so the same code serves a single RK4 stage (an int
+block index) and the whole half grid at once (a slice).  Only the RK4
+recurrences loop over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -32,7 +40,8 @@ import numpy as np
 from .errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
 from .model import LQModel, TimeGrid
 
-# Internal storage refinements (relative to the node grid).
+# Step refinement of the follower solve and storage refinement of the
+# half-grid arrays (relative to the node grid).
 P_REFINE = 4
 P1_REFINE = 2
 
@@ -41,9 +50,9 @@ _I2 = np.eye(2)
 
 @dataclass(frozen=True)
 class FollowerRiccati:
-    """Scalar backward Riccati solution P sampled at dt/4 spacing.
+    """Scalar backward Riccati solution P on the half grid.
 
-    fine[q] is P(q * dt/4); the node values are fine[::4].  P(T) = G1 exactly.
+    fine[j] is P(j * dt/2); the node values are fine[::2].  P(T) = G1 exactly.
     """
 
     grid: TimeGrid
@@ -51,10 +60,7 @@ class FollowerRiccati:
 
     @property
     def values(self) -> np.ndarray:
-        return self.fine[::P_REFINE]
-
-    def at_fine(self, q: int) -> float:
-        return float(self.fine[q])
+        return self.fine[::P1_REFINE]
 
 
 def _blow_up_bound(terminal_scale: float, factor: float) -> float:
@@ -64,8 +70,9 @@ def _blow_up_bound(terminal_scale: float, factor: float) -> float:
 def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: float = 1e-10) -> FollowerRiccati:
     """Integrate the follower's Riccati equation backward from P(T) = G1.
 
-    RK4 with internal step dt/4 (coefficients read at dt/8 spacing), so later
-    solves can consume P at their own stage times without interpolation.
+    RK4 with internal step dt/4 (coefficients read at dt/8 spacing); every
+    second value is kept, so later solves read P exactly at their stage times
+    on the half grid.
     Raises H3Violated if D1^2 P + R1 degenerates at any evaluation point and
     RiccatiBlowUp if |P| exceeds blow_up_factor * (1 + |G1|).
     """
@@ -106,16 +113,17 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: fl
         if not np.isfinite(p) or abs(p) > bound:
             raise RiccatiBlowUp("follower Riccati solution exploded", horizon - (i + 1) * h)
         fine[n_fine - 1 - i] = p
-    return FollowerRiccati(grid=grid, fine=fine)
+    return FollowerRiccati(grid=grid, fine=fine[::P_REFINE // P1_REFINE].copy())
 
 
 @dataclass(frozen=True)
 class LeaderBlocks:
     """Coefficient blocks of the leader's augmented forward-backward system.
 
-    All arrays are sampled at dt/4 spacing (refine attribute); node values sit
-    at every 4th index.  Shapes: 2x2 blocks (L,2,2), column blocks (L,2),
-    gain rows (L,2), scalars (L,).
+    Sampled where P is, i.e. on the half grid for a solved P (refine attribute:
+    index q is t = q * dt/refine); every RK4 stage, gain and closed-loop
+    matrix is evaluated at half-grid points.  Shapes: 2x2 blocks (L,2,2),
+    column blocks (L,2), gain rows (L,2), scalars (L,).
 
     Roles in the augmented dynamics dX = [...]dt + [...]dW, -dY = [...]dt - Z dW:
       a1, a2   drift couplings to X and its estimate,
@@ -127,17 +135,29 @@ class LeaderBlocks:
       a6, b2   rows assembling the follower's control from the estimate and Y,
       r2       leader control weight, s_inv = (D1^2 P + R1)^-1,
       gbar     terminal matrix [[G2, G1], [0, 0]].
+
+    Effective blocks, left after the leader's control is eliminated (every
+    consumer reads these; none re-derives them), with d12 = d1 + d2 and
+    d34 = d3 + d4:
+      rr = 1/r2,
+      bb = b1 - d2 d2^T/r2,        bb12 = b1 - d12 d12^T/r2,
+      cc = c1 - d2 d4^T/r2,        cc12 = c1 - d12 d34^T/r2,
+      a2e = a2 - d12 d5^T/r2,      a4e = a4 - d34 d5^T/r2,
+      e34 = d34 d34^T/r2,          e44 = d4 d4^T/r2,      e55 = d5 d5^T/r2,
+      e11 = (d1 d12^T + d2 d1^T)/r2,  e13 = (d1 d34^T + d2 d3^T)/r2,
+      e33 = (d3 d34^T + d4 d3^T)/r2.
+    Arrays the solve path does not read are not stored but evaluated on
+    access: e11 (read by the closed-loop matrices and the drift residual)
+    and the display blocks a2, a4, b1, c1 and r2 (read by no solver).
     """
 
     grid: TimeGrid
     refine: int
+    model: LQModel
+    P: FollowerRiccati
     a1: np.ndarray
-    a2: np.ndarray
     a3: np.ndarray
-    a4: np.ndarray
     a5: np.ndarray
-    b1: np.ndarray
-    c1: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
@@ -145,27 +165,61 @@ class LeaderBlocks:
     d5: np.ndarray
     a6: np.ndarray
     b2: np.ndarray
-    r2: np.ndarray
     s_inv: np.ndarray
     gbar: np.ndarray
+    rr: np.ndarray
+    bb: np.ndarray
+    bb12: np.ndarray
+    cc: np.ndarray
+    cc12: np.ndarray
+    a2e: np.ndarray
+    a4e: np.ndarray
+    e34: np.ndarray
+    e44: np.ndarray
+    e55: np.ndarray
+    e13: np.ndarray
+    e33: np.ndarray
 
-    def node_index(self, k: int) -> int:
+    @property
+    def e11(self) -> np.ndarray:
+        return _over_r2(self.rr, (self.d1, self.d1 + self.d2), (self.d2, self.d1))
+
+    a2 = property(lambda self: _display_blocks(self.model, self.P)["a2"])
+    a4 = property(lambda self: _display_blocks(self.model, self.P)["a4"])
+    b1 = property(lambda self: _display_blocks(self.model, self.P)["b1"])
+    c1 = property(lambda self: _display_blocks(self.model, self.P)["c1"])
+    r2 = property(lambda self: _display_blocks(self.model, self.P)["r2"])
+
+    @property
+    def half_points(self) -> slice:
+        """Every half-grid point, as an index that slices without copying."""
+        return slice(None, None, self.refine // 2)
+
+    def node_index(self, k):
         return self.refine * k
 
-    def half_index(self, j: int) -> int:
-        """Fine index of half-grid point j (t = j * dt/2)."""
+    def half_index(self, j):
+        """Block index of half-grid point j (t = j * dt/2)."""
         return (self.refine // 2) * j
 
 
-def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float = 1e-10) -> LeaderBlocks:
-    """Sample every block of the augmented-system display on the dt/4 grid.
+def _over_r2(rr: np.ndarray, *pairs) -> np.ndarray:
+    """(sum of u v^T over the (u, v) pairs) / r2 at every sample point."""
+    total = pairs[0][0][:, :, None] * pairs[0][1][:, None, :]
+    for u, v in pairs[1:]:
+        total = total + u[:, :, None] * v[:, None, :]
+    return total * rr[:, None, None]
+
+
+def _display_blocks(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) -> dict:
+    """Every block of the augmented-system display, sampled where P is.
 
     Each entry is an explicit function of the model coefficients and P, so a
-    recomputation from (model, P) reproduces the stored arrays exactly.
+    recomputation from (model, P) reproduces it exactly.
     """
     grid = model.grid
-    refine = P_REFINE
-    L = refine * grid.steps + 1
+    refine = (len(P.fine) - 1) // grid.steps
+    L = len(P.fine)
 
     A = model.nodes("A", refine)
     B1 = model.nodes("B1", refine)
@@ -173,8 +227,6 @@ def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float
     C = model.nodes("C", refine)
     D1 = model.nodes("D1", refine)
     D2 = model.nodes("D2", refine)
-    Q2 = model.nodes("Q2", refine)
-    R2 = model.nodes("R2", refine)
     R1 = model.nodes("R1", refine)
     p = P.fine
 
@@ -198,11 +250,6 @@ def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float
         m[:, 0, 0] = top_left
         return m
 
-    a2 = corner(-B1 * si * bc * p)
-    a3 = corner(C)
-    a4 = corner(-D1 * si * bc * p)
-    a5 = corner(Q2)
-
     b1 = np.zeros((L, 2, 2))
     b1[:, 0, 1] = -si * B1 * B1
     b1[:, 1, 0] = -si * B1 * B1
@@ -210,183 +257,158 @@ def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float
     c1 = np.zeros((L, 2, 2))
     c1[:, 1, 0] = -D1 * si * B1
 
-    d1 = np.column_stack([-B1 * si * D1 * D2 * p, zeros])
-    d2 = np.column_stack([B2, zeros])
-    d3 = np.column_stack([-si * D1 * D1 * D2 * p, zeros])
-    d4 = np.column_stack([D2, zeros])
-    d5 = np.column_stack([zeros, -(bc * si * D1 * D2 * p * p - (B2 + D2 * C) * p)])
-
-    a6 = np.column_stack([-si * bc * p, zeros])
-    b2 = np.column_stack([zeros, -si * B1])
-
     # Terminal data of the adjoint pair in offset coordinates: the follower's
     # terminal weight is already absorbed by P(T) = G1, so only the leader's
     # own weight couples to the state here; the offset row is zero.  Keeping
     # a G1 cross term would break the leader's first-order optimality (the
     # constructed control then loses against direct minimization).
-    gbar = np.array([[model.G2, 0.0], [0.0, 0.0]])
-    return LeaderBlocks(
-        grid=grid, refine=refine,
-        a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, b1=b1, c1=c1,
-        d1=d1, d2=d2, d3=d3, d4=d4, d5=d5, a6=a6, b2=b2,
-        r2=R2, s_inv=si, gbar=gbar,
+    return dict(
+        refine=refine, a1=a1, a2=corner(-B1 * si * bc * p), a3=corner(C),
+        a4=corner(-D1 * si * bc * p), a5=corner(model.nodes("Q2", refine)), b1=b1, c1=c1,
+        d1=np.column_stack([-B1 * si * D1 * D2 * p, zeros]),
+        d2=np.column_stack([B2, zeros]),
+        d3=np.column_stack([-si * D1 * D1 * D2 * p, zeros]),
+        d4=np.column_stack([D2, zeros]),
+        d5=np.column_stack([zeros, -(bc * si * D1 * D2 * p * p - (B2 + D2 * C) * p)]),
+        a6=np.column_stack([-si * bc * p, zeros]),
+        b2=np.column_stack([zeros, -si * B1]),
+        r2=model.nodes("R2", refine), s_inv=si,
+        gbar=np.array([[model.G2, 0.0], [0.0, 0.0]]),
     )
 
 
-def _inv2(mat: np.ndarray, det_tol: float, time: float, err):
-    """Adjugate inverse of a 2x2 matrix with a determinant guard."""
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    scale = det_tol * (1.0 + float(np.sum(mat * mat)))
-    if not (abs(det) > scale):
-        raise err("gain matrix inverse does not exist", time)
-    inv = np.empty((2, 2))
-    inv[0, 0] = mat[1, 1]
-    inv[0, 1] = -mat[0, 1]
-    inv[1, 0] = -mat[1, 0]
-    inv[1, 1] = mat[0, 0]
-    inv /= det
+def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float = 1e-10) -> LeaderBlocks:
+    """Sample the display blocks where P is and evaluate the effective blocks once.
+
+    Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
+    """
+    raw = _display_blocks(model, P, inv_tol)
+    d1, d2, d3, d4, d5 = (raw[k] for k in ("d1", "d2", "d3", "d4", "d5"))
+    b1 = raw.pop("b1")
+    c1 = raw.pop("c1")
+    a2 = raw.pop("a2")
+    a4 = raw.pop("a4")
+    rr = 1.0 / raw.pop("r2")
+    d12 = d1 + d2
+    d34 = d3 + d4
+
+    return LeaderBlocks(
+        grid=model.grid, model=model, P=P, **raw,
+        rr=rr,
+        bb=b1 - _over_r2(rr, (d2, d2)),
+        bb12=b1 - _over_r2(rr, (d12, d12)),
+        cc=c1 - _over_r2(rr, (d2, d4)),
+        cc12=c1 - _over_r2(rr, (d12, d34)),
+        a2e=a2 - _over_r2(rr, (d12, d5)),
+        a4e=a4 - _over_r2(rr, (d34, d5)),
+        e34=_over_r2(rr, (d34, d34)),
+        e44=_over_r2(rr, (d4, d4)),
+        e55=_over_r2(rr, (d5, d5)),
+        e13=_over_r2(rr, (d1, d34), (d2, d3)),
+        e33=_over_r2(rr, (d3, d34), (d4, d3)),
+    )
+
+
+def _inv2(mat: np.ndarray, det_tol: float, blocks: LeaderBlocks, q, err):
+    """Adjugate inverses of one or a stack of 2x2 matrices, determinant-guarded.
+
+    A failure is reported at the failing time nearest T, where a backward
+    solve meets it first.
+    """
+    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    scale = det_tol * (1.0 + np.sum(mat * mat, axis=(-2, -1)))
+    bad = ~(np.abs(det) > scale)
+    if np.any(bad):
+        times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / blocks.refine)
+        raise err("gain matrix inverse does not exist", float(np.max(times[bad])))
+    inv = np.empty_like(mat)
+    inv[..., 0, 0] = mat[..., 1, 1]
+    inv[..., 0, 1] = -mat[..., 0, 1]
+    inv[..., 1, 0] = -mat[..., 1, 0]
+    inv[..., 1, 1] = mat[..., 0, 0]
+    inv /= np.asarray(det)[..., None, None]
     return inv, det
 
 
-def gain_inverses(p1: np.ndarray, blocks: LeaderBlocks, q: int, *, det_tol: float = 1e-10,
-                  time: float = float("nan")):
+def gain_inverses(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
     """The two 2x2 inverse matrices guarding the Z-elimination, plus determinants.
 
     First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1.
+    q is a block index, or an index array or slice with p1 stacked to match.
     Raises M1NotInvertible / M2NotInvertible when the guard trips.
     """
-    rr = 1.0 / blocks.r2[q]
-    d34 = blocks.d3[q] + blocks.d4[q]
-    m1, det1 = _inv2(_I2 + p1 @ np.outer(d34, d34) * rr, det_tol, time, M1NotInvertible)
-    m2, det2 = _inv2(_I2 + p1 @ np.outer(blocks.d4[q], blocks.d4[q]) * rr, det_tol, time, M2NotInvertible)
+    m1, det1 = _inv2(_I2 + p1 @ blocks.e34[q], det_tol, blocks, q, M1NotInvertible)
+    m2, det2 = _inv2(_I2 + p1 @ blocks.e44[q], det_tol, blocks, q, M2NotInvertible)
     return m1, m2, det1, det2
 
 
-def sigma1(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int, *, det_tol: float = 1e-10,
+def sigma1(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
            m1: np.ndarray | None = None) -> np.ndarray:
     """Gain mapping the estimated state to the estimated adjoint diffusion."""
-    rr = 1.0 / blocks.r2[q]
-    d34 = blocks.d3[q] + blocks.d4[q]
-    d12 = blocks.d1[q] + blocks.d2[q]
     if m1 is None:
         m1 = gain_inverses(p1, blocks, q, det_tol=det_tol)[0]
-    inner = p1 @ (blocks.a3[q] + blocks.a4[q] - np.outer(d34, blocks.d5[q]) * rr)
-    inner += p1 @ (blocks.c1[q].T - np.outer(d34, d12) * rr) @ (p1 + p2)
+    inner = p1 @ (blocks.a3[q] + blocks.a4e[q])
+    inner += p1 @ blocks.cc12[q].swapaxes(-1, -2) @ (p1 + p2)
     return m1 @ inner
 
 
-def sigma2(p1: np.ndarray, blocks: LeaderBlocks, q: int, *, det_tol: float = 1e-10,
+def sigma2(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
            m2: np.ndarray | None = None) -> np.ndarray:
     """Gain mapping the raw state to the adjoint diffusion."""
-    rr = 1.0 / blocks.r2[q]
     if m2 is None:
         m2 = gain_inverses(p1, blocks, q, det_tol=det_tol)[1]
     inner = p1 @ blocks.a3[q]
-    inner += p1 @ (blocks.c1[q].T - np.outer(blocks.d4[q], blocks.d2[q]) * rr) @ p1
+    inner += p1 @ blocks.cc[q].swapaxes(-1, -2) @ p1
     return m2 @ inner
 
 
-def sigma3(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int, *, det_tol: float = 1e-10,
+def sigma3(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
            m2: np.ndarray | None = None, s1: np.ndarray | None = None) -> np.ndarray:
     """Gain mapping the estimated state to the adjoint diffusion."""
-    rr = 1.0 / blocks.r2[q]
-    d34 = blocks.d3[q] + blocks.d4[q]
-    d12 = blocks.d1[q] + blocks.d2[q]
     if m2 is None:
         m2 = gain_inverses(p1, blocks, q, det_tol=det_tol)[1]
     if s1 is None:
         s1 = sigma1(p1, p2, blocks, q, det_tol=det_tol)
-    inner = p1 @ (blocks.a4[q] - np.outer(d34, blocks.d5[q]) * rr)
-    inner += p1 @ (blocks.c1[q].T - np.outer(blocks.d4[q], blocks.d2[q]) * rr) @ p2
-    inner -= p1 @ (np.outer(blocks.d3[q], d12) + np.outer(blocks.d4[q], blocks.d1[q])) * rr @ (p1 + p2)
-    inner -= p1 @ (np.outer(blocks.d3[q], d34) + np.outer(blocks.d4[q], blocks.d3[q])) * rr @ s1
+    inner = p1 @ blocks.a4e[q]
+    inner += p1 @ blocks.cc[q].swapaxes(-1, -2) @ p2
+    inner -= p1 @ blocks.e13[q].swapaxes(-1, -2) @ (p1 + p2)
+    inner -= p1 @ blocks.e33[q] @ s1
     return m2 @ inner
 
 
-def rhs_p1(p1: np.ndarray, blocks: LeaderBlocks, q: int, *, det_tol: float = 1e-10,
-           time: float = float("nan")) -> np.ndarray:
+def rhs_p1(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
+           m2: np.ndarray | None = None) -> np.ndarray:
     """d(p1)/dtau of the first leader Riccati equation (general form)."""
-    rr = 1.0 / blocks.r2[q]
+    if m2 is None:
+        m2 = gain_inverses(p1, blocks, q, det_tol=det_tol)[1]
     a1 = blocks.a1[q]
     a3 = blocks.a3[q]
-    c1 = blocks.c1[q]
-    d2 = blocks.d2[q]
-    d4 = blocks.d4[q]
-    m2 = gain_inverses(p1, blocks, q, det_tol=det_tol, time=time)[1]
+    cc = blocks.cc[q]
     out = p1 @ a1 + a1 @ p1
-    out += p1 @ (blocks.b1[q] - np.outer(d2, d2) * rr) @ p1
+    out += p1 @ blocks.bb[q] @ p1
     out += blocks.a5[q]
-    left = a3 + p1 @ (c1 - np.outer(d2, d4) * rr)
-    right = a3 + (c1.T - np.outer(d4, d2) * rr) @ p1
-    out += left @ m2 @ p1 @ right
+    out += (a3 + p1 @ cc) @ m2 @ p1 @ (a3 + cc.swapaxes(-1, -2) @ p1)
     return out
 
 
-def rhs_p2(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int, *, det_tol: float = 1e-10,
-           time: float = float("nan")) -> np.ndarray:
+def rhs_p2(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
+           m1: np.ndarray | None = None, m2: np.ndarray | None = None) -> np.ndarray:
     """d(p2)/dtau of the second leader Riccati equation (general form)."""
-    rr = 1.0 / blocks.r2[q]
-    a1 = blocks.a1[q]
-    a2 = blocks.a2[q]
-    a3 = blocks.a3[q]
-    a4 = blocks.a4[q]
-    c1 = blocks.c1[q]
-    d1 = blocks.d1[q]
-    d2 = blocks.d2[q]
-    d3 = blocks.d3[q]
-    d4 = blocks.d4[q]
-    d5 = blocks.d5[q]
-    d12 = d1 + d2
-    d34 = d3 + d4
-    p12 = p1 + p2
-
-    m1, m2, _, _ = gain_inverses(p1, blocks, q, det_tol=det_tol, time=time)
+    if m1 is None or m2 is None:
+        m1, m2, _, _ = gain_inverses(p1, blocks, q, det_tol=det_tol)
     s1 = sigma1(p1, p2, blocks, q, m1=m1)
     s3 = sigma3(p1, p2, blocks, q, m2=m2, s1=s1)
-
-    out = p12 @ (a2 - np.outer(d12, d5) * rr)
-    out += (a2 - np.outer(d5, d12) * rr) @ p12
-    out += p2 @ a1 + a1 @ p2
-    out += p12 @ (blocks.b1[q] - np.outer(d12, d12) * rr) @ p12
-    out -= p1 @ (blocks.b1[q] - np.outer(d2, d2) * rr) @ p1
-    out += (a3 + p1 @ (c1 - np.outer(d2, d4) * rr)) @ s3
-    coeff = a4 - np.outer(d5, d34) * rr
-    coeff += p2 @ (c1 - np.outer(d12, d34) * rr)
-    coeff -= p1 @ (np.outer(d1, d34) + np.outer(d2, d3)) * rr
-    out += coeff @ s1
-    out -= np.outer(d5, d5) * rr
-    return out
-
-
-def rhs_p1_reduced(p1: np.ndarray, blocks: LeaderBlocks, q: int) -> np.ndarray:
-    """Hand-coded zero-diffusion-coefficient (D1 = D2 = 0) form of rhs_p1."""
-    rr = 1.0 / blocks.r2[q]
     a1 = blocks.a1[q]
-    a3 = blocks.a3[q]
-    d2 = blocks.d2[q]
-    out = p1 @ a1 + a1 @ p1
-    out += p1 @ (blocks.b1[q] - np.outer(d2, d2) * rr) @ p1
-    out += a3 @ p1 @ a3
-    out += blocks.a5[q]
-    return out
+    a2e = blocks.a2e[q]
+    p12 = p1 + p2
 
-
-def rhs_p2_reduced(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int) -> np.ndarray:
-    """Hand-coded zero-diffusion-coefficient (D1 = D2 = 0) form of rhs_p2."""
-    rr = 1.0 / blocks.r2[q]
-    a12 = blocks.a1[q] + blocks.a2[q]
-    a2 = blocks.a2[q]
-    d2 = blocks.d2[q]
-    d5 = blocks.d5[q]
-    bb = blocks.b1[q] - np.outer(d2, d2) * rr
-    out = p2 @ (a12 - np.outer(d2, d5) * rr)
-    out += (a12 - np.outer(d5, d2) * rr) @ p2
-    out -= np.outer(d5, d5) * rr
-    out += p1 @ (a2 - np.outer(d2, d5) * rr)
-    out += (a2 - np.outer(d5, d2) * rr) @ p1
-    out += p2 @ bb @ p2
-    out += p1 @ bb @ p2
-    out += p2 @ bb @ p1
+    out = p12 @ a2e + a2e.swapaxes(-1, -2) @ p12
+    out += p2 @ a1 + a1 @ p2
+    out += p12 @ blocks.bb12[q] @ p12
+    out -= p1 @ blocks.bb[q] @ p1
+    out += (blocks.a3[q] + p1 @ blocks.cc[q]) @ s3
+    out += (blocks.a4e[q].swapaxes(-1, -2) + p2 @ blocks.cc12[q] - p1 @ blocks.e13[q]) @ s1
+    out -= blocks.e55[q]
     return out
 
 
@@ -394,19 +416,18 @@ def rhs_p2_reduced(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int)
 class LeaderRiccati:
     """Both 2x2 leader Riccati solutions, non-symmetric, never symmetrized.
 
-    p1_fine holds the first solution at dt/2 spacing: even indices are the
-    RK4 node values, odd indices are cubic-Hermite midpoints (4th-order
-    accurate, built from node values and node slopes) so downstream RK4
-    stages can read the solution off-node without losing order.  p2 holds the
-    second solution at the nodes.  Terminal data are stored bit-exactly:
-    p1(T) = gbar, p2(T) = 0.  min_det_m1/min_det_m2 log the worst determinant
-    of the two guarded inverses seen during integration.
+    p1_fine and p2_fine hold the two solutions at dt/2 spacing: even indices
+    are the RK4 node values, odd indices are cubic-Hermite midpoints
+    (4th-order accurate, built from node values and node slopes) so
+    downstream stages can read them off-node without losing order.  Terminal
+    data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
+    min_det_m1/min_det_m2 log the worst determinant of the two guarded
+    inverses seen during integration.
     """
 
     grid: TimeGrid
     p1_fine: np.ndarray
-    p2: np.ndarray
-    p2_mid: np.ndarray
+    p2_fine: np.ndarray
     gbar: np.ndarray
     min_det_m1: float
     min_det_m2: float
@@ -415,15 +436,44 @@ class LeaderRiccati:
     def p1(self) -> np.ndarray:
         return self.p1_fine[::P1_REFINE]
 
-    def p1_at_half(self, j: int) -> np.ndarray:
-        """First solution at half-grid point j (t = j * dt/2)."""
-        return self.p1_fine[j]
+    @property
+    def p2(self) -> np.ndarray:
+        return self.p2_fine[::P1_REFINE]
 
-    def p2_at_half(self, j: int) -> np.ndarray:
-        """Second solution at half-grid point j (Hermite midpoint off-node)."""
-        if j % 2 == 0:
-            return self.p2[j // 2]
-        return self.p2_mid[(j - 1) // 2]
+
+def _rk4_backward(rhs, terminal: np.ndarray, grid: TimeGrid, bound: float, label: str):
+    """Node-grid RK4 for d(y)/dtau = rhs(j, y) backward from y(T) = terminal.
+
+    j is the half-grid index of the stage time.  Returns node values and node
+    slopes; the slope at t = 0 is left to the caller.  Raises RiccatiBlowUp
+    when a node value is not finite or exceeds bound.
+    """
+    n = grid.steps
+    dt = grid.dt
+    nodes = np.empty((n + 1, *terminal.shape))
+    slopes = np.empty_like(nodes)
+    nodes[n] = terminal
+    y = terminal.copy()
+    for i in range(n):
+        j0 = 2 * (n - i)
+        k1 = rhs(j0, y)
+        slopes[n - i] = k1
+        k2 = rhs(j0 - 1, y + 0.5 * dt * k1)
+        k3 = rhs(j0 - 1, y + 0.5 * dt * k2)
+        k4 = rhs(j0 - 2, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > bound:
+            raise RiccatiBlowUp(f"leader Riccati solution ({label}) exploded", (n - i - 1) * dt)
+        nodes[n - 1 - i] = y
+    return nodes, slopes
+
+
+def _hermite_fine(nodes: np.ndarray, slopes: np.ndarray, dt: float) -> np.ndarray:
+    """Half-grid samples: node values and Hermite midpoints (slopes are d/dtau)."""
+    fine = np.empty((2 * len(nodes) - 1, *nodes.shape[1:]))
+    fine[::2] = nodes
+    fine[1::2] = 0.5 * (nodes[:-1] + nodes[1:]) - (dt / 8.0) * (slopes[:-1] - slopes[1:])
+    return fine
 
 
 def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float = 1e-10,
@@ -432,93 +482,44 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
 
     Both equations step on the node grid (RK4 stages at half-grid points,
     where the blocks are stored exactly).  The first equation is autonomous
-    in its own unknown and is solved first; the second consumes the first at
-    its stage times through stored Hermite midpoints.  When D1 = D2 = 0 the
-    general right-hand sides reduce algebraically to the special-case forms
-    (the guarded inverses are exactly the identity); the same integrator
-    serves both regimes.  Invertibility of the two gain matrices is monitored
-    at every RK4 stage.
+    in its own unknown and is solved first, with the gain inverses guarded
+    at every RK4 stage; the second consumes the first at its stage times
+    through stored Hermite midpoints, so its inverses depend on the first
+    solution only and are computed and guarded for the whole half grid in
+    one pass.  When D1 = D2 = 0 the general right-hand sides reduce
+    algebraically to the special-case forms (the guarded inverses are
+    exactly the identity); the same integrator serves both regimes.
     """
     grid = model.grid
-    n = grid.steps
-    dt = grid.dt
-    horizon = grid.horizon
     bound = _blow_up_bound(float(np.max(np.abs(blocks.gbar))), blow_up_factor)
     min_det = [np.inf, np.inf]
 
-    def track(p1, q, time):
-        m1, m2, det1, det2 = gain_inverses(p1, blocks, q, det_tol=det_tol, time=time)
+    def rhs1(j, mat):
+        q = blocks.half_index(j)
+        _, m2, det1, det2 = gain_inverses(mat, blocks, q, det_tol=det_tol)
         min_det[0] = min(min_det[0], abs(det1))
         min_det[1] = min(min_det[1], abs(det2))
-        return m1, m2
+        return rhs_p1(mat, blocks, q, det_tol=det_tol, m2=m2)
 
-    def guard(mat, time, label):
-        if not np.all(np.isfinite(mat)) or np.max(np.abs(mat)) > bound:
-            raise RiccatiBlowUp(f"leader Riccati solution ({label}) exploded", time)
+    p1_nodes, slopes = _rk4_backward(rhs1, blocks.gbar, grid, bound, "first")
+    slopes[0] = rhs_p1(p1_nodes[0], blocks, 0, det_tol=det_tol)
+    p1_fine = _hermite_fine(p1_nodes, slopes, grid.dt)
 
-    # First equation: node-grid steps of dt span 4 fine block indices.
-    p1_nodes = np.empty((n + 1, 2, 2))
-    slopes = np.empty((n + 1, 2, 2))  # d(p1)/dtau at the nodes
-    p1_nodes[n] = blocks.gbar
-    y = blocks.gbar.copy()
-    for i in range(n):
-        f0 = 4 * (n - i)
-        t0 = horizon - i * dt
+    m1, m2, det1, det2 = gain_inverses(p1_fine, blocks, blocks.half_points, det_tol=det_tol)
 
-        def f(q, mat, t):
-            track(mat, q, t)
-            return rhs_p1(mat, blocks, q, det_tol=det_tol, time=t)
+    def rhs2(j, mat):
+        return rhs_p2(p1_fine[j], mat, blocks, blocks.half_index(j), det_tol=det_tol, m1=m1[j], m2=m2[j])
 
-        k1 = f(f0, y, t0)
-        slopes[n - i] = k1
-        k2 = f(f0 - 2, y + 0.5 * dt * k1, t0 - 0.5 * dt)
-        k3 = f(f0 - 2, y + 0.5 * dt * k2, t0 - 0.5 * dt)
-        k4 = f(f0 - 4, y + dt * k3, t0 - dt)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        guard(y, t0 - dt, "first")
-        p1_nodes[n - 1 - i] = y
-    slopes[0] = rhs_p1(y, blocks, 0, det_tol=det_tol, time=0.0)
-
-    # Hermite midpoints from node values and forward slopes (= -d/dtau).
-    p1_fine = np.empty((2 * n + 1, 2, 2))
-    p1_fine[::2] = p1_nodes
-    p1_fine[1::2] = (0.5 * (p1_nodes[:-1] + p1_nodes[1:])
-                     - (dt / 8.0) * (slopes[:-1] - slopes[1:]))
-
-    # Second equation on the node grid: step dt spans 4 fine indices and
-    # reads the first solution at half-grid points (2 half-indices per step).
-    p2 = np.empty((n + 1, 2, 2))
-    slopes2 = np.empty((n + 1, 2, 2))
-    p2[n] = 0.0
-    y2 = np.zeros((2, 2))
-    for i in range(n):
-        f0 = 4 * (n - i)
-        j0 = 2 * (n - i)
-        t0 = horizon - i * dt
-
-        def g(q, j, mat, t):
-            track(p1_fine[j], q, t)
-            return rhs_p2(p1_fine[j], mat, blocks, q, det_tol=det_tol, time=t)
-
-        k1 = g(f0, j0, y2, t0)
-        slopes2[n - i] = k1
-        k2 = g(f0 - 2, j0 - 1, y2 + 0.5 * dt * k1, t0 - 0.5 * dt)
-        k3 = g(f0 - 2, j0 - 1, y2 + 0.5 * dt * k2, t0 - 0.5 * dt)
-        k4 = g(f0 - 4, j0 - 2, y2 + dt * k3, t0 - dt)
-        y2 = y2 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        guard(y2, t0 - dt, "second")
-        p2[n - 1 - i] = y2
-    slopes2[0] = rhs_p2(p1_fine[0], y2, blocks, 0, det_tol=det_tol, time=0.0)
-    p2_mid = (0.5 * (p2[:-1] + p2[1:]) - (dt / 8.0) * (slopes2[:-1] - slopes2[1:]))
+    p2_nodes, slopes = _rk4_backward(rhs2, np.zeros((2, 2)), grid, bound, "second")
+    slopes[0] = rhs2(0, p2_nodes[0])
 
     return LeaderRiccati(
         grid=grid,
         p1_fine=p1_fine,
-        p2=p2,
-        p2_mid=p2_mid,
+        p2_fine=_hermite_fine(p2_nodes, slopes, grid.dt),
         gbar=blocks.gbar.copy(),
-        min_det_m1=float(min_det[0]),
-        min_det_m2=float(min_det[1]),
+        min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
+        min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),
     )
 
 
@@ -545,18 +546,11 @@ class Sigmas:
 
 
 def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati, *, det_tol: float = 1e-10) -> Sigmas:
-    """Evaluate the three gain matrices on the half grid from the Riccati output."""
-    n2 = 2 * leader.grid.steps
-    s1 = np.empty((n2 + 1, 2, 2))
-    s2 = np.empty((n2 + 1, 2, 2))
-    s3 = np.empty((n2 + 1, 2, 2))
-    for j in range(n2 + 1):
-        q = blocks.half_index(j)
-        t = j * 0.5 * leader.grid.dt
-        p1 = leader.p1_fine[j]
-        p2 = leader.p2_at_half(j)
-        m1, m2, _, _ = gain_inverses(p1, blocks, q, det_tol=det_tol, time=t)
-        s1[j] = sigma1(p1, p2, blocks, q, m1=m1)
-        s2[j] = sigma2(p1, blocks, q, m2=m2)
-        s3[j] = sigma3(p1, p2, blocks, q, m2=m2, s1=s1[j])
-    return Sigmas(grid=leader.grid, s1=s1, s2=s2, s3=s3)
+    """Evaluate the three gain matrices on the whole half grid from the Riccati output."""
+    q = blocks.half_points
+    p1 = leader.p1_fine
+    p2 = leader.p2_fine
+    m1, m2, _, _ = gain_inverses(p1, blocks, q, det_tol=det_tol)
+    s1 = sigma1(p1, p2, blocks, q, m1=m1)
+    return Sigmas(grid=leader.grid, s1=s1, s2=sigma2(p1, blocks, q, m2=m2),
+                  s3=sigma3(p1, p2, blocks, q, m2=m2, s1=s1))

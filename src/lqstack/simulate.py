@@ -227,14 +227,15 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
         m = x.shape[0]
     u2hat = as_path(u2hat)
 
-    A = model.nodes("A", 4)
-    B1 = model.nodes("B1", 4)
-    B2 = model.nodes("B2", 4)
-    C = model.nodes("C", 4)
-    D1 = model.nodes("D1", 4)
-    D2 = model.nodes("D2", 4)
+    # Coefficients on the half grid, where P is stored.
+    A = model.nodes("A", 2)
+    B1 = model.nodes("B1", 2)
+    B2 = model.nodes("B2", 2)
+    C = model.nodes("C", 2)
+    D1 = model.nodes("D1", 2)
+    D2 = model.nodes("D2", 2)
     p = P.fine
-    si = 1.0 / (D1 * D1 * p + model.nodes("R1", 4))
+    si = 1.0 / (D1 * D1 * p + model.nodes("R1", 2))
     bc = B1 + D1 * C
 
     coef_gap = bc * bc * si * p * p
@@ -255,11 +256,10 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     aux = 0.0  # filtered companion offset
 
     def rhs(j, th_val, aux_val):
-        q = 2 * j
-        d_th = (coef_gap[q] * gap[:, j] + coef_u2[q] * u2_h[:, j] + coef_u2h[q] * u2hat_h[j]
-                + coef_th[q] * aux_val + coef_self[q] * th_val)
-        d_aux = (coef_u2[q] * u2hat_h[j] + coef_u2h[q] * u2hat_h[j]
-                 + coef_th[q] * aux_val + coef_self[q] * aux_val)
+        d_th = (coef_gap[j] * gap[:, j] + coef_u2[j] * u2_h[:, j] + coef_u2h[j] * u2hat_h[j]
+                + coef_th[j] * aux_val + coef_self[j] * th_val)
+        d_aux = (coef_u2[j] * u2hat_h[j] + coef_u2h[j] * u2hat_h[j]
+                 + coef_th[j] * aux_val + coef_self[j] * aux_val)
         return d_th, d_aux
 
     for i in range(n):

@@ -99,6 +99,22 @@ def test_solve_explosive_model_exit_3(tmp_path, capsys):
     assert "at t=" in err
 
 
+
+def test_non_finite_filter_exit_3(tmp_path, capsys):
+    # P = 0 and A = 800: the filtered state overflows before T
+    path = write_model(tmp_path, steps=200, A=800.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
+    for command in ("solve", "simulate"):
+        out = tmp_path / command
+        assert main([command, "--model", path, "--out", str(out), "--paths", "100"]) == 3
+        assert "at t=" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_paths_below_two_exit_2(tmp_path, capsys):
+    path = write_model(tmp_path)
+    assert main(["verify", "--model", path, "--out", str(tmp_path / "o"), "--paths", "1"]) == 2
+    assert "paths must be >= 2" in capsys.readouterr().err
+
 def test_simulate_writes_costs(tmp_path):
     path = write_model(tmp_path)
     out = tmp_path / "out"

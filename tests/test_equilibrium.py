@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lqstack.equilibrium import (bsde_residual, drift_residuals, follower_stationarity_residual,
-                                 hamiltonian_H1, leader_stationarity_residual,
-                                 reconstruct_adjoints, solve_equilibrium)
+                                 gain_consistency_residual, hamiltonian_H1,
+                                 leader_stationarity_residual, reconstruct_adjoints,
+                                 solve_equilibrium)
 from lqstack.filtering import solve_follower_filter
 from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
 
@@ -235,6 +236,40 @@ def test_drift_residual_general_model_order():
     r2 = drift_residuals(solve_equilibrium(m800)).leader_max
     assert 3.3 < r1 / r2 < 4.7
 
+
+
+# --- time-varying (array) coefficients ---
+
+def time_varying_model(steps):
+    t = np.linspace(0.0, 1.0, steps + 1)
+    wave = np.sin(2.0 * np.pi * t)
+    return make_model(steps=steps, A=0.1 * (1.0 + 0.5 * wave), R2=1.0 + 0.3 * wave,
+                      B1=1.0 + 0.3 * t, Q1=1.0 + 0.5 * t, D2=0.4 + 0.2 * t, D1=0.3)
+
+
+@pytest.fixture(scope="module")
+def eq_time_varying():
+    return {steps: solve_equilibrium(time_varying_model(steps)) for steps in (200, 400)}
+
+
+def test_time_varying_drift_residual_order(eq_time_varying):
+    r1 = drift_residuals(eq_time_varying[200])
+    r2 = drift_residuals(eq_time_varying[400])
+    assert 3.5 <= r1.follower_max / r2.follower_max <= 4.5
+    assert 3.5 <= r1.leader_max / r2.leader_max <= 4.5
+
+
+def test_time_varying_algebraic_identities(eq_time_varying):
+    eq = eq_time_varying[200]
+    sig = eq.sigmas
+    scale = np.max(np.abs(sig.s1)) + 1.0
+    assert np.max(np.abs(sig.s1 - (sig.s2 + sig.s3))) <= 1e-13 * scale
+    assert gain_consistency_residual(eq).max_abs <= 1e-10
+    noise = generate_noise(4, 200, eq.model.grid)
+    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), eq.u2hat_path())
+    stats = leader_stationarity_residual(eq, ens, reconstruct_adjoints(eq, ens, theta))
+    assert stats.algebraic_max <= 1e-8 * stats.scale
 
 # --- discrete backward-step residual ---
 

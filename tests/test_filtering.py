@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 
+from lqstack.errors import SolverError
 from lqstack.filtering import DeterministicPath, solve_follower_filter
 from lqstack.riccati import solve_follower_P
 
@@ -118,6 +120,19 @@ def test_two_xhat_routes_agree(eq_b400):
     scale = np.max(np.abs(eq.xhat.nodes[:, 0]))
     assert np.max(np.abs(fp.xhat.nodes - eq.xhat.nodes[:, 0])) <= 1e-9 * scale
 
+
+
+def test_filters_raise_on_non_finite_state():
+    # Zero weights leave P = 0 and both estimates grow like exp(A t), which
+    # overflows well before T at A = 800.
+    from lqstack.equilibrium import solve_equilibrium
+    m = make_model(steps=200, A=800.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
+    with pytest.raises(SolverError) as info:
+        solve_equilibrium(m)
+    assert 0.0 < info.value.time <= 1.0
+    with pytest.raises(SolverError) as info:
+        solve_follower_filter(m, solve_follower_P(m), np.zeros(201))
+    assert 0.0 < info.value.time <= 1.0
 
 def test_linearity_in_initial_state():
     m1 = make_model(steps=150, x0=1.25)

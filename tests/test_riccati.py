@@ -5,12 +5,45 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from lqstack.errors import H3Violated, M1NotInvertible, RiccatiBlowUp
-from lqstack.riccati import (FollowerRiccati, assemble_leader_blocks, compute_sigmas,
-                             gain_inverses, rhs_p1, rhs_p1_reduced, rhs_p2,
-                             rhs_p2_reduced, sigma1, sigma2, sigma3,
+from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_blocks,
+                             compute_sigmas, gain_inverses, rhs_p1, rhs_p2, sigma1, sigma2, sigma3,
                              solve_follower_P, solve_leader_riccati)
 
 from conftest import make_model, random_admissible_model
+
+
+# --- hand-coded zero-diffusion oracles for the general integrands ---
+
+def rhs_p1_reduced(p1: np.ndarray, blocks: LeaderBlocks, q: int) -> np.ndarray:
+    """Hand-coded zero-diffusion-coefficient (D1 = D2 = 0) form of rhs_p1."""
+    rr = 1.0 / blocks.r2[q]
+    a1 = blocks.a1[q]
+    a3 = blocks.a3[q]
+    d2 = blocks.d2[q]
+    out = p1 @ a1 + a1 @ p1
+    out += p1 @ (blocks.b1[q] - np.outer(d2, d2) * rr) @ p1
+    out += a3 @ p1 @ a3
+    out += blocks.a5[q]
+    return out
+
+
+def rhs_p2_reduced(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int) -> np.ndarray:
+    """Hand-coded zero-diffusion-coefficient (D1 = D2 = 0) form of rhs_p2."""
+    rr = 1.0 / blocks.r2[q]
+    a12 = blocks.a1[q] + blocks.a2[q]
+    a2 = blocks.a2[q]
+    d2 = blocks.d2[q]
+    d5 = blocks.d5[q]
+    bb = blocks.b1[q] - np.outer(d2, d2) * rr
+    out = p2 @ (a12 - np.outer(d2, d5) * rr)
+    out += (a12 - np.outer(d5, d2) * rr) @ p2
+    out -= np.outer(d5, d5) * rr
+    out += p1 @ (a2 - np.outer(d2, d5) * rr)
+    out += (a2 - np.outer(d5, d2) * rr) @ p1
+    out += p2 @ bb @ p2
+    out += p1 @ bb @ p2
+    out += p2 @ bb @ p1
+    return out
 
 
 # --- closed-form oracles, verified against an independent integrator first ---
