@@ -13,18 +13,17 @@ from .costs import (CostEstimate, GridSearchResult, PerturbationReport, estimate
                     verify_follower_optimality, verify_leader_optimality)
 from .equilibrium import (AdjointReconstruction, EquilibriumSolution, FeedbackGains,
                           bsde_residual, build_gains, drift_residuals,
-                          follower_stationarity_residual, gain_consistency_residual, hamiltonian_H1,
+                          follower_stationarity_residual, gain_consistency_residual,
                           leader_stationarity_residual, reconstruct_adjoints,
                           solve_equilibrium)
 from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
                      ModelValidationError, NonFiniteState, OutOfRange, ParseError,
                      RiccatiBlowUp, SolverError)
-from .filtering import (DeterministicPath, FilteredLeaderPath, FilterPath,
-                        solve_follower_filter, solve_leader_xhat)
+from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import (Coefficient, LQModel, TimeGrid, Violation, check_hypotheses,
                     load_model, model_from_dict, model_to_dict, sample_at,
                     sample_on_grid, validate_model)
-from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
+from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
                       assemble_leader_blocks, compute_sigmas, gain_inverses,
                       sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 from .simulate import (ClosedLoopSystem, DensityPath, NoiseBundle, TrajectoryEnsemble,

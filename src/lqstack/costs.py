@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumSolution
-from .filtering import DeterministicPath, solve_follower_filter
+from .filtering import solve_follower_filter
 from .model import LQModel
+from .riccati import DeterministicPath
 from .simulate import TrajectoryEnsemble, generate_noise, simulate_closed_loop, simulate_open_loop
 
 # Player -> (state weight, control weight, terminal weight) of its cost.

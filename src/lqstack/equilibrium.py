@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import DeterministicPath, FilteredLeaderPath, solve_leader_xhat
-from .model import LQModel, sample_at, validate_model
-from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
+from .filtering import solve_leader_xhat
+from .model import LQModel, validate_model
+from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
                       assemble_leader_blocks, compute_sigmas, solve_follower_P,
                       solve_leader_riccati)
 from .simulate import ClosedLoopSystem, TrajectoryEnsemble
@@ -118,7 +118,7 @@ class EquilibriumSolution:
     leader: LeaderRiccati
     sigmas: Sigmas
     gains: FeedbackGains
-    xhat: FilteredLeaderPath
+    xhat: DeterministicPath
 
     def closed_loop(self) -> ClosedLoopSystem:
         fx, fxh, gx, gxh = closed_loop_matrices(self.blocks, self.leader, self.sigmas)
@@ -130,19 +130,12 @@ class EquilibriumSolution:
 
     def u2hat_path(self) -> DeterministicPath:
         """The leader's filtered equilibrium control."""
-        vals = np.einsum("ji,ji->j", self.gains.lhat, self._xhat_half())
+        vals = np.einsum("ji,ji->j", self.gains.lhat, self.xhat.half_values())
         return DeterministicPath(nodes=vals[::2], mids=vals[1::2])
 
     def xhat_scalar_path(self) -> DeterministicPath:
         """First component of the filtered augmented state."""
         return DeterministicPath(nodes=self.xhat.nodes[:, 0], mids=self.xhat.mids[:, 0])
-
-    def _xhat_half(self) -> np.ndarray:
-        n = self.model.grid.steps
-        out = np.empty((2 * n + 1, 2))
-        out[::2] = self.xhat.nodes
-        out[1::2] = self.xhat.mids
-        return out
 
 
 def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
@@ -427,22 +420,6 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
         follower_u2hat=fol_u2hat, follower_theta_hat=fol_theta_hat,
         leader_x=lead_x, leader_xhat=lead_xh,
     )
-
-
-def hamiltonian_H1(model: LQModel, x: float, u1: float, u2: float,
-                   p: float, k: float, t: float) -> float:
-    """Follower Hamiltonian: drift . p + diffusion . k + running cost."""
-    g = model.grid
-    A = sample_at(model.A, t, g)
-    B1 = sample_at(model.B1, t, g)
-    B2 = sample_at(model.B2, t, g)
-    C = sample_at(model.C, t, g)
-    D1 = sample_at(model.D1, t, g)
-    D2 = sample_at(model.D2, t, g)
-    Q1 = sample_at(model.Q1, t, g)
-    R1 = sample_at(model.R1, t, g)
-    return ((A * x + B1 * u1 + B2 * u2) * p + (C * x + D1 * u1 + D2 * u2) * k
-            + 0.5 * Q1 * x * x + 0.5 * R1 * u1 * u1)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,15 @@
-"""Backward Riccati solves for both players.
+"""Backward Riccati solves for both players, and the shared ODE integrator.
 
-Three chained backward ODEs, all integrated by classical RK4 under the time
-reversal tau = T - t:
+Every deterministic ODE of the equilibrium -- the follower's Riccati
+equation, the leader's two 2x2 Riccati equations, the follower's filtered
+pair and the leader's filtered state -- is solved by rk4_half_grid: classical
+RK4 with its stages at half points of the step, which returns the node values
+together with cubic-Hermite midpoints (4th order, from node values and node
+slopes).  The pathwise offset reconstruction (simulate.backfill_theta) keeps
+its own loop: its state is an (M,) ensemble, and the node slopes and
+midpoints it would not use would add two ensemble-sized arrays.
+
+The Riccati equations, integrated under the time reversal tau = T - t:
 
   * the follower's scalar equation
         P' + 2 A P + C^2 P - (D1^2 P + R1)^-1 (B1 + D1 C)^2 P^2 + Q1 = 0,
@@ -13,11 +21,11 @@ Because each downstream solve evaluates the upstream solution at its RK4
 stage times, P is integrated with step dt/4 and both 2x2 solves step dt with
 stages at half-grid points.  Everything is stored on the half grid, the only
 points any later stage reads: P, the coefficient blocks, and both 2x2
-solutions, whose off-node values are cubic-Hermite midpoints (4th order,
-from node values and node slopes).  Every stage then reads upstream data at
-full accuracy and each solve keeps genuine 4th-order convergence for
-constant coefficients (array coefficients interpolate linearly, which caps
-accuracy at 2nd order there, as for the rest of the pipeline).
+solutions, whose off-node values are the Hermite midpoints.  Every stage then
+reads upstream data at full accuracy and each solve keeps genuine 4th-order
+convergence for constant coefficients (array coefficients interpolate
+linearly, which caps accuracy at 2nd order there, as for the rest of the
+pipeline).
 
 Everything downstream of P reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
@@ -25,7 +33,7 @@ assemble_leader_blocks evaluates once on the whole half grid; a transpose is
 a swapaxes view.  gain_inverses, sigma1-sigma3, rhs_p1 and rhs_p2 broadcast
 over a leading grid axis, so the same code serves a single RK4 stage (an int
 block index) and the whole half grid at once (a slice).  Only the RK4
-recurrences loop over grid points.
+recurrence loops over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -34,6 +42,7 @@ bit-exactly as given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +55,65 @@ P_REFINE = 4
 P1_REFINE = 2
 
 _I2 = np.eye(2)
+
+
+@dataclass(frozen=True)
+class DeterministicPath:
+    """Time path on the node grid, scalar or vector valued, with midpoints.
+
+    nodes[k] is the value at t_k; mids[k], when given, the value at the
+    midpoint of [t_k, t_k+1].  Without midpoints the path is read linearly
+    between nodes.
+    """
+
+    nodes: np.ndarray
+    mids: np.ndarray | None = None
+
+    def half_values(self) -> np.ndarray:
+        """Node and midpoint values interleaved on the half grid, shape (2N+1, ...)."""
+        n = len(self.nodes) - 1
+        out = np.empty((2 * n + 1, *self.nodes.shape[1:]))
+        out[::2] = self.nodes
+        out[1::2] = self.mids if self.mids is not None else 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        return out
+
+
+def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
+                  bound: float = np.finfo(float).max, fail) -> DeterministicPath:
+    """Classical RK4 over `steps` steps of size h, stages at half points.
+
+    Node k is at t = k h and half point j at t = j h/2.  rhs(j, y) is the
+    derivative of y in the stepping direction: d/dt forward from node 0, or
+    d/dtau (tau = T - t) backward from node `steps`; y0 is stored there
+    exactly.  Each new node must have every component within [-bound,
+    bound]; a node that is not (a NaN never is) raises fail(t) at its time
+    t.  The default bound rejects non-finite values only.  The midpoints are
+    cubic-Hermite interpolants from node values and node slopes (dense
+    output, Hairer, Norsett & Wanner, Solving ODEs I, II.6): 4th-order
+    accurate, so consumers of off-node values keep the integrator's order.
+    """
+    d = -1 if backward else 1
+    k = steps if backward else 0
+    nodes = np.empty((steps + 1, *np.shape(y0)))
+    slopes = np.empty_like(nodes)
+    nodes[k] = y0
+    y = y0
+    for _ in range(steps):
+        j = 2 * k
+        k1 = rhs(j, y)
+        slopes[k] = k1
+        k2 = rhs(j + d, y + 0.5 * h * k1)
+        k3 = rhs(j + d, y + 0.5 * h * k2)
+        k4 = rhs(j + 2 * d, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k += d
+        if not (np.abs(y) <= bound).all():
+            raise fail(k * h)
+        nodes[k] = y
+    slopes[k] = rhs(2 * k, y)
+    # Slopes are taken in the stepping direction, hence the sign d.
+    mids = 0.5 * (nodes[:-1] + nodes[1:]) + (d * h / 8.0) * (slopes[:-1] - slopes[1:])
+    return DeterministicPath(nodes=nodes, mids=mids)
 
 
 @dataclass(frozen=True)
@@ -71,8 +139,8 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: fl
     """Integrate the follower's Riccati equation backward from P(T) = G1.
 
     RK4 with internal step dt/4 (coefficients read at dt/8 spacing); every
-    second value is kept, so later solves read P exactly at their stage times
-    on the half grid.
+    second node value is kept, so later solves read P exactly at their stage
+    times on the half grid.
     Raises H3Violated if D1^2 P + R1 degenerates at any evaluation point and
     RiccatiBlowUp if |P| exceeds blow_up_factor * (1 + |G1|).
     """
@@ -92,28 +160,16 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: fl
     bound = _blow_up_bound(model.G1, blow_up_factor)
 
     def rhs(i8: int, p: float) -> float:
-        # dP/dtau at forward coefficient index i8 (tau = T - t).
+        # dP/dtau at coefficient index i8, a half point of the dt/4 steps.
         s = d1[i8] * d1[i8] * p + r1[i8]
         if not (s > inv_tol * (1.0 + abs(d1[i8] * d1[i8] * p) + abs(r1[i8]))):
             raise H3Violated("D1^2 P + R1 not invertible", i8 * horizon / (2 * n_fine))
         bc = b1[i8] + d1[i8] * c[i8]
         return 2.0 * a[i8] * p + c[i8] * c[i8] * p - bc * bc * p * p / s + q1[i8]
 
-    fine = np.empty(n_fine + 1)
-    fine[n_fine] = model.G1
-    p = float(model.G1)
-    for i in range(n_fine):
-        # Step i goes from tau_i to tau_{i+1}; forward coefficient indices.
-        f0 = 2 * (n_fine - i)
-        k1 = rhs(f0, p)
-        k2 = rhs(f0 - 1, p + 0.5 * h * k1)
-        k3 = rhs(f0 - 1, p + 0.5 * h * k2)
-        k4 = rhs(f0 - 2, p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(p) or abs(p) > bound:
-            raise RiccatiBlowUp("follower Riccati solution exploded", horizon - (i + 1) * h)
-        fine[n_fine - 1 - i] = p
-    return FollowerRiccati(grid=grid, fine=fine[::P_REFINE // P1_REFINE].copy())
+    path = rk4_half_grid(rhs, float(model.G1), h, n_fine, backward=True, bound=bound,
+                         fail=partial(RiccatiBlowUp, "follower Riccati solution exploded"))
+    return FollowerRiccati(grid=grid, fine=path.nodes[::P_REFINE // P1_REFINE].copy())
 
 
 @dataclass(frozen=True)
@@ -134,7 +190,7 @@ class LeaderBlocks:
       d5       the filtered-control coupling in the adjoint drift,
       a6, b2   rows assembling the follower's control from the estimate and Y,
       r2       leader control weight, s_inv = (D1^2 P + R1)^-1,
-      gbar     terminal matrix [[G2, G1], [0, 0]].
+      gbar     terminal matrix [[G2, 0], [0, 0]].
 
     Effective blocks, left after the leader's control is eliminated (every
     consumer reads these; none re-derives them), with d12 = d1 + d2 and
@@ -146,15 +202,14 @@ class LeaderBlocks:
       e34 = d34 d34^T/r2,          e44 = d4 d4^T/r2,      e55 = d5 d5^T/r2,
       e11 = (d1 d12^T + d2 d1^T)/r2,  e13 = (d1 d34^T + d2 d3^T)/r2,
       e33 = (d3 d34^T + d4 d3^T)/r2.
-    Arrays the solve path does not read are not stored but evaluated on
-    access: e11 (read by the closed-loop matrices and the drift residual)
-    and the display blocks a2, a4, b1, c1 and r2 (read by no solver).
+    e11 (read by the closed-loop matrices and the drift residual, not by
+    the solves) is evaluated on access.  The display blocks a2, a4, b1, c1
+    and r2 are read by no solver and are not kept; _display_blocks gives
+    them.
     """
 
     grid: TimeGrid
     refine: int
-    model: LQModel
-    P: FollowerRiccati
     a1: np.ndarray
     a3: np.ndarray
     a5: np.ndarray
@@ -183,12 +238,6 @@ class LeaderBlocks:
     @property
     def e11(self) -> np.ndarray:
         return _over_r2(self.rr, (self.d1, self.d1 + self.d2), (self.d2, self.d1))
-
-    a2 = property(lambda self: _display_blocks(self.model, self.P)["a2"])
-    a4 = property(lambda self: _display_blocks(self.model, self.P)["a4"])
-    b1 = property(lambda self: _display_blocks(self.model, self.P)["b1"])
-    c1 = property(lambda self: _display_blocks(self.model, self.P)["c1"])
-    r2 = property(lambda self: _display_blocks(self.model, self.P)["r2"])
 
     @property
     def half_points(self) -> slice:
@@ -293,7 +342,7 @@ def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float
     d34 = d3 + d4
 
     return LeaderBlocks(
-        grid=model.grid, model=model, P=P, **raw,
+        grid=model.grid, **raw,
         rr=rr,
         bb=b1 - _over_r2(rr, (d2, d2)),
         bb12=b1 - _over_r2(rr, (d12, d12)),
@@ -417,10 +466,9 @@ class LeaderRiccati:
     """Both 2x2 leader Riccati solutions, non-symmetric, never symmetrized.
 
     p1_fine and p2_fine hold the two solutions at dt/2 spacing: even indices
-    are the RK4 node values, odd indices are cubic-Hermite midpoints
-    (4th-order accurate, built from node values and node slopes) so
-    downstream stages can read them off-node without losing order.  Terminal
-    data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
+    are the RK4 node values, odd indices the integrator's Hermite midpoints,
+    so downstream stages can read them off-node without losing order.
+    Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
@@ -441,41 +489,6 @@ class LeaderRiccati:
         return self.p2_fine[::P1_REFINE]
 
 
-def _rk4_backward(rhs, terminal: np.ndarray, grid: TimeGrid, bound: float, label: str):
-    """Node-grid RK4 for d(y)/dtau = rhs(j, y) backward from y(T) = terminal.
-
-    j is the half-grid index of the stage time.  Returns node values and node
-    slopes; the slope at t = 0 is left to the caller.  Raises RiccatiBlowUp
-    when a node value is not finite or exceeds bound.
-    """
-    n = grid.steps
-    dt = grid.dt
-    nodes = np.empty((n + 1, *terminal.shape))
-    slopes = np.empty_like(nodes)
-    nodes[n] = terminal
-    y = terminal.copy()
-    for i in range(n):
-        j0 = 2 * (n - i)
-        k1 = rhs(j0, y)
-        slopes[n - i] = k1
-        k2 = rhs(j0 - 1, y + 0.5 * dt * k1)
-        k3 = rhs(j0 - 1, y + 0.5 * dt * k2)
-        k4 = rhs(j0 - 2, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > bound:
-            raise RiccatiBlowUp(f"leader Riccati solution ({label}) exploded", (n - i - 1) * dt)
-        nodes[n - 1 - i] = y
-    return nodes, slopes
-
-
-def _hermite_fine(nodes: np.ndarray, slopes: np.ndarray, dt: float) -> np.ndarray:
-    """Half-grid samples: node values and Hermite midpoints (slopes are d/dtau)."""
-    fine = np.empty((2 * len(nodes) - 1, *nodes.shape[1:]))
-    fine[::2] = nodes
-    fine[1::2] = 0.5 * (nodes[:-1] + nodes[1:]) - (dt / 8.0) * (slopes[:-1] - slopes[1:])
-    return fine
-
-
 def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float = 1e-10,
                          blow_up_factor: float = 1e8) -> LeaderRiccati:
     """Integrate both leader Riccati equations backward.
@@ -484,11 +497,13 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     where the blocks are stored exactly).  The first equation is autonomous
     in its own unknown and is solved first, with the gain inverses guarded
     at every RK4 stage; the second consumes the first at its stage times
-    through stored Hermite midpoints, so its inverses depend on the first
+    through the Hermite midpoints, so its inverses depend on the first
     solution only and are computed and guarded for the whole half grid in
     one pass.  When D1 = D2 = 0 the general right-hand sides reduce
     algebraically to the special-case forms (the guarded inverses are
     exactly the identity); the same integrator serves both regimes.
+    Raises RiccatiBlowUp when a node value is not finite or exceeds
+    blow_up_factor * (1 + max|gbar|).
     """
     grid = model.grid
     bound = _blow_up_bound(float(np.max(np.abs(blocks.gbar))), blow_up_factor)
@@ -501,22 +516,21 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         min_det[1] = min(min_det[1], abs(det2))
         return rhs_p1(mat, blocks, q, det_tol=det_tol, m2=m2)
 
-    p1_nodes, slopes = _rk4_backward(rhs1, blocks.gbar, grid, bound, "first")
-    slopes[0] = rhs_p1(p1_nodes[0], blocks, 0, det_tol=det_tol)
-    p1_fine = _hermite_fine(p1_nodes, slopes, grid.dt)
+    def solve(rhs, terminal, label):
+        fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
+        path = rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound, fail=fail)
+        return path.half_values()
 
+    p1_fine = solve(rhs1, blocks.gbar, "first")
     m1, m2, det1, det2 = gain_inverses(p1_fine, blocks, blocks.half_points, det_tol=det_tol)
 
     def rhs2(j, mat):
         return rhs_p2(p1_fine[j], mat, blocks, blocks.half_index(j), det_tol=det_tol, m1=m1[j], m2=m2[j])
 
-    p2_nodes, slopes = _rk4_backward(rhs2, np.zeros((2, 2)), grid, bound, "second")
-    slopes[0] = rhs2(0, p2_nodes[0])
-
     return LeaderRiccati(
         grid=grid,
         p1_fine=p1_fine,
-        p2_fine=_hermite_fine(p2_nodes, slopes, grid.dt),
+        p2_fine=solve(rhs2, np.zeros((2, 2)), "second"),
         gbar=blocks.gbar.copy(),
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState
-from .filtering import DeterministicPath, FilteredLeaderPath, as_path
+from .filtering import as_path
 from .model import LQModel, TimeGrid
-from .riccati import FollowerRiccati
+from .riccati import DeterministicPath, FollowerRiccati
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class TrajectoryEnsemble:
     u1: np.ndarray
     u2: np.ndarray
     noise: NoiseBundle
-    xhat: FilteredLeaderPath | None = None
+    xhat: DeterministicPath | None = None
 
     @property
     def m(self) -> int:
@@ -104,7 +104,7 @@ class ClosedLoopSystem:
     lx: np.ndarray
     lxhat: np.ndarray
     f: np.ndarray
-    xhat: FilteredLeaderPath
+    xhat: DeterministicPath
 
 
 def _check_finite(states: np.ndarray) -> None:

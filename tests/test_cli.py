@@ -24,8 +24,28 @@ def test_validate_ok(tmp_path, capsys):
     path = write_model(tmp_path)
     assert main(["validate", "--model", path]) == 0
     out = capsys.readouterr().out
-    for tag in ("(H1) PASS", "(H2) PASS", "(H4) PASS", "(H3) PASS"):
+    for tag in ("(H1) PASS", "(H2) PASS", "(H4) PASS", "(H3) PASS", "(H5) PASS", "(H6) PASS"):
         assert tag in out
+
+
+def test_validate_names_failed_gain_inverse(tmp_path, capsys):
+    # the model of test_riccati.py::test_leader_blow_up_instance
+    path = write_model(tmp_path, steps=400, A=3.0, B1=0.5, B2=2.0, C=2.0, D1=0.0,
+                       D2=4.0, Q1=1.0, R1=1.0, G1=2.0, Q2=8.0, R2=0.01, G2=8.0,
+                       horizon=6.0)
+    assert main(["validate", "--model", path]) == 1
+    out = capsys.readouterr().out
+    assert "(H3) PASS" in out
+    assert "(H5) FAIL (gain matrix inverse does not exist (at t=" in out
+
+
+def test_validate_agrees_with_solve_on_non_finite_filter(tmp_path, capsys):
+    # the model of test_non_finite_filter_exit_3: solve exits 3, validate 1
+    path = write_model(tmp_path, steps=200, A=800.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
+    assert main(["validate", "--model", path]) == 1
+    out = capsys.readouterr().out
+    assert "(H6) PASS" in out
+    assert "(solve) FAIL (filtered leader state is not finite (at t=" in out
 
 
 def test_validate_names_failed_hypothesis(tmp_path, capsys):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from lqstack.equilibrium import (bsde_residual, drift_residuals, follower_stationarity_residual,
-                                 gain_consistency_residual, hamiltonian_H1,
-                                 leader_stationarity_residual, reconstruct_adjoints,
-                                 solve_equilibrium)
+                                 gain_consistency_residual, leader_stationarity_residual,
+                                 reconstruct_adjoints, solve_equilibrium)
 from lqstack.filtering import solve_follower_filter
+from lqstack.model import LQModel, sample_at
 from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
 
 from conftest import make_model, random_admissible_model
@@ -80,6 +80,22 @@ def test_lhat_is_sum_of_leader_gain_rows(eq_b200):
 
 
 # --- Hamiltonian ---
+
+def hamiltonian_H1(model: LQModel, x: float, u1: float, u2: float,
+                   p: float, k: float, t: float) -> float:
+    """Follower Hamiltonian: drift . p + diffusion . k + running cost."""
+    g = model.grid
+    A = sample_at(model.A, t, g)
+    B1 = sample_at(model.B1, t, g)
+    B2 = sample_at(model.B2, t, g)
+    C = sample_at(model.C, t, g)
+    D1 = sample_at(model.D1, t, g)
+    D2 = sample_at(model.D2, t, g)
+    Q1 = sample_at(model.Q1, t, g)
+    R1 = sample_at(model.R1, t, g)
+    return ((A * x + B1 * u1 + B2 * u2) * p + (C * x + D1 * u1 + D2 * u2) * k
+            + 0.5 * Q1 * x * x + 0.5 * R1 * u1 * u1)
+
 
 def test_hamiltonian_zero_inputs():
     m = make_model(steps=10)
@@ -257,6 +273,19 @@ def test_time_varying_drift_residual_order(eq_time_varying):
     r2 = drift_residuals(eq_time_varying[400])
     assert 3.5 <= r1.follower_max / r2.follower_max <= 4.5
     assert 3.5 <= r1.leader_max / r2.leader_max <= 4.5
+
+
+def test_time_varying_leader_self_convergence():
+    # Array coefficients interpolate linearly, so every solve converges at
+    # second order: each halving of dt shrinks the gap to the next finer
+    # solve by about 4.
+    eqs = [solve_equilibrium(time_varying_model(steps)) for steps in (100, 200, 400, 800)]
+    quantities = {"P": lambda eq: eq.P.values, "p1": lambda eq: eq.leader.p1,
+                  "p2": lambda eq: eq.leader.p2, "xhat": lambda eq: eq.xhat.nodes}
+    for name, get in quantities.items():
+        gaps = [np.max(np.abs(get(coarse) - get(fine)[::2])) for coarse, fine in zip(eqs, eqs[1:])]
+        for g1, g2 in zip(gaps, gaps[1:]):
+            assert 3.5 <= g1 / g2 <= 4.5, (name, gaps)
 
 
 def test_time_varying_algebraic_identities(eq_time_varying):

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from lqstack.equilibrium import solve_equilibrium
 from lqstack.errors import SolverError
-from lqstack.filtering import DeterministicPath, solve_follower_filter
-from lqstack.riccati import solve_follower_P
+from lqstack.filtering import solve_follower_filter
+from lqstack.riccati import DeterministicPath, solve_follower_P
 
-from conftest import make_model
+from conftest import make_model, random_admissible_model
 
 # Frozen 100000-step self-reference for the filter state at t=T
 # (regenerate with scripts/make_reference.py; cross-checked there against an
@@ -144,10 +149,31 @@ def test_linearity_in_initial_state():
     assert np.array_equal(2.0 * a, b)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([-4.0, 0.5, 2.0]))
+def test_linearity_in_initial_state_random_models(seed, c):
+    # x0 enters only as the initial value of linear ODEs, so scaling it by a
+    # power of two scales both filters exactly and leaves the rest untouched.
+    m = random_admissible_model(np.random.default_rng(seed), steps=40)
+    a = solve_equilibrium(m)
+    b = solve_equilibrium(dataclasses.replace(m, x0=c * m.x0))
+    for x, y in ((a.P.fine, b.P.fine), (a.leader.p1_fine, b.leader.p1_fine),
+                 (a.leader.p2_fine, b.leader.p2_fine), (a.sigmas.s1, b.sigmas.s1),
+                 (a.sigmas.s2, b.sigmas.s2), (a.sigmas.s3, b.sigmas.s3), (a.gains.lx, b.gains.lx),
+                 (a.gains.lxhat, b.gains.lxhat), (a.gains.f, b.gains.f)):
+        assert np.array_equal(x, y)
+    fa = solve_follower_filter(m, a.P, a.u2hat_path())
+    fb = solve_follower_filter(b.model, b.P, b.u2hat_path())
+    for pa, pb in ((a.xhat, b.xhat), (fa.xhat, fb.xhat), (fa.theta_hat, fb.theta_hat)):
+        assert np.array_equal(c * pa.nodes, pb.nodes)
+        assert np.array_equal(c * pa.mids, pb.mids)
+
+
 def test_deterministic_path_half_values():
     p = DeterministicPath(nodes=np.array([0.0, 2.0, 4.0]))
-    assert p.at_half(1) == 1.0
-    assert p.at_half(2) == 2.0
+    assert np.array_equal(p.half_values(), [0.0, 1.0, 2.0, 3.0, 4.0])
     q = DeterministicPath(nodes=np.array([0.0, 2.0, 4.0]), mids=np.array([0.7, 3.1]))
-    assert q.at_half(1) == 0.7
     assert np.array_equal(q.half_values(), [0.0, 0.7, 2.0, 3.1, 4.0])
+    # vector values interleave along the leading (time) axis
+    v = DeterministicPath(nodes=np.array([[0.0, 1.0], [2.0, 3.0]]), mids=np.array([[5.0, 6.0]]))
+    assert np.array_equal(v.half_values(), [[0.0, 1.0], [5.0, 6.0], [2.0, 3.0]])

@@ -4,37 +4,41 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from lqstack import riccati
 from lqstack.errors import H3Violated, M1NotInvertible, RiccatiBlowUp
 from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_blocks,
-                             compute_sigmas, gain_inverses, rhs_p1, rhs_p2, sigma1, sigma2, sigma3,
-                             solve_follower_P, solve_leader_riccati)
+                             compute_sigmas, gain_inverses, rhs_p1, rhs_p2, rk4_half_grid, sigma1,
+                             sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 
 from conftest import make_model, random_admissible_model
 
 
 # --- hand-coded zero-diffusion oracles for the general integrands ---
+# They read the display blocks (a2, b1, r2) the solver folds into its
+# effective blocks, so they share no arithmetic with rhs_p1 and rhs_p2.
 
-def rhs_p1_reduced(p1: np.ndarray, blocks: LeaderBlocks, q: int) -> np.ndarray:
+def rhs_p1_reduced(p1: np.ndarray, blocks: LeaderBlocks, display: dict, q: int) -> np.ndarray:
     """Hand-coded zero-diffusion-coefficient (D1 = D2 = 0) form of rhs_p1."""
-    rr = 1.0 / blocks.r2[q]
+    rr = 1.0 / display["r2"][q]
     a1 = blocks.a1[q]
     a3 = blocks.a3[q]
     d2 = blocks.d2[q]
     out = p1 @ a1 + a1 @ p1
-    out += p1 @ (blocks.b1[q] - np.outer(d2, d2) * rr) @ p1
+    out += p1 @ (display["b1"][q] - np.outer(d2, d2) * rr) @ p1
     out += a3 @ p1 @ a3
     out += blocks.a5[q]
     return out
 
 
-def rhs_p2_reduced(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int) -> np.ndarray:
+def rhs_p2_reduced(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, display: dict,
+                   q: int) -> np.ndarray:
     """Hand-coded zero-diffusion-coefficient (D1 = D2 = 0) form of rhs_p2."""
-    rr = 1.0 / blocks.r2[q]
-    a12 = blocks.a1[q] + blocks.a2[q]
-    a2 = blocks.a2[q]
+    rr = 1.0 / display["r2"][q]
+    a2 = display["a2"][q]
+    a12 = blocks.a1[q] + a2
     d2 = blocks.d2[q]
     d5 = blocks.d5[q]
-    bb = blocks.b1[q] - np.outer(d2, d2) * rr
+    bb = display["b1"][q] - np.outer(d2, d2) * rr
     out = p2 @ (a12 - np.outer(d2, d5) * rr)
     out += (a12 - np.outer(d5, d2) * rr) @ p2
     out -= np.outer(d5, d5) * rr
@@ -44,6 +48,35 @@ def rhs_p2_reduced(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q: int)
     out += p1 @ bb @ p2
     out += p2 @ bb @ p1
     return out
+
+
+# --- the shared integrator ---
+
+def test_rk4_half_grid_both_directions():
+    # y' = -y t on [0, 1] (half point j is t = j/80): y = exp(-t^2/2), solved
+    # forward from y(0) and backward from y(1); nodes and Hermite midpoints
+    # are 4th-order accurate.
+    def fail(t):
+        return AssertionError(f"guard tripped at t={t}")
+
+    t = np.linspace(0.0, 1.0, 81)
+    exact = np.exp(-0.5 * t * t)
+    fwd = rk4_half_grid(lambda j, y: -t[j] * y, 1.0, 1.0 / 40, 40, fail=fail)
+    bwd = rk4_half_grid(lambda j, y: t[j] * y, exact[-1], 1.0 / 40, 40, backward=True, fail=fail)
+    for path in (fwd, bwd):
+        assert np.max(np.abs(path.half_values() - exact)) < 1e-8
+    assert fwd.nodes[0] == 1.0 and bwd.nodes[-1] == exact[-1]
+
+
+def test_rk4_half_grid_guard_reports_node_time():
+    # y' = y from 1 passes the bound 2 between t = 0.6 and t = 0.8.
+    with pytest.raises(RiccatiBlowUp) as info:
+        rk4_half_grid(lambda j, y: y, np.ones(2), 0.2, 5, bound=2.0,
+                      fail=lambda t: RiccatiBlowUp("bound exceeded", t))
+    assert info.value.time == pytest.approx(0.8)
+    with pytest.raises(RiccatiBlowUp):  # a NaN fails the default bound
+        rk4_half_grid(lambda j, y: np.nan * y, 1.0, 0.1, 3, backward=True,
+                      fail=lambda t: RiccatiBlowUp("not finite", t))
 
 
 # --- closed-form oracles, verified against an independent integrator first ---
@@ -138,9 +171,10 @@ def test_blocks_zero_diffusion_substitutions():
     m = make_model(steps=50)
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
+    display = riccati._display_blocks(m, P)
     k = blocks.node_index(17)
-    assert np.all(blocks.a4[k] == 0.0)
-    assert np.all(blocks.c1[k] == 0.0)
+    assert np.all(display["a4"][k] == 0.0)
+    assert np.all(display["c1"][k] == 0.0)
     assert np.all(blocks.d1[k] == 0.0)
     assert np.all(blocks.d3[k] == 0.0)
     assert np.array_equal(blocks.d2[k], [1.0, 0.0])
@@ -155,7 +189,7 @@ def test_blocks_vanish_with_zero_follower_riccati():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     assert np.all(blocks.d5 == 0.0)
-    assert np.all(blocks.a2 == 0.0)
+    assert np.all(riccati._display_blocks(m, P)["a2"] == 0.0)
     # a1 = diag(A, A) when P = 0
     assert np.allclose(blocks.a1[:, 0, 0], 0.1)
     assert np.allclose(blocks.a1[:, 1, 1], 0.1)
@@ -216,15 +250,16 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
+    display = riccati._display_blocks(m, P)
     worst = 0.0
     for k in range(101):
         q = blocks.node_index(k)
         p1 = leader.p1[k]
         p2 = leader.p2[k]
         g1 = rhs_p1(p1, blocks, q)
-        r1 = rhs_p1_reduced(p1, blocks, q)
+        r1 = rhs_p1_reduced(p1, blocks, display, q)
         g2 = rhs_p2(p1, p2, blocks, q)
-        r2 = rhs_p2_reduced(p1, p2, blocks, q)
+        r2 = rhs_p2_reduced(p1, p2, blocks, display, q)
         worst = max(worst,
                     np.max(np.abs(g1 - r1)) / (1.0 + np.max(np.abs(g1))),
                     np.max(np.abs(g2 - r2)) / (1.0 + np.max(np.abs(g2))))
