@@ -2,9 +2,10 @@
 
 JSON problem files in, CSV artifacts out.  Exit codes: 0 ok, 1 validation
 failure (validate reports solver failures this way too), 2 parse failure,
-3 solver failure (Riccati blow-up, a gain inverse degenerating or a filter
-solution going non-finite, with the failing time in the message), 4
-verification failure (the report is still written).
+3 solver failure (Riccati blow-up, a gain inverse degenerating, a filter
+solution or a simulated path going non-finite, with the failing time in the
+message; nothing is written), 4 verification failure (the report is still
+written).
 
 Every output is a pure function of the problem file, the flags and the seed;
 reruns are byte-identical.
@@ -204,14 +205,15 @@ def _verify_rows(config: RunConfig, model: LQModel, eq, noise, ens) -> list[repo
     # reproduce the first component of the augmented estimate (same ODE,
     # 4th-order discretizations).
     xh = eq.xhat.nodes
-    fp = solve_follower_filter(model, eq.P, eq.u2hat_path())
+    u2hat = eq.u2hat_path()
+    fp = solve_follower_filter(model, eq.P, u2hat)
     route_gap = float(np.max(np.abs(fp.xhat.nodes - xh[:, 0])))
     xh_scale = float(np.max(np.abs(xh[:, 0]))) + 1.0
     add("filter_route_consistency", "algebraic", route_gap,
         max(tol.structural_rel, 1e2 * dt ** 4) * xh_scale)
 
     # Ensemble reconstructions.
-    theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), eq.u2hat_path())
+    theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, fp.theta_hat)
     recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
     z_scale = float(np.max(np.abs(recon.z))) + 1.0
     add("structural_zero", "algebraic", np.max(np.abs(recon.z[:, :, 1])), tol.structural_rel * z_scale)
@@ -282,7 +284,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq, noise, ens) -> list[repo
         f"best grid ({grid.best_alpha!r},{grid.best_beta!r}) J1={grid.best_mean!r}")
 
     reporting.ensure_dir(config.out_dir)
-    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", [rep1, rep2])
+    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", [rep1, rep2], tol.stderr_mult)
     reporting.write_grid_csv(f"{config.out_dir}/grid_search.csv", grid)
     return rows
 

@@ -142,16 +142,6 @@ class PerturbationReport:
     curves: list[PerturbationCurve]
     proven_scope: bool
 
-    def passed(self, stderr_mult: float = 3.0) -> bool:
-        for c in self.curves:
-            if c.min_delta_margin(stderr_mult) < 0.0:
-                return False
-            if abs(c.slope) > stderr_mult * c.slope_stderr and c.slope_stderr > 0.0:
-                return False
-            if c.curvature < 0.0:
-                return False
-        return True
-
 
 def _symmetrize_eps(eps_list) -> np.ndarray:
     magnitudes = {abs(float(e)) for e in eps_list} - {0.0}
@@ -242,20 +232,11 @@ def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnse
 def follower_response(eq: EquilibriumSolution, u2hat: DeterministicPath) -> np.ndarray:
     """The follower's optimal deterministic control for a filtered leader control.
 
-    Re-solves the filtering pair under u2hat and evaluates the estimate
-    feedback formula at the nodes.
+    Re-solves the filtering pair under u2hat and evaluates the follower's
+    control law at the nodes.
     """
-    model = eq.model
-    fp = solve_follower_filter(model, eq.P, u2hat)
-    B1 = model.nodes("B1")
-    C = model.nodes("C")
-    D1 = model.nodes("D1")
-    D2 = model.nodes("D2")
-    pn = eq.P.values
-    si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
-    bc = B1 + D1 * C
-    return -(si * bc * pn * fp.xhat.nodes + si * B1 * fp.theta_hat.nodes
-             + si * D1 * D2 * pn * u2hat.nodes)
+    fp = solve_follower_filter(eq.model, eq.P, u2hat)
+    return eq.blocks.follower.control(fp.xhat.nodes, fp.theta_hat.nodes, u2hat.nodes)
 
 
 def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
@@ -325,7 +306,8 @@ def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
     with x0 simulated at u1 = 0 and e1, e2 the responses to u1 = xhat and
     u1 = 1, so each path's cost is a quadratic form in (1, alpha, beta) with
     six features.  Grid means come from the feature means and grid stderrs
-    from the covariance of the features.
+    from the covariance of the features.  The equilibrium cost is the
+    baseline ensemble's own.
     """
     model = eq.model
     alphas = np.asarray(alphas, dtype=float)
@@ -333,9 +315,7 @@ def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
     u2_frozen = baseline.u2
     noise = baseline.noise
     xhat = eq.xhat_scalar_path().nodes
-
-    base_ens = simulate_open_loop(model, np.asarray(baseline.u1, dtype=float), u2_frozen, noise)
-    base_cost = pathwise_J1(model, base_ens)
+    base_cost = pathwise_J1(model, baseline)
 
     zero = np.zeros_like(xhat)
     x0 = simulate_open_loop(model, zero, u2_frozen, noise).x

@@ -65,12 +65,11 @@ def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ m)[:, 0]
 
 
-def build_gains(model: LQModel, P: FollowerRiccati, blocks: LeaderBlocks,
-                leader: LeaderRiccati, sigmas: Sigmas) -> FeedbackGains:
+def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> FeedbackGains:
     """Evaluate both players' feedback rows at every half-grid point."""
     q = blocks.half_points
-    D1 = model.nodes("D1", blocks.refine)
-    cross = (blocks.s_inv * D1 * model.nodes("D2", blocks.refine) * P.fine)[q, None]
+    # s_inv D1 D2 P, the follower's coefficient on the filtered leader control.
+    cross = blocks.follower.law[2, q, None]
     rr = blocks.rr[q, None]
     p1 = leader.p1_fine
     p2 = leader.p2_fine
@@ -146,7 +145,7 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
     blocks = assemble_leader_blocks(model, P)
     leader = solve_leader_riccati(model, blocks, det_tol=det_tol, blow_up_factor=blow_up_factor)
     sigmas = compute_sigmas(blocks, leader, det_tol=det_tol)
-    gains = build_gains(model, P, blocks, leader, sigmas)
+    gains = build_gains(blocks, leader, sigmas)
     xhat = solve_leader_xhat(model, blocks, leader, sigmas)
     return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader,
                                sigmas=sigmas, gains=gains, xhat=xhat)
@@ -251,20 +250,14 @@ def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
 def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
     """Follower control in gain form against the filtered-feedback substitution.
 
-    u1 = f . xhat must equal -(D1^2 P + R1)^-1 [(B1 + D1 C) P xhat + B1 theta_hat
-    + D1 D2 P u2hat] with the offset and the filtered leader control read from
-    the leader's solution: an algebraic identity, zero to rounding.
+    u1 = f . xhat must equal the follower's control law with the offset and
+    the filtered leader control read from the leader's solution: an
+    algebraic identity, zero to rounding.
     """
-    model = eq.model
     xh = eq.xhat.nodes
-    pn = eq.P.values
-    B1 = model.nodes("B1")
-    D1 = model.nodes("D1")
-    si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
     u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
     u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
-    u1_sub = -si * ((B1 + D1 * model.nodes("C")) * pn * xh[:, 0] + B1 * _filtered_adjoint(eq)[:, 1]
-                    + D1 * model.nodes("D2") * pn * u2hat)
+    u1_sub = eq.blocks.follower.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], u2hat)
     return ResidualStats(residual=u1_gain - u1_sub, stderr=None,
                          scale=float(np.max(np.abs(u1_gain))) + 1.0)
 
@@ -367,19 +360,24 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     D2 = model.nodes("D2")
     Q1 = model.nodes("Q1")
     pn = eq.P.values
-    si = blocks.s_inv[::blocks.refine]
-    bc = B1 + D1 * C
+    fol = blocks.follower
+    nodes = slice(None, None, fol.refine)
+    law = fol.law[:, nodes]
+    offset = fol.offset[:, nodes]
 
     inner = slice(1, n)
     dp = (pn[2:] - pn[:-2]) / (2.0 * dt)
-    fol_x = dp + (2.0 * A * pn + C * C * pn - si * bc * bc * pn * pn + Q1)[inner]
-    # Coefficient groups that cancel identically once the control substitution
-    # and the offset drift are inserted; kept as an honesty check.
+    fol_x = dp + (2.0 * A * pn + C * C * pn - offset[0] + Q1)[inner]
+    # The controls enter the adjoint drift through the Ito expansion of P x,
+    # as (C D1 P + P B1) u1 + (C D2 P + P B2) u2, and the offset drift as
+    # (B1 + D1 C) P u1 + (B2 + D2 C) P u2, read from the follower's
+    # coefficients.  The groups compare the two coefficient by coefficient
+    # and cancel identically; kept as an honesty check.
     cd = C * D1 * pn + pn * B1
-    fol_xhat = (cd * si * bc * pn - bc * bc * si * pn * pn)[inner]
-    fol_u2 = (-(C * D2 * pn + pn * B2) + (B2 + D2 * C) * pn)[inner]
-    fol_u2hat = (cd * si * D1 * D2 * pn - bc * si * D1 * D2 * pn * pn)[inner]
-    fol_theta_hat = (cd * si * B1 - bc * si * B1 * pn)[inner]
+    fol_xhat = (cd * law[0] - offset[0])[inner]
+    fol_u2 = (fol.offset_u2[nodes] - (C * D2 * pn + pn * B2))[inner]
+    fol_u2hat = (cd * law[2] - offset[2])[inner]
+    fol_theta_hat = (cd * law[1] - offset[1])[inner]
 
     p1n = eq.leader.p1
     p2n = eq.leader.p2

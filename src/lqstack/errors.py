@@ -29,7 +29,7 @@ class OutOfRange(LQStackError):
 
 
 class SolverError(LQStackError):
-    """Base class for failures during the backward ODE solves.
+    """Base class for failures during the ODE solves and the Euler simulations.
 
     Attributes:
         time: forward time at which the failure was detected.
@@ -56,10 +56,10 @@ class M2NotInvertible(SolverError):
     """Hypothesis (H6) fails: the second gain matrix inverse does not exist."""
 
 
-class NonFiniteState(LQStackError):
+class NonFiniteState(SolverError):
     """A simulated path produced a non-finite state value."""
 
-    def __init__(self, path: int, step: int):
-        super().__init__(f"non-finite state on path {path} at step {step}")
+    def __init__(self, path: int, step: int, time: float):
+        super().__init__(f"non-finite state on path {path} at step {step}", time)
         self.path = path
         self.step = step

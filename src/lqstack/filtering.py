@@ -13,9 +13,11 @@ Each is solved by riccati.rk4_half_grid, the integrator every deterministic
 ODE of the equilibrium goes through: RK4 on the node grid with stages at
 half-grid points, so a step never crosses a kink of a piecewise-linear input,
 returning node values with cubic-Hermite midpoints, which keeps every
-consumer of off-node values at the integrator's accuracy.  Only the pathwise
-offset reconstruction (simulate.backfill_theta) keeps its own RK4 loop, as its
-state is a whole ensemble.
+consumer of off-node values at the integrator's accuracy.  The follower's
+pair reads its coefficients from riccati.follower_coefficients.  The pathwise
+offset reconstruction (simulate.backfill_theta) starts from the filtered
+offset solved here and keeps its own RK4 loop for the deviation from it, as
+that state is a whole ensemble.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import SolverError
 from .model import LQModel
 from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
-                      rk4_half_grid)
+                      follower_coefficients, rk4_half_grid)
 
 
 def as_path(u) -> DeterministicPath:
@@ -60,33 +62,20 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
     """
     grid = model.grid
     u2_half = as_path(u2hat).half_values()
-
-    # Coefficient scalars on the half grid, where P is stored.
-    A = model.nodes("A", 2)
-    B1 = model.nodes("B1", 2)
-    B2 = model.nodes("B2", 2)
-    C = model.nodes("C", 2)
-    D1 = model.nodes("D1", 2)
-    D2 = model.nodes("D2", 2)
-    p = P.fine
-    si = 1.0 / (D1 * D1 * p + model.nodes("R1", 2))
-    bc = B1 + D1 * C
-
-    # theta_hat drift pieces: d(theta)/dt = decay * theta + force * u2hat.
-    decay = bc * si * B1 * p - A
-    force = bc * si * D1 * D2 * p * p - (B2 + D2 * C) * p
+    fol = follower_coefficients(model, P)
+    theta_self, theta_u2 = fol.theta_self, fol.theta_u2
 
     def dtheta_dtau(j, val):
-        # Reversed time: d/dtau = -d/dt.
-        return -(decay[j] * val + force[j] * u2_half[j])
+        return theta_self[j] * val + theta_u2[j] * u2_half[j]
 
     theta = rk4_half_grid(dtheta_dtau, 0.0, grid.dt, grid.steps, backward=True,
                           fail=partial(SolverError, "follower's filtered offset is not finite"))
     theta_half = theta.half_values()
 
-    drift_x = A - B1 * si * bc * p
-    drift_th = -si * B1 * B1
-    drift_u2 = B2 - B1 * si * D1 * D2 * p
+    # The follower's control enters the state drift as B1 u1.
+    drift_x = model.nodes("A", 2) - fol.drift[0]
+    drift_th = -fol.drift[1]
+    drift_u2 = model.nodes("B2", 2) - fol.drift[2]
 
     def dxhat_dt(j, val):
         return drift_x[j] * val + drift_th[j] * theta_half[j] + drift_u2[j] * u2_half[j]

@@ -147,9 +147,6 @@ class LQModel:
                 frozen.setflags(write=False)
                 object.__setattr__(self, name, frozen)
 
-    def coefficient(self, name: str) -> Coefficient:
-        return getattr(self, name)
-
     def nodes(self, name: str, refine: int = 1) -> np.ndarray:
         """Sampled values of one coefficient on the (refined) grid."""
         return sample_on_grid(getattr(self, name), self.grid, refine)

@@ -107,7 +107,8 @@ def write_verify_csv(path, rows: list[CheckRow]) -> None:
     write_csv(path, header, ([r.name, r.kind, r.residual, r.tolerance, r.passed, r.note] for r in rows))
 
 
-def write_perturbation_csv(path, reports) -> None:
+def write_perturbation_csv(path, reports, stderr_mult: float) -> None:
+    """One row per direction and eps; pass means delta_mean + stderr_mult * delta_stderr >= 0."""
     header = ["which", "direction", "eps", "delta_mean", "delta_stderr", "pass", "scope"]
 
     def rows():
@@ -115,7 +116,7 @@ def write_perturbation_csv(path, reports) -> None:
             scope = "proven" if rep.proven_scope else "outside proven scope"
             for c in rep.curves:
                 for i, e in enumerate(c.eps):
-                    ok = c.delta_mean[i] + 3.0 * c.delta_stderr[i] >= 0.0
+                    ok = c.delta_mean[i] + stderr_mult * c.delta_stderr[i] >= 0.0
                     yield [rep.which, c.name, e, c.delta_mean[i], c.delta_stderr[i], ok, scope]
 
     write_csv(path, header, rows())

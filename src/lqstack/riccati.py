@@ -6,8 +6,9 @@ pair and the leader's filtered state -- is solved by rk4_half_grid: classical
 RK4 with its stages at half points of the step, which returns the node values
 together with cubic-Hermite midpoints (4th order, from node values and node
 slopes).  The pathwise offset reconstruction (simulate.backfill_theta) keeps
-its own loop: its state is an (M,) ensemble, and the node slopes and
-midpoints it would not use would add two ensemble-sized arrays.
+its own loop over the offset's deviation from its filtered value: that state
+is an (M,) ensemble, and the node slopes and midpoints it would not use would
+add two ensemble-sized arrays.
 
 The Riccati equations, integrated under the time reversal tau = T - t:
 
@@ -27,7 +28,13 @@ convergence for constant coefficients (array coefficients interpolate
 linearly, which caps accuracy at 2nd order there, as for the rest of the
 pipeline).
 
-Everything downstream of P reads one family of effective blocks (1/r2,
+The follower's coefficients -- (D1^2 P + R1)^-1 and its products with
+B1 + D1 C, B1 and D1 D2 P -- are evaluated once where P is sampled, by
+follower_coefficients; the leader's blocks, the follower's filtered pair,
+the pathwise offset, the follower's control law, the gains and the drift
+residuals read them.
+
+The leader's side reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
 assemble_leader_blocks evaluates once on the whole half grid; a transpose is
 a swapaxes view.  gain_inverses, sigma1-sigma3, rhs_p1 and rhs_p2 broadcast
@@ -173,6 +180,68 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: fl
 
 
 @dataclass(frozen=True)
+class FollowerCoefficients:
+    """The follower's coefficients, sampled where P is (index q: t = q * dt/refine).
+
+    The follower's control is u1 = -s_inv [bc P xhat + B1 theta_hat + D1 D2 P u2hat],
+    s_inv = (D1^2 P + R1)^-1, bc = B1 + D1 C.  law, drift, diffusion and offset
+    are (3, L) arrays of the coefficients of (xhat, theta_hat, u2hat) in -u1,
+    -B1 u1, -D1 u1 and -bc P u1: the control itself and its terms in the state
+    drift, the state diffusion and the offset's drift.  Each row is
+    w s_inv (bc P, B1, D1 D2 P) multiplied left to right (offset takes its P
+    last), a rounding the leader's blocks inherit.  offset[0] and
+    offset_u2 = (B2 + D2 C) P weigh x - xhat and the raw leader control in
+    the pathwise offset's drift.  The filtered offset solves
+    d(theta_hat)/dtau = theta_self theta_hat + theta_u2 u2hat, tau = T - t.
+    """
+
+    refine: int
+    law: np.ndarray
+    drift: np.ndarray
+    diffusion: np.ndarray
+    offset: np.ndarray
+    offset_u2: np.ndarray
+    theta_self: np.ndarray
+    theta_u2: np.ndarray
+
+    def control(self, xhat, theta_hat, u2hat) -> np.ndarray:
+        """The follower's control at the nodes from node samples of its inputs."""
+        k = self.law[:, ::self.refine]
+        return -(k[0] * xhat + k[1] * theta_hat + k[2] * u2hat)
+
+
+def follower_coefficients(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) -> FollowerCoefficients:
+    """Evaluate the follower's coefficients once where P is sampled.
+
+    Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
+    """
+    grid = model.grid
+    refine = (len(P.fine) - 1) // grid.steps
+    A, B1, B2, C, D1, D2, R1 = (model.nodes(k, refine) for k in ("A", "B1", "B2", "C", "D1", "D2", "R1"))
+    p = P.fine
+
+    s = D1 * D1 * p + R1
+    bad = ~(s > inv_tol * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
+    if np.any(bad):
+        q = int(np.argmax(bad))
+        raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / refine)
+    s_inv = 1.0 / s
+    bc = B1 + D1 * C
+
+    def rows(w):
+        ws = w * s_inv
+        return np.stack([ws * bc * p, ws * B1, ws * D1 * D2 * p])
+
+    offset = rows(bc) * p
+    offset_u2 = (B2 + D2 * C) * p
+    return FollowerCoefficients(
+        refine=refine, law=rows(1.0), drift=rows(B1), diffusion=rows(D1),
+        offset=offset, offset_u2=offset_u2,
+        theta_self=A - offset[1], theta_u2=offset_u2 - offset[2],
+    )
+
+
+@dataclass(frozen=True)
 class LeaderBlocks:
     """Coefficient blocks of the leader's augmented forward-backward system.
 
@@ -189,8 +258,9 @@ class LeaderBlocks:
       a5       running state-cost block diag(Q2, 0),
       d5       the filtered-control coupling in the adjoint drift,
       a6, b2   rows assembling the follower's control from the estimate and Y,
-      r2       leader control weight, s_inv = (D1^2 P + R1)^-1,
-      gbar     terminal matrix [[G2, 0], [0, 0]].
+      r2       leader control weight,
+      gbar     terminal matrix [[G2, 0], [0, 0]];
+    follower holds the follower's coefficients these blocks are built from.
 
     Effective blocks, left after the leader's control is eliminated (every
     consumer reads these; none re-derives them), with d12 = d1 + d2 and
@@ -220,7 +290,7 @@ class LeaderBlocks:
     d5: np.ndarray
     a6: np.ndarray
     b2: np.ndarray
-    s_inv: np.ndarray
+    follower: FollowerCoefficients
     gbar: np.ndarray
     rr: np.ndarray
     bb: np.ndarray
@@ -263,48 +333,31 @@ def _over_r2(rr: np.ndarray, *pairs) -> np.ndarray:
 def _display_blocks(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) -> dict:
     """Every block of the augmented-system display, sampled where P is.
 
-    Each entry is an explicit function of the model coefficients and P, so a
-    recomputation from (model, P) reproduces it exactly.
+    Each entry is an explicit function of the model coefficients and the
+    follower's coefficients, so a recomputation from (model, P) reproduces
+    it exactly.
     """
-    grid = model.grid
-    refine = (len(P.fine) - 1) // grid.steps
+    fol = follower_coefficients(model, P, inv_tol)
+    refine = fol.refine
     L = len(P.fine)
-
-    A = model.nodes("A", refine)
-    B1 = model.nodes("B1", refine)
-    B2 = model.nodes("B2", refine)
-    C = model.nodes("C", refine)
-    D1 = model.nodes("D1", refine)
-    D2 = model.nodes("D2", refine)
-    R1 = model.nodes("R1", refine)
-    p = P.fine
-
-    s = D1 * D1 * p + R1
-    bad = ~(s > inv_tol * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
-    if np.any(bad):
-        q = int(np.argmax(bad))
-        raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / refine)
-    si = 1.0 / s
-    bc = B1 + D1 * C
-
     zeros = np.zeros(L)
-    a1 = np.empty((L, 2, 2))
-    a1[:, 0, 0] = A
-    a1[:, 0, 1] = 0.0
-    a1[:, 1, 0] = 0.0
-    a1[:, 1, 1] = -(bc * si * B1 * p - A)
 
     def corner(top_left):
         m = np.zeros((L, 2, 2))
         m[:, 0, 0] = top_left
         return m
 
-    b1 = np.zeros((L, 2, 2))
-    b1[:, 0, 1] = -si * B1 * B1
-    b1[:, 1, 0] = -si * B1 * B1
+    def column(top, bottom=zeros):
+        return np.column_stack([top, bottom])
 
+    a1 = np.zeros((L, 2, 2))
+    a1[:, 0, 0] = model.nodes("A", refine)
+    a1[:, 1, 1] = fol.theta_self
+    b1 = np.zeros((L, 2, 2))
+    b1[:, 0, 1] = -fol.drift[1]
+    b1[:, 1, 0] = -fol.drift[1]
     c1 = np.zeros((L, 2, 2))
-    c1[:, 1, 0] = -D1 * si * B1
+    c1[:, 1, 0] = -fol.diffusion[1]
 
     # Terminal data of the adjoint pair in offset coordinates: the follower's
     # terminal weight is already absorbed by P(T) = G1, so only the leader's
@@ -312,16 +365,12 @@ def _display_blocks(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) 
     # a G1 cross term would break the leader's first-order optimality (the
     # constructed control then loses against direct minimization).
     return dict(
-        refine=refine, a1=a1, a2=corner(-B1 * si * bc * p), a3=corner(C),
-        a4=corner(-D1 * si * bc * p), a5=corner(model.nodes("Q2", refine)), b1=b1, c1=c1,
-        d1=np.column_stack([-B1 * si * D1 * D2 * p, zeros]),
-        d2=np.column_stack([B2, zeros]),
-        d3=np.column_stack([-si * D1 * D1 * D2 * p, zeros]),
-        d4=np.column_stack([D2, zeros]),
-        d5=np.column_stack([zeros, -(bc * si * D1 * D2 * p * p - (B2 + D2 * C) * p)]),
-        a6=np.column_stack([-si * bc * p, zeros]),
-        b2=np.column_stack([zeros, -si * B1]),
-        r2=model.nodes("R2", refine), s_inv=si,
+        refine=refine, a1=a1, a2=corner(-fol.drift[0]), a3=corner(model.nodes("C", refine)),
+        a4=corner(-fol.diffusion[0]), a5=corner(model.nodes("Q2", refine)), b1=b1, c1=c1,
+        d1=column(-fol.drift[2]), d2=column(model.nodes("B2", refine)),
+        d3=column(-fol.diffusion[2]), d4=column(model.nodes("D2", refine)),
+        d5=column(zeros, fol.theta_u2), a6=column(-fol.law[0]), b2=column(zeros, -fol.law[1]),
+        r2=model.nodes("R2", refine), follower=fol,
         gbar=np.array([[model.G2, 0.0], [0.0, 0.0]]),
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NonFiniteState
 from .filtering import as_path
 from .model import LQModel, TimeGrid
-from .riccati import DeterministicPath, FollowerRiccati
+from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,23 @@ class ClosedLoopSystem:
     xhat: DeterministicPath
 
 
-def _check_finite(states: np.ndarray) -> None:
+def _check_finite(states: np.ndarray, grid: TimeGrid) -> None:
     if np.all(np.isfinite(states)):
         return
     flat = ~np.isfinite(states)
     while flat.ndim > 2:
         flat = flat.any(axis=-1)
     path, step = np.argwhere(flat)[0]
-    raise NonFiniteState(int(path), int(step))
+    raise NonFiniteState(int(path), int(step), int(step) * grid.dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness guard reports overflow
 def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> TrajectoryEnsemble:
     """Euler-Maruyama on the augmented closed-loop dynamics.
 
     Left-point coefficients; per step k:
     X_{k+1} = X_k + [drift_x(t_k) X_k + drift_xhat(t_k) Xhat_k] dt + [...] dW_k.
+    Raises NonFiniteState at the first path and node that is not finite.
     """
     grid = system.grid
     n = grid.steps
@@ -143,7 +145,7 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
         states[:, k + 1] = X
     u1[n] = system.f[n] @ xh[n]
     u2[:, n] = X @ system.lx[n] + system.lxhat[n] @ xh[n]
-    _check_finite(states)
+    _check_finite(states, grid)
     return TrajectoryEnsemble(
         grid=grid, x=states[:, :, 0].copy(), q=states[:, :, 1].copy(),
         u1=u1, u2=u2, noise=noise, xhat=system.xhat,
@@ -154,11 +156,13 @@ def _control_at(u: np.ndarray, k: int):
     return u[:, k] if u.ndim == 2 else u[k]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness guard reports overflow
 def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> TrajectoryEnsemble:
     """Euler-Maruyama on the raw scalar state equation for given controls.
 
     Controls are node-sampled arrays, either deterministic (N+1,) or per-path
-    (m, N+1) aligned with the noise bundle.
+    (m, N+1) aligned with the noise bundle.  Raises NonFiniteState at the
+    first path and node that is not finite.
     """
     grid = model.grid
     n = grid.steps
@@ -184,93 +188,68 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
         diff = C[k] * xk + D1[k] * u1k + D2[k] * u2k
         xk = xk + dt * drift + diff * noise.dw[:, k]
         x[:, k + 1] = xk
-    _check_finite(x)
+    _check_finite(x, grid)
     return TrajectoryEnsemble(grid=grid, x=x, q=None, u1=u1, u2=u2, noise=noise)
 
 
 def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
-                   xhat: DeterministicPath, u2hat) -> np.ndarray:
+                   xhat: DeterministicPath, u2hat, theta_hat) -> np.ndarray:
     """Pathwise backward reconstruction of the follower's adjoint offset.
 
-    Integrates the offset ODE backward from 0 by RK4 along each realized
-    path, reading the path and controls piecewise-linearly between nodes.  A
-    filtered companion offset is advanced jointly with the same stage
-    structure, so a path that coincides with its filter reproduces the
-    filtered offset to rounding.  Used for residual verification only; the
-    reconstruction anticipates the path and is never fed back into controls.
+    theta = theta_hat + e along each realized path, where theta_hat (a
+    DeterministicPath or node array) is the filtered offset that
+    solve_follower_filter gives for u2hat.  The deviation e integrates
+    backward from e(T) = 0 by RK4,
+        de/dtau = bc^2 s_inv P^2 (x - xhat) + (B2 + D2 C) P (u2 - u2hat) + A e,
+    reading the path and controls piecewise-linearly between nodes.  RK4 is
+    linear, so this equals integrating the offset and its filtered value
+    jointly, and a path that coincides with its filter gives theta_hat
+    exactly.  Used for residual verification only; the reconstruction
+    anticipates the path and is never fed back into controls.
     """
     grid = model.grid
     n = grid.steps
     dt = grid.dt
 
-    def half_rows(arr, rows):
-        """(rows, 2N+1) node+midpoint samples; paths interpolate linearly,
-        deterministic inputs carry their own midpoints."""
+    def half_gap(arr, filtered) -> np.ndarray:
+        """arr - filtered on the half grid, one row per path (or one shared
+        row); paths interpolate linearly, deterministic paths carry their
+        own midpoints."""
         if isinstance(arr, DeterministicPath):
-            return np.broadcast_to(arr.half_values(), (rows, 2 * n + 1))
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
+            return (arr.half_values() - filtered.half_values())[None, :]
+        arr = np.atleast_2d(np.asarray(arr, dtype=float))
         out = np.empty((arr.shape[0], 2 * n + 1))
         out[:, ::2] = arr
-        out[:, 1::2] = 0.5 * (arr[:, :-1] + arr[:, 1:])
-        if arr.shape[0] != rows:
-            out = np.broadcast_to(out, (rows, 2 * n + 1))
+        np.add(arr[:, :-1], arr[:, 1:], out=out[:, 1::2])
+        out[:, 1::2] *= 0.5
+        out -= filtered.half_values()
         return out
 
-    if isinstance(x, DeterministicPath):
-        m = 1
-    else:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        m = x.shape[0]
-    u2hat = as_path(u2hat)
-
-    # Coefficients on the half grid, where P is stored.
+    fol = follower_coefficients(model, P)
     A = model.nodes("A", 2)
-    B1 = model.nodes("B1", 2)
-    B2 = model.nodes("B2", 2)
-    C = model.nodes("C", 2)
-    D1 = model.nodes("D1", 2)
-    D2 = model.nodes("D2", 2)
-    p = P.fine
-    si = 1.0 / (D1 * D1 * p + model.nodes("R1", 2))
-    bc = B1 + D1 * C
-
-    coef_gap = bc * bc * si * p * p
-    coef_u2 = (B2 + D2 * C) * p
-    coef_u2h = -bc * si * D1 * D2 * p * p
-    coef_th = -bc * si * B1 * p
-    coef_self = A
-
-    # Path and control samples on the half grid j = 0..2N, matching the RK4
-    # stages of a dt step.
-    gap = half_rows(x, m) - xhat.half_values()[None, :]
-    u2_h = half_rows(u2, m)
-    u2hat_h = u2hat.half_values()
+    # The deviation's forcing on the half grid j = 0..2N, matching the RK4
+    # stages of a dt step; built in place, so at most two ensemble-sized
+    # arrays are alive at once.
+    forcing = half_gap(x, xhat)
+    forcing *= fol.offset[0]
+    u2_gap = half_gap(u2, as_path(u2hat))
+    u2_gap *= fol.offset_u2
+    forcing += u2_gap
+    del u2_gap
+    m = forcing.shape[0]
 
     theta = np.empty((m, n + 1))
     theta[:, n] = 0.0
-    th = np.zeros(m)
-    aux = 0.0  # filtered companion offset
-
-    def rhs(j, th_val, aux_val):
-        d_th = (coef_gap[j] * gap[:, j] + coef_u2[j] * u2_h[:, j] + coef_u2h[j] * u2hat_h[j]
-                + coef_th[j] * aux_val + coef_self[j] * th_val)
-        d_aux = (coef_u2[j] * u2hat_h[j] + coef_u2h[j] * u2hat_h[j]
-                 + coef_th[j] * aux_val + coef_self[j] * aux_val)
-        return d_th, d_aux
-
-    for i in range(n):
-        j0 = 2 * (n - i)
-        k1, a1 = rhs(j0, th, aux)
-        k2, a2 = rhs(j0 - 1, th + 0.5 * dt * k1, aux + 0.5 * dt * a1)
-        k3, a3 = rhs(j0 - 1, th + 0.5 * dt * k2, aux + 0.5 * dt * a2)
-        k4, a4 = rhs(j0 - 2, th + dt * k3, aux + dt * a3)
-        th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        aux = aux + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        theta[:, n - 1 - i] = th
+    e = np.zeros(m)
+    for k in range(n, 0, -1):
+        j = 2 * k
+        k1 = forcing[:, j] + A[j] * e
+        k2 = forcing[:, j - 1] + A[j - 1] * (e + 0.5 * dt * k1)
+        k3 = forcing[:, j - 1] + A[j - 1] * (e + 0.5 * dt * k2)
+        k4 = forcing[:, j - 2] + A[j - 2] * (e + dt * k3)
+        e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        theta[:, k - 1] = e
+    theta += as_path(theta_hat).nodes
     return theta
 
 

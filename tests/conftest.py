@@ -31,6 +31,15 @@ def random_admissible_model(rng, steps=200):
     )
 
 
+def backfill(eq, ens):
+    """Pathwise offset along a closed-loop ensemble, built as lqstack verify builds it."""
+    from lqstack.filtering import solve_follower_filter
+    from lqstack.simulate import backfill_theta
+    u2hat = eq.u2hat_path()
+    theta_hat = solve_follower_filter(eq.model, eq.P, u2hat).theta_hat
+    return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, theta_hat)
+
+
 @pytest.fixture(scope="session")
 def eq_b200():
     from lqstack.equilibrium import solve_equilibrium

@@ -20,10 +20,9 @@ from lqstack.equilibrium import (bsde_residual, drift_residuals, reconstruct_adj
                                  solve_equilibrium)
 from lqstack.model import model_to_dict
 from lqstack.riccati import assemble_leader_blocks, solve_follower_P, solve_leader_riccati
-from lqstack.simulate import (backfill_theta, density_process, generate_noise,
-                              simulate_closed_loop)
+from lqstack.simulate import density_process, generate_noise, simulate_closed_loop
 
-from conftest import make_model, random_admissible_model
+from conftest import backfill, make_model, random_admissible_model
 
 # Frozen 100000-step reference for the first leader Riccati matrix at t=0 on
 # the benchmark model (regenerate with scripts/make_reference.py).
@@ -241,8 +240,7 @@ def test_criterion_11_bsde_residual_order():
         eq = solve_equilibrium(make_model(steps))
         noise = generate_noise(42, 10000, eq.model.grid)
         ens = simulate_closed_loop(eq.closed_loop(), noise)
-        theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2,
-                               eq.xhat_scalar_path(), eq.u2hat_path())
+        theta = backfill(eq, ens)
         recon = reconstruct_adjoints(eq, ens, theta)
         return bsde_residual(eq, ens, recon).rms
 

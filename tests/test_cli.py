@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -130,6 +131,19 @@ def test_non_finite_filter_exit_3(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_euler_overflow_exit_3(tmp_path, capsys):
+    # C = 1000 with zero weights: solve passes, the closed-loop
+    # Euler state overflows before T
+    path = write_model(tmp_path, steps=200, C=1000.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
+    assert main(["solve", "--model", path, "--out", str(tmp_path / "solve")]) == 0
+    for command in ("simulate", "verify"):
+        out = tmp_path / command
+        assert main([command, "--model", path, "--out", str(out), "--paths", "100"]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite state on path" in err and "(at t=" in err
+        assert not out.exists()
+
+
 def test_paths_below_two_exit_2(tmp_path, capsys):
     path = write_model(tmp_path)
     assert main(["verify", "--model", path, "--out", str(tmp_path / "o"), "--paths", "1"]) == 2
@@ -158,6 +172,19 @@ def test_verify_benchmark_passes(tmp_path):
     assert all(r[pass_col] == "true" for r in rows)
     for name in ("perturbations.csv", "grid_search.csv"):
         assert (out / name).exists()
+
+
+def test_perturbation_pass_uses_stderr_mult(tmp_path):
+    path = write_model(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--model", path, "--out", str(out), "--steps", "40", "--paths", "500",
+                 "--eps", "1e-6", "--tol", "stderr_mult=0"]) == 4
+    with open(out / "perturbations.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert any(r["pass"] == "false" for r in rows)
+    for r in rows:
+        ok = float(r["delta_mean"]) + 0.0 * float(r["delta_stderr"]) >= 0.0
+        assert r["pass"] == ("true" if ok else "false")
 
 
 def test_verify_zero_weight_model(tmp_path):

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqstack.costs import (estimate_J1, estimate_J2, follower_response, gain_grid_search,
                            pathwise_J1, pathwise_J2, verify_follower_optimality,
@@ -8,7 +12,7 @@ from lqstack.equilibrium import solve_equilibrium
 from lqstack.filtering import DeterministicPath
 from lqstack.simulate import generate_noise, simulate_closed_loop, simulate_open_loop
 
-from conftest import make_model
+from conftest import make_model, random_admissible_model
 
 
 def zero_weight_model(steps=100, **kw):
@@ -24,6 +28,28 @@ def test_costs_zero_weights():
     assert estimate_J1(m, ens).mean == 0.0
     assert estimate_J1(m, ens).stderr == 0.0
     assert estimate_J2(m, ens).mean == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([-1.0, 0.5, 2.0]))
+def test_costs_scale_with_x0_squared(seed, c):
+    # The closed loop is linear and homogeneous in (state, estimate), so
+    # scaling x0 by a power of two or by -1 scales every path, both controls
+    # and the follower's response exactly, and both costs by c^2.
+    m = random_admissible_model(np.random.default_rng(seed), steps=40)
+    noise = generate_noise(5, 200, m.grid)
+    runs = []
+    for model in (m, dataclasses.replace(m, x0=c * m.x0)):
+        eq = solve_equilibrium(model)
+        ens = simulate_closed_loop(eq.closed_loop(), noise)
+        runs.append((ens, follower_response(eq, eq.u2hat_path()),
+                     pathwise_J1(model, ens), pathwise_J2(model, ens)))
+    (a, ua, j1a, j2a), (b, ub, j1b, j2b) = runs
+    for name in ("x", "q", "u1", "u2"):
+        assert np.array_equal(c * getattr(a, name), getattr(b, name))
+    assert np.array_equal(c * ua, ub)
+    assert np.array_equal(c * c * j1a, j1b)
+    assert np.array_equal(c * c * j2a, j2b)
 
 
 def test_cost_deterministic_constant_state():

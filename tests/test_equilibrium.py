@@ -8,7 +8,7 @@ from lqstack.filtering import solve_follower_filter
 from lqstack.model import LQModel, sample_at
 from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
 
-from conftest import make_model, random_admissible_model
+from conftest import backfill, make_model, random_admissible_model
 
 
 def zero_weight_equilibrium(steps=100):
@@ -119,8 +119,7 @@ def test_hamiltonian_convex_in_control():
 
 @pytest.fixture(scope="module")
 def recon_b200(eq_b200, ens_b200):
-    theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x, ens_b200.u2,
-                           eq_b200.xhat_scalar_path(), eq_b200.u2hat_path())
+    theta = backfill(eq_b200, ens_b200)
     return theta, reconstruct_adjoints(eq_b200, ens_b200, theta)
 
 
@@ -150,8 +149,7 @@ def test_follower_stationarity_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 200, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop(), noise)
-    theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2,
-                           eq.xhat_scalar_path(), eq.u2hat_path())
+    theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = follower_stationarity_residual(eq, ens, recon)
     assert np.all(stats.residual == 0.0)
@@ -175,7 +173,7 @@ def test_follower_stationarity_deterministic_degenerate():
     q_path = eq.xhat.nodes[:, 1][None, :]
     u1 = np.einsum("ki,ki->k", eq.gains.f_nodes, eq.xhat.nodes)
     u2 = eq.u2hat_path().nodes[None, :]
-    theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path())
+    theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path(), fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)
     ens = TrajectoryEnsemble(grid=m.grid, x=x, q=q_path, u1=u1, u2=u2,
@@ -189,8 +187,7 @@ def test_leader_stationarity_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 100, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop(), noise)
-    theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2,
-                           eq.xhat_scalar_path(), eq.u2hat_path())
+    theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = leader_stationarity_residual(eq, ens, recon)
     assert stats.algebraic_max == 0.0
@@ -208,7 +205,7 @@ def test_leader_stationarity_general_model():
     eq = solve_equilibrium(m)
     noise = generate_noise(8, 2000, m.grid)
     ens = simulate_closed_loop(eq.closed_loop(), noise)
-    theta = backfill_theta(m, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), eq.u2hat_path())
+    theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = leader_stationarity_residual(eq, ens, recon)
     assert stats.algebraic_max <= 1e-8 * stats.scale
@@ -296,7 +293,7 @@ def test_time_varying_algebraic_identities(eq_time_varying):
     assert gain_consistency_residual(eq).max_abs <= 1e-10
     noise = generate_noise(4, 200, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop(), noise)
-    theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), eq.u2hat_path())
+    theta = backfill(eq, ens)
     stats = leader_stationarity_residual(eq, ens, reconstruct_adjoints(eq, ens, theta))
     assert stats.algebraic_max <= 1e-8 * stats.scale
 
@@ -306,8 +303,7 @@ def test_bsde_residual_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 100, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop(), noise)
-    theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2,
-                           eq.xhat_scalar_path(), eq.u2hat_path())
+    theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     assert bsde_residual(eq, ens, recon).rms == 0.0
 
@@ -317,8 +313,7 @@ def test_bsde_residual_first_order():
         eq = solve_equilibrium(make_model(steps=steps))
         noise = generate_noise(99, 2000, eq.model.grid)
         ens = simulate_closed_loop(eq.closed_loop(), noise)
-        theta = backfill_theta(eq.model, eq.P, ens.x, ens.u2,
-                               eq.xhat_scalar_path(), eq.u2hat_path())
+        theta = backfill(eq, ens)
         recon = reconstruct_adjoints(eq, ens, theta)
         return bsde_residual(eq, ens, recon).rms
 

@@ -3,7 +3,7 @@ import pytest
 
 from lqstack.equilibrium import solve_equilibrium
 from lqstack.errors import NonFiniteState
-from lqstack.filtering import DeterministicPath
+from lqstack.filtering import DeterministicPath, solve_follower_filter
 from lqstack.model import TimeGrid
 from lqstack.simulate import (backfill_theta, density_process, generate_noise,
                               simulate_closed_loop, simulate_open_loop)
@@ -138,24 +138,44 @@ def test_backfill_zero_forcing():
     u2hat = DeterministicPath(nodes=np.full(101, 0.3))
     x = np.tile(xhat.nodes, (5, 1))
     u2 = np.tile(u2hat.nodes, (5, 1))
-    theta = backfill_theta(m, P, x, u2, xhat, u2hat)
+    theta_hat = solve_follower_filter(m, P, u2hat).theta_hat
+    assert np.all(theta_hat.nodes == 0.0)
+    theta = backfill_theta(m, P, x, u2, xhat, u2hat, theta_hat)
     assert np.all(theta == 0.0)
 
 
 def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
+    u2hat = eq_b200.u2hat_path()
+    theta_hat = solve_follower_filter(eq_b200.model, eq_b200.P, u2hat).theta_hat
     theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x[:100], ens_b200.u2[:100],
-                           eq_b200.xhat_scalar_path(), eq_b200.u2hat_path())
+                           eq_b200.xhat_scalar_path(), u2hat, theta_hat)
     assert np.all(theta[:, -1] == 0.0)
 
 
 def test_backfill_degenerate_path_matches_filter(eq_b400):
     # feeding the filter path itself reproduces the filtered offset
     eq = eq_b400
-    from lqstack.filtering import solve_follower_filter
     fp = solve_follower_filter(eq.model, eq.P, eq.u2hat_path())
     theta = backfill_theta(eq.model, eq.P, fp.xhat, eq.u2hat_path(),
-                           fp.xhat, eq.u2hat_path())
-    assert np.max(np.abs(theta[0] - fp.theta_hat.nodes)) <= 1e-10
+                           fp.xhat, eq.u2hat_path(), fp.theta_hat)
+    assert np.array_equal(theta[0], fp.theta_hat.nodes)
+
+
+def test_backfill_fourth_order_off_the_filter():
+    # a smooth path off its filter, with exact midpoints: the deviation's RK4
+    # keeps 4th order, so each halving of dt shrinks the self-gap by ~16
+    def theta0(steps):
+        eq = solve_equilibrium(make_model(steps=steps, D1=0.3, D2=0.2))
+        u2hat = eq.u2hat_path()
+        fp = solve_follower_filter(eq.model, eq.P, u2hat)
+        half = fp.xhat.half_values() + 0.3 * np.sin(2.0 * np.pi * eq.model.grid.times(2))
+        x = DeterministicPath(nodes=half[::2], mids=half[1::2])
+        return backfill_theta(eq.model, eq.P, x, u2hat, fp.xhat, u2hat, fp.theta_hat)[0, 0]
+
+    vals = [theta0(steps) for steps in (25, 50, 100, 200)]
+    gaps = [abs(a - b) for a, b in zip(vals, vals[1:])]
+    for g1, g2 in zip(gaps, gaps[1:]):
+        assert 12.0 <= g1 / g2 <= 20.0, gaps
 
 
 def test_density_trivial_and_positivity():
