@@ -28,7 +28,7 @@ from .filtering import solve_follower_filter
 from .model import LQModel, check_hypotheses, load_model
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .riccati import solve_follower_P  # noqa: F401
-from .simulate import backfill_theta, density_process, generate_noise, simulate_closed_loop
+from .simulate import backfill_theta, closed_loop_chunks, density_process, generate_noise, simulate_closed_loop
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -172,11 +172,12 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_rows(config: RunConfig, model: LQModel, eq, noise, ens) -> list[reporting.CheckRow]:
+def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckRow]:
     tol = config.tolerances
     rows: list[reporting.CheckRow] = []
     n = model.grid.steps
     dt = model.grid.dt
+    mult = f"{tol.stderr_mult:g} stderr"
 
     def add(name, kind, residual, tolerance, note=""):
         rows.append(reporting.CheckRow(name=name, kind=kind, residual=float(residual),
@@ -212,79 +213,84 @@ def _verify_rows(config: RunConfig, model: LQModel, eq, noise, ens) -> list[repo
     add("filter_route_consistency", "algebraic", route_gap,
         max(tol.structural_rel, 1e2 * dt ** 4) * xh_scale)
 
-    # Ensemble reconstructions.
-    theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, fp.theta_hat)
-    recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
-    z_scale = float(np.max(np.abs(recon.z))) + 1.0
-    add("structural_zero", "algebraic", np.max(np.abs(recon.z[:, :, 1])), tol.structural_rel * z_scale)
-    X = np.stack([ens.x, ens.q], axis=-1)
-    yterm = recon.y[:, -1, :] - X[:, -1, :] @ eq.blocks.gbar.T
-    yscale = float(np.max(np.abs(recon.y[:, -1, :]))) + 1.0
-    add("terminal_reconstruction", "algebraic", np.max(np.abs(yterm)), 1e-12 * yscale)
+    # Every Monte-Carlo row is a reduction over paths, so one pass over path
+    # chunks folds each chunk into running maxima, per-node moments (merged
+    # in chunk order) or per-path vectors: memory is set by the chunk size.
+    t = model.grid.times()
+    dirs = {"const": np.ones(n + 1), "ramp": t / model.grid.horizon,
+            "sine": np.sin(2.0 * np.pi * t / model.grid.horizon)}
+    sweeps = [costs_mod.OptimalitySweep(eq, which, dirs, config.eps) for which in ("J1", "J2")]
+    checkpoints = [int(round(f * n)) for f in np.linspace(0.1, 1.0, 10)]
+    density = not np.all(model.nodes("h") == 0.0)
+    fs_moments, tower = eq_mod.NodeMoments(), eq_mod.NodeMoments()
+    leader = eq_mod.LeaderStationarity(0.0, 0.0, 0.0)
+    bsde_sums, z_T, grid_parts = [], [], []
+    peak = {}
 
-    ls = eq_mod.leader_stationarity_residual(eq, ens, recon)
-    add("leader_stationarity", "algebraic", ls.algebraic_max, tol.algebraic_rel * ls.scale)
+    def fold(name, values):
+        peak[name] = float(np.maximum(peak.get(name, 0.0), np.max(np.abs(values))))  # NaN propagates
 
-    fs = eq_mod.follower_stationarity_residual(eq, ens, recon)
+    for ens in closed_loop_chunks(eq.closed_loop(), config.seed, config.paths):
+        theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, fp.theta_hat)
+        recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
+        fold("z", recon.z)
+        fold("z_2", recon.z[:, :, 1])
+        fold("y_T", recon.y[:, -1])
+        fold("y_T_gap", recon.y[:, -1] - np.stack([ens.x[:, -1], ens.q[:, -1]], axis=-1) @ eq.blocks.gbar.T)
+        fold("p", recon.p)
+        leader = leader.merge(eq_mod.leader_stationarity_residual(eq, ens, recon))
+        fs = eq_mod.follower_stationarity_residual(eq, ens, recon, fs_moments)
+        bsde_sums.append(eq_mod.bsde_residual(eq, ens, recon).time_summed)
+        tower.add(np.stack([ens.x[:, checkpoints], ens.q[:, checkpoints]], axis=-1))
+        if density:
+            z_T.append(density_process(model, ens.noise).z[:, -1].copy())  # not a view of the chunk
+        for sweep in sweeps:
+            sweep.add(ens)
+        if ens.noise.first_path < 4000:  # brute-force dominance on the first 4000 paths
+            grid_parts.append(costs_mod.grid_features(eq, ens)[:, :4000 - ens.noise.first_path])
+
+    add("structural_zero", "algebraic", peak["z_2"], tol.structural_rel * (peak["z"] + 1.0))
+    add("terminal_reconstruction", "algebraic", peak["y_T_gap"], 1e-12 * (peak["y_T"] + 1.0))
+    add("leader_stationarity", "algebraic", leader.algebraic_max, tol.algebraic_rel * leader.scale)
     fs_tol = tol.stderr_mult * float(np.max(fs.stderr)) + tol.dt_coeff * dt * fs.scale
-    add("follower_stationarity", "statistical", fs.max_abs, fs_tol, "3 stderr + O(dt) allowance")
+    add("follower_stationarity", "statistical", fs.max_abs, fs_tol, f"{mult} + O(dt) allowance")
 
     dr = eq_mod.drift_residuals(eq)
     add("drift_residual_follower", "order", dr.follower_max, tol.drift_coeff * dt * dt)
     add("drift_residual_leader", "order", dr.leader_max, tol.drift_coeff * dt * dt)
 
-    br = eq_mod.bsde_residual(eq, ens, recon)
-    p_scale = float(np.max(np.abs(recon.p))) + 1.0
-    add("bsde_residual", "statistical", br.rms, tol.dt_coeff * 10.0 * dt * p_scale, "first-order in dt")
+    br = eq_mod.BsdeResidual(np.concatenate(bsde_sums))
+    add("bsde_residual", "statistical", br.rms, tol.dt_coeff * 10.0 * dt * (peak["p"] + 1.0), "first-order in dt")
 
     # Tower property with the first-order weak-error allowance.
-    mean = X.mean(axis=0)
-    stderr = X.std(axis=0, ddof=1) / np.sqrt(ens.m)
+    gap = np.abs(tower.mean - xh[checkpoints]) - tol.stderr_mult * tower.stderr
     x_scale = float(np.max(np.abs(xh))) + 1.0
-    checkpoints = [int(round(f * n)) for f in np.linspace(0.1, 1.0, 10)]
-    worst = 0.0
-    for k in checkpoints:
-        gap = np.abs(mean[k] - xh[k]) - tol.stderr_mult * stderr[k]
-        worst = max(worst, float(np.max(gap)))
-    add("tower_property", "statistical", worst, tol.dt_coeff * dt * x_scale,
-        "gap beyond 3 stderr vs O(dt) weak-error allowance")
+    add("tower_property", "statistical", max(0.0, float(np.max(gap))), tol.dt_coeff * dt * x_scale,
+        f"gap beyond {mult} vs O(dt) weak-error allowance")
 
     # Observation-density martingale.
-    if not (np.all(model.nodes("h") == 0.0)):
-        dens = density_process(model, noise)
-        zt = dens.z[:, -1]
+    if density:
+        zt = np.concatenate(z_T)
         add("density_martingale", "statistical", abs(float(zt.mean()) - 1.0),
             tol.stderr_mult * float(zt.std(ddof=1) / np.sqrt(len(zt))) + 1e-12)
 
-    # Optimality perturbations.  The reconstructions are done with; freeing
-    # them first keeps the sweeps below the memory peak of the checks above.
-    del theta, recon, X
-    t = model.grid.times()
-    dirs = {"const": np.ones(n + 1), "ramp": t / model.grid.horizon,
-            "sine": np.sin(2.0 * np.pi * t / model.grid.horizon)}
-    rep1 = costs_mod.verify_follower_optimality(eq, ens, dirs, config.eps)
-    rep2 = costs_mod.verify_leader_optimality(eq, ens, dirs, config.eps)
-    for rep, player in ((rep1, "follower"), (rep2, "leader")):
+    reports = [sweep.report() for sweep in sweeps]
+    for rep, player in zip(reports, ("follower", "leader")):
         for c in rep.curves:
             add(f"{player}_optimality_{c.name}", "statistical", -c.min_delta_margin(tol.stderr_mult), 0.0,
-                "min over eps of dJ + 3 stderr, negated")
+                f"min over eps of dJ + {mult}, negated")
             slope_tol = tol.stderr_mult * c.slope_stderr + tol.dt_coeff * dt * (1.0 + abs(c.baseline_mean))
             add(f"{player}_slope_{c.name}", "statistical", abs(c.slope), slope_tol,
-                "3 stderr + O(dt) allowance")
+                f"{mult} + O(dt) allowance")
             add(f"{player}_curvature_{c.name}", "statistical", -c.curvature, 0.0)
 
-    # Brute-force dominance on the first paths of the ensemble (noise streams
-    # are keyed per path, so a prefix equals a fresh ensemble of that size).
-    grid_paths = min(config.paths, 4000)
-    sub_noise = replace(noise, dw=noise.dw[:grid_paths], dwbar=noise.dwbar[:grid_paths])
-    sub_ens = replace(ens, x=ens.x[:grid_paths], q=ens.q[:grid_paths], u2=ens.u2[:grid_paths],
-                      noise=sub_noise)
-    grid = costs_mod.gain_grid_search(eq, sub_ens, np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
+    grid = costs_mod.grid_result(np.concatenate(grid_parts, axis=1), np.linspace(-3, 3, 21),
+                                 np.linspace(-3, 3, 21))
     add("grid_dominance", "statistical", -grid.dominance_margin(tol.grid_stderr_mult), 0.0,
         f"best grid ({grid.best_alpha!r},{grid.best_beta!r}) J1={grid.best_mean!r}")
 
     reporting.ensure_dir(config.out_dir)
-    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", [rep1, rep2], tol.stderr_mult)
+    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", reports, tol.stderr_mult)
     reporting.write_grid_csv(f"{config.out_dir}/grid_search.csv", grid)
     return rows
 
@@ -293,9 +299,7 @@ def cmd_verify(config: RunConfig) -> int:
     """Full identity and optimality suite; writes verify_report.csv."""
     model = _load(config)
     eq = _solve(config, model)
-    noise = generate_noise(config.seed, config.paths, model.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
-    rows = _verify_rows(config, model, eq, noise, ens)
+    rows = _verify_rows(config, model, eq)
     reporting.ensure_dir(config.out_dir)
     reporting.write_verify_csv(f"{config.out_dir}/verify_report.csv", rows)
     ok = True

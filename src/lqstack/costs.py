@@ -27,16 +27,15 @@ on the thread count.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution
+from .equilibrium import EquilibriumSolution, NodeMoments
 from .filtering import solve_follower_filter
 from .model import LQModel
 from .riccati import DeterministicPath
-from .simulate import TrajectoryEnsemble, generate_noise, simulate_closed_loop, simulate_open_loop
+from .simulate import TrajectoryEnsemble, closed_loop_chunks, simulate_open_loop
 
 # Player -> (state weight, control weight, terminal weight) of its cost.
 _WEIGHTS = {"J1": ("Q1", "R1", "G1"), "J2": ("Q2", "R2", "G2")}
@@ -53,10 +52,7 @@ class CostEstimate:
 
 
 def _stderr(samples: np.ndarray) -> float:
-    m = len(samples)
-    if m < 2:
-        return 0.0
-    return float(samples.std(ddof=1) / np.sqrt(m))
+    return float(NodeMoments().add(samples).stderr)
 
 
 def _cost_form(model: LQModel, which: str, x: np.ndarray, u: np.ndarray,
@@ -152,14 +148,14 @@ def _symmetrize_eps(eps_list) -> np.ndarray:
 
 def _curve(name: str, eps: np.ndarray, base_cost: np.ndarray,
            a: np.ndarray, b: np.ndarray) -> PerturbationCurve:
-    deltas = [e * a + (e * e) * b for e in eps]
-    delta_mean = np.array([d.mean() for d in deltas])
+    moments = [NodeMoments().add(e * a + (e * e) * b) for e in eps]
+    delta_mean = np.array([d.mean for d in moments])
     slope = float(a.mean())
     curvature = float(b.mean())
     fit_res = float(np.max(np.abs(delta_mean - (slope * eps + curvature * eps * eps))))
     return PerturbationCurve(
         name=name, eps=eps, delta_mean=delta_mean,
-        delta_stderr=np.array([_stderr(d) for d in deltas]),
+        delta_stderr=np.array([d.stderr for d in moments]),
         baseline_mean=float(base_cost.mean()), baseline_stderr=_stderr(base_cost),
         slope=slope, slope_stderr=_stderr(a), curvature=curvature, fit_max_residual=fit_res,
     )
@@ -171,48 +167,45 @@ def _shifted(path: DeterministicPath, v: np.ndarray) -> DeterministicPath:
                              mids=path.half_values()[1::2] + 0.5 * (v[:-1] + v[1:]))
 
 
-def _sweep(eq: EquilibriumSolution, which: str, directions: dict[str, np.ndarray], eps_list,
-           baselines: Iterable[TrajectoryEnsemble]) -> PerturbationReport:
-    """The optimality verifier, streaming over chunks of baseline paths.
+class OptimalitySweep:
+    """The optimality verifier, fed baseline ensembles chunk by chunk.
 
-    which="J1" shifts the follower's deterministic control by each direction
-    with the leader process frozen; which="J2" shifts the frozen leader
-    process and lets the follower respond to the shifted filtered control.
-    Per chunk the baseline and one unit-shift run per direction are
-    simulated; only each path's cost and its a, b coefficients are kept, so
-    a chunked run matches the run on all paths at once.
+    which="J1" is the check of verify_follower_optimality, "J2" that of
+    verify_leader_optimality; the follower's filter re-solves run once, here.
+    add simulates a chunk's baseline and one unit-shift run per direction and
+    keeps only each path's cost and its a, b, so chunks fed in path order
+    report exactly what one ensemble of all their paths reports.
     """
-    model = eq.model
-    eps = _symmetrize_eps(eps_list)
-    dirs = {name: np.asarray(v, dtype=float) for name, v in directions.items()}
-    if which == "J2":
-        u2hat = eq.u2hat_path()
-        u1_lead = follower_response(eq, u2hat)
-        responses = {name: follower_response(eq, _shifted(u2hat, v)) for name, v in dirs.items()}
 
-    base_parts: list[np.ndarray] = []
-    ab_parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {name: [] for name in dirs}
-    for ens in baselines:
-        u1 = np.asarray(ens.u1, dtype=float) if which == "J1" else u1_lead
+    def __init__(self, eq: EquilibriumSolution, which: str, directions: dict[str, np.ndarray], eps_list):
+        self.eq, self.which, self.eps = eq, which, _symmetrize_eps(eps_list)
+        self.dirs = {name: np.asarray(v, dtype=float) for name, v in directions.items()}
+        if which == "J2":
+            u2hat = eq.u2hat_path()
+            self.u1_lead = follower_response(eq, u2hat)
+            self.responses = {name: follower_response(eq, _shifted(u2hat, v)) for name, v in self.dirs.items()}
+        self.parts: list[np.ndarray] = []  # per chunk: base cost, then a and b of each direction
+
+    def add(self, ens: TrajectoryEnsemble) -> "OptimalitySweep":
+        model, which = self.eq.model, self.which
+        u1 = np.asarray(ens.u1, dtype=float) if which == "J1" else self.u1_lead
         base = simulate_open_loop(model, u1, ens.u2, ens.noise)
         u = base.u1 if which == "J1" else base.u2
-        base_parts.append(_cost_form(model, which, base.x, u, base.x, u))
-        for name, v in dirs.items():
-            # Only the state of the run is kept, and it is overwritten by the
-            # difference: peak memory stays at the baseline plus one run.
+        rows = [_cost_form(model, which, base.x, u, base.x, u)]
+        for name, v in self.dirs.items():
             dx = (simulate_open_loop(model, u1 + v, ens.u2, ens.noise) if which == "J1" else
-                  simulate_open_loop(model, responses[name], ens.u2 + v, ens.noise)).x
-            dx -= base.x
-            ab_parts[name].append((2.0 * _cost_form(model, which, base.x, u, dx, v),
-                                   _cost_form(model, which, dx, v, dx, v)))
-            del dx
+                  simulate_open_loop(model, self.responses[name], ens.u2 + v, ens.noise)).x - base.x
+            rows += [2.0 * _cost_form(model, which, base.x, u, dx, v), _cost_form(model, which, dx, v, dx, v)]
+        self.parts.append(np.stack(rows))
+        return self
 
-    base_cost = np.concatenate(base_parts)
-    curves = [_curve(name, eps, base_cost, np.concatenate([p[0] for p in parts]),
-                     np.concatenate([p[1] for p in parts]))
-              for name, parts in ab_parts.items()]
-    proven = which == "J1" or bool(np.all(model.nodes("D1") == 0.0) and np.all(model.nodes("D2") == 0.0))
-    return PerturbationReport(which=which, curves=curves, proven_scope=proven)
+    def report(self) -> PerturbationReport:
+        cols = np.concatenate(self.parts, axis=1)
+        curves = [_curve(name, self.eps, cols[0], cols[2 * i + 1], cols[2 * i + 2])
+                  for i, name in enumerate(self.dirs)]
+        nodes = self.eq.model.nodes
+        proven = self.which == "J1" or bool(np.all(nodes("D1") == 0.0) and np.all(nodes("D2") == 0.0))
+        return PerturbationReport(which=self.which, curves=curves, proven_scope=proven)
 
 
 def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
@@ -226,7 +219,7 @@ def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnse
     """
     if np.asarray(baseline.u1).ndim != 1:
         raise ValueError("baseline follower control must be deterministic")
-    return _sweep(eq, "J1", directions, eps_list, [baseline])
+    return OptimalitySweep(eq, "J1", directions, eps_list).add(baseline).report()
 
 
 def follower_response(eq: EquilibriumSolution, u2hat: DeterministicPath) -> np.ndarray:
@@ -248,24 +241,20 @@ def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemb
     follows the pathwise-frozen leader process plus the shift under the
     baseline noise.
     """
-    return _sweep(eq, "J2", directions, eps_list, [baseline])
+    return OptimalitySweep(eq, "J2", directions, eps_list).add(baseline).report()
 
 
 def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
                               directions: dict[str, np.ndarray], eps_list,
-                              seed: int, m: int, chunk: int = 10000) -> PerturbationReport:
-    """Memory-bounded variant of the optimality verifiers.
+                              seed: int, m: int) -> PerturbationReport:
+    """The optimality verifier on m fresh closed-loop paths, streamed in chunks.
 
-    Streams paths in chunks: per chunk the closed loop is simulated to freeze
-    the leader process and the sensitivity runs follow before the chunk is
-    discarded.  Per-path determinism of the noise streams makes the result
-    identical to the monolithic run with m paths.
+    Per-path noise streams make the result that of one ensemble of all m paths.
     """
-    system = eq.closed_loop()
-    chunks = (simulate_closed_loop(system, generate_noise(seed, min(chunk, m - first), eq.model.grid,
-                                                          first_path=first))
-              for first in range(0, m, chunk))
-    return _sweep(eq, which, directions, eps_list, chunks)
+    sweep = OptimalitySweep(eq, which, directions, eps_list)
+    for ens in closed_loop_chunks(eq.closed_loop(), seed, m):
+        sweep.add(ens)
+    return sweep.report()
 
 
 @dataclass(frozen=True)
@@ -298,31 +287,34 @@ class GridSearchResult:
 _GRID_FEATURES = ((0, 0, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0))
 
 
-def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
-                     alphas, betas) -> GridSearchResult:
-    """Constant-feedback grid for the follower, every point in closed form.
+def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.ndarray:
+    """Per path of a baseline ensemble: its six grid features, then its own cost.
 
     Under u1 = alpha * xhat + beta the state is x0 + alpha * e1 + beta * e2,
     with x0 simulated at u1 = 0 and e1, e2 the responses to u1 = xhat and
     u1 = 1, so each path's cost is a quadratic form in (1, alpha, beta) with
-    six features.  Grid means come from the feature means and grid stderrs
-    from the covariance of the features.  The equilibrium cost is the
-    baseline ensemble's own.
+    six features.  The baseline's own cost is the equilibrium cost.  Grid
+    means come from the feature means (grid_result), grid stderrs from the
+    covariance of the features.
     """
     model = eq.model
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
     u2_frozen = baseline.u2
     noise = baseline.noise
     xhat = eq.xhat_scalar_path().nodes
-    base_cost = pathwise_J1(model, baseline)
-
     zero = np.zeros_like(xhat)
     x0 = simulate_open_loop(model, zero, u2_frozen, noise).x
     basis = [(x0, zero)] + [(simulate_open_loop(model, u1, u2_frozen, noise).x - x0, u1)
                             for u1 in (xhat, np.ones_like(xhat))]
-    features = np.stack([c * _cost_form(model, "J1", *basis[i], *basis[j])
-                         for i, j, c in _GRID_FEATURES])
+    return np.stack([c * _cost_form(model, "J1", *basis[i], *basis[j]) for i, j, c in _GRID_FEATURES]
+                    + [pathwise_J1(model, baseline)])
+
+
+def grid_result(features: np.ndarray, alphas, betas) -> GridSearchResult:
+    """The constant-feedback grid from grid_features columns, every point in closed form."""
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    base_cost = features[-1]
+    features = features[:-1]
     m = features.shape[1]
     feature_mean = features.mean(axis=1)
 
@@ -333,7 +325,7 @@ def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
         stderr = np.zeros_like(mean)
     else:
         centered = features - feature_mean[:, None]
-        cov = (centered[:, None, :] * centered[None, :, :]).sum(axis=-1) / (m - 1)
+        cov = np.array([[(ci * cj).sum() for cj in centered] for ci in centered]) / (m - 1)
         var = (monomials[..., :, None] * cov * monomials[..., None, :]).sum(axis=(-2, -1))
         stderr = np.sqrt(np.maximum(var, 0.0)) / np.sqrt(m)
 
@@ -344,3 +336,9 @@ def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
         best_mean=float(mean[bi, bj]), best_stderr=float(stderr[bi, bj]),
         equilibrium_mean=float(base_cost.mean()), equilibrium_stderr=_stderr(base_cost),
     )
+
+
+def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
+                     alphas, betas) -> GridSearchResult:
+    """Constant-feedback grid for the follower on every path of one baseline ensemble."""
+    return grid_result(grid_features(eq, baseline), alphas, betas)

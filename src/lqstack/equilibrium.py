@@ -14,7 +14,7 @@ by 3 standard errors plus an O(dt) discretization allowance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -172,31 +172,22 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                          theta: np.ndarray) -> AdjointReconstruction:
     """Evaluate the decoupling ansatz quantities on a closed-loop ensemble."""
     model = eq.model
-    n = model.grid.steps
-    m = ens.m
     pn = eq.P.values
     C = model.nodes("C")
     D1 = model.nodes("D1")
     D2 = model.nodes("D2")
 
-    u1 = np.broadcast_to(ens.u1, (m, n + 1)) if ens.u1.ndim == 1 else ens.u1
     p = pn[None, :] * ens.x + theta
-    k = pn[None, :] * (C[None, :] * ens.x + D1[None, :] * u1 + D2[None, :] * ens.u2)
+    k = pn[None, :] * (C[None, :] * ens.x + D1 * ens.u1 + D2[None, :] * ens.u2)
+    xh = eq.xhat.nodes[:, :, None]
 
-    xh = eq.xhat.nodes
-    y = np.empty((m, n + 1, 2))
-    z = np.empty((m, n + 1, 2))
-    zhat = np.empty((n + 1, 2))
-    X = np.stack([ens.x, ens.q], axis=-1)
-    p1n = eq.leader.p1
-    s1n = eq.sigmas.s1_nodes
-    s2n = eq.sigmas.s2_nodes
-    s3n = eq.sigmas.s3_nodes
-    for j in range(n + 1):
-        y[:, j] = X[:, j] @ p1n[j].T + eq.leader.p2[j] @ xh[j]
-        z[:, j] = X[:, j] @ s2n[j].T + s3n[j] @ xh[j]
-        zhat[j] = s1n[j] @ xh[j]
-    return AdjointReconstruction(p=p, k=k, y=y, z=z, zhat=zhat)
+    def affine(gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """gain X + shift Xhat per path and node, X = (x, q)."""
+        return ens.x[..., None] * gain[:, :, 0] + ens.q[..., None] * gain[:, :, 1] + (shift @ xh)[..., 0]
+
+    return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1, eq.leader.p2),
+                                 z=affine(eq.sigmas.s2_nodes, eq.sigmas.s3_nodes),
+                                 zhat=(eq.sigmas.s1_nodes @ xh)[..., 0])
 
 
 @dataclass(frozen=True)
@@ -211,31 +202,52 @@ class ResidualStats:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.residual)))
 
+
+@dataclass
+class NodeMoments:
+    """Per-node count, mean and sum of squared deviations over paths (rows).
+
+    add folds in one chunk by the pairwise update of Chan, Golub & LeVeque
+    (1979): one chunk gives numpy's mean and ddof=1 variance exactly.
+    """
+
+    count: int = 0
+    mean: np.ndarray | float = 0.0
+    m2: np.ndarray | float = 0.0
+
+    def add(self, samples: np.ndarray) -> "NodeMoments":
+        m = samples.shape[0]
+        mean = samples.mean(axis=0)
+        m2 = ((samples - mean) ** 2).sum(axis=0)
+        if self.count:
+            total = self.count + m
+            delta = mean - self.mean
+            mean = self.mean + delta * (m / total)
+            m2 = self.m2 + m2 + delta * delta * (self.count * m / total)
+        self.count, self.mean, self.m2 = self.count + m, mean, m2
+        return self
+
     @property
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.residual ** 2)))
+    def stderr(self) -> np.ndarray:
+        """Standard error of the mean; zero for a single path."""
+        return np.sqrt(self.m2 / max(self.count - 1, 1)) / np.sqrt(self.count)
 
 
 def follower_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
-                                   recon: AdjointReconstruction) -> ResidualStats:
+                                   recon: AdjointReconstruction,
+                                   moments: NodeMoments | None = None) -> ResidualStats:
     """First-order condition of the follower along the equilibrium.
 
     r(t) = R1 u1 + B1 E[p | obs] + D1 E[k | obs]; the conditional means are
     plain ensemble means because the observation is uninformative about the
-    state noise.  Statistical residual: compare against 3 stderr + O(dt).
+    state noise.  This chunk's B1 p + D1 k is folded into moments (a fresh
+    one by default); the residual covers every path folded so far.
     """
     model = eq.model
-    m = ens.m
-    B1 = model.nodes("B1")
-    D1 = model.nodes("D1")
-    R1 = model.nodes("R1")
-    u1 = ens.u1 if ens.u1.ndim == 1 else ens.u1.mean(axis=0)
-    combo = B1[None, :] * recon.p + D1[None, :] * recon.k
-    mean = combo.mean(axis=0)
-    stderr = combo.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(mean)
-    residual = R1 * u1 + mean
-    scale = float(np.max(np.abs(R1 * u1) + np.abs(mean)) + 1e-300)
-    return ResidualStats(residual=residual, stderr=stderr, scale=scale)
+    control = model.nodes("R1") * ens.u1
+    moments = (moments or NodeMoments()).add(model.nodes("B1") * recon.p + model.nodes("D1") * recon.k)
+    scale = float(np.max(np.abs(control) + np.abs(moments.mean)) + 1e-300)
+    return ResidualStats(residual=control + moments.mean, stderr=moments.stderr, scale=scale)
 
 
 def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
@@ -264,17 +276,23 @@ def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
 
 @dataclass(frozen=True)
 class LeaderStationarity:
-    """Leader first-order condition residuals, algebraic and statistical.
+    """Leader first-order condition residual, an algebraic identity.
 
-    algebraic: max over paths/nodes of the residual with the filtered
-    quantities read from the reconstructions (zero up to rounding).
-    statistical: per-node residual using ensemble-mean filtered quantities,
-    with its standard error.
+    algebraic_max: max over paths and nodes of the residual with the
+    filtered quantities read from the reconstructions (zero up to rounding);
+    its scale adds the largest |R2 u2| and |c_phi phi|.  Chunks merge exactly.
     """
 
     algebraic_max: float
-    scale: float
-    statistical: ResidualStats
+    control_max: float
+    adjoint_max: float
+
+    @property
+    def scale(self) -> float:
+        return self.control_max + self.adjoint_max + 1e-300
+
+    def merge(self, other: "LeaderStationarity") -> "LeaderStationarity":
+        return LeaderStationarity(*(float(np.maximum(a, b)) for a, b in zip(astuple(self), astuple(other))))
 
 
 def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
@@ -282,7 +300,6 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     blocks = eq.blocks
     model = eq.model
     n = model.grid.steps
-    m = ens.m
     xh = eq.xhat.nodes
 
     R2 = model.nodes("R2")
@@ -301,19 +318,9 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
 
     base = R2[None, :] * ens.u2 + c_phi[None, :] * phi + c_delta[None, :] * delta
     algebraic = base + (c_phih * phih_rec + c_deltah * deltah_rec + c_qh * qh_rec)[None, :]
-    scale = float(np.max(np.abs(R2[None, :] * ens.u2)) + np.max(np.abs(c_phi[None, :] * phi)) + 1e-300)
-
-    phih_mc = phi.mean(axis=0)
-    deltah_mc = delta.mean(axis=0)
-    qh_mc = ens.q.mean(axis=0)
-    stat = base.mean(axis=0) + c_phih * phih_mc + c_deltah * deltah_mc + c_qh * qh_mc
-    spread = (base + (c_phih[None, :] * phi + c_deltah[None, :] * delta + c_qh[None, :] * ens.q))
-    stderr = spread.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(stat)
-    return LeaderStationarity(
-        algebraic_max=float(np.max(np.abs(algebraic))),
-        scale=scale,
-        statistical=ResidualStats(residual=stat, stderr=stderr, scale=scale),
-    )
+    return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic))),
+                              control_max=float(np.max(np.abs(R2[None, :] * ens.u2))),
+                              adjoint_max=float(np.max(np.abs(c_phi[None, :] * phi))))
 
 
 @dataclass(frozen=True)
@@ -430,7 +437,10 @@ class BsdeResidual:
     """
 
     time_summed: np.ndarray
-    rms: float
+
+    @property
+    def rms(self) -> float:
+        return float(np.sqrt(np.mean(self.time_summed ** 2)))
 
 
 def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
@@ -445,5 +455,4 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
     steps = (p[:, 1:] - p[:, :-1]
              + (Q1[None, :] * ens.x[:, :-1] + A[None, :] * p[:, :-1] + C[None, :] * k) * dt
              - k * ens.noise.dw)
-    summed = steps.sum(axis=1)
-    return BsdeResidual(time_summed=summed, rms=float(np.sqrt(np.mean(summed ** 2))))
+    return BsdeResidual(time_summed=steps.sum(axis=1))

@@ -2,13 +2,10 @@
 
 Every deterministic ODE of the equilibrium -- the follower's Riccati
 equation, the leader's two 2x2 Riccati equations, the follower's filtered
-pair and the leader's filtered state -- is solved by rk4_half_grid: classical
-RK4 with its stages at half points of the step, which returns the node values
-together with cubic-Hermite midpoints (4th order, from node values and node
-slopes).  The pathwise offset reconstruction (simulate.backfill_theta) keeps
-its own loop over the offset's deviation from its filtered value: that state
-is an (M,) ensemble, and the node slopes and midpoints it would not use would
-add two ensemble-sized arrays.
+pair and the leader's filtered state -- and the pathwise offset of
+simulate.backfill_theta are solved by rk4_half_grid: classical RK4 with its
+stages at half points of the step, which returns the node values together
+with cubic-Hermite midpoints (4th order, from node values and node slopes).
 
 The Riccati equations, integrated under the time reversal tau = T - t:
 

@@ -11,26 +11,31 @@ drawn first, then the observation increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import NonFiniteState, SolverError
 from .filtering import as_path
 from .model import LQModel, TimeGrid
-from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients
+from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients, rk4_half_grid
+
+
+CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
 
 
 @dataclass(frozen=True)
 class NoiseBundle:
-    """Brownian increments for m paths: dw drives the state, dwbar the observation.
+    """Brownian increments of paths first_path .. first_path + m - 1.
 
-    Both arrays have shape (m, steps) with Normal(0, dt) entries.
+    dw drives the state, dwbar the observation; both are (m, steps), Normal(0, dt).
     """
 
     seed: int
     grid: TimeGrid
     dw: np.ndarray
     dwbar: np.ndarray
+    first_path: int = 0
 
     @property
     def m(self) -> int:
@@ -46,8 +51,8 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
     """Draw the increment table for paths first_path .. first_path + m - 1.
 
     Identical (seed, grid, path index) always reproduce the same rows, so a
-    smaller bundle is a prefix of a larger one and chunked runs reproduce
-    monolithic ones exactly (streams are keyed per path, not per batch).
+    smaller bundle is a prefix of a larger one and chunked runs draw the
+    same rows as monolithic ones (streams are keyed per path, not per batch).
     """
     if m < 1:
         raise ValueError(f"path count must be >= 1, got {m}")
@@ -61,7 +66,7 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
         dwbar[i] = gen.standard_normal(n)
     dw *= root
     dwbar *= root
-    return NoiseBundle(seed=seed, grid=grid, dw=dw, dwbar=dwbar)
+    return NoiseBundle(seed=seed, grid=grid, dw=dw, dwbar=dwbar, first_path=first_path)
 
 
 @dataclass(frozen=True)
@@ -107,14 +112,14 @@ class ClosedLoopSystem:
     xhat: DeterministicPath
 
 
-def _check_finite(states: np.ndarray, grid: TimeGrid) -> None:
+def _check_finite(states: np.ndarray, noise: NoiseBundle) -> None:
     if np.all(np.isfinite(states)):
         return
     flat = ~np.isfinite(states)
     while flat.ndim > 2:
         flat = flat.any(axis=-1)
     path, step = np.argwhere(flat)[0]
-    raise NonFiniteState(int(path), int(step), int(step) * grid.dt)
+    raise NonFiniteState(noise.first_path + int(path), int(step), int(step) * noise.grid.dt)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness guard reports overflow
@@ -145,11 +150,18 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
         states[:, k + 1] = X
     u1[n] = system.f[n] @ xh[n]
     u2[:, n] = X @ system.lx[n] + system.lxhat[n] @ xh[n]
-    _check_finite(states, grid)
+    _check_finite(states, noise)
     return TrajectoryEnsemble(
         grid=grid, x=states[:, :, 0].copy(), q=states[:, :, 1].copy(),
         u1=u1, u2=u2, noise=noise, xhat=system.xhat,
     )
+
+
+def closed_loop_chunks(system: ClosedLoopSystem, seed: int, m: int):
+    """Closed-loop ensembles of paths 0 .. m-1 in path order, CHUNK_PATHS at a time."""
+    for first in range(0, m, CHUNK_PATHS):
+        yield simulate_closed_loop(system, generate_noise(seed, min(CHUNK_PATHS, m - first), system.grid,
+                                                          first_path=first))
 
 
 def _control_at(u: np.ndarray, k: int):
@@ -188,7 +200,7 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
         diff = C[k] * xk + D1[k] * u1k + D2[k] * u2k
         xk = xk + dt * drift + diff * noise.dw[:, k]
         x[:, k + 1] = xk
-    _check_finite(x, grid)
+    _check_finite(x, noise)
     return TrajectoryEnsemble(grid=grid, x=x, q=None, u1=u1, u2=u2, noise=noise)
 
 
@@ -199,7 +211,7 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     theta = theta_hat + e along each realized path, where theta_hat (a
     DeterministicPath or node array) is the filtered offset that
     solve_follower_filter gives for u2hat.  The deviation e integrates
-    backward from e(T) = 0 by RK4,
+    backward from e(T) = 0 by rk4_half_grid,
         de/dtau = bc^2 s_inv P^2 (x - xhat) + (B2 + D2 C) P (u2 - u2hat) + A e,
     reading the path and controls piecewise-linearly between nodes.  RK4 is
     linear, so this equals integrating the offset and its filtered value
@@ -209,7 +221,6 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     """
     grid = model.grid
     n = grid.steps
-    dt = grid.dt
 
     def half_gap(arr, filtered) -> np.ndarray:
         """arr - filtered on the half grid, one row per path (or one shared
@@ -220,37 +231,17 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
         arr = np.atleast_2d(np.asarray(arr, dtype=float))
         out = np.empty((arr.shape[0], 2 * n + 1))
         out[:, ::2] = arr
-        np.add(arr[:, :-1], arr[:, 1:], out=out[:, 1::2])
-        out[:, 1::2] *= 0.5
+        out[:, 1::2] = 0.5 * (arr[:, :-1] + arr[:, 1:])
         out -= filtered.half_values()
         return out
 
     fol = follower_coefficients(model, P)
     A = model.nodes("A", 2)
-    # The deviation's forcing on the half grid j = 0..2N, matching the RK4
-    # stages of a dt step; built in place, so at most two ensemble-sized
-    # arrays are alive at once.
-    forcing = half_gap(x, xhat)
-    forcing *= fol.offset[0]
-    u2_gap = half_gap(u2, as_path(u2hat))
-    u2_gap *= fol.offset_u2
-    forcing += u2_gap
-    del u2_gap
-    m = forcing.shape[0]
-
-    theta = np.empty((m, n + 1))
-    theta[:, n] = 0.0
-    e = np.zeros(m)
-    for k in range(n, 0, -1):
-        j = 2 * k
-        k1 = forcing[:, j] + A[j] * e
-        k2 = forcing[:, j - 1] + A[j - 1] * (e + 0.5 * dt * k1)
-        k3 = forcing[:, j - 1] + A[j - 1] * (e + 0.5 * dt * k2)
-        k4 = forcing[:, j - 2] + A[j - 2] * (e + dt * k3)
-        e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        theta[:, k - 1] = e
-    theta += as_path(theta_hat).nodes
-    return theta
+    # The deviation's forcing on the half grid j = 0..2N, one column per path.
+    forcing = (half_gap(x, xhat) * fol.offset[0] + half_gap(u2, as_path(u2hat)) * fol.offset_u2).T
+    e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), grid.dt, n,
+                      backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
+    return np.ascontiguousarray(e.nodes.T) + as_path(theta_hat).nodes
 
 
 @dataclass(frozen=True)

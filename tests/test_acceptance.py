@@ -202,8 +202,7 @@ def _optimality_criterion(num, which, steps=1600, m_paths=100000):
     eq = solve_equilibrium(make_model(steps))
     t = eq.model.grid.times()
     dirs = {"const": np.ones(steps + 1), "ramp": t, "sine": np.sin(2.0 * np.pi * t)}
-    rep = verify_optimality_chunked(eq, which, dirs, [0.05, 0.1, 0.2],
-                                    seed=42, m=m_paths, chunk=10000)
+    rep = verify_optimality_chunked(eq, which, dirs, [0.05, 0.1, 0.2], seed=42, m=m_paths)
     ok = True
     details = []
     for c in rep.curves:

@@ -1,9 +1,12 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from lqstack import simulate
 from lqstack.cli import main
 from lqstack.model import model_to_dict
 
@@ -19,6 +22,13 @@ def write_model(tmp_path, name="model.json", **overrides):
 
 def read_all(outdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def read_report(outdir: Path) -> list[dict]:
+    """Rows of verify_report.csv; the note, its last column, may itself hold commas."""
+    lines = (outdir / "verify_report.csv").read_text().splitlines()[1:]
+    return [dict(zip(("check", "kind", "residual", "tolerance", "pass", "note"), line.split(",", 5)))
+            for line in lines]
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -185,6 +195,12 @@ def test_perturbation_pass_uses_stderr_mult(tmp_path):
     for r in rows:
         ok = float(r["delta_mean"]) + 0.0 * float(r["delta_stderr"]) >= 0.0
         assert r["pass"] == ("true" if ok else "false")
+    notes = {r["check"]: r["note"] for r in read_report(out)}
+    stderr_rows = [name for name in notes if name in ("follower_stationarity", "tower_property")
+                   or "_optimality_" in name or "_slope_" in name]
+    assert len(stderr_rows) == 14
+    for name in stderr_rows:
+        assert "0 stderr" in notes[name] and "3 stderr" not in notes[name], name
 
 
 def test_verify_zero_weight_model(tmp_path):
@@ -216,6 +232,44 @@ def test_reruns_byte_identical(tmp_path):
     assert main(["verify", *args, "--out", str(out1)]) == 0
     assert main(["verify", *args, "--out", str(out2)]) == 0
     assert read_all(out1) == read_all(out2)
+
+
+def test_verify_report_independent_of_chunking(tmp_path, monkeypatch):
+    # Chunks of 1500 paths: the third straddles the grid search's first 4000
+    # paths and the last holds one path.  Against one chunk of all paths,
+    # only the two rows of merged per-node moments may move, by rounding.
+    path = write_model(tmp_path, steps=40)
+    args = ["verify", "--model", path, "--paths", "4501", "--seed", "6"]
+    reports = {}
+    for chunk in (4501, 1500):
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
+        out = tmp_path / str(chunk)
+        assert main([*args, "--out", str(out)]) == 0
+        reports[chunk] = read_report(out)
+    for one, many in zip(reports[4501], reports[1500], strict=True):
+        if one["check"] in ("follower_stationarity", "tower_property"):
+            assert (one["check"], one["kind"], one["pass"], one["note"]) == \
+                (many["check"], many["kind"], many["pass"], many["note"])
+            for col in ("residual", "tolerance"):
+                assert float(many[col]) == pytest.approx(float(one[col]), rel=1e-10, abs=0.0)
+        else:
+            assert one == many
+    for name in ("perturbations.csv", "grid_search.csv"):
+        assert (tmp_path / "4501" / name).read_bytes() == (tmp_path / "1500" / name).read_bytes()
+
+
+def test_verify_memory_does_not_grow_with_paths(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", 500)
+    path = write_model(tmp_path, steps=40)
+    peaks = []
+    for paths in (1000, 1000, 4000):  # a warm-up run, then 2 and 8 chunks
+        tracemalloc.start()
+        try:
+            main(["verify", "--model", path, "--out", str(tmp_path / str(paths)), "--paths", str(paths)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.25 * peaks[1], peaks
 
 
 def test_steps_override_flag(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqstack import simulate
 from lqstack.costs import (estimate_J1, estimate_J2, follower_response, gain_grid_search,
                            pathwise_J1, pathwise_J2, verify_follower_optimality,
                            verify_leader_optimality, verify_optimality_chunked)
@@ -159,7 +160,8 @@ def test_stderr_scales_with_path_count(eq_b200):
     assert abs(ratio - 2.0) <= 0.4  # 1/sqrt(M): quadrupling halves stderr +-20%
 
 
-def test_chunked_matches_monolithic(eq_b200):
+def test_chunked_matches_monolithic(eq_b200, monkeypatch):
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", 700)
     n = eq_b200.model.grid.steps
     t = eq_b200.model.grid.times()
     dirs = {"ramp": t}
@@ -167,7 +169,7 @@ def test_chunked_matches_monolithic(eq_b200):
     ens = simulate_closed_loop(eq_b200.closed_loop(), noise)
     for which, verify in (("J1", verify_follower_optimality), ("J2", verify_leader_optimality)):
         mono = verify(eq_b200, ens, dirs, [0.1])
-        chunked = verify_optimality_chunked(eq_b200, which, dirs, [0.1], seed=55, m=3000, chunk=700)
+        chunked = verify_optimality_chunked(eq_b200, which, dirs, [0.1], seed=55, m=3000)
         assert np.allclose(mono.curves[0].delta_mean, chunked.curves[0].delta_mean, rtol=0, atol=1e-15)
         assert np.allclose(mono.curves[0].delta_stderr, chunked.curves[0].delta_stderr, rtol=0, atol=1e-15)
 

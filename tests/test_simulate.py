@@ -129,6 +129,16 @@ def test_non_finite_state_reported():
     assert info.value.path == 0
 
 
+def test_non_finite_state_names_path_in_whole_ensemble():
+    # the overflow model of test_cli.py::test_euler_overflow_exit_3 on the
+    # bundle of paths 7..11: its first row is path 7
+    eq = solve_equilibrium(make_model(steps=200, C=1000.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0))
+    noise = generate_noise(3, 5, eq.model.grid, first_path=7)
+    with pytest.raises(NonFiniteState, match="non-finite state on path 7 at step") as info:
+        simulate_closed_loop(eq.closed_loop(), noise)
+    assert info.value.path == 7
+
+
 def test_backfill_zero_forcing():
     # a path equal to its filter with zero offset coefficients stays at zero
     m = make_model(steps=100, Q1=0.0, G1=0.0)
