@@ -28,7 +28,7 @@ from .filtering import solve_follower_filter
 from .model import LQModel, check_hypotheses, load_model
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .riccati import solve_follower_P  # noqa: F401
-from .simulate import backfill_theta, closed_loop_chunks, density_process, generate_noise, simulate_closed_loop
+from .simulate import backfill_theta, closed_loop_chunks, density_process
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -158,15 +158,24 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    """Closed-loop Monte-Carlo run: trajectories.csv and costs.csv."""
+    """Closed-loop Monte-Carlo run: trajectories.csv and costs.csv.
+
+    One pass over path chunks, as verify makes: each chunk leaves its
+    per-path costs, the first also its first paths for the export, so memory
+    is set by the chunk size.  Nothing is written before the last chunk.
+    """
     model = _load(config)
     eq = _solve(config, model)
-    noise = generate_noise(config.seed, config.paths, model.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
-    j1 = costs_mod.estimate_J1(model, ens)
-    j2 = costs_mod.estimate_J2(model, ens)
+    j1, j2, head = [], [], None
+    for ens in closed_loop_chunks(eq.closed_loop(), config.seed, config.paths):
+        if head is None:
+            head = ens.head(reporting.TRAJECTORY_PATHS)
+        j1.append(costs_mod.pathwise_J1(model, ens))
+        j2.append(costs_mod.pathwise_J2(model, ens))
+    j1 = costs_mod.cost_estimate("J1", np.concatenate(j1))
+    j2 = costs_mod.cost_estimate("J2", np.concatenate(j2))
     reporting.ensure_dir(config.out_dir)
-    reporting.write_trajectories_csv(f"{config.out_dir}/trajectories.csv", ens)
+    reporting.write_trajectories_csv(f"{config.out_dir}/trajectories.csv", head)
     reporting.write_costs_csv(f"{config.out_dir}/costs.csv", [j1, j2])
     print(f"J1 = {j1.mean!r} (stderr {j1.stderr!r}), J2 = {j2.mean!r} (stderr {j2.stderr!r}), M = {config.paths}")
     return EXIT_OK

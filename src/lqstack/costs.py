@@ -81,6 +81,11 @@ def pathwise_J2(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
     return _cost_form(model, "J2", ens.x, ens.u2, ens.x, ens.u2)
 
 
+def cost_estimate(which: str, samples: np.ndarray) -> CostEstimate:
+    """Mean and stderr of one player's per-path costs."""
+    return CostEstimate(mean=float(samples.mean()), stderr=_stderr(samples), paths=len(samples), which=which)
+
+
 def estimate_J1(model: LQModel, ens: TrajectoryEnsemble) -> CostEstimate:
     """Follower cost: trapezoid of (Q1 x^2 + R1 u1^2)/2 plus G1 x(T)^2 / 2.
 
@@ -88,14 +93,12 @@ def estimate_J1(model: LQModel, ens: TrajectoryEnsemble) -> CostEstimate:
     observation drift the density factor does not change the joint law of
     the state with its own noise, so no reweighting is needed.
     """
-    j = pathwise_J1(model, ens)
-    return CostEstimate(mean=float(j.mean()), stderr=_stderr(j), paths=len(j), which="J1")
+    return cost_estimate("J1", pathwise_J1(model, ens))
 
 
 def estimate_J2(model: LQModel, ens: TrajectoryEnsemble) -> CostEstimate:
     """Leader cost, same quadrature with (Q2, R2, G2, u2)."""
-    j = pathwise_J2(model, ens)
-    return CostEstimate(mean=float(j.mean()), stderr=_stderr(j), paths=len(j), which="J2")
+    return cost_estimate("J2", pathwise_J2(model, ens))
 
 
 @dataclass(frozen=True)

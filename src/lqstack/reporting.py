@@ -1,11 +1,13 @@
 """Deterministic CSV writers for solver output and verification reports.
 
 Floats are written with shortest round-trip formatting (repr), newlines are
-always LF, so identical inputs produce byte-identical files.
+always LF, and a field is quoted only when it holds a comma, a quote or a
+line break, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass
 
@@ -22,11 +24,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+TRAJECTORY_PATHS = 10  # paths exported to trajectories.csv
+
+
 def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_riccati_csv(path, times, P, p1, p2) -> None:
@@ -66,7 +71,7 @@ def write_xhat_csv(path, times, filter_path, leader_path) -> None:
     write_csv(path, header, rows)
 
 
-def write_trajectories_csv(path, ens, max_paths: int = 10) -> None:
+def write_trajectories_csv(path, ens, max_paths: int = TRAJECTORY_PATHS) -> None:
     """Node samples of the first max_paths paths (subsampled export)."""
     header = ["path_id", "t", "X_1", "X_2", "u1", "u2"]
     times = ens.grid.times()

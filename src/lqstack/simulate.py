@@ -10,7 +10,7 @@ drawn first, then the observation increments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -22,6 +22,7 @@ from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients, 
 
 
 CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
+BLOCK_STEPS = 64  # Euler steps per time-major block of a kernel; bounds its (b, m) buffers
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,12 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Simulated paths at the grid nodes.
+    """Simulated paths at the grid nodes, one path per row.
 
     x holds the scalar game state (closed loop: first augmented component);
     q holds the second augmented component for closed-loop runs, else None.
     Controls are node-sampled, either shared across paths (1-d) or per path
-    (2-d).  The shared filtered path is identical for every path.
+    (2-d).
     """
 
     grid: TimeGrid
@@ -85,11 +86,18 @@ class TrajectoryEnsemble:
     u1: np.ndarray
     u2: np.ndarray
     noise: NoiseBundle
-    xhat: DeterministicPath | None = None
 
     @property
     def m(self) -> int:
         return self.x.shape[0]
+
+    def head(self, m: int) -> "TrajectoryEnsemble":
+        """Copies of the first m paths, holding no reference to this ensemble's arrays."""
+        def rows(a):
+            return None if a is None else (a.copy() if a.ndim == 1 else a[:m].copy())
+
+        noise = replace(self.noise, dw=self.noise.dw[:m].copy(), dwbar=self.noise.dwbar[:m].copy())
+        return replace(self, x=rows(self.x), q=rows(self.q), u1=rows(self.u1), u2=rows(self.u2), noise=noise)
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,42 @@ class ClosedLoopSystem:
     xhat: DeterministicPath
 
 
-def _check_finite(states: np.ndarray, noise: NoiseBundle) -> None:
-    if np.all(np.isfinite(states)):
+# The Euler kernels keep a path-major (m, .) interface but step time-major:
+# each block of BLOCK_STEPS steps copies its slice of the noise (and of any
+# per-path control) to a contiguous (b, m) buffer, steps over its rows with
+# elementwise arithmetic and writes the states back with one transposed
+# store.  Every path sees the same operations in the same order whatever the
+# block length, so the block length changes no bit of the result.
+
+
+def _step_blocks(n: int):
+    """(first, stop) step ranges of the time-major blocks covering steps 0 .. n-1."""
+    return ((k0, min(k0 + BLOCK_STEPS, n)) for k0 in range(0, n, BLOCK_STEPS))
+
+
+def _time_major(a: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """Columns k0 .. k1-1 of a path-major (m, .) table as a contiguous (b, m)
+    buffer; a node array shared by every path becomes a (b, 1) column."""
+    return a[k0:k1, None] if a.ndim == 1 else np.ascontiguousarray(a[:, k0:k1].T)
+
+
+def _node_products(coef: np.ndarray, xh: np.ndarray) -> np.ndarray:
+    """coef[k] @ xh[k] at every node k, as one batched matmul (the same
+    products, summed as the per-node matrix-vector product sums them)."""
+    if coef.ndim == 2:
+        return np.matmul(coef[:, None, :], xh[:, :, None])[:, 0, 0]
+    return np.matmul(coef, xh[:, :, None])[:, :, 0]
+
+
+def _check_finite(noise: NoiseBundle, *states: np.ndarray) -> None:
+    """Raise NonFiniteState at the lowest path, then the lowest step, at which
+    any of the (m, N+1) state arrays is not finite."""
+    finite = np.isfinite(states[0])
+    for s in states[1:]:
+        finite &= np.isfinite(s)
+    if finite.all():
         return
-    flat = ~np.isfinite(states)
-    while flat.ndim > 2:
-        flat = flat.any(axis=-1)
-    path, step = np.argwhere(flat)[0]
+    path, step = np.argwhere(~finite)[0]
     raise NonFiniteState(noise.first_path + int(path), int(step), int(step) * noise.grid.dt)
 
 
@@ -135,26 +172,39 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
     dt = grid.dt
     m = noise.m
     xh = system.xhat.nodes
+    # The terms every path shares, once per node.
+    u1 = _node_products(system.f, xh)
+    u2_shared = _node_products(system.lxhat, xh).tolist()
+    drift_shared = _node_products(system.drift_xhat, xh).tolist()
+    diff_shared = _node_products(system.diff_xhat, xh).tolist()
+    fx, gx, lx = system.drift_x.tolist(), system.diff_x.tolist(), system.lx.tolist()
 
-    states = np.empty((m, n + 1, 2))
+    x = np.empty((m, n + 1))
+    q = np.empty((m, n + 1))
     u2 = np.empty((m, n + 1))
-    u1 = np.empty(n + 1)
-    X = np.broadcast_to(xh[0], (m, 2)).copy()
-    states[:, 0] = X
-    for k in range(n):
-        u1[k] = system.f[k] @ xh[k]
-        u2[:, k] = X @ system.lx[k] + system.lxhat[k] @ xh[k]
-        drift = X @ system.drift_x[k].T + system.drift_xhat[k] @ xh[k]
-        diff = X @ system.diff_x[k].T + system.diff_xhat[k] @ xh[k]
-        X = X + dt * drift + diff * noise.dw[:, k, None]
-        states[:, k + 1] = X
-    u1[n] = system.f[n] @ xh[n]
-    u2[:, n] = X @ system.lx[n] + system.lxhat[n] @ xh[n]
-    _check_finite(states, noise)
-    return TrajectoryEnsemble(
-        grid=grid, x=states[:, :, 0].copy(), q=states[:, :, 1].copy(),
-        u1=u1, u2=u2, noise=noise, xhat=system.xhat,
-    )
+    xk = np.full(m, xh[0, 0])
+    qk = np.full(m, xh[0, 1])
+    x[:, 0] = xk
+    q[:, 0] = qk
+    for k0, k1 in _step_blocks(n):
+        dw = _time_major(noise.dw, k0, k1)
+        xs, qs, us = np.empty_like(dw), np.empty_like(dw), np.empty_like(dw)
+        for j, k in enumerate(range(k0, k1)):
+            (a11, a12), (a21, a22) = fx[k]
+            (g11, g12), (g21, g22) = gx[k]
+            l1, l2 = lx[k]
+            (c1, c2), (e1, e2) = drift_shared[k], diff_shared[k]
+            us[j] = xk * l1 + qk * l2 + u2_shared[k]
+            xs[j] = xk + dt * (xk * a11 + qk * a12 + c1) + (xk * g11 + qk * g12 + e1) * dw[j]
+            qs[j] = qk + dt * (xk * a21 + qk * a22 + c2) + (xk * g21 + qk * g22 + e2) * dw[j]
+            xk, qk = xs[j], qs[j]
+        x[:, k0 + 1:k1 + 1] = xs.T
+        q[:, k0 + 1:k1 + 1] = qs.T
+        u2[:, k0:k1] = us.T
+    l1, l2 = lx[n]
+    u2[:, n] = xk * l1 + qk * l2 + u2_shared[n]
+    _check_finite(noise, x, q)
+    return TrajectoryEnsemble(grid=grid, x=x, q=q, u1=u1, u2=u2, noise=noise)
 
 
 def closed_loop_chunks(system: ClosedLoopSystem, seed: int, m: int):
@@ -162,10 +212,6 @@ def closed_loop_chunks(system: ClosedLoopSystem, seed: int, m: int):
     for first in range(0, m, CHUNK_PATHS):
         yield simulate_closed_loop(system, generate_noise(seed, min(CHUNK_PATHS, m - first), system.grid,
                                                           first_path=first))
-
-
-def _control_at(u: np.ndarray, k: int):
-    return u[:, k] if u.ndim == 2 else u[k]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness guard reports overflow
@@ -182,25 +228,23 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     m = noise.m
     u1 = u1.nodes if isinstance(u1, DeterministicPath) else np.asarray(u1, dtype=float)
     u2 = u2.nodes if isinstance(u2, DeterministicPath) else np.asarray(u2, dtype=float)
-
-    A = model.nodes("A")
-    B1 = model.nodes("B1")
-    B2 = model.nodes("B2")
-    C = model.nodes("C")
-    D1 = model.nodes("D1")
-    D2 = model.nodes("D2")
+    A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
+    a, c = A.tolist(), C.tolist()
 
     x = np.empty((m, n + 1))
     x[:, 0] = model.x0
     xk = x[:, 0].copy()
-    for k in range(n):
-        u1k = _control_at(u1, k)
-        u2k = _control_at(u2, k)
-        drift = A[k] * xk + B1[k] * u1k + B2[k] * u2k
-        diff = C[k] * xk + D1[k] * u1k + D2[k] * u2k
-        xk = xk + dt * drift + diff * noise.dw[:, k]
-        x[:, k + 1] = xk
-    _check_finite(x, noise)
+    for k0, k1 in _step_blocks(n):
+        dw = _time_major(noise.dw, k0, k1)
+        u1b, u2b = _time_major(u1, k0, k1), _time_major(u2, k0, k1)
+        b1u1, b2u2 = B1[k0:k1, None] * u1b, B2[k0:k1, None] * u2b
+        d1u1, d2u2 = D1[k0:k1, None] * u1b, D2[k0:k1, None] * u2b
+        xs = np.empty_like(dw)
+        for j, k in enumerate(range(k0, k1)):
+            xs[j] = xk + dt * (a[k] * xk + b1u1[j] + b2u2[j]) + (c[k] * xk + d1u1[j] + d2u2[j]) * dw[j]
+            xk = xs[j]
+        x[:, k0 + 1:k1 + 1] = xs.T
+    _check_finite(noise, x)
     return TrajectoryEnsemble(grid=grid, x=x, q=None, u1=u1, u2=u2, noise=noise)
 
 

@@ -25,10 +25,13 @@ def read_all(outdir: Path) -> dict[str, bytes]:
 
 
 def read_report(outdir: Path) -> list[dict]:
-    """Rows of verify_report.csv; the note, its last column, may itself hold commas."""
-    lines = (outdir / "verify_report.csv").read_text().splitlines()[1:]
-    return [dict(zip(("check", "kind", "residual", "tolerance", "pass", "note"), line.split(",", 5)))
-            for line in lines]
+    """Rows of verify_report.csv, each parsed to exactly the six header fields."""
+    with open(outdir / "verify_report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        assert list(row) == ["check", "kind", "residual", "tolerance", "pass", "note"], row
+        assert None not in row.values(), row
+    return rows
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -258,18 +261,31 @@ def test_verify_report_independent_of_chunking(tmp_path, monkeypatch):
         assert (tmp_path / "4501" / name).read_bytes() == (tmp_path / "1500" / name).read_bytes()
 
 
+def test_simulate_independent_of_chunking(tmp_path, monkeypatch):
+    # one chunk of 4501 paths against chunks of 1500, the last holding one path
+    path = write_model(tmp_path, steps=40, D1=0.3, D2=0.2)
+    outs = []
+    for chunk in (4501, 1500):
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
+        outs.append(tmp_path / str(chunk))
+        assert main(["simulate", "--model", path, "--out", str(outs[-1]), "--paths", "4501", "--seed", "6"]) == 0
+    assert read_all(outs[0]) == read_all(outs[1])
+    assert len((outs[0] / "trajectories.csv").read_text().splitlines()) == 1 + 10 * 41
+
+
 def test_verify_memory_does_not_grow_with_paths(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "CHUNK_PATHS", 500)
     path = write_model(tmp_path, steps=40)
-    peaks = []
-    for paths in (1000, 1000, 4000):  # a warm-up run, then 2 and 8 chunks
-        tracemalloc.start()
-        try:
-            main(["verify", "--model", path, "--out", str(tmp_path / str(paths)), "--paths", str(paths)])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[2] < 1.25 * peaks[1], peaks
+    for command in ("verify", "simulate"):
+        peaks = []
+        for paths in (1000, 1000, 4000):  # a warm-up run, then 2 and 8 chunks
+            tracemalloc.start()
+            try:
+                main([command, "--model", path, "--out", str(tmp_path / f"{command}{paths}"), "--paths", str(paths)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.25 * peaks[1], (command, peaks)
 
 
 def test_steps_override_flag(tmp_path):

@@ -176,8 +176,7 @@ def test_follower_stationarity_deterministic_degenerate():
     theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path(), fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)
-    ens = TrajectoryEnsemble(grid=m.grid, x=x, q=q_path, u1=u1, u2=u2,
-                             noise=noise, xhat=eq.xhat)
+    ens = TrajectoryEnsemble(grid=m.grid, x=x, q=q_path, u1=u1, u2=u2, noise=noise)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = follower_stationarity_residual(eq, ens, recon)
     assert stats.max_abs <= 1e-8

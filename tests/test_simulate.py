@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from lqstack import simulate
 from lqstack.equilibrium import solve_equilibrium
 from lqstack.errors import NonFiniteState
 from lqstack.filtering import DeterministicPath, solve_follower_filter
 from lqstack.model import TimeGrid
-from lqstack.simulate import (backfill_theta, density_process, generate_noise,
+from lqstack.simulate import (ClosedLoopSystem, backfill_theta, density_process, generate_noise,
                               simulate_closed_loop, simulate_open_loop)
 
 from conftest import make_model
@@ -129,14 +130,58 @@ def test_non_finite_state_reported():
     assert info.value.path == 0
 
 
-def test_non_finite_state_names_path_in_whole_ensemble():
+def _q_first_system(grid: TimeGrid) -> ClosedLoopSystem:
+    """x and q with diffusion 1000, q with drift 20000 q + 1 as well: q
+    overflows first on every path, and x, which reads q through a zero
+    coefficient, turns NaN one step later."""
+    n = grid.steps
+    drift_x, drift_xhat, diff_x = (np.zeros((n + 1, 2, 2)) for _ in range(3))
+    drift_x[:, 1, 1] = 20000.0
+    drift_xhat[:, 1, 0] = 1.0
+    diff_x[:, 0, 0] = diff_x[:, 1, 1] = 1000.0
+    zeros = np.zeros((n + 1, 2))
+    return ClosedLoopSystem(grid=grid, drift_x=drift_x, drift_xhat=drift_xhat, diff_x=diff_x,
+                            diff_xhat=np.zeros((n + 1, 2, 2)), lx=zeros, lxhat=zeros, f=zeros,
+                            xhat=DeterministicPath(nodes=np.tile([1.0, 0.0], (n + 1, 1))))
+
+
+def test_non_finite_state_names_path_in_whole_ensemble(monkeypatch):
     # the overflow model of test_cli.py::test_euler_overflow_exit_3 on the
-    # bundle of paths 7..11: its first row is path 7
+    # bundle of paths 7..11: its first row is path 7, where x overflows at
+    # step 189 and q turns NaN at 190; in the second system q goes first, at
+    # step 164.  Whatever the block length the guard names the lowest path,
+    # then the earliest step, at which x or q is not finite (the steps the
+    # path-major kernel reported).
     eq = solve_equilibrium(make_model(steps=200, C=1000.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0))
     noise = generate_noise(3, 5, eq.model.grid, first_path=7)
-    with pytest.raises(NonFiniteState, match="non-finite state on path 7 at step") as info:
-        simulate_closed_loop(eq.closed_loop(), noise)
-    assert info.value.path == 7
+    for block in (1, 7, 64, 1000):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        for system, step in ((eq.closed_loop(), 189), (_q_first_system(eq.model.grid), 164)):
+            with pytest.raises(NonFiniteState, match=f"non-finite state on path 7 at step {step} ") as info:
+                simulate_closed_loop(system, noise)
+            assert (info.value.path, info.value.step) == (7, step)
+
+
+def test_block_length_changes_nothing(monkeypatch):
+    # blocks of 1 step, of 7 (no divisor of N = 200) and of more than N
+    # regroup the same per-path operations: every bit of the closed loop and
+    # of the open loop with shared and with per-path controls is kept
+    eq = solve_equilibrium(make_model(steps=200, D1=0.3, D2=0.2))
+    model = eq.model
+    noise = generate_noise(19, 50, model.grid)
+    per_path = np.random.default_rng(3).standard_normal((50, 201))
+
+    def run():
+        closed = simulate_closed_loop(eq.closed_loop(), noise)
+        shared = simulate_open_loop(model, closed.u1, np.linspace(0.0, 1.0, 201), noise)
+        own = simulate_open_loop(model, per_path, closed.u2, noise)
+        return closed.x, closed.q, closed.u1, closed.u2, shared.x, own.x
+
+    default = run()
+    for block in (1, 7, 201):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        for a, b in zip(default, run(), strict=True):
+            assert np.array_equal(a, b), block
 
 
 def test_backfill_zero_forcing():
