@@ -177,12 +177,9 @@ def test_verify_benchmark_passes(tmp_path):
     out = tmp_path / "out"
     code = main(["verify", "--model", path, "--out", str(out), "--paths", "3000", "--seed", "11"])
     assert code == 0
-    lines = (out / "verify_report.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    pass_col = header.index("pass")
-    rows = [line.split(",") for line in lines[1:]]
-    assert any(r[0] == "tower_property" for r in rows)
-    assert all(r[pass_col] == "true" for r in rows)
+    rows = read_report(out)
+    assert any(r["check"] == "tower_property" for r in rows)
+    assert all(r["pass"] == "true" for r in rows)
     for name in ("perturbations.csv", "grid_search.csv"):
         assert (out / name).exists()
 
