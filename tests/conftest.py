@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from lqstack.model import LQModel, TimeGrid
@@ -29,6 +32,12 @@ def random_admissible_model(rng, steps=200):
         G2=float(rng.uniform(0.0, 2.0)),
         x0=float(rng.uniform(-1.5, 1.5)),
     )
+
+
+def time_varying(model, keys=("A", "R2", "B1", "D2")):
+    """The model with the named coefficients as node arrays times 1 + 0.3 sin(2 pi t / T)."""
+    factor = 1.0 + 0.3 * np.sin(2.0 * np.pi * model.grid.times() / model.grid.horizon)
+    return dataclasses.replace(model, **{k: getattr(model, k) * factor for k in keys})
 
 
 def backfill(eq, ens):

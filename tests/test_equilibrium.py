@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lqstack.costs import pathwise_J1, pathwise_J2
 from lqstack.equilibrium import (bsde_residual, drift_residuals, follower_stationarity_residual,
                                  gain_consistency_residual, leader_stationarity_residual,
                                  reconstruct_adjoints, solve_equilibrium)
@@ -8,7 +13,7 @@ from lqstack.filtering import solve_follower_filter
 from lqstack.model import LQModel, sample_at
 from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
 
-from conftest import backfill, make_model, random_admissible_model
+from conftest import backfill, make_model, random_admissible_model, time_varying
 
 
 def zero_weight_equilibrium(steps=100):
@@ -20,6 +25,24 @@ def test_gains_zero_when_weights_zero():
     assert np.all(eq.gains.lx == 0.0)
     assert np.all(eq.gains.lxhat == 0.0)
     assert np.all(eq.gains.f == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), varying=st.booleans())
+def test_zero_weights_give_exact_zeros_random_models(seed, varying):
+    # Q1 = Q2 = G1 = G2 = 0: every Riccati solution, gain and cost is exactly
+    # zero, whatever the dynamics and the diffusion controls.
+    m = random_admissible_model(np.random.default_rng(seed), steps=40)
+    m = dataclasses.replace(m, Q1=0.0, Q2=0.0, G1=0.0, G2=0.0)
+    if varying:
+        m = time_varying(m)
+    eq = solve_equilibrium(m)
+    for arr in (eq.P.fine, eq.leader.p1_fine, eq.leader.p2_fine, eq.sigmas.s1, eq.sigmas.s2,
+                eq.sigmas.s3, eq.gains.lx, eq.gains.lxhat, eq.gains.f):
+        assert np.all(arr == 0.0)
+    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(seed, 20, m.grid))
+    assert np.all(pathwise_J1(m, ens) == 0.0)
+    assert np.all(pathwise_J2(m, ens) == 0.0)
 
 
 def test_follower_gain_structure_zero_diffusion(eq_b200):

@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lqstack import riccati
-from lqstack.errors import H3Violated, M1NotInvertible, RiccatiBlowUp
+from lqstack.errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
 from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_blocks,
                              compute_sigmas, gain_inverses, rhs_p1, rhs_p2, rk4_half_grid, sigma1,
                              sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 
-from conftest import make_model, random_admissible_model
+from conftest import make_model, random_admissible_model, time_varying
 
 
 # --- hand-coded zero-diffusion oracles for the general integrands ---
@@ -288,7 +291,58 @@ def test_leader_blow_up_instance():
     blocks = assemble_leader_blocks(m, P)
     with pytest.raises(M1NotInvertible) as info:
         solve_leader_riccati(m, blocks)
-    assert 0.0 < info.value.time < 6.0
+    assert info.value.time == 2.4375
+
+
+def test_leader_second_gain_inverse_guard_on_forged_blocks():
+    # Admissible weights keep det(I + p1 d4 d4^T/r2) >= 1, so forge one
+    # half-grid sample of d4 d4^T/r2.  p1's second row stays zero, so
+    # I + p1 e44 = [[1 - 1e12 p1_11, *], [0, 1]]: its condition number passes
+    # 1/det_tol and the scaled determinant guard reports it at that sample,
+    # at an RK4 stage of the first solve (the first guard never trips).
+    m = make_model(steps=40, D1=0.3, D2=0.5, C=0.4)
+    P = solve_follower_P(m)
+    blocks = assemble_leader_blocks(m, P)
+    e44 = blocks.e44.copy()
+    e44[blocks.half_index(50), 0, 0] = -1e12
+    with pytest.raises(M2NotInvertible) as info:
+        solve_leader_riccati(m, dataclasses.replace(blocks, e44=e44))
+    assert type(info.value) is M2NotInvertible
+    assert info.value.time == 0.625
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), varying=st.booleans(), j=st.integers(0, 80))
+def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
+    # One formula set on two entry types: Python floats at an int block
+    # index, arrays over the half grid.  Elementwise float64 arithmetic rounds
+    # as Python float arithmetic does, so row j of the half-grid evaluation
+    # equals the evaluation at half-grid point j exactly.
+    m = random_admissible_model(np.random.default_rng(seed), steps=40)
+    m = dataclasses.replace(m, D1=math.copysign(max(abs(m.D1), 0.1), m.D1),
+                            D2=math.copysign(max(abs(m.D2), 0.1), m.D2))
+    if varying:
+        m = time_varying(m)
+    P = solve_follower_P(m)
+    blocks = assemble_leader_blocks(m, P)
+    leader = solve_leader_riccati(m, blocks)
+    p1, p2 = leader.p1_fine, leader.p2_fine
+    grid, stage = blocks.half_points, blocks.half_index(j)
+
+    def same(at_stage, on_grid):
+        assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(on_grid[j]).tobytes()
+
+    g = gain_inverses(p1, blocks, grid)
+    for a, b in zip(gain_inverses(p1[j], blocks, stage), g):
+        same(a, b)
+    m1, m2 = g[0], g[1]
+    same(sigma1(p1[j], p2[j], blocks, stage), sigma1(p1, p2, blocks, grid))
+    same(sigma2(p1[j], blocks, stage), sigma2(p1, blocks, grid))
+    same(sigma3(p1[j], p2[j], blocks, stage), sigma3(p1, p2, blocks, grid))
+    same(rhs_p1(p1[j], blocks, stage), rhs_p1(p1, blocks, grid))
+    same(rhs_p1(p1[j], blocks, stage, m2=m2[j]), rhs_p1(p1, blocks, grid, m2=m2))
+    same(rhs_p2(p1[j], p2[j], blocks, stage), rhs_p2(p1, p2, blocks, grid))
+    same(rhs_p2(p1[j], p2[j], blocks, stage, m1=m1[j], m2=m2[j]), rhs_p2(p1, p2, blocks, grid, m1=m1, m2=m2))
 
 
 # --- gain matrices ---
