@@ -34,10 +34,10 @@ def random_admissible_model(rng, steps=200):
     )
 
 
-def time_varying(model, keys=("A", "R2", "B1", "D2")):
-    """The model with the named coefficients as node arrays times 1 + 0.3 sin(2 pi t / T)."""
+def time_varying(model):
+    """The model with A, R2, B1 and D2 as node arrays times 1 + 0.3 sin(2 pi t / T)."""
     factor = 1.0 + 0.3 * np.sin(2.0 * np.pi * model.grid.times() / model.grid.horizon)
-    return dataclasses.replace(model, **{k: getattr(model, k) * factor for k in keys})
+    return dataclasses.replace(model, **{k: getattr(model, k) * factor for k in ("A", "R2", "B1", "D2")})
 
 
 def backfill(eq, ens):
