@@ -49,7 +49,7 @@ bit-exactly as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -240,11 +240,6 @@ def follower_coefficients(model: LQModel, P: FollowerRiccati, inv_tol: float = 1
     )
 
 
-# The leader's 2x2 blocks, the ones LeaderBlocks.entries reads.
-_SQUARE_BLOCKS = ("a1", "a3", "a5", "bb", "bb12", "cc", "cc12", "a2e", "a4e",
-                  "e34", "e44", "e55", "e13", "e33")
-
-
 @dataclass(frozen=True)
 class LeaderBlocks:
     """Coefficient blocks of the leader's augmented forward-backward system.
@@ -327,9 +322,10 @@ class LeaderBlocks:
 
     @cached_property
     def _flat(self) -> dict:
-        """Flat float views of the 2x2 blocks, without copies: entry k of block index q at 4q + k."""
-        return {name: memoryview(np.ascontiguousarray(getattr(self, name))).cast("B").cast("d")
-                for name in _SQUARE_BLOCKS}
+        """Flat float views of the (L, 2, 2) blocks, without copies: entry k of block index q at 4q + k."""
+        blocks = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: memoryview(np.ascontiguousarray(b)).cast("B").cast("d")
+                for name, b in blocks if isinstance(b, np.ndarray) and b.shape[1:] == (2, 2)}
 
     def entries(self, q, *names) -> list:
         """Entry tuples (m00, m01, m10, m11) of the named 2x2 blocks at index q.

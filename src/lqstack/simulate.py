@@ -139,18 +139,6 @@ def _time_major(a: np.ndarray, k0: int, k1: int) -> np.ndarray:
     return a[k0:k1, None] if a.ndim == 1 else np.ascontiguousarray(a[:, k0:k1].T)
 
 
-def _control_terms(u: np.ndarray, B: np.ndarray, D: np.ndarray, k0: int, k1: int):
-    """B u and D u over steps k0 .. k1-1 as time-major blocks.  A per-path
-    control's gathered copy becomes B u in place once D u is formed from it,
-    so each such control holds two (b, m) buffers, not three."""
-    ub = _time_major(u, k0, k1)
-    du = D[k0:k1, None] * ub
-    if u.ndim == 1:
-        return B[k0:k1, None] * ub, du
-    ub *= B[k0:k1, None]
-    return ub, du
-
-
 def _node_products(coef: np.ndarray, xh: np.ndarray) -> np.ndarray:
     """coef[k] @ xh[k] at every node k, as one batched matmul (the same
     products, summed as the per-node matrix-vector product sums them)."""
@@ -248,8 +236,9 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     xk = x[:, 0].copy()
     for k0, k1 in _step_blocks(n):
         dw = _time_major(noise.dw, k0, k1)
-        b1u1, d1u1 = _control_terms(u1, B1, D1, k0, k1)
-        b2u2, d2u2 = _control_terms(u2, B2, D2, k0, k1)
+        u1b, u2b = _time_major(u1, k0, k1), _time_major(u2, k0, k1)
+        b1u1, b2u2 = B1[k0:k1, None] * u1b, B2[k0:k1, None] * u2b
+        d1u1, d2u2 = D1[k0:k1, None] * u1b, D2[k0:k1, None] * u2b
         xs = np.empty_like(dw)
         for j, k in enumerate(range(k0, k1)):
             xs[j] = xk + dt * (a[k] * xk + b1u1[j] + b2u2[j]) + (c[k] * xk + d1u1[j] + d2u2[j]) * dw[j]

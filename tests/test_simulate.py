@@ -89,6 +89,25 @@ def test_open_loop_per_path_controls():
     assert abs(ens.x[2, -1] - 2.0) < 1e-12
 
 
+def test_open_loop_leaves_per_path_controls_unchanged():
+    # a one-path chunk's (1, N+1) control and a Fortran-ordered control are
+    # read in step blocks that can be views of the caller's array; the
+    # kernel must not write to them, so a rerun with the same controls
+    # (as the optimality sweeps and the grid search make) sees the same x
+    m = make_model(steps=200, B1=0.7, B2=1.3, D1=0.3, D2=0.2)
+    rng = np.random.default_rng(5)
+    for paths, order in ((1, "C"), (40, "F")):
+        noise = generate_noise(23, paths, m.grid)
+        u1 = np.array(rng.standard_normal((paths, 201)), order=order)
+        u2 = np.array(rng.standard_normal((paths, 201)), order=order)
+        kept1, kept2 = u1.copy(), u2.copy()
+        first = simulate_open_loop(m, u1, u2, noise).x
+        assert np.array_equal(u1, kept1) and np.array_equal(u2, kept2), (paths, order)
+        again = simulate_open_loop(m, u1, u2, noise).x
+        fresh = simulate_open_loop(m, np.ascontiguousarray(kept1), np.ascontiguousarray(kept2), noise).x
+        assert np.array_equal(first, again) and np.array_equal(first, fresh), (paths, order)
+
+
 def test_closed_loop_zero_weights_is_uncontrolled(eq_b200):
     m = make_model(steps=200, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
     eq = solve_equilibrium(m)
