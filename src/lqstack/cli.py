@@ -172,6 +172,7 @@ def cmd_simulate(config: RunConfig) -> int:
             head = ens.head(reporting.TRAJECTORY_PATHS)
         j1.append(costs_mod.pathwise_J1(model, ens))
         j2.append(costs_mod.pathwise_J2(model, ens))
+        del ens  # else it stays alive while the next chunk is simulated
     j1 = costs_mod.cost_estimate("J1", np.concatenate(j1))
     j2 = costs_mod.cost_estimate("J2", np.concatenate(j2))
     reporting.ensure_dir(config.out_dir)

@@ -285,6 +285,22 @@ def test_verify_memory_does_not_grow_with_paths(tmp_path, monkeypatch):
         assert peaks[2] < 1.25 * peaks[1], (command, peaks)
 
 
+def test_simulate_holds_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # a chunk is released before the next one is simulated, so a run over
+    # two chunks peaks where a run over one does
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", 500)
+    path = write_model(tmp_path, steps=200)
+    peaks = []
+    for paths in (500, 500, 1000):  # a warm-up run, then 1 and 2 chunks
+        tracemalloc.start()
+        try:
+            main(["simulate", "--model", path, "--out", str(tmp_path / f"out{len(peaks)}"), "--paths", str(paths)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.25 * peaks[1], peaks
+
+
 def test_steps_override_flag(tmp_path):
     path = write_model(tmp_path, steps=100)
     out = tmp_path / "o"
