@@ -258,6 +258,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
             sweep.add(ens)
         if ens.noise.first_path < 4000:  # brute-force dominance on the first 4000 paths
             grid_parts.append(costs_mod.grid_features(eq, ens)[:, :4000 - ens.noise.first_path])
+        del ens, theta, recon  # else they stay alive while the next chunk is simulated
 
     add("structural_zero", "algebraic", peak["z_2"], tol.structural_rel * (peak["z"] + 1.0))
     add("terminal_reconstruction", "algebraic", peak["y_T_gap"], 1e-12 * (peak["y_T"] + 1.0))

@@ -12,13 +12,15 @@ state, which is the leader-follower discipline.
 
 No epsilon is simulated.  The Euler map is affine in a deterministic control
 shift and the follower's response is affine in the filtered leader shift, so
-along every path J(eps) - J(0) = eps * a + eps^2 * b exactly.  One
-sensitivity simulation per direction, the unit shift differenced against the
-baseline, gives each path's a and b; every eps, the slope E[a] and the
+along every path J(eps) - J(0) = eps * a + eps^2 * b exactly.  The state's
+response to a unit shift is a zero-start recursion that needs no baseline
+run (simulate.sensitivity_blocks); all directions of a check step together,
+and the trapezoid sums of each direction's a and b fold in block by block,
+so no sensitivity array is stored.  Every eps, the slope E[a] and the
 curvature E[b] then follow in closed form (pathwise sensitivities, as in
 Glasserman, Monte Carlo Methods in Financial Engineering, 2004, ch. 7).  The
 constant-feedback grid search is likewise a per-path quadratic form in
-(alpha, beta) assembled from three simulations.
+(alpha, beta), assembled from three responses in one pass of the same kernel.
 
 Means and variances over paths are elementwise products reduced with
 sum/mean, never BLAS products over the path axis, so results do not depend
@@ -35,7 +37,9 @@ from .equilibrium import EquilibriumSolution, NodeMoments
 from .filtering import solve_follower_filter
 from .model import LQModel
 from .riccati import DeterministicPath
-from .simulate import TrajectoryEnsemble, closed_loop_chunks, simulate_open_loop
+from .simulate import NoiseBundle, TrajectoryEnsemble, closed_loop_chunks, sensitivity_blocks
+# Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
+from .simulate import simulate_open_loop  # noqa: F401
 
 # Player -> (state weight, control weight, terminal weight) of its cost.
 _WEIGHTS = {"J1": ("Q1", "R1", "G1"), "J2": ("Q2", "R2", "G2")}
@@ -71,6 +75,40 @@ def _cost_form(model: LQModel, which: str, x: np.ndarray, u: np.ndarray,
     integrand *= 0.5
     running = np.trapezoid(integrand, dx=model.grid.dt, axis=1)
     return running + 0.5 * getattr(model, terminal) * x[:, -1] * y[:, -1]
+
+
+def _pair_forms(model: LQModel, which: str, x: np.ndarray, v1: np.ndarray, v2: np.ndarray,
+                noise: NoiseBundle, states, controls, pairs) -> np.ndarray:
+    """Per path, form(z_i, c_i, z_j, c_j) of a player's cost for each pair (i, j).
+
+    The states z come from the baseline x (m, N+1) and the responses dx to
+    the shifts (v1, v2), block by block: states(xb, dx) maps a time-major
+    (b, m) block of x and the kernel's (b, K, m) block of dx to the (b, m)
+    blocks of the z_i.  The trapezoid sums of Q z_i z_j add up node by node,
+    in node order, so no (K, m, N+1) array is stored and the block length
+    changes no bit.  The controls c_i are node arrays, shared (N+1,) or per
+    path (m, N+1).
+    """
+    state_weight, control_weight, terminal = _WEIGHTS[which]
+    grid = model.grid
+    w = np.full(grid.steps + 1, grid.dt)  # trapezoid weights
+    w[[0, -1]] *= 0.5
+    wq = w * model.nodes(state_weight)
+    running = np.zeros((len(pairs), noise.m))
+    products = np.empty_like(running)
+    for first, dx in sensitivity_blocks(model, v1, v2, noise):
+        zs = states(np.ascontiguousarray(x[:, first:first + len(dx)].T), dx)
+        for k, node in enumerate(range(first, first + len(dx))):  # node by node, in cache
+            for p, (i, j) in enumerate(pairs):
+                np.multiply(zs[i][k], zs[j][k], out=products[p])
+            products *= wq[node]
+            running += products
+    weighted = [w * model.nodes(control_weight) * c for c in controls]
+    out = np.empty_like(running)
+    for p, (i, j) in enumerate(pairs):
+        control = (weighted[i] * controls[j]).sum(axis=-1)
+        out[p] = 0.5 * (running[p] + control) + 0.5 * getattr(model, terminal) * zs[i][-1] * zs[j][-1]
+    return out
 
 
 def pathwise_J1(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
@@ -175,31 +213,44 @@ class OptimalitySweep:
 
     which="J1" is the check of verify_follower_optimality, "J2" that of
     verify_leader_optimality; the follower's filter re-solves run once, here.
-    add simulates a chunk's baseline and one unit-shift run per direction and
-    keeps only each path's cost and its a, b, so chunks fed in path order
-    report exactly what one ensemble of all their paths reports.
+    add runs all directions of a chunk through one pass of the sensitivity
+    kernel and keeps only each path's cost and its a, b, so chunks fed in
+    path order report exactly what one ensemble of all their paths reports.
+
+    J1 shifts the follower's control by each direction; the baseline is the
+    ensemble itself.  J2 shifts the leader's control by each direction and
+    the follower's by its response's change; the baseline is the ensemble
+    moved by one more response, to the gap between the follower's response
+    to the unshifted filtered control and the ensemble's follower control
+    (a filter re-solve apart, about 5e-11 on the benchmark model).
     """
 
     def __init__(self, eq: EquilibriumSolution, which: str, directions: dict[str, np.ndarray], eps_list):
         self.eq, self.which, self.eps = eq, which, _symmetrize_eps(eps_list)
         self.dirs = {name: np.asarray(v, dtype=float) for name, v in directions.items()}
+        self.v = np.array(list(self.dirs.values()))
+        k = len(self.v)
         if which == "J2":
             u2hat = eq.u2hat_path()
             self.u1_lead = follower_response(eq, u2hat)
-            self.responses = {name: follower_response(eq, _shifted(u2hat, v)) for name, v in self.dirs.items()}
+            self.du1 = np.array([follower_response(eq, _shifted(u2hat, v)) - self.u1_lead for v in self.v])
+        self.pairs = [(0, 0)] + [p for i in range(1, k + 1) for p in ((0, i), (i, i))]
         self.parts: list[np.ndarray] = []  # per chunk: base cost, then a and b of each direction
 
     def add(self, ens: TrajectoryEnsemble) -> "OptimalitySweep":
-        model, which = self.eq.model, self.which
-        u1 = np.asarray(ens.u1, dtype=float) if which == "J1" else self.u1_lead
-        base = simulate_open_loop(model, u1, ens.u2, ens.noise)
-        u = base.u1 if which == "J1" else base.u2
-        rows = [_cost_form(model, which, base.x, u, base.x, u)]
-        for name, v in self.dirs.items():
-            dx = (simulate_open_loop(model, u1 + v, ens.u2, ens.noise) if which == "J1" else
-                  simulate_open_loop(model, self.responses[name], ens.u2 + v, ens.noise)).x - base.x
-            rows += [2.0 * _cost_form(model, which, base.x, u, dx, v), _cost_form(model, which, dx, v, dx, v)]
-        self.parts.append(np.stack(rows))
+        v, u1 = self.v, np.asarray(ens.u1, dtype=float)
+        if self.which == "J1":
+            v1, v2, controls = v, np.zeros_like(v), [u1, *v]
+            states = lambda xb, dx: [xb, *dx.transpose(1, 0, 2)]
+        else:
+            # One more response moves the baseline to the follower's response.
+            v1 = np.concatenate([[self.u1_lead - u1], self.du1])
+            v2 = np.concatenate([np.zeros_like(v[:1]), v])
+            controls = [ens.u2, *v]
+            states = lambda xb, dx: [xb + dx[:, 0], *dx[:, 1:].transpose(1, 0, 2)]
+        forms = _pair_forms(self.eq.model, self.which, ens.x, v1, v2, ens.noise, states, controls, self.pairs)
+        forms[1::2] *= 2.0  # a = 2 form(base, dx)
+        self.parts.append(forms)
         return self
 
     def report(self) -> PerturbationReport:
@@ -257,6 +308,7 @@ def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
     sweep = OptimalitySweep(eq, which, directions, eps_list)
     for ens in closed_loop_chunks(eq.closed_loop(), seed, m):
         sweep.add(ens)
+        del ens  # else it stays alive while the next chunk is simulated
     return sweep.report()
 
 
@@ -294,22 +346,22 @@ def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.n
     """Per path of a baseline ensemble: its six grid features, then its own cost.
 
     Under u1 = alpha * xhat + beta the state is x0 + alpha * e1 + beta * e2,
-    with x0 simulated at u1 = 0 and e1, e2 the responses to u1 = xhat and
+    with x0 the state at u1 = 0 and e1, e2 the responses to u1 = xhat and
     u1 = 1, so each path's cost is a quadratic form in (1, alpha, beta) with
-    six features.  The baseline's own cost is the equilibrium cost.  Grid
-    means come from the feature means (grid_result), grid stderrs from the
-    covariance of the features.
+    six features.  x0 is the baseline less its response to its own follower
+    control, so one pass of the sensitivity kernel gives all three.  The
+    baseline's own cost is the equilibrium cost.  Grid means come from the
+    feature means (grid_result), grid stderrs from the covariance of the
+    features.
     """
     model = eq.model
-    u2_frozen = baseline.u2
-    noise = baseline.noise
     xhat = eq.xhat_scalar_path().nodes
-    zero = np.zeros_like(xhat)
-    x0 = simulate_open_loop(model, zero, u2_frozen, noise).x
-    basis = [(x0, zero)] + [(simulate_open_loop(model, u1, u2_frozen, noise).x - x0, u1)
-                            for u1 in (xhat, np.ones_like(xhat))]
-    return np.stack([c * _cost_form(model, "J1", *basis[i], *basis[j]) for i, j, c in _GRID_FEATURES]
-                    + [pathwise_J1(model, baseline)])
+    v1 = np.array([baseline.u1, xhat, np.ones_like(xhat)])
+    forms = _pair_forms(model, "J1", baseline.x, v1, np.zeros_like(v1), baseline.noise,
+                        lambda xb, dx: [xb - dx[:, 0], dx[:, 1], dx[:, 2]], [np.zeros_like(xhat), *v1[1:]],
+                        [(i, j) for i, j, _ in _GRID_FEATURES])
+    return np.concatenate([forms * np.array([c for _, _, c in _GRID_FEATURES])[:, None],
+                           [pathwise_J1(model, baseline)]])
 
 
 def grid_result(features: np.ndarray, alphas, betas) -> GridSearchResult:

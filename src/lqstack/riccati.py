@@ -633,6 +633,12 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
 
     p1_fine = solve(rhs1, blocks.gbar, "first")
     m1, m2, det1, det2 = gain_inverses(p1_fine, blocks, blocks.half_points, det_tol=det_tol)
+    # A determinant that changes sign between two samples passes the
+    # magnitude guard, so each must keep its sign at T on the whole half grid.
+    for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):
+        flipped = np.flatnonzero(np.sign(det) != np.sign(det[-1]))
+        if flipped.size:
+            raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
 
     def rhs2(j, mat):
         return rhs_p2(p1_fine[j], mat, blocks, blocks.half_index(j), det_tol=det_tol, m1=m1[j], m2=m2[j])

@@ -248,6 +248,52 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     return TrajectoryEnsemble(grid=grid, x=x, q=None, u1=u1, u2=u2, noise=noise)
 
 
+def sensitivity_blocks(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: NoiseBundle):
+    """Zero-start responses of the Euler state to K deterministic control shifts.
+
+    The Euler map is affine in a deterministic shift (v1, v2) of the two
+    controls, each (K, N+1), so under the same noise the state moves by dx,
+        dx_{k+1} = dx_k (1 + A_k dt + C_k dW_k) + (B1_k v1_k + B2_k v2_k) dt
+                   + (D1_k v1_k + D2_k v2_k) dW_k,   dx_0 = 0,
+    whatever the baseline controls: no baseline run is needed.  The K
+    recursions step together time-major, reading each noise block once.
+    Yields (first, dx): the (b, K, m) responses at nodes first .. first+b-1,
+    node 0 first.  The buffers are reused, so a block is valid only until the
+    next one is requested.  Raises NonFiniteState at the first step at which
+    a response is not finite (its lowest path).
+    """
+    grid = model.grid
+    n = grid.steps
+    dt = grid.dt
+    m = noise.m
+    A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
+    drift = ((B1 * v1 + B2 * v2) * dt).T  # (N+1, K): node-major, as the blocks read it
+    diff = (D1 * v1 + D2 * v2).T
+    # Block buffers, allocated once: a fresh large buffer per block costs
+    # more in page faults than the arithmetic on it.
+    rows = min(BLOCK_STEPS, n)
+    dw_buf, growth_buf, dx_buf = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, drift.shape[1], m))
+    dxk, step = np.zeros(dx_buf.shape[1:]), np.empty(dx_buf.shape[1:])
+    yield 0, dxk[None]
+    for k0, k1 in _step_blocks(n):
+        dw, growth, dx = dw_buf[:k1 - k0], growth_buf[:k1 - k0], dx_buf[:k1 - k0]
+        dw[:] = noise.dw[:, k0:k1].T
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness guard reports overflow
+            np.multiply(C[k0:k1, None], dw, out=growth)
+            growth += (1.0 + A[k0:k1] * dt)[:, None]
+            np.multiply(diff[k0:k1, :, None], dw[:, None, :], out=dx)
+            dx += drift[k0:k1, :, None]
+            for j in range(k1 - k0):
+                np.multiply(dxk, growth[j], out=step)
+                dx[j] += step
+                dxk = dx[j]
+        if not np.isfinite(dxk).all():  # a non-finite response stays non-finite
+            j, path = np.argwhere(~np.isfinite(dx).all(axis=1))[0]
+            raise NonFiniteState(noise.first_path + int(path), k0 + int(j) + 1, (k0 + int(j) + 1) * dt)
+        dxk = dxk.copy()  # the next block overwrites the buffer
+        yield k0 + 1, dx
+
+
 def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
                    xhat: DeterministicPath, u2hat, theta_hat) -> np.ndarray:
     """Pathwise backward reconstruction of the follower's adjoint offset.

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqstack import simulate
-from lqstack.costs import (estimate_J1, estimate_J2, follower_response, gain_grid_search,
-                           pathwise_J1, pathwise_J2, verify_follower_optimality,
+from lqstack.costs import (OptimalitySweep, estimate_J1, estimate_J2, follower_response, gain_grid_search,
+                           grid_features, pathwise_J1, pathwise_J2, verify_follower_optimality,
                            verify_leader_optimality, verify_optimality_chunked)
 from lqstack.equilibrium import solve_equilibrium
 from lqstack.filtering import DeterministicPath
@@ -102,6 +102,38 @@ def test_zero_direction_gives_exact_zero_differences(eq_ens_small):
     assert np.all(c.delta_stderr == 0.0)
     rep2 = verify_leader_optimality(eq, ens, {"zero": np.zeros(n + 1)}, [0.1])
     assert np.all(rep2.curves[0].delta_mean == 0.0)
+
+
+@pytest.mark.parametrize("diffusion", [{}, {"D1": 0.3, "D2": 0.2}])
+def test_zero_direction_gives_exact_zero_slope_and_curvature(diffusion):
+    m = make_model(steps=60, **diffusion)
+    eq = solve_equilibrium(m)
+    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(8, 100, m.grid))
+    dirs = {"zero": np.zeros(61), "const": np.ones(61)}
+    for which in ("J1", "J2"):
+        _, a, b, a_const, _ = OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0]
+        assert np.all(a == 0.0) and np.all(b == 0.0), which
+        assert np.all(a_const != 0.0), which
+
+
+def test_block_length_changes_no_sweep_or_grid_value(monkeypatch):
+    # the kernel steps, and the sums fold, node by node in node order, so
+    # blocks of 1 step, of 7 (no divisor of N = 200) and of more than N give
+    # every bit of the sweep rows and the grid features
+    m = make_model(steps=200, D1=0.3, D2=0.2)
+    eq = solve_equilibrium(m)
+    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(12, 60, m.grid))
+    dirs = _oracle_dirs(m)
+
+    def run():
+        return [OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0] for which in ("J1", "J2")] \
+            + [grid_features(eq, ens)]
+
+    default = run()
+    for block in (1, 7, 201):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        for a, b in zip(default, run(), strict=True):
+            assert np.array_equal(a, b), block
 
 
 def test_decoupled_quadratic_delta_closed_form():

@@ -311,6 +311,21 @@ def test_leader_second_gain_inverse_guard_on_forged_blocks():
     assert info.value.time == 0.625
 
 
+def test_leader_gain_determinant_sign_change_is_caught():
+    # Forging e44's corner to -0.7 makes det(I + p1 e44) run between +0.47
+    # and -0.29, negative for t in [0.325, 0.6875]; no sample comes near 0,
+    # so the magnitude guard passes (min |det| 1.1e-3) and only the sign
+    # change against the value at T shows it, at the flipped sample nearest T.
+    m = make_model(steps=40, D1=0.3, D2=0.5, C=0.4, Q2=2.0)
+    P = solve_follower_P(m)
+    blocks = assemble_leader_blocks(m, P)
+    e44 = blocks.e44.copy()
+    e44[:, 0, 0] = -0.7
+    with pytest.raises(M2NotInvertible, match="changes sign") as info:
+        solve_leader_riccati(m, dataclasses.replace(blocks, e44=e44))
+    assert info.value.time == 0.6875
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), varying=st.booleans(), j=st.integers(0, 80))
 def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):

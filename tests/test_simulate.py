@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqstack import simulate
 from lqstack.equilibrium import solve_equilibrium
@@ -7,9 +11,9 @@ from lqstack.errors import NonFiniteState
 from lqstack.filtering import DeterministicPath, solve_follower_filter
 from lqstack.model import TimeGrid
 from lqstack.simulate import (ClosedLoopSystem, backfill_theta, density_process, generate_noise,
-                              simulate_closed_loop, simulate_open_loop)
+                              sensitivity_blocks, simulate_closed_loop, simulate_open_loop)
 
-from conftest import make_model
+from conftest import make_model, random_admissible_model, time_varying
 
 
 def test_noise_reproducible():
@@ -201,6 +205,63 @@ def test_block_length_changes_nothing(monkeypatch):
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         for a, b in zip(default, run(), strict=True):
             assert np.array_equal(a, b), block
+
+
+def responses(model, v1, v2, noise) -> np.ndarray:
+    """The kernel's zero-start responses at every node, (N+1, K, m)."""
+    return np.concatenate([dx.copy() for _, dx in sensitivity_blocks(model, v1, v2, noise)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), varying=st.booleans())
+def test_sensitivity_is_difference_of_open_loop_runs(seed, varying):
+    # the Euler map is affine in a deterministic shift, so the zero-start
+    # response equals the difference of the shifted and the baseline runs,
+    # for any baseline controls (here shared u1, per-path u2) and with
+    # control-dependent diffusion
+    rng = np.random.default_rng(seed)
+    model = random_admissible_model(rng, steps=60)
+    model = dataclasses.replace(model, D1=np.copysign(max(abs(model.D1), 0.1), model.D1),
+                                D2=np.copysign(max(abs(model.D2), 0.1), model.D2))
+    if varying:
+        model = time_varying(model)
+    noise = generate_noise(int(rng.integers(1000)), 30, model.grid, first_path=5)
+    u1, u2 = rng.standard_normal(61), rng.standard_normal((30, 61))
+    v1, v2 = rng.standard_normal((3, 61)), rng.standard_normal((3, 61))
+    dx = responses(model, v1, v2, noise)
+    base = simulate_open_loop(model, u1, u2, noise).x
+    for i in range(3):
+        shifted = simulate_open_loop(model, u1 + v1[i], u2 + v2[i], noise).x
+        scale = np.max(np.abs(shifted)) + np.max(np.abs(base))
+        assert np.max(np.abs(dx[:, i].T - (shifted - base))) <= 1e-13 * scale
+
+
+def test_sensitivity_of_zero_shift_is_exact_zero():
+    model = make_model(steps=50, D1=0.3, D2=0.2)
+    noise = generate_noise(4, 20, model.grid)
+    v = np.zeros((2, 51))
+    assert np.all(responses(model, v, v, noise) == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose, as in the reference loop
+def test_sensitivity_non_finite_reported(monkeypatch):
+    # huge multiplicative noise overflows the response; the kernel names the
+    # first step at which any direction is not finite and its lowest path,
+    # whatever the block length
+    model = make_model(steps=200, C=1000.0)
+    noise = generate_noise(3, 5, model.grid, first_path=7)
+    v1 = np.array([np.ones(201), np.linspace(0.0, 2.0, 201)])
+    dx, dt = np.zeros((2, 5)), model.grid.dt
+    finite = []
+    for k in range(200):
+        dx = dx * (1.0 + 0.1 * dt + 1000.0 * noise.dw[:, k]) + v1[:, k, None] * dt
+        finite.append(np.isfinite(dx).all(axis=0))
+    step, path = np.argwhere(~np.array(finite))[0]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        with pytest.raises(NonFiniteState) as info:
+            responses(model, v1, np.zeros_like(v1), noise)
+        assert (info.value.path, info.value.step) == (7 + path, step + 1)
 
 
 def test_backfill_zero_forcing():
