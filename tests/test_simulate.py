@@ -236,13 +236,6 @@ def test_sensitivity_is_difference_of_open_loop_runs(seed, varying):
         assert np.max(np.abs(dx[:, i].T - (shifted - base))) <= 1e-13 * scale
 
 
-def test_sensitivity_of_zero_shift_is_exact_zero():
-    model = make_model(steps=50, D1=0.3, D2=0.2)
-    noise = generate_noise(4, 20, model.grid)
-    v = np.zeros((2, 51))
-    assert np.all(responses(model, v, v, noise) == 0.0)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose, as in the reference loop
 def test_sensitivity_non_finite_reported(monkeypatch):
     # huge multiplicative noise overflows the response; the kernel names the
