@@ -61,6 +61,9 @@ class Tolerances:
         unknown = set(pairs) - set(self.__dataclass_fields__)
         if unknown:
             raise ParseError(f"unknown tolerance name(s): {', '.join(sorted(unknown))}")
+        bad = [name for name, value in pairs.items() if not 0.0 <= value < np.inf]
+        if bad:
+            raise ParseError(f"tolerance(s) must be finite and >= 0: {', '.join(sorted(bad))}")
         return replace(self, **pairs)
 
 
@@ -80,8 +83,10 @@ class RunConfig:
             raise ParseError(f"paths must be >= 2, got {self.paths}")
         if self.steps is not None and self.steps < 2:
             raise ParseError(f"steps must be >= 2, got {self.steps}")
-        if any(e == 0.0 for e in self.eps):
-            raise ParseError("epsilon values must be nonzero")
+        if self.seed < 0:
+            raise ParseError(f"seed must be >= 0, got {self.seed}")
+        if not all(0.0 < abs(e) < np.inf for e in self.eps):
+            raise ParseError("epsilon values must be finite and nonzero")
 
 
 def _load(config: RunConfig) -> LQModel:

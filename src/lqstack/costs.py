@@ -1,7 +1,9 @@
 """Monte-Carlo cost estimation and perturbation-based optimality verification.
 
 Costs are trapezoidal quadratures of the quadratic running terms plus the
-terminal term, averaged over paths.  Optimality checks perturb the
+terminal term, averaged over paths; every time sum of per-path data is a fold
+in node order over the node-major ensemble (see simulate), so a path's cost
+does not depend on the paths simulated beside it.  Optimality checks perturb the
 equilibrium control processes (not the feedback laws): the baseline controls
 are frozen as realized processes, a deterministic direction scaled by
 epsilon is added, and the state follows under the baseline noise (common
@@ -14,9 +16,9 @@ No epsilon is simulated.  The Euler map is affine in a deterministic control
 shift and the follower's response is affine in the filtered leader shift, so
 along every path J(eps) - J(0) = eps * a + eps^2 * b exactly.  The state's
 response to a unit shift is a zero-start recursion that needs no baseline
-run (simulate.sensitivity_blocks); all directions of a check step together,
-and the trapezoid sums of each direction's a and b fold in block by block,
-so no sensitivity array is stored.  Every eps, the slope E[a] and the
+run (simulate.sensitivity_nodes); all directions of a check step together,
+and the trapezoid sums of each direction's a and b fold in node by node, in
+node order, so no sensitivity array is stored.  Every eps, the slope E[a] and the
 curvature E[b] then follow in closed form (pathwise sensitivities, as in
 Glasserman, Monte Carlo Methods in Financial Engineering, 2004, ch. 7).  The
 constant-feedback grid search is likewise a per-path quadratic form in
@@ -37,7 +39,7 @@ from .equilibrium import EquilibriumSolution, NodeMoments
 from .filtering import solve_follower_filter
 from .model import LQModel
 from .riccati import DeterministicPath
-from .simulate import NoiseBundle, TrajectoryEnsemble, closed_loop_chunks, sensitivity_blocks
+from .simulate import TrajectoryEnsemble, closed_loop_chunks, sensitivity_nodes
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .simulate import simulate_open_loop  # noqa: F401
 
@@ -59,64 +61,44 @@ def _stderr(samples: np.ndarray) -> float:
     return float(NodeMoments().add(samples).stderr)
 
 
-def _cost_form(model: LQModel, which: str, x: np.ndarray, u: np.ndarray,
-               y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-path symmetric bilinear form of a player's cost: J = form(x, u, x, u).
-
-    States are (m, N+1); controls are (N+1,) shared or (m, N+1) per path.
-    In-place updates keep the temporaries to one (m, N+1) array.
-    """
-    state_weight, control_weight, terminal = _WEIGHTS[which]
-    q = model.nodes(state_weight)
-    r = model.nodes(control_weight)
-    integrand = q * x
-    integrand *= y
-    integrand += r * w * u
-    integrand *= 0.5
-    running = np.trapezoid(integrand, dx=model.grid.dt, axis=1)
-    return running + 0.5 * getattr(model, terminal) * x[:, -1] * y[:, -1]
-
-
-def _pair_forms(model: LQModel, which: str, x: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-                noise: NoiseBundle, states, controls, pairs) -> np.ndarray:
+def _pair_forms(model: LQModel, which: str, m: int, states, controls, pairs) -> np.ndarray:
     """Per path, form(z_i, c_i, z_j, c_j) of a player's cost for each pair (i, j).
 
-    The states z come from the baseline x (m, N+1) and the responses dx to
-    the shifts (v1, v2), block by block: states(xb, dx) maps a time-major
-    (b, m) block of x and the kernel's (b, K, m) block of dx to the (b, m)
-    blocks of the z_i.  The trapezoid sums of Q z_i z_j add up node by node,
-    in node order, so no (K, m, N+1) array is stored and the block length
-    changes no bit.  The controls c_i are node arrays, shared (N+1,) or per
-    path (m, N+1).
+    states yields the (m,) states z_i at nodes 0 .. N in node order; the
+    controls c_i are shared (N+1,) or per path (m, N+1).  The trapezoid sums
+    of Q z_i z_j, and of R c_i c_j where a control is per path, fold in node
+    order, so a path's form is the same whatever paths are folded beside it;
+    a pair of shared controls is one sum, the same for every path.
     """
     state_weight, control_weight, terminal = _WEIGHTS[which]
     grid = model.grid
     w = np.full(grid.steps + 1, grid.dt)  # trapezoid weights
     w[[0, -1]] *= 0.5
-    wq = w * model.nodes(state_weight)
-    running = np.zeros((len(pairs), noise.m))
+    wq = (w * model.nodes(state_weight)).tolist()
+    wr = w * model.nodes(control_weight)
+    shared = [controls[i].ndim == controls[j].ndim == 1 for i, j in pairs]
+    control = [(wr * controls[i] * controls[j]).sum() if s else 0.0 for s, (i, j) in zip(shared, pairs)]
+    folded = [(p, i, j) for p, (i, j) in enumerate(pairs) if not shared[p]]
+    controls = [c if c.ndim == 1 else c.T for c in controls]  # node k of a control is c[k]
+    running = np.zeros((len(pairs), m))
     products = np.empty_like(running)
-    for first, dx in sensitivity_blocks(model, v1, v2, noise):
-        zs = states(np.ascontiguousarray(x[:, first:first + len(dx)].T), dx)
-        for k, node in enumerate(range(first, first + len(dx))):  # node by node, in cache
-            for p, (i, j) in enumerate(pairs):
-                np.multiply(zs[i][k], zs[j][k], out=products[p])
-            products *= wq[node]
-            running += products
-    weighted = [w * model.nodes(control_weight) * c for c in controls]
-    out = np.empty_like(running)
-    for p, (i, j) in enumerate(pairs):
-        control = (weighted[i] * controls[j]).sum(axis=-1)
-        out[p] = 0.5 * (running[p] + control) + 0.5 * getattr(model, terminal) * zs[i][-1] * zs[j][-1]
-    return out
+    for k, zs in enumerate(states):
+        for p, (i, j) in enumerate(pairs):
+            np.multiply(zs[i], zs[j], out=products[p])
+        products *= wq[k]
+        running += products
+        for p, i, j in folded:
+            control[p] = control[p] + wr[k] * controls[i][k] * controls[j][k]
+    g = 0.5 * getattr(model, terminal)
+    return np.array([0.5 * (running[p] + control[p]) + g * zs[i] * zs[j] for p, (i, j) in enumerate(pairs)])
 
 
 def pathwise_J1(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
-    return _cost_form(model, "J1", ens.x, ens.u1, ens.x, ens.u1)
+    return _pair_forms(model, "J1", ens.m, ([xk] for xk in ens.x.T), [ens.u1], [(0, 0)])[0]
 
 
 def pathwise_J2(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
-    return _cost_form(model, "J2", ens.x, ens.u2, ens.x, ens.u2)
+    return _pair_forms(model, "J2", ens.m, ([xk] for xk in ens.x.T), [ens.u2], [(0, 0)])[0]
 
 
 def cost_estimate(which: str, samples: np.ndarray) -> CostEstimate:
@@ -241,14 +223,16 @@ class OptimalitySweep:
         v, u1 = self.v, np.asarray(ens.u1, dtype=float)
         if self.which == "J1":
             v1, v2, controls = v, np.zeros_like(v), [u1, *v]
-            states = lambda xb, dx: [xb, *dx.transpose(1, 0, 2)]
+            states = lambda xk, dx: [xk, *dx]
         else:
             # One more response moves the baseline to the follower's response.
             v1 = np.concatenate([[self.u1_lead - u1], self.du1])
             v2 = np.concatenate([np.zeros_like(v[:1]), v])
             controls = [ens.u2, *v]
-            states = lambda xb, dx: [xb + dx[:, 0], *dx[:, 1:].transpose(1, 0, 2)]
-        forms = _pair_forms(self.eq.model, self.which, ens.x, v1, v2, ens.noise, states, controls, self.pairs)
+            states = lambda xk, dx: [xk + dx[0], *dx[1:]]
+        nodes = zip(ens.x.T, sensitivity_nodes(self.eq.model, v1, v2, ens.noise))
+        forms = _pair_forms(self.eq.model, self.which, ens.m, (states(xk, dx) for xk, dx in nodes), controls,
+                            self.pairs)
         forms[1::2] *= 2.0  # a = 2 form(base, dx)
         self.parts.append(forms)
         return self
@@ -357,9 +341,9 @@ def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.n
     model = eq.model
     xhat = eq.xhat_scalar_path().nodes
     v1 = np.array([baseline.u1, xhat, np.ones_like(xhat)])
-    forms = _pair_forms(model, "J1", baseline.x, v1, np.zeros_like(v1), baseline.noise,
-                        lambda xb, dx: [xb - dx[:, 0], dx[:, 1], dx[:, 2]], [np.zeros_like(xhat), *v1[1:]],
-                        [(i, j) for i, j, _ in _GRID_FEATURES])
+    nodes = zip(baseline.x.T, sensitivity_nodes(model, v1, np.zeros_like(v1), baseline.noise))
+    forms = _pair_forms(model, "J1", baseline.m, ([xk - dx[0], dx[1], dx[2]] for xk, dx in nodes),
+                        [np.zeros_like(xhat), *v1[1:]], [(i, j) for i, j, _ in _GRID_FEATURES])
     return np.concatenate([forms * np.array([c for _, _, c in _GRID_FEATURES])[:, None],
                            [pathwise_J1(model, baseline)]])
 

@@ -15,6 +15,7 @@ by 3 standard errors plus an O(dt) discretization allowance).
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -432,7 +433,9 @@ class BsdeResidual:
     """Discrete backward-step residual of the follower adjoint, per path.
 
     step_residual[i, k] = p_{k+1} - p_k + (Q1 x_k + A p_k + C k_k) dt - k_k dW_k;
-    time_summed[i] accumulates the steps; rms is over paths of the sum.
+    time_summed[i] accumulates the steps in node order (numpy's sum over the
+    time axis would round a 1-path chunk differently from a many-path one);
+    rms is over paths of the sum.
     Shrinks at first order when the grid is refined.
     """
 
@@ -455,4 +458,4 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
     steps = (p[:, 1:] - p[:, :-1]
              + (Q1[None, :] * ens.x[:, :-1] + A[None, :] * p[:, :-1] + C[None, :] * k) * dt
              - k * ens.noise.dw)
-    return BsdeResidual(time_summed=steps.sum(axis=1))
+    return BsdeResidual(time_summed=reduce(np.add, steps.T))  # node order, whatever the layout

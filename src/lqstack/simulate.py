@@ -6,6 +6,13 @@ Reproducibility contract: every sampled quantity is a pure function of
 order.  Each path owns a counter-based stream (Philox keyed by a seed
 sequence spawned from (seed, path)); within a stream the state increments are
 drawn first, then the observation increments.
+
+Per-path arrays are stored node-major, (N+1, m) states and (N, m) noise, and
+handed out as their (m, .) transposes; the Euler kernels write row k+1 from
+row k, so a path takes the same operations whatever paths run beside it.
+Time sums of such data fold in node order (costs, the backward-step
+residual): numpy sums a contiguous axis pairwise but a strided one row by
+row, so its sum over the time axis rounds a 1-path chunk differently.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients, 
 
 
 CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
-BLOCK_STEPS = 64  # Euler steps per time-major block of a kernel; bounds its (b, m) buffers
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,15 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
         raise ValueError(f"path count must be >= 1, got {m}")
     n = grid.steps
     root = np.sqrt(grid.dt)
-    dw = np.empty((m, n))
-    dwbar = np.empty((m, n))
+    dw = np.empty((n, m))
+    dwbar = np.empty((n, m))
     for i in range(m):
         gen = path_stream(seed, first_path + i)
-        dw[i] = gen.standard_normal(n)
-        dwbar[i] = gen.standard_normal(n)
+        dw[:, i] = gen.standard_normal(n)
+        dwbar[:, i] = gen.standard_normal(n)
     dw *= root
     dwbar *= root
-    return NoiseBundle(seed=seed, grid=grid, dw=dw, dwbar=dwbar, first_path=first_path)
+    return NoiseBundle(seed=seed, grid=grid, dw=dw.T, dwbar=dwbar.T, first_path=first_path)
 
 
 @dataclass(frozen=True)
@@ -120,25 +126,6 @@ class ClosedLoopSystem:
     xhat: DeterministicPath
 
 
-# The Euler kernels keep a path-major (m, .) interface but step time-major:
-# each block of BLOCK_STEPS steps copies its slice of the noise (and of any
-# per-path control) to a contiguous (b, m) buffer, steps over its rows with
-# elementwise arithmetic and writes the states back with one transposed
-# store.  Every path sees the same operations in the same order whatever the
-# block length, so the block length changes no bit of the result.
-
-
-def _step_blocks(n: int):
-    """(first, stop) step ranges of the time-major blocks covering steps 0 .. n-1."""
-    return ((k0, min(k0 + BLOCK_STEPS, n)) for k0 in range(0, n, BLOCK_STEPS))
-
-
-def _time_major(a: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """Columns k0 .. k1-1 of a path-major (m, .) table as a contiguous (b, m)
-    buffer; a node array shared by every path becomes a (b, 1) column."""
-    return a[k0:k1, None] if a.ndim == 1 else np.ascontiguousarray(a[:, k0:k1].T)
-
-
 def _node_products(coef: np.ndarray, xh: np.ndarray) -> np.ndarray:
     """coef[k] @ xh[k] at every node k, as one batched matmul (the same
     products, summed as the per-node matrix-vector product sums them)."""
@@ -179,30 +166,24 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
     diff_shared = _node_products(system.diff_xhat, xh).tolist()
     fx, gx, lx = system.drift_x.tolist(), system.diff_x.tolist(), system.lx.tolist()
 
-    x = np.empty((m, n + 1))
-    q = np.empty((m, n + 1))
-    u2 = np.empty((m, n + 1))
-    xk = np.full(m, xh[0, 0])
-    qk = np.full(m, xh[0, 1])
-    x[:, 0] = xk
-    q[:, 0] = qk
-    for k0, k1 in _step_blocks(n):
-        dw = _time_major(noise.dw, k0, k1)
-        xs, qs, us = np.empty_like(dw), np.empty_like(dw), np.empty_like(dw)
-        for j, k in enumerate(range(k0, k1)):
-            (a11, a12), (a21, a22) = fx[k]
-            (g11, g12), (g21, g22) = gx[k]
-            l1, l2 = lx[k]
-            (c1, c2), (e1, e2) = drift_shared[k], diff_shared[k]
-            us[j] = xk * l1 + qk * l2 + u2_shared[k]
-            xs[j] = xk + dt * (xk * a11 + qk * a12 + c1) + (xk * g11 + qk * g12 + e1) * dw[j]
-            qs[j] = qk + dt * (xk * a21 + qk * a22 + c2) + (xk * g21 + qk * g22 + e2) * dw[j]
-            xk, qk = xs[j], qs[j]
-        x[:, k0 + 1:k1 + 1] = xs.T
-        q[:, k0 + 1:k1 + 1] = qs.T
-        u2[:, k0:k1] = us.T
+    dw = noise.dw.T
+    x = np.empty((n + 1, m))
+    q = np.empty((n + 1, m))
+    u2 = np.empty((n + 1, m))
+    x[0] = xh[0, 0]
+    q[0] = xh[0, 1]
+    for k in range(n):
+        xk, qk = x[k], q[k]
+        (a11, a12), (a21, a22) = fx[k]
+        (g11, g12), (g21, g22) = gx[k]
+        l1, l2 = lx[k]
+        (c1, c2), (e1, e2) = drift_shared[k], diff_shared[k]
+        u2[k] = xk * l1 + qk * l2 + u2_shared[k]
+        x[k + 1] = xk + dt * (xk * a11 + qk * a12 + c1) + (xk * g11 + qk * g12 + e1) * dw[k]
+        q[k + 1] = qk + dt * (xk * a21 + qk * a22 + c2) + (xk * g21 + qk * g22 + e2) * dw[k]
     l1, l2 = lx[n]
-    u2[:, n] = xk * l1 + qk * l2 + u2_shared[n]
+    u2[n] = x[n] * l1 + q[n] * l2 + u2_shared[n]
+    x, q, u2 = x.T, q.T, u2.T
     _check_finite(noise, x, q)
     return TrajectoryEnsemble(grid=grid, x=x, q=q, u1=u1, u2=u2, noise=noise)
 
@@ -230,25 +211,21 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     u2 = u2.nodes if isinstance(u2, DeterministicPath) else np.asarray(u2, dtype=float)
     A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
     a, c = A.tolist(), C.tolist()
-
-    x = np.empty((m, n + 1))
-    x[:, 0] = model.x0
-    xk = x[:, 0].copy()
-    for k0, k1 in _step_blocks(n):
-        dw = _time_major(noise.dw, k0, k1)
-        u1b, u2b = _time_major(u1, k0, k1), _time_major(u2, k0, k1)
-        b1u1, b2u2 = B1[k0:k1, None] * u1b, B2[k0:k1, None] * u2b
-        d1u1, d2u2 = D1[k0:k1, None] * u1b, D2[k0:k1, None] * u2b
-        xs = np.empty_like(dw)
-        for j, k in enumerate(range(k0, k1)):
-            xs[j] = xk + dt * (a[k] * xk + b1u1[j] + b2u2[j]) + (c[k] * xk + d1u1[j] + d2u2[j]) * dw[j]
-            xk = xs[j]
-        x[:, k0 + 1:k1 + 1] = xs.T
+    # Node k of a control: a scalar if shared, else the row of every path.
+    u1k, u2k = (u if u.ndim == 1 else u.T for u in (u1, u2))
+    dw = noise.dw.T
+    x = np.empty((n + 1, m))
+    x[0] = model.x0
+    for k in range(n):
+        xk = x[k]
+        x[k + 1] = (xk + dt * (a[k] * xk + B1[k] * u1k[k] + B2[k] * u2k[k])
+                    + (c[k] * xk + D1[k] * u1k[k] + D2[k] * u2k[k]) * dw[k])
+    x = x.T
     _check_finite(noise, x)
     return TrajectoryEnsemble(grid=grid, x=x, q=None, u1=u1, u2=u2, noise=noise)
 
 
-def sensitivity_blocks(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: NoiseBundle):
+def sensitivity_nodes(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: NoiseBundle):
     """Zero-start responses of the Euler state to K deterministic control shifts.
 
     The Euler map is affine in a deterministic shift (v1, v2) of the two
@@ -256,42 +233,31 @@ def sensitivity_blocks(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: No
         dx_{k+1} = dx_k (1 + A_k dt + C_k dW_k) + (B1_k v1_k + B2_k v2_k) dt
                    + (D1_k v1_k + D2_k v2_k) dW_k,   dx_0 = 0,
     whatever the baseline controls: no baseline run is needed.  The K
-    recursions step together time-major, reading each noise block once.
-    Yields (first, dx): the (b, K, m) responses at nodes first .. first+b-1,
-    node 0 first.  The buffers are reused, so a block is valid only until the
-    next one is requested.  Raises NonFiniteState at the first step at which
-    a response is not finite (its lowest path).
+    recursions step together, reading each noise row once.  Yields the
+    (K, m) responses at nodes 0 .. N in node order, in one reused buffer: a
+    node's responses are valid only until the next node is requested.
+    Raises NonFiniteState at the first step at which a response is not
+    finite (its lowest path).
     """
-    grid = model.grid
-    n = grid.steps
-    dt = grid.dt
-    m = noise.m
+    dt = model.grid.dt
     A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
-    drift = ((B1 * v1 + B2 * v2) * dt).T  # (N+1, K): node-major, as the blocks read it
+    drift = ((B1 * v1 + B2 * v2) * dt).T  # (N+1, K): node-major, as the steps read it
     diff = (D1 * v1 + D2 * v2).T
-    # Block buffers, allocated once: a fresh large buffer per block costs
-    # more in page faults than the arithmetic on it.
-    rows = min(BLOCK_STEPS, n)
-    dw_buf, growth_buf, dx_buf = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, drift.shape[1], m))
-    dxk, step = np.zeros(dx_buf.shape[1:]), np.empty(dx_buf.shape[1:])
-    yield 0, dxk[None]
-    for k0, k1 in _step_blocks(n):
-        dw, growth, dx = dw_buf[:k1 - k0], growth_buf[:k1 - k0], dx_buf[:k1 - k0]
-        dw[:] = noise.dw[:, k0:k1].T
+    dx = np.zeros((drift.shape[1], noise.m))
+    growth, step = np.empty(noise.m), np.empty_like(dx)
+    yield dx
+    for k, dw in enumerate(noise.dw.T):
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness guard reports overflow
-            np.multiply(C[k0:k1, None], dw, out=growth)
-            growth += (1.0 + A[k0:k1] * dt)[:, None]
-            np.multiply(diff[k0:k1, :, None], dw[:, None, :], out=dx)
-            dx += drift[k0:k1, :, None]
-            for j in range(k1 - k0):
-                np.multiply(dxk, growth[j], out=step)
-                dx[j] += step
-                dxk = dx[j]
-        if not np.isfinite(dxk).all():  # a non-finite response stays non-finite
-            j, path = np.argwhere(~np.isfinite(dx).all(axis=1))[0]
-            raise NonFiniteState(noise.first_path + int(path), k0 + int(j) + 1, (k0 + int(j) + 1) * dt)
-        dxk = dxk.copy()  # the next block overwrites the buffer
-        yield k0 + 1, dx
+            np.multiply(C[k], dw, out=growth)
+            growth += 1.0 + A[k] * dt
+            np.multiply(diff[k, :, None], dw, out=step)
+            step += drift[k, :, None]
+            dx *= growth
+            dx += step
+        if not np.isfinite(dx).all():  # a non-finite response stays non-finite
+            path = np.argwhere(~np.isfinite(dx).all(axis=0))[0, 0]
+            raise NonFiniteState(noise.first_path + int(path), k + 1, (k + 1) * dt)
+        yield dx
 
 
 def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
@@ -313,25 +279,25 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     n = grid.steps
 
     def half_gap(arr, filtered) -> np.ndarray:
-        """arr - filtered on the half grid, one row per path (or one shared
-        row); paths interpolate linearly, deterministic paths carry their
+        """arr - filtered on the half grid, one column per path (or one shared
+        column); paths interpolate linearly, deterministic paths carry their
         own midpoints."""
         if isinstance(arr, DeterministicPath):
-            return (arr.half_values() - filtered.half_values())[None, :]
-        arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        out = np.empty((arr.shape[0], 2 * n + 1))
-        out[:, ::2] = arr
-        out[:, 1::2] = 0.5 * (arr[:, :-1] + arr[:, 1:])
-        out -= filtered.half_values()
+            return (arr.half_values() - filtered.half_values())[:, None]
+        nodes = np.atleast_2d(np.asarray(arr, dtype=float)).T
+        out = np.empty((2 * n + 1, nodes.shape[1]))
+        out[::2] = nodes
+        out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        out -= filtered.half_values()[:, None]
         return out
 
     fol = follower_coefficients(model, P)
     A = model.nodes("A", 2)
     # The deviation's forcing on the half grid j = 0..2N, one column per path.
-    forcing = (half_gap(x, xhat) * fol.offset[0] + half_gap(u2, as_path(u2hat)) * fol.offset_u2).T
+    forcing = half_gap(x, xhat) * fol.offset[0][:, None] + half_gap(u2, as_path(u2hat)) * fol.offset_u2[:, None]
     e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), grid.dt, n,
                       backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
-    return np.ascontiguousarray(e.nodes.T) + as_path(theta_hat).nodes
+    return (e.nodes + as_path(theta_hat).nodes[:, None]).T
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lqstack import equilibrium as eq_mod
 from lqstack import simulate
 from lqstack.cli import main
 from lqstack.model import model_to_dict
@@ -82,10 +86,24 @@ def test_missing_key_exit_2(tmp_path):
     assert main(["solve", "--model", str(bad)]) == 2
 
 
-def test_bad_eps_exit_2(tmp_path):
-    path = write_model(tmp_path)
-    assert main(["verify", "--model", path, "--eps", "0.1,zero"]) == 2
-    assert main(["verify", "--model", path, "--eps", "0.0"]) == 2
+def parse_fails(tmp_path, monkeypatch, *flags) -> bool:
+    """verify with these flags exits 2 before the solve and writes nothing."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(eq_mod, "solve_equilibrium", no_solve)
+    out = tmp_path / "out"
+    code = main(["verify", "--model", write_model(tmp_path), "--out", str(out), *flags])
+    return code == 2 and not out.exists()
+
+
+def test_bad_eps_exit_2(tmp_path, monkeypatch):
+    for eps in ("0.1,zero", "0.0", "0.1,nan", "inf"):
+        assert parse_fails(tmp_path, monkeypatch, "--eps", eps), eps
+
+
+def test_negative_seed_exit_2(tmp_path, monkeypatch):
+    assert parse_fails(tmp_path, monkeypatch, "--seed", "-1")
 
 
 def test_solve_writes_artifacts(tmp_path):
@@ -184,6 +202,20 @@ def test_verify_benchmark_passes(tmp_path):
         assert (out / name).exists()
 
 
+def test_run_benchmark_script(tmp_path):
+    # scripts/run_benchmark.py with its default arguments: validate, solve,
+    # simulate and verify the standard model, every artifact written
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_benchmark.py"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("riccati.csv", "gains.csv", "xhat.csv", "trajectories.csv", "costs.csv",
+                 "verify_report.csv", "perturbations.csv", "grid_search.csv"):
+        assert (tmp_path / name).exists(), name
+
+
 def test_perturbation_pass_uses_stderr_mult(tmp_path):
     path = write_model(tmp_path)
     out = tmp_path / "out"
@@ -220,9 +252,10 @@ def test_verify_report_written_on_failure(tmp_path, capsys):
     assert (out / "verify_report.csv").exists()
 
 
-def test_unknown_tolerance_exit_2(tmp_path):
-    path = write_model(tmp_path)
-    assert main(["verify", "--model", path, "--tol", "nope=1"]) == 2
+def test_unknown_tolerance_exit_2(tmp_path, monkeypatch):
+    # an unknown name, or a value that is negative or not finite; 0 is valid
+    for tol in ("nope=1", "det_tol=-1", "stderr_mult=nan", "dt_coeff=inf"):
+        assert parse_fails(tmp_path, monkeypatch, "--tol", tol), tol
 
 
 def test_reruns_byte_identical(tmp_path):

@@ -9,11 +9,11 @@ from lqstack import simulate
 from lqstack.costs import (OptimalitySweep, estimate_J1, estimate_J2, follower_response, gain_grid_search,
                            grid_features, pathwise_J1, pathwise_J2, verify_follower_optimality,
                            verify_leader_optimality, verify_optimality_chunked)
-from lqstack.equilibrium import solve_equilibrium
+from lqstack.equilibrium import bsde_residual, reconstruct_adjoints, solve_equilibrium
 from lqstack.filtering import DeterministicPath
 from lqstack.simulate import generate_noise, simulate_closed_loop, simulate_open_loop
 
-from conftest import make_model, random_admissible_model
+from conftest import backfill, make_model, random_admissible_model, time_varying
 
 
 def zero_weight_model(steps=100, **kw):
@@ -116,24 +116,26 @@ def test_zero_direction_gives_exact_zero_slope_and_curvature(diffusion):
         assert np.all(a_const != 0.0), which
 
 
-def test_block_length_changes_no_sweep_or_grid_value(monkeypatch):
-    # the kernel steps, and the sums fold, node by node in node order, so
-    # blocks of 1 step, of 7 (no divisor of N = 200) and of more than N give
-    # every bit of the sweep rows and the grid features
-    m = make_model(steps=200, D1=0.3, D2=0.2)
+def test_path_values_independent_of_paths_beside_it():
+    # path 37 simulated among paths 0..59 and alone: each per-path value is
+    # the same operations in the same order (time sums fold in node order),
+    # so every bit agrees, however numpy would sum a 1-path or a 60-path chunk
+    m = time_varying(make_model(steps=120, D1=0.3, D2=0.2))
     eq = solve_equilibrium(m)
-    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(12, 60, m.grid))
     dirs = _oracle_dirs(m)
 
-    def run():
-        return [OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0] for which in ("J1", "J2")] \
-            + [grid_features(eq, ens)]
+    def path_values(noise, i):
+        ens = simulate_closed_loop(eq.closed_loop(), noise)
+        recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
+        sweeps = [OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0][:, i] for which in ("J1", "J2")]
+        return [ens.x[i], ens.q[i], ens.u2[i], pathwise_J1(m, ens)[i], pathwise_J2(m, ens)[i], *sweeps,
+                grid_features(eq, ens)[:, i], bsde_residual(eq, ens, recon).time_summed[i]]
 
-    default = run()
-    for block in (1, 7, 201):
-        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        for a, b in zip(default, run(), strict=True):
-            assert np.array_equal(a, b), block
+    together = path_values(generate_noise(9, 60, m.grid), 37)
+    alone = path_values(generate_noise(9, 1, m.grid, first_path=37), 0)
+    for name, a, b in zip(("x", "q", "u2", "J1", "J2", "J1 sweep", "J2 sweep", "grid", "bsde"),
+                          together, alone, strict=True):
+        assert np.array_equal(a, b), name
 
 
 def test_decoupled_quadratic_delta_closed_form():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqstack import simulate
 from lqstack.equilibrium import solve_equilibrium
 from lqstack.errors import NonFiniteState
 from lqstack.filtering import DeterministicPath, solve_follower_filter
 from lqstack.model import TimeGrid
 from lqstack.simulate import (ClosedLoopSystem, backfill_theta, density_process, generate_noise,
-                              sensitivity_blocks, simulate_closed_loop, simulate_open_loop)
+                              sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
 
 from conftest import make_model, random_admissible_model, time_varying
 
@@ -168,48 +167,23 @@ def _q_first_system(grid: TimeGrid) -> ClosedLoopSystem:
                             xhat=DeterministicPath(nodes=np.tile([1.0, 0.0], (n + 1, 1))))
 
 
-def test_non_finite_state_names_path_in_whole_ensemble(monkeypatch):
+def test_non_finite_state_names_path_in_whole_ensemble():
     # the overflow model of test_cli.py::test_euler_overflow_exit_3 on the
     # bundle of paths 7..11: its first row is path 7, where x overflows at
     # step 189 and q turns NaN at 190; in the second system q goes first, at
-    # step 164.  Whatever the block length the guard names the lowest path,
-    # then the earliest step, at which x or q is not finite (the steps the
-    # path-major kernel reported).
+    # step 164.  The guard names the lowest path, then the earliest step, at
+    # which x or q is not finite.
     eq = solve_equilibrium(make_model(steps=200, C=1000.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0))
     noise = generate_noise(3, 5, eq.model.grid, first_path=7)
-    for block in (1, 7, 64, 1000):
-        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        for system, step in ((eq.closed_loop(), 189), (_q_first_system(eq.model.grid), 164)):
-            with pytest.raises(NonFiniteState, match=f"non-finite state on path 7 at step {step} ") as info:
-                simulate_closed_loop(system, noise)
-            assert (info.value.path, info.value.step) == (7, step)
-
-
-def test_block_length_changes_nothing(monkeypatch):
-    # blocks of 1 step, of 7 (no divisor of N = 200) and of more than N
-    # regroup the same per-path operations: every bit of the closed loop and
-    # of the open loop with shared and with per-path controls is kept
-    eq = solve_equilibrium(make_model(steps=200, D1=0.3, D2=0.2))
-    model = eq.model
-    noise = generate_noise(19, 50, model.grid)
-    per_path = np.random.default_rng(3).standard_normal((50, 201))
-
-    def run():
-        closed = simulate_closed_loop(eq.closed_loop(), noise)
-        shared = simulate_open_loop(model, closed.u1, np.linspace(0.0, 1.0, 201), noise)
-        own = simulate_open_loop(model, per_path, closed.u2, noise)
-        return closed.x, closed.q, closed.u1, closed.u2, shared.x, own.x
-
-    default = run()
-    for block in (1, 7, 201):
-        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        for a, b in zip(default, run(), strict=True):
-            assert np.array_equal(a, b), block
+    for system, step in ((eq.closed_loop(), 189), (_q_first_system(eq.model.grid), 164)):
+        with pytest.raises(NonFiniteState, match=f"non-finite state on path 7 at step {step} ") as info:
+            simulate_closed_loop(system, noise)
+        assert (info.value.path, info.value.step) == (7, step)
 
 
 def responses(model, v1, v2, noise) -> np.ndarray:
     """The kernel's zero-start responses at every node, (N+1, K, m)."""
-    return np.concatenate([dx.copy() for _, dx in sensitivity_blocks(model, v1, v2, noise)])
+    return np.array([dx.copy() for dx in sensitivity_nodes(model, v1, v2, noise)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -237,10 +211,9 @@ def test_sensitivity_is_difference_of_open_loop_runs(seed, varying):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose, as in the reference loop
-def test_sensitivity_non_finite_reported(monkeypatch):
+def test_sensitivity_non_finite_reported():
     # huge multiplicative noise overflows the response; the kernel names the
-    # first step at which any direction is not finite and its lowest path,
-    # whatever the block length
+    # first step at which any direction is not finite and its lowest path
     model = make_model(steps=200, C=1000.0)
     noise = generate_noise(3, 5, model.grid, first_path=7)
     v1 = np.array([np.ones(201), np.linspace(0.0, 2.0, 201)])
@@ -250,11 +223,9 @@ def test_sensitivity_non_finite_reported(monkeypatch):
         dx = dx * (1.0 + 0.1 * dt + 1000.0 * noise.dw[:, k]) + v1[:, k, None] * dt
         finite.append(np.isfinite(dx).all(axis=0))
     step, path = np.argwhere(~np.array(finite))[0]
-    for block in (1, 7, 64):
-        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        with pytest.raises(NonFiniteState) as info:
-            responses(model, v1, np.zeros_like(v1), noise)
-        assert (info.value.path, info.value.step) == (7 + path, step + 1)
+    with pytest.raises(NonFiniteState) as info:
+        responses(model, v1, np.zeros_like(v1), noise)
+    assert (info.value.path, info.value.step) == (7 + path, step + 1)
 
 
 def test_backfill_zero_forcing():
