@@ -156,10 +156,12 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
 class AdjointReconstruction:
     """Adjoint processes recovered algebraically along simulated paths.
 
-    p, k: follower adjoint pair per path and node.
-    y, z: leader adjoint pair (2-vectors) per path and node.
+    p, k: follower adjoint pair per path and node, (m, N+1).
+    y, z: leader adjoint pair (2-vectors) per path and node, (m, N+1, 2).
     zhat: filtered leader adjoint diffusion (shared across paths).
-    The second component of z is a structural zero.
+    The second component of z is a structural zero.  Like the ensemble,
+    each per-path array is stored node-major and handed out as its
+    transpose, so .T reads node rows.
     """
 
     p: np.ndarray
@@ -173,20 +175,28 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                          theta: np.ndarray) -> AdjointReconstruction:
     """Evaluate the decoupling ansatz quantities on a closed-loop ensemble."""
     model = eq.model
-    pn = eq.P.values
-    C = model.nodes("C")
+    pn = eq.P.values[:, None]
+    C = model.nodes("C")[:, None]
     D1 = model.nodes("D1")
-    D2 = model.nodes("D2")
+    D2 = model.nodes("D2")[:, None]
+    x, q = ens.x.T, ens.q.T  # node rows
 
-    p = pn[None, :] * ens.x + theta
-    k = pn[None, :] * (C[None, :] * ens.x + D1 * ens.u1 + D2[None, :] * ens.u2)
+    p = pn * x + theta.T
+    k = pn * (C * x + (D1 * ens.u1)[:, None] + D2 * ens.u2.T)
     xh = eq.xhat.nodes[:, :, None]
+    scratch = np.empty_like(x)
 
     def affine(gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """gain X + shift Xhat per path and node, X = (x, q)."""
-        return ens.x[..., None] * gain[:, :, 0] + ens.q[..., None] * gain[:, :, 1] + (shift @ xh)[..., 0]
+        """gain X + shift Xhat per node and path, X = (x, q), stored (2, N+1, m)."""
+        shared = (shift @ xh)[..., 0]
+        out = np.empty((2,) + x.shape)
+        for i, row in enumerate(out):
+            np.multiply(x, gain[:, i, 0, None], out=row)
+            row += np.multiply(q, gain[:, i, 1, None], out=scratch)
+            row += shared[:, i, None]
+        return out.T
 
-    return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1, eq.leader.p2),
+    return AdjointReconstruction(p=p.T, k=k.T, y=affine(eq.leader.p1, eq.leader.p2),
                                  z=affine(eq.sigmas.s2_nodes, eq.sigmas.s3_nodes),
                                  zhat=(eq.sigmas.s1_nodes @ xh)[..., 0])
 
@@ -311,17 +321,18 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     c_deltah = blocks.d3[qn, 0]
     c_qh = blocks.d5[qn, 1]
 
-    phi = recon.y[:, :, 0]
-    delta = recon.z[:, :, 0]
     phih_rec = _filtered_adjoint(eq)[:, 0]
     deltah_rec = recon.zhat[:, 0]
     qh_rec = xh[:, 1]
 
-    base = R2[None, :] * ens.u2 + c_phi[None, :] * phi + c_delta[None, :] * delta
-    algebraic = base + (c_phih * phih_rec + c_deltah * deltah_rec + c_qh * qh_rec)[None, :]
+    # Node rows: phi = y[..., 0], delta = z[..., 0].
+    control = R2[:, None] * ens.u2.T
+    adjoint = c_phi[:, None] * recon.y.T[0]
+    algebraic = control + adjoint + c_delta[:, None] * recon.z.T[0]
+    algebraic += (c_phih * phih_rec + c_deltah * deltah_rec + c_qh * qh_rec)[:, None]
     return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic))),
-                              control_max=float(np.max(np.abs(R2[None, :] * ens.u2))),
-                              adjoint_max=float(np.max(np.abs(c_phi[None, :] * phi))))
+                              control_max=float(np.max(np.abs(control))),
+                              adjoint_max=float(np.max(np.abs(adjoint))))
 
 
 @dataclass(frozen=True)
@@ -450,12 +461,10 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                   recon: AdjointReconstruction) -> BsdeResidual:
     model = eq.model
     dt = model.grid.dt
-    A = model.nodes("A")[:-1]
-    C = model.nodes("C")[:-1]
-    Q1 = model.nodes("Q1")[:-1]
-    p = recon.p
-    k = recon.k[:, :-1]
-    steps = (p[:, 1:] - p[:, :-1]
-             + (Q1[None, :] * ens.x[:, :-1] + A[None, :] * p[:, :-1] + C[None, :] * k) * dt
-             - k * ens.noise.dw)
-    return BsdeResidual(time_summed=reduce(np.add, steps.T))  # node order, whatever the layout
+    A = model.nodes("A")[:-1, None]
+    C = model.nodes("C")[:-1, None]
+    Q1 = model.nodes("Q1")[:-1, None]
+    p = recon.p.T  # node rows
+    k = recon.k.T[:-1]
+    steps = (p[1:] - p[:-1] + (Q1 * ens.x.T[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw.T)
+    return BsdeResidual(time_summed=reduce(np.add, steps))  # node order, whatever the chunk

@@ -319,9 +319,10 @@ def density_process(model: LQModel, noise: NoiseBundle) -> DensityPath:
     discrete mean is exactly one at every node.
     """
     grid = model.grid
-    h = model.nodes("h")[:-1]
-    increments = h[None, :] * noise.dwbar - 0.5 * (h * h)[None, :] * grid.dt
-    log_z = np.concatenate([np.zeros((noise.m, 1)), np.cumsum(increments, axis=1)], axis=1)
-    z = np.exp(log_z)
-    z[:, 0] = 1.0
-    return DensityPath(grid=grid, z=z)
+    h = model.nodes("h")[:-1, None]
+    increments = h * noise.dwbar.T - 0.5 * (h * h) * grid.dt  # node rows
+    z = np.zeros((grid.steps + 1, noise.m))
+    np.cumsum(increments, axis=0, out=z[1:])
+    np.exp(z, out=z)
+    z[0] = 1.0
+    return DensityPath(grid=grid, z=z.T)

@@ -288,6 +288,19 @@ def test_density_trivial_and_positivity():
     assert np.all(dens2.z > 0.0)
 
 
+def test_density_matches_path_major_formula():
+    # the node-major cumulative sum makes the additions of the path-major
+    # formula in the same order, so z is bit-identical to it
+    t = np.linspace(0, 1, 51)
+    m = make_model(steps=50, h=0.5 + np.sin(3 * t))
+    noise = generate_noise(31, 100, m.grid)
+    h = m.nodes("h")[:-1]
+    increments = h[None, :] * noise.dwbar - 0.5 * (h * h)[None, :] * m.grid.dt
+    expected = np.exp(np.concatenate([np.zeros((noise.m, 1)), np.cumsum(increments, axis=1)], axis=1))
+    expected[:, 0] = 1.0
+    assert np.array_equal(density_process(m, noise).z, expected)
+
+
 def test_density_martingale_small():
     m = make_model(steps=50, h=1.0)
     noise = generate_noise(37, 20000, m.grid)
