@@ -3,9 +3,11 @@ and the exponential observation-density process.
 
 Reproducibility contract: every sampled quantity is a pure function of
 (master seed, path index, step), independent of path batching or execution
-order.  Each path owns a counter-based stream (Philox keyed by a seed
-sequence spawned from (seed, path)); within a stream the state increments are
-drawn first, then the observation increments.
+order.  The noise is counter-based (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11): SeedSequence(seed) gives one Philox key, and
+path i reads the stream that starts at counter (0, 0, 0, i), the path index
+in the last 64-bit counter word; the path's draws advance the first.  A path
+draws its state increments first, then its observation increments.
 
 Per-path arrays are stored node-major, (N+1, m) states and (N, m) noise, and
 handed out as their (m, .) transposes; the Euler kernels write row k+1 from
@@ -29,6 +31,7 @@ from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients, 
 
 
 CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
+NOISE_ROWS = 64  # paths drawn path-major into one buffer before it is stored into the node-major tables
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,6 @@ class NoiseBundle:
         return self.dw.shape[0]
 
 
-def path_stream(seed: int, path: int) -> np.random.Generator:
-    """The RNG stream owned by one path: a pure function of (seed, path)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path,))))
-
-
 def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> NoiseBundle:
     """Draw the increment table for paths first_path .. first_path + m - 1.
 
@@ -63,14 +61,25 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
     """
     if m < 1:
         raise ValueError(f"path count must be >= 1, got {m}")
+    if first_path < 0 or first_path + m > 2**64:
+        raise ValueError(f"path indices {first_path} .. {first_path + m - 1} must lie in [0, 2**64)")
     n = grid.steps
-    root = np.sqrt(grid.dt)
+    bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state  # unused: counter 0 and an empty output buffer
+    counter = state["state"]["counter"]
     dw = np.empty((n, m))
     dwbar = np.empty((n, m))
-    for i in range(m):
-        gen = path_stream(seed, first_path + i)
-        dw[:, i] = gen.standard_normal(n)
-        dwbar[:, i] = gen.standard_normal(n)
+    rows = np.empty((min(m, NOISE_ROWS), 2 * n))
+    for first in range(0, m, NOISE_ROWS):
+        block = rows[:min(NOISE_ROWS, m - first)]
+        for i, row in enumerate(block):
+            counter[3] = first_path + first + i
+            bits.state = state
+            gen.standard_normal(out=row)
+        dw[:, first:first + len(block)] = block[:, :n].T
+        dwbar[:, first:first + len(block)] = block[:, n:].T
+    root = np.sqrt(grid.dt)
     dw *= root
     dwbar *= root
     return NoiseBundle(seed=seed, grid=grid, dw=dw.T, dwbar=dwbar.T, first_path=first_path)

@@ -33,6 +33,61 @@ def test_noise_rows_independent_of_batch_size():
     assert np.array_equal(tail.dw, large.dw[50:])
 
 
+def _path_stream(seed: int, path: int, n: int) -> np.ndarray:
+    """A path's 2N normals, dw first and then dwbar, from a generator built for
+    that path alone: Philox keyed by the seed, the path index in the last
+    counter word."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = np.array([0, 0, 0, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(2 * n)
+
+
+def test_noise_rows_are_path_streams():
+    # one generator keyed once per call restores its counter for each path;
+    # a path's rows equal those of a freshly built generator whatever paths
+    # were drawn before it: at the 64-path buffer boundary, the 2000-path
+    # chunk boundary and a path index beyond 32 bits
+    grid = TimeGrid(1.0, 8)
+    root = np.sqrt(grid.dt)
+    large = generate_noise(19, 2001, grid)
+    far = generate_noise(19, 2, grid, first_path=2**40 - 1)
+    for bundle, path in [(large, p) for p in (0, 63, 64, 1999, 2000)] + [(far, 2**40)]:
+        expected = _path_stream(19, path, 8) * root
+        row = path - bundle.first_path
+        assert np.array_equal(bundle.dw[row], expected[:8]), path
+        assert np.array_equal(bundle.dwbar[row], expected[8:]), path
+
+
+def test_one_path_bundle_is_row_of_larger_bundle():
+    grid = TimeGrid(1.0, 8)
+    large = generate_noise(7, 200, grid)
+    for path in (0, 63, 64, 199):
+        single = generate_noise(7, 1, grid, first_path=path)
+        assert np.array_equal(single.dw[0], large.dw[path]), path
+        assert np.array_equal(single.dwbar[0], large.dwbar[path]), path
+
+
+def test_seeds_give_different_rows():
+    grid = TimeGrid(1.0, 8)
+    a, b = generate_noise(7, 100, grid), generate_noise(8, 100, grid)
+    assert not np.any(a.dw == b.dw)
+    assert not np.any(a.dwbar == b.dwbar)
+
+
+def test_noise_rejects_negative_first_path():
+    with pytest.raises(ValueError, match="must lie in"):
+        generate_noise(7, 1, TimeGrid(1.0, 8), first_path=-1)
+
+
+def test_noise_rejects_paths_beyond_counter_word():
+    # the path index fills one 64-bit counter word: path 2**64 - 1 is the last
+    grid = TimeGrid(1.0, 8)
+    last = generate_noise(7, 1, grid, first_path=2**64 - 1)
+    assert np.array_equal(last.dw[0], _path_stream(7, 2**64 - 1, 8)[:8] * np.sqrt(grid.dt))
+    with pytest.raises(ValueError, match="must lie in"):
+        generate_noise(7, 2, grid, first_path=2**64 - 1)
+
+
 def test_noise_moments():
     # CLT bound on the mean and near-exact variance of the increments.
     grid = TimeGrid(1.0, 2)
@@ -167,18 +222,37 @@ def _q_first_system(grid: TimeGrid) -> ClosedLoopSystem:
                             xhat=DeterministicPath(nodes=np.tile([1.0, 0.0], (n + 1, 1))))
 
 
+def _first_non_finite(system: ClosedLoopSystem, noise) -> tuple[int, int]:
+    """(path, step) at which a plain per-path Euler loop over the noise rows
+    first leaves the finite numbers: the lowest such path, then its earliest
+    step."""
+    xh = system.xhat.nodes
+    dt = system.grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, dw in enumerate(noise.dw):
+            state = xh[0].copy()
+            for k in range(system.grid.steps):
+                drift = system.drift_x[k] @ state + system.drift_xhat[k] @ xh[k]
+                diffusion = system.diff_x[k] @ state + system.diff_xhat[k] @ xh[k]
+                state = state + drift * dt + diffusion * dw[k]
+                if not np.isfinite(state).all():
+                    return noise.first_path + i, k + 1
+    raise AssertionError("every path stays finite")
+
+
 def test_non_finite_state_names_path_in_whole_ensemble():
     # the overflow model of test_cli.py::test_euler_overflow_exit_3 on the
-    # bundle of paths 7..11: its first row is path 7, where x overflows at
-    # step 189 and q turns NaN at 190; in the second system q goes first, at
-    # step 164.  The guard names the lowest path, then the earliest step, at
-    # which x or q is not finite.
+    # bundle of paths 7..11, where x overflows on every path (and q turns NaN
+    # a step later); in the second system q overflows first.  The guard names
+    # the lowest path, then the earliest step, at which x or q is not finite,
+    # as the plain per-path loop finds them.
     eq = solve_equilibrium(make_model(steps=200, C=1000.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0))
     noise = generate_noise(3, 5, eq.model.grid, first_path=7)
-    for system, step in ((eq.closed_loop(), 189), (_q_first_system(eq.model.grid), 164)):
-        with pytest.raises(NonFiniteState, match=f"non-finite state on path 7 at step {step} ") as info:
+    for system in (eq.closed_loop(), _q_first_system(eq.model.grid)):
+        path, step = _first_non_finite(system, noise)
+        with pytest.raises(NonFiniteState, match=f"non-finite state on path {path} at step {step} ") as info:
             simulate_closed_loop(system, noise)
-        assert (info.value.path, info.value.step) == (7, step)
+        assert (info.value.path, info.value.step) == (path, step)
 
 
 def responses(model, v1, v2, noise) -> np.ndarray:
