@@ -159,9 +159,8 @@ class AdjointReconstruction:
     p, k: follower adjoint pair per path and node, (m, N+1).
     y, z: leader adjoint pair (2-vectors) per path and node, (m, N+1, 2).
     zhat: filtered leader adjoint diffusion (shared across paths).
-    The second component of z is a structural zero.  Like the ensemble,
-    each per-path array is stored node-major and handed out as its
-    transpose, so .T reads node rows.
+    The second component of z is a structural zero.  p, k, y and z are
+    stored node-major and handed out transposed, so .T reads node rows.
     """
 
     p: np.ndarray
@@ -174,15 +173,12 @@ class AdjointReconstruction:
 def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                          theta: np.ndarray) -> AdjointReconstruction:
     """Evaluate the decoupling ansatz quantities on a closed-loop ensemble."""
-    model = eq.model
     pn = eq.P.values[:, None]
-    C = model.nodes("C")[:, None]
-    D1 = model.nodes("D1")
-    D2 = model.nodes("D2")[:, None]
+    C, D2 = (eq.model.nodes(name)[:, None] for name in ("C", "D2"))
     x, q = ens.x.T, ens.q.T  # node rows
 
     p = pn * x + theta.T
-    k = pn * (C * x + (D1 * ens.u1)[:, None] + D2 * ens.u2.T)
+    k = pn * (C * x + (eq.model.nodes("D1") * ens.u1)[:, None] + D2 * ens.u2.T)
     xh = eq.xhat.nodes[:, :, None]
     scratch = np.empty_like(x)
 
@@ -309,27 +305,20 @@ class LeaderStationarity:
 def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                                  recon: AdjointReconstruction) -> LeaderStationarity:
     blocks = eq.blocks
-    model = eq.model
-    n = model.grid.steps
-    xh = eq.xhat.nodes
-
-    R2 = model.nodes("R2")
-    qn = blocks.node_index(np.arange(n + 1))
+    qn = blocks.node_index(np.arange(eq.model.grid.steps + 1))
     c_phi = blocks.d2[qn, 0]
     c_delta = blocks.d4[qn, 0]
     c_phih = blocks.d1[qn, 0]
     c_deltah = blocks.d3[qn, 0]
     c_qh = blocks.d5[qn, 1]
-
-    phih_rec = _filtered_adjoint(eq)[:, 0]
-    deltah_rec = recon.zhat[:, 0]
-    qh_rec = xh[:, 1]
+    # The filtered terms, shared by every path: phi_hat, delta_hat = zhat[:, 0] and q_hat.
+    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * recon.zhat[:, 0] + c_qh * eq.xhat.nodes[:, 1]
 
     # Node rows: phi = y[..., 0], delta = z[..., 0].
-    control = R2[:, None] * ens.u2.T
+    control = eq.model.nodes("R2")[:, None] * ens.u2.T
     adjoint = c_phi[:, None] * recon.y.T[0]
     algebraic = control + adjoint + c_delta[:, None] * recon.z.T[0]
-    algebraic += (c_phih * phih_rec + c_deltah * deltah_rec + c_qh * qh_rec)[:, None]
+    algebraic += shared[:, None]
     return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic))),
                               control_max=float(np.max(np.abs(control))),
                               adjoint_max=float(np.max(np.abs(adjoint))))
@@ -461,9 +450,7 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                   recon: AdjointReconstruction) -> BsdeResidual:
     model = eq.model
     dt = model.grid.dt
-    A = model.nodes("A")[:-1, None]
-    C = model.nodes("C")[:-1, None]
-    Q1 = model.nodes("Q1")[:-1, None]
+    A, C, Q1 = (model.nodes(name)[:-1, None] for name in ("A", "C", "Q1"))
     p = recon.p.T  # node rows
     k = recon.k.T[:-1]
     steps = (p[1:] - p[:-1] + (Q1 * ens.x.T[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw.T)

@@ -3,10 +3,8 @@ and the exponential observation-density process.
 
 Reproducibility contract: every sampled quantity is a pure function of
 (master seed, path index, step), independent of path batching or execution
-order.  The noise is counter-based (Salmon et al., "Parallel random numbers:
-as easy as 1, 2, 3", SC'11): SeedSequence(seed) gives one Philox key, and
-path i reads the stream that starts at counter (0, 0, 0, i), the path index
-in the last 64-bit counter word; the path's draws advance the first.  A path
+order.  Noise is counter-based (Salmon et al., SC'11): SeedSequence(seed)
+keys one Philox, path i reads the stream from counter (0, 0, 0, i), and
 draws its state increments first, then its observation increments.
 
 Per-path arrays are stored node-major, (N+1, m) states and (N, m) noise, and
@@ -67,22 +65,17 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
     bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
     gen = np.random.Generator(bits)
     state = bits.state  # unused: counter 0 and an empty output buffer
-    counter = state["state"]["counter"]
-    dw = np.empty((n, m))
-    dwbar = np.empty((n, m))
-    rows = np.empty((min(m, NOISE_ROWS), 2 * n))
+    table = np.empty((2, n, m))  # dw and dwbar, node-major
+    rows = np.empty((min(m, NOISE_ROWS), 2, n))
     for first in range(0, m, NOISE_ROWS):
         block = rows[:min(NOISE_ROWS, m - first)]
         for i, row in enumerate(block):
-            counter[3] = first_path + first + i
+            state["state"]["counter"][3] = first_path + first + i
             bits.state = state
             gen.standard_normal(out=row)
-        dw[:, first:first + len(block)] = block[:, :n].T
-        dwbar[:, first:first + len(block)] = block[:, n:].T
-    root = np.sqrt(grid.dt)
-    dw *= root
-    dwbar *= root
-    return NoiseBundle(seed=seed, grid=grid, dw=dw.T, dwbar=dwbar.T, first_path=first_path)
+        table[:, :, first:first + len(block)] = block.transpose(1, 2, 0)
+    table *= np.sqrt(grid.dt)
+    return NoiseBundle(seed=seed, grid=grid, dw=table[0].T, dwbar=table[1].T, first_path=first_path)
 
 
 @dataclass(frozen=True)
@@ -329,9 +322,6 @@ def density_process(model: LQModel, noise: NoiseBundle) -> DensityPath:
     """
     grid = model.grid
     h = model.nodes("h")[:-1, None]
-    increments = h * noise.dwbar.T - 0.5 * (h * h) * grid.dt  # node rows
-    z = np.zeros((grid.steps + 1, noise.m))
-    np.cumsum(increments, axis=0, out=z[1:])
-    np.exp(z, out=z)
-    z[0] = 1.0
-    return DensityPath(grid=grid, z=z.T)
+    z = np.zeros((grid.steps + 1, noise.m))  # node rows; exp(0) = 1 exactly at node 0
+    np.cumsum(h * noise.dwbar.T - 0.5 * (h * h) * grid.dt, axis=0, out=z[1:])
+    return DensityPath(grid=grid, z=np.exp(z, out=z).T)
