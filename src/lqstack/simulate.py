@@ -29,7 +29,7 @@ from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients, 
 
 
 CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
-NOISE_ROWS = 64  # paths drawn path-major into one buffer before it is stored into the node-major tables
+NOISE_ROWS = 64  # paths drawn path-major into one buffer before it is stored into the node-major table
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
 
     Identical (seed, grid, path index) always reproduce the same rows, so a
     smaller bundle is a prefix of a larger one and chunked runs draw the
-    same rows as monolithic ones (streams are keyed per path, not per batch).
+    same rows as monolithic ones (each path restarts the seed's stream at
+    its own counter, whatever was drawn before it).
     """
     if m < 1:
         raise ValueError(f"path count must be >= 1, got {m}")
