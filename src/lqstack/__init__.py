@@ -26,7 +26,7 @@ from .model import (Coefficient, LQModel, TimeGrid, Violation, check_hypotheses,
 from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
                       assemble_leader_blocks, compute_sigmas, gain_inverses,
                       sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
-from .simulate import (ClosedLoopSystem, DensityPath, NoiseBundle, TrajectoryEnsemble,
+from .simulate import (ClosedLoopSystem, NoiseBundle, TrajectoryEnsemble,
                        backfill_theta, density_process, generate_noise,
                        simulate_closed_loop, simulate_open_loop)
 

@@ -258,7 +258,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
         bsde_sums.append(eq_mod.bsde_residual(eq, ens, recon).time_summed)
         tower.add(np.stack([ens.x[:, checkpoints], ens.q[:, checkpoints]], axis=-1))
         if density:
-            z_T.append(density_process(model, ens.noise).z[:, -1].copy())  # not a view of the chunk
+            z_T.append(density_process(model, ens.noise))
         for sweep in sweeps:
             sweep.add(ens)
         if ens.noise.first_path < 4000:  # brute-force dominance on the first 4000 paths

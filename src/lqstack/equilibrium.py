@@ -314,14 +314,19 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     # The filtered terms, shared by every path: phi_hat, delta_hat = zhat[:, 0] and q_hat.
     shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * recon.zhat[:, 0] + c_qh * eq.xhat.nodes[:, 1]
 
-    # Node rows: phi = y[..., 0], delta = z[..., 0].
-    control = eq.model.nodes("R2")[:, None] * ens.u2.T
-    adjoint = c_phi[:, None] * recon.y.T[0]
-    algebraic = control + adjoint + c_delta[:, None] * recon.z.T[0]
+    # Node rows: phi = y[..., 0], delta = z[..., 0].  Each term is added into
+    # the control's buffer once its maximum is taken, in the order
+    # control + adjoint + c_delta delta + shared: at most three (N+1, m)
+    # arrays are alive here, where a plain expression holds five.
+    algebraic = eq.model.nodes("R2")[:, None] * ens.u2.T
+    control_max = float(np.max(np.abs(algebraic)))
+    term = c_phi[:, None] * recon.y.T[0]
+    adjoint_max = float(np.max(np.abs(term)))
+    algebraic += term
+    algebraic += np.multiply(c_delta[:, None], recon.z.T[0], out=term)
     algebraic += shared[:, None]
-    return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic))),
-                              control_max=float(np.max(np.abs(control))),
-                              adjoint_max=float(np.max(np.abs(adjoint))))
+    return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic, out=algebraic))),
+                              control_max=control_max, adjoint_max=adjoint_max)
 
 
 @dataclass(frozen=True)

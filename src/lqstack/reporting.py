@@ -27,11 +27,20 @@ def _fmt(value) -> str:
 TRAJECTORY_PATHS = 10  # paths exported to trajectories.csv
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def _column(values) -> list[str]:
+    """The fields of one column; a float or integer array is formatted in one
+    tolist() pass (repr of a Python float is that of the numpy float)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fi":
+        return list(map(repr, values.tolist()))
+    return [_fmt(v) for v in values]
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """Write the header, then one row per index of the equally long columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(zip(*map(_column, columns)))
 
 
 def write_riccati_csv(path, times, P, p1, p2) -> None:
@@ -39,60 +48,40 @@ def write_riccati_csv(path, times, P, p1, p2) -> None:
     header = ["t", "P",
               "PI1_11", "PI1_12", "PI1_21", "PI1_22",
               "PI2_11", "PI2_12", "PI2_21", "PI2_22"]
-    rows = (
-        [times[k], P[k],
-         p1[k, 0, 0], p1[k, 0, 1], p1[k, 1, 0], p1[k, 1, 1],
-         p2[k, 0, 0], p2[k, 0, 1], p2[k, 1, 0], p2[k, 1, 1]]
-        for k in range(len(times))
-    )
-    write_csv(path, header, rows)
+    pi = [p[:, i, j] for p in (p1, p2) for i in (0, 1) for j in (0, 1)]
+    write_csv(path, header, [times, P, *pi])
 
 
 def write_gains_csv(path, times, gains) -> None:
     header = ["t", "LX_1", "LX_2", "LXHAT_1", "LXHAT_2", "LHAT_1", "LHAT_2", "F_1", "F_2"]
-    lx = gains.lx_nodes
-    lxh = gains.lxhat_nodes
-    lh = gains.lhat_nodes
-    f = gains.f_nodes
-    rows = (
-        [times[k], lx[k, 0], lx[k, 1], lxh[k, 0], lxh[k, 1], lh[k, 0], lh[k, 1], f[k, 0], f[k, 1]]
-        for k in range(len(times))
-    )
-    write_csv(path, header, rows)
+    nodes = (gains.lx_nodes, gains.lxhat_nodes, gains.lhat_nodes, gains.f_nodes)
+    write_csv(path, header, [times, *(g[:, i] for g in nodes for i in (0, 1))])
 
 
 def write_xhat_csv(path, times, filter_path, leader_path) -> None:
     header = ["t", "xhat", "theta_hat", "XHAT_1", "XHAT_2"]
-    rows = (
-        [times[k], filter_path.xhat.nodes[k], filter_path.theta_hat.nodes[k],
-         leader_path.nodes[k, 0], leader_path.nodes[k, 1]]
-        for k in range(len(times))
-    )
-    write_csv(path, header, rows)
+    write_csv(path, header, [times, filter_path.xhat.nodes, filter_path.theta_hat.nodes,
+                             leader_path.nodes[:, 0], leader_path.nodes[:, 1]])
 
 
 def write_trajectories_csv(path, ens, max_paths: int = TRAJECTORY_PATHS) -> None:
     """Node samples of the first max_paths paths (subsampled export)."""
     header = ["path_id", "t", "X_1", "X_2", "u1", "u2"]
-    times = ens.grid.times()
-    n = ens.grid.steps
+    nodes = ens.grid.steps + 1
     m = min(ens.m, max_paths)
 
-    def rows():
-        for i in range(m):
-            for k in range(n + 1):
-                u1 = ens.u1[k] if ens.u1.ndim == 1 else ens.u1[i, k]
-                u2 = ens.u2[k] if ens.u2.ndim == 1 else ens.u2[i, k]
-                q = ens.q[i, k] if ens.q is not None else 0.0
-                yield [i, times[k], ens.x[i, k], q, u1, u2]
+    def per_path(a):
+        """Path 0's nodes, then path 1's, ...; a shared (1-d) control repeats."""
+        return np.tile(a, m) if a.ndim == 1 else a[:m].ravel()
 
-    write_csv(path, header, rows())
+    q = ens.q if ens.q is not None else np.zeros(nodes)
+    write_csv(path, header, [np.repeat(np.arange(m), nodes), per_path(ens.grid.times()), per_path(ens.x),
+                             per_path(q), per_path(ens.u1), per_path(ens.u2)])
 
 
 def write_costs_csv(path, estimates) -> None:
     header = ["which", "mean", "stderr", "paths"]
-    rows = ([e.which, e.mean, e.stderr, e.paths] for e in estimates)
-    write_csv(path, header, rows)
+    write_csv(path, header, zip(*([e.which, e.mean, e.stderr, e.paths] for e in estimates)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ class CheckRow:
 
 def write_verify_csv(path, rows: list[CheckRow]) -> None:
     header = ["check", "kind", "residual", "tolerance", "pass", "note"]
-    write_csv(path, header, ([r.name, r.kind, r.residual, r.tolerance, r.passed, r.note] for r in rows))
+    write_csv(path, header, zip(*([r.name, r.kind, r.residual, r.tolerance, r.passed, r.note] for r in rows)))
 
 
 def write_perturbation_csv(path, reports, stderr_mult: float) -> None:
@@ -124,18 +113,14 @@ def write_perturbation_csv(path, reports, stderr_mult: float) -> None:
                     ok = c.delta_mean[i] + stderr_mult * c.delta_stderr[i] >= 0.0
                     yield [rep.which, c.name, e, c.delta_mean[i], c.delta_stderr[i], ok, scope]
 
-    write_csv(path, header, rows())
+    write_csv(path, header, zip(*rows()))
 
 
 def write_grid_csv(path, grid_result) -> None:
     header = ["alpha", "beta", "J1_mean", "J1_stderr"]
-
-    def rows():
-        for i, a in enumerate(grid_result.alphas):
-            for j, b in enumerate(grid_result.betas):
-                yield [a, b, grid_result.cost_mean[i, j], grid_result.cost_stderr[i, j]]
-
-    write_csv(path, header, rows())
+    alphas, betas = grid_result.alphas, grid_result.betas
+    write_csv(path, header, [np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)),
+                             grid_result.cost_mean.ravel(), grid_result.cost_stderr.ravel()])
 
 
 def ensure_dir(path) -> None:

@@ -4,8 +4,11 @@ and the exponential observation-density process.
 Reproducibility contract: every sampled quantity is a pure function of
 (master seed, path index, step), independent of path batching or execution
 order.  Noise is counter-based (Salmon et al., SC'11): SeedSequence(seed)
-keys one Philox, path i reads the stream from counter (0, 0, 0, i), and
-draws its state increments first, then its observation increments.
+keys one Philox, and path i reads its state increments from counter
+(0, 0, 0, i) and its observation increments from counter (0, 0, 1, i).  A
+path's N normals advance the first counter word by about N/4, which never
+carries into the third, so the two streams never meet.  Only the density
+process reads the observation increments; they are drawn on first read.
 
 Per-path arrays are stored node-major, (N+1, m) states and (N, m) noise, and
 handed out as their (m, .) transposes; the Euler kernels write row k+1 from
@@ -18,7 +21,7 @@ row, so its sum over the time axis rounds a 1-path chunk differently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -37,21 +40,46 @@ class NoiseBundle:
     """Brownian increments of paths first_path .. first_path + m - 1.
 
     dw drives the state, dwbar the observation; both are (m, steps), Normal(0, dt).
+    dwbar is drawn on its first read and then kept.
     """
 
     seed: int
     grid: TimeGrid
     dw: np.ndarray
-    dwbar: np.ndarray
     first_path: int = 0
 
     @property
     def m(self) -> int:
         return self.dw.shape[0]
 
+    @cached_property
+    def dwbar(self) -> np.ndarray:
+        return _increments(self.seed, self.m, self.grid, self.first_path, process=1).T
+
+
+def _increments(seed: int, m: int, grid: TimeGrid, first_path: int, process: int) -> np.ndarray:
+    """Node-major (steps, m) increments of one process (0: state, 1: observation)
+    of paths first_path .. first_path + m - 1, read from counter (0, 0, process, path)."""
+    n = grid.steps
+    bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state  # unused: counter 0 and an empty output buffer
+    state["state"]["counter"][2] = process
+    table = np.empty((n, m))
+    rows = np.empty((min(m, NOISE_ROWS), n))
+    for first in range(0, m, NOISE_ROWS):
+        block = rows[:min(NOISE_ROWS, m - first)]
+        for i, row in enumerate(block):
+            state["state"]["counter"][3] = first_path + first + i
+            bits.state = state
+            gen.standard_normal(out=row)
+        table[:, first:first + len(block)] = block.T
+    table *= np.sqrt(grid.dt)
+    return table
+
 
 def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> NoiseBundle:
-    """Draw the increment table for paths first_path .. first_path + m - 1.
+    """Draw the state increments of paths first_path .. first_path + m - 1.
 
     Identical (seed, grid, path index) always reproduce the same rows, so a
     smaller bundle is a prefix of a larger one and chunked runs draw the
@@ -62,21 +90,8 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
         raise ValueError(f"path count must be >= 1, got {m}")
     if first_path < 0 or first_path + m > 2**64:
         raise ValueError(f"path indices {first_path} .. {first_path + m - 1} must lie in [0, 2**64)")
-    n = grid.steps
-    bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state  # unused: counter 0 and an empty output buffer
-    table = np.empty((2, n, m))  # dw and dwbar, node-major
-    rows = np.empty((min(m, NOISE_ROWS), 2, n))
-    for first in range(0, m, NOISE_ROWS):
-        block = rows[:min(NOISE_ROWS, m - first)]
-        for i, row in enumerate(block):
-            state["state"]["counter"][3] = first_path + first + i
-            bits.state = state
-            gen.standard_normal(out=row)
-        table[:, :, first:first + len(block)] = block.transpose(1, 2, 0)
-    table *= np.sqrt(grid.dt)
-    return NoiseBundle(seed=seed, grid=grid, dw=table[0].T, dwbar=table[1].T, first_path=first_path)
+    return NoiseBundle(seed=seed, grid=grid, dw=_increments(seed, m, grid, first_path, process=0).T,
+                       first_path=first_path)
 
 
 @dataclass(frozen=True)
@@ -105,7 +120,7 @@ class TrajectoryEnsemble:
         def rows(a):
             return None if a is None else (a.copy() if a.ndim == 1 else a[:m].copy())
 
-        noise = replace(self.noise, dw=self.noise.dw[:m].copy(), dwbar=self.noise.dwbar[:m].copy())
+        noise = replace(self.noise, dw=self.noise.dw[:m].copy())  # dwbar, if read, is drawn for these paths
         return replace(self, x=rows(self.x), q=rows(self.q), u1=rows(self.u1), u2=rows(self.u2), noise=noise)
 
 
@@ -303,26 +318,14 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     return (e.nodes + as_path(theta_hat).nodes[:, None]).T
 
 
-@dataclass(frozen=True)
-class DensityPath:
-    """Exponential observation-density process, one positive path per row.
+def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:
+    """Terminal value z_T of the exponential-martingale discretization of the
+    density process, one per path.
 
-    z[:, 0] = 1 exactly; every entry is strictly positive by construction.
+    z_T = exp(sum_j h(t_j) dwbar_j - 1/2 sum_j h(t_j)^2 dt), the left-point
+    (Ito) quadrature in the exponent; with Gaussian increments its mean is
+    exactly one, as is that of every z_k.  Every z_T is strictly positive.
     """
-
-    grid: TimeGrid
-    z: np.ndarray
-
-
-def density_process(model: LQModel, noise: NoiseBundle) -> DensityPath:
-    """Exact exponential-martingale discretization of the density process.
-
-    z_k = exp(sum_{j<k} h(t_j) dwbar_j - 1/2 sum_{j<k} h(t_j)^2 dt), the
-    left-point (Ito) quadrature in the exponent; with Gaussian increments the
-    discrete mean is exactly one at every node.
-    """
-    grid = model.grid
     h = model.nodes("h")[:-1, None]
-    z = np.zeros((grid.steps + 1, noise.m))  # node rows; exp(0) = 1 exactly at node 0
-    np.cumsum(h * noise.dwbar.T - 0.5 * (h * h) * grid.dt, axis=0, out=z[1:])
-    return DensityPath(grid=grid, z=np.exp(z, out=z).T)
+    # Folded in node order: numpy's sum over the node axis rounds a 1-path chunk differently.
+    return np.exp(reduce(np.add, h * noise.dwbar.T - 0.5 * (h * h) * model.grid.dt))

@@ -159,7 +159,7 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
 def test_criterion_06_density_martingale():
     m = make_model(steps=100, h=1.0)
     noise = generate_noise(42, 100000, m.grid)
-    zt = density_process(m, noise).z[:, -1]
+    zt = density_process(m, noise)
     gap = abs(float(zt.mean()) - 1.0)
     bound = 3.0 * float(zt.std(ddof=1) / np.sqrt(len(zt)))
     assert report(6, gap <= bound, f"|mean-1|={gap:.2e} <= {bound:.2e}")

@@ -1,15 +1,17 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqstack.cli import main
 from lqstack.equilibrium import solve_equilibrium
 from lqstack.errors import NonFiniteState
 from lqstack.filtering import DeterministicPath, solve_follower_filter
-from lqstack.model import TimeGrid
-from lqstack.simulate import (ClosedLoopSystem, backfill_theta, density_process, generate_noise,
+from lqstack.model import TimeGrid, model_to_dict
+from lqstack.simulate import (ClosedLoopSystem, NoiseBundle, backfill_theta, density_process, generate_noise,
                               sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
 
 from conftest import make_model, random_admissible_model, time_varying
@@ -33,13 +35,13 @@ def test_noise_rows_independent_of_batch_size():
     assert np.array_equal(tail.dw, large.dw[50:])
 
 
-def _path_stream(seed: int, path: int, n: int) -> np.ndarray:
-    """A path's 2N normals, dw first and then dwbar, from a generator built for
-    that path alone: Philox keyed by the seed, the path index in the last
-    counter word."""
+def _path_stream(seed: int, path: int, n: int, process: int = 0) -> np.ndarray:
+    """A path's N normals of one process (0: dw, 1: dwbar) from a generator
+    built for that path alone: Philox keyed by the seed, the process in the
+    third counter word and the path index in the last."""
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    counter = np.array([0, 0, 0, path], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(2 * n)
+    counter = np.array([0, 0, process, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(n)
 
 
 def test_noise_rows_are_path_streams():
@@ -52,10 +54,38 @@ def test_noise_rows_are_path_streams():
     large = generate_noise(19, 2001, grid)
     far = generate_noise(19, 2, grid, first_path=2**40 - 1)
     for bundle, path in [(large, p) for p in (0, 63, 64, 1999, 2000)] + [(far, 2**40)]:
-        expected = _path_stream(19, path, 8) * root
         row = path - bundle.first_path
-        assert np.array_equal(bundle.dw[row], expected[:8]), path
-        assert np.array_equal(bundle.dwbar[row], expected[8:]), path
+        assert np.array_equal(bundle.dw[row], _path_stream(19, path, 8) * root), path
+        assert np.array_equal(bundle.dwbar[row], _path_stream(19, path, 8, process=1) * root), path
+
+
+def test_observation_noise_drawn_on_first_read():
+    bundle = generate_noise(19, 70, TimeGrid(1.0, 8))
+    assert "dwbar" not in vars(bundle)
+    dwbar = bundle.dwbar
+    assert bundle.dwbar is dwbar  # kept once drawn
+    assert not np.any(bundle.dw == dwbar)  # a path's two processes read different streams
+
+
+def test_head_draws_its_own_observation_noise():
+    # the head's dwbar is redrawn for its paths: the same rows, and the
+    # full bundle is not drawn to give them
+    eq = solve_equilibrium(make_model(steps=20))
+    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(3, 100, eq.model.grid, first_path=50))
+    head = ens.head(3)
+    dwbar = head.noise.dwbar
+    assert "dwbar" not in vars(ens.noise)
+    assert np.array_equal(dwbar, ens.noise.dwbar[:3])
+
+
+def test_simulate_never_reads_observation_noise(tmp_path, monkeypatch):
+    def unread(bundle):
+        raise AssertionError("simulate read the observation noise")
+
+    monkeypatch.setattr(NoiseBundle, "dwbar", property(unread))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(make_model(steps=40, D1=0.3, D2=0.2))))
+    assert main(["simulate", "--model", str(path), "--out", str(tmp_path / "out"), "--paths", "300"]) == 0
 
 
 def test_one_path_bundle_is_row_of_larger_bundle():
@@ -83,7 +113,7 @@ def test_noise_rejects_paths_beyond_counter_word():
     # the path index fills one 64-bit counter word: path 2**64 - 1 is the last
     grid = TimeGrid(1.0, 8)
     last = generate_noise(7, 1, grid, first_path=2**64 - 1)
-    assert np.array_equal(last.dw[0], _path_stream(7, 2**64 - 1, 8)[:8] * np.sqrt(grid.dt))
+    assert np.array_equal(last.dw[0], _path_stream(7, 2**64 - 1, 8) * np.sqrt(grid.dt))
     with pytest.raises(ValueError, match="must lie in"):
         generate_noise(7, 2, grid, first_path=2**64 - 1)
 
@@ -354,31 +384,30 @@ def test_backfill_fourth_order_off_the_filter():
 def test_density_trivial_and_positivity():
     m = make_model(steps=50, h=0.0)
     noise = generate_noise(31, 100, m.grid)
-    dens = density_process(m, noise)
-    assert np.all(dens.z == 1.0)
+    assert np.all(density_process(m, noise) == 1.0)
     m2 = make_model(steps=50, h=1.5)
-    dens2 = density_process(m2, noise)
-    assert np.all(dens2.z[:, 0] == 1.0)
-    assert np.all(dens2.z > 0.0)
+    assert np.all(density_process(m2, noise) > 0.0)
 
 
 def test_density_matches_path_major_formula():
-    # the node-major cumulative sum makes the additions of the path-major
-    # formula in the same order, so z is bit-identical to it
+    # the node-order fold makes the additions of the path-major cumulative
+    # sum in the same order, so z_T is bit-identical to its last column,
+    # also for a bundle of one path
     t = np.linspace(0, 1, 51)
     m = make_model(steps=50, h=0.5 + np.sin(3 * t))
     noise = generate_noise(31, 100, m.grid)
     h = m.nodes("h")[:-1]
     increments = h[None, :] * noise.dwbar - 0.5 * (h * h)[None, :] * m.grid.dt
-    expected = np.exp(np.concatenate([np.zeros((noise.m, 1)), np.cumsum(increments, axis=1)], axis=1))
-    expected[:, 0] = 1.0
-    assert np.array_equal(density_process(m, noise).z, expected)
+    expected = np.exp(np.cumsum(increments, axis=1)[:, -1])
+    assert np.array_equal(density_process(m, noise), expected)
+    singles = [density_process(m, generate_noise(31, 1, m.grid, first_path=path)) for path in range(10)]
+    assert np.array_equal(np.concatenate(singles), expected[:10])
 
 
 def test_density_martingale_small():
     m = make_model(steps=50, h=1.0)
     noise = generate_noise(37, 20000, m.grid)
-    zt = density_process(m, noise).z[:, -1]
+    zt = density_process(m, noise)
     stderr = zt.std(ddof=1) / np.sqrt(len(zt))
     assert abs(zt.mean() - 1.0) <= 3.0 * stderr
 
@@ -388,7 +417,7 @@ def test_density_martingale_time_varying_drift():
     t = np.linspace(0, 1, 51)
     m = make_model(steps=50, h=0.5 + np.sin(3 * t))
     noise = generate_noise(41, 20000, m.grid)
-    zt = density_process(m, noise).z[:, -1]
+    zt = density_process(m, noise)
     stderr = zt.std(ddof=1) / np.sqrt(len(zt))
     assert abs(zt.mean() - 1.0) <= 3.0 * stderr
 
