@@ -248,15 +248,15 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
     for ens in closed_loop_chunks(eq.closed_loop(), config.seed, config.paths):
         theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, fp.theta_hat)
         recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
-        fold("z", recon.z.T)  # node rows
-        fold("z_2", recon.z.T[1])
-        fold("y_T", recon.y.T[:, -1])
-        fold("y_T_gap", recon.y[:, -1] - np.stack([ens.x[:, -1], ens.q[:, -1]], axis=-1) @ eq.blocks.gbar.T)
-        fold("p", recon.p.T)
+        fold("z", recon.z)
+        fold("z_2", recon.z[1])
+        fold("y_T", recon.y[:, -1])
+        fold("y_T_gap", recon.y[:, -1] - eq.blocks.gbar @ np.stack([ens.x[-1], ens.q[-1]]))
+        fold("p", recon.p)
         leader = leader.merge(eq_mod.leader_stationarity_residual(eq, ens, recon))
         fs = eq_mod.follower_stationarity_residual(eq, ens, recon, fs_moments)
         bsde_sums.append(eq_mod.bsde_residual(eq, ens, recon).time_summed)
-        tower.add(np.stack([ens.x[:, checkpoints], ens.q[:, checkpoints]], axis=-1))
+        tower.add(np.stack([ens.x[checkpoints], ens.q[checkpoints]], axis=1))
         if density:
             z_T.append(density_process(model, ens.noise))
         for sweep in sweeps:

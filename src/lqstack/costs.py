@@ -65,10 +65,11 @@ def _pair_forms(model: LQModel, which: str, m: int, states, controls, pairs) -> 
     """Per path, form(z_i, c_i, z_j, c_j) of a player's cost for each pair (i, j).
 
     states yields the (m,) states z_i at nodes 0 .. N in node order; the
-    controls c_i are shared (N+1,) or per path (m, N+1).  The trapezoid sums
-    of Q z_i z_j, and of R c_i c_j where a control is per path, fold in node
-    order, so a path's form is the same whatever paths are folded beside it;
-    a pair of shared controls is one sum, the same for every path.
+    controls c_i are shared (N+1,) or per path (N+1, m), node k being c_i[k].
+    The trapezoid sums of Q z_i z_j, and of R c_i c_j where a control is per
+    path, fold in node order, so a path's form is the same whatever paths
+    are folded beside it; a pair of shared controls is one sum, the same for
+    every path.
     """
     state_weight, control_weight, terminal = _WEIGHTS[which]
     grid = model.grid
@@ -79,7 +80,6 @@ def _pair_forms(model: LQModel, which: str, m: int, states, controls, pairs) -> 
     shared = [controls[i].ndim == controls[j].ndim == 1 for i, j in pairs]
     control = [(wr * controls[i] * controls[j]).sum() if s else 0.0 for s, (i, j) in zip(shared, pairs)]
     folded = [(p, i, j) for p, (i, j) in enumerate(pairs) if not shared[p]]
-    controls = [c if c.ndim == 1 else c.T for c in controls]  # node k of a control is c[k]
     running = np.zeros((len(pairs), m))
     products = np.empty_like(running)
     for k, zs in enumerate(states):
@@ -94,11 +94,11 @@ def _pair_forms(model: LQModel, which: str, m: int, states, controls, pairs) -> 
 
 
 def pathwise_J1(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
-    return _pair_forms(model, "J1", ens.m, ([xk] for xk in ens.x.T), [ens.u1], [(0, 0)])[0]
+    return _pair_forms(model, "J1", ens.m, ([xk] for xk in ens.x), [ens.u1], [(0, 0)])[0]
 
 
 def pathwise_J2(model: LQModel, ens: TrajectoryEnsemble) -> np.ndarray:
-    return _pair_forms(model, "J2", ens.m, ([xk] for xk in ens.x.T), [ens.u2], [(0, 0)])[0]
+    return _pair_forms(model, "J2", ens.m, ([xk] for xk in ens.x), [ens.u2], [(0, 0)])[0]
 
 
 def cost_estimate(which: str, samples: np.ndarray) -> CostEstimate:
@@ -230,7 +230,7 @@ class OptimalitySweep:
             v2 = np.concatenate([np.zeros_like(v[:1]), v])
             controls = [ens.u2, *v]
             states = lambda xk, dx: [xk + dx[0], *dx[1:]]
-        nodes = zip(ens.x.T, sensitivity_nodes(self.eq.model, v1, v2, ens.noise))
+        nodes = zip(ens.x, sensitivity_nodes(self.eq.model, v1, v2, ens.noise))
         forms = _pair_forms(self.eq.model, self.which, ens.m, (states(xk, dx) for xk, dx in nodes), controls,
                             self.pairs)
         forms[1::2] *= 2.0  # a = 2 form(base, dx)
@@ -341,7 +341,7 @@ def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.n
     model = eq.model
     xhat = eq.xhat_scalar_path().nodes
     v1 = np.array([baseline.u1, xhat, np.ones_like(xhat)])
-    nodes = zip(baseline.x.T, sensitivity_nodes(model, v1, np.zeros_like(v1), baseline.noise))
+    nodes = zip(baseline.x, sensitivity_nodes(model, v1, np.zeros_like(v1), baseline.noise))
     forms = _pair_forms(model, "J1", baseline.m, ([xk - dx[0], dx[1], dx[2]] for xk, dx in nodes),
                         [np.zeros_like(xhat), *v1[1:]], [(i, j) for i, j, _ in _GRID_FEATURES])
     return np.concatenate([forms * np.array([c for _, _, c in _GRID_FEATURES])[:, None],

@@ -156,18 +156,15 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
 class AdjointReconstruction:
     """Adjoint processes recovered algebraically along simulated paths.
 
-    p, k: follower adjoint pair per path and node, (m, N+1).
-    y, z: leader adjoint pair (2-vectors) per path and node, (m, N+1, 2).
-    zhat: filtered leader adjoint diffusion (shared across paths).
-    The second component of z is a structural zero.  p, k, y and z are
-    stored node-major and handed out transposed, so .T reads node rows.
+    p, k: follower adjoint pair per node and path, (N+1, m).
+    y, z: leader adjoint pair (2-vectors), component first, (2, N+1, m).
+    The second component of z is a structural zero.
     """
 
     p: np.ndarray
     k: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    zhat: np.ndarray
 
 
 def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
@@ -175,26 +172,25 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
     """Evaluate the decoupling ansatz quantities on a closed-loop ensemble."""
     pn = eq.P.values[:, None]
     C, D2 = (eq.model.nodes(name)[:, None] for name in ("C", "D2"))
-    x, q = ens.x.T, ens.q.T  # node rows
+    x, q = ens.x, ens.q
 
-    p = pn * x + theta.T
-    k = pn * (C * x + (eq.model.nodes("D1") * ens.u1)[:, None] + D2 * ens.u2.T)
+    p = pn * x + theta
+    k = pn * (C * x + (eq.model.nodes("D1") * ens.u1)[:, None] + D2 * ens.u2)
     xh = eq.xhat.nodes[:, :, None]
     scratch = np.empty_like(x)
 
     def affine(gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """gain X + shift Xhat per node and path, X = (x, q), stored (2, N+1, m)."""
+        """gain X + shift Xhat per node and path, X = (x, q), as (2, N+1, m)."""
         shared = (shift @ xh)[..., 0]
         out = np.empty((2,) + x.shape)
         for i, row in enumerate(out):
             np.multiply(x, gain[:, i, 0, None], out=row)
             row += np.multiply(q, gain[:, i, 1, None], out=scratch)
             row += shared[:, i, None]
-        return out.T
+        return out
 
-    return AdjointReconstruction(p=p.T, k=k.T, y=affine(eq.leader.p1, eq.leader.p2),
-                                 z=affine(eq.sigmas.s2_nodes, eq.sigmas.s3_nodes),
-                                 zhat=(eq.sigmas.s1_nodes @ xh)[..., 0])
+    return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1, eq.leader.p2),
+                                 z=affine(eq.sigmas.s2_nodes, eq.sigmas.s3_nodes))
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ class ResidualStats:
 
 @dataclass
 class NodeMoments:
-    """Per-node count, mean and sum of squared deviations over paths (rows).
+    """Per-node count, mean and sum of squared deviations over paths (the last axis).
 
     add folds in one chunk by the pairwise update of Chan, Golub & LeVeque
     (1979): one chunk gives numpy's mean and ddof=1 variance exactly.
@@ -223,9 +219,9 @@ class NodeMoments:
     m2: np.ndarray | float = 0.0
 
     def add(self, samples: np.ndarray) -> "NodeMoments":
-        m = samples.shape[0]
-        mean = samples.mean(axis=0)
-        m2 = ((samples - mean) ** 2).sum(axis=0)
+        m = samples.shape[-1]
+        mean = samples.mean(axis=-1)
+        m2 = ((samples - mean[..., None]) ** 2).sum(axis=-1)
         if self.count:
             total = self.count + m
             delta = mean - self.mean
@@ -252,7 +248,8 @@ def follower_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsem
     """
     model = eq.model
     control = model.nodes("R1") * ens.u1
-    moments = (moments or NodeMoments()).add(model.nodes("B1") * recon.p + model.nodes("D1") * recon.k)
+    moments = (moments or NodeMoments()).add(model.nodes("B1")[:, None] * recon.p
+                                             + model.nodes("D1")[:, None] * recon.k)
     scale = float(np.max(np.abs(control) + np.abs(moments.mean)) + 1e-300)
     return ResidualStats(residual=control + moments.mean, stderr=moments.stderr, scale=scale)
 
@@ -311,19 +308,20 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     c_phih = blocks.d1[qn, 0]
     c_deltah = blocks.d3[qn, 0]
     c_qh = blocks.d5[qn, 1]
-    # The filtered terms, shared by every path: phi_hat, delta_hat = zhat[:, 0] and q_hat.
-    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * recon.zhat[:, 0] + c_qh * eq.xhat.nodes[:, 1]
+    # The filtered terms, shared by every path: phi_hat, delta_hat = (s1 xhat)[0] and q_hat.
+    delta_hat = (eq.sigmas.s1_nodes @ eq.xhat.nodes[:, :, None])[:, 0, 0]
+    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * eq.xhat.nodes[:, 1]
 
-    # Node rows: phi = y[..., 0], delta = z[..., 0].  Each term is added into
-    # the control's buffer once its maximum is taken, in the order
-    # control + adjoint + c_delta delta + shared: at most three (N+1, m)
-    # arrays are alive here, where a plain expression holds five.
-    algebraic = eq.model.nodes("R2")[:, None] * ens.u2.T
+    # phi = y[0], delta = z[0].  Each term is added into the control's buffer
+    # once its maximum is taken, in the order control + adjoint
+    # + c_delta delta + shared: at most three (N+1, m) arrays are alive here,
+    # where a plain expression holds five.
+    algebraic = eq.model.nodes("R2")[:, None] * ens.u2
     control_max = float(np.max(np.abs(algebraic)))
-    term = c_phi[:, None] * recon.y.T[0]
+    term = c_phi[:, None] * recon.y[0]
     adjoint_max = float(np.max(np.abs(term)))
     algebraic += term
-    algebraic += np.multiply(c_delta[:, None], recon.z.T[0], out=term)
+    algebraic += np.multiply(c_delta[:, None], recon.z[0], out=term)
     algebraic += shared[:, None]
     return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic, out=algebraic))),
                               control_max=control_max, adjoint_max=adjoint_max)
@@ -437,7 +435,7 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
 class BsdeResidual:
     """Discrete backward-step residual of the follower adjoint, per path.
 
-    step_residual[i, k] = p_{k+1} - p_k + (Q1 x_k + A p_k + C k_k) dt - k_k dW_k;
+    step_residual[k, i] = p_{k+1} - p_k + (Q1 x_k + A p_k + C k_k) dt - k_k dW_k;
     time_summed[i] accumulates the steps in node order (numpy's sum over the
     time axis would round a 1-path chunk differently from a many-path one);
     rms is over paths of the sum.
@@ -456,7 +454,7 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
     model = eq.model
     dt = model.grid.dt
     A, C, Q1 = (model.nodes(name)[:-1, None] for name in ("A", "C", "Q1"))
-    p = recon.p.T  # node rows
-    k = recon.k.T[:-1]
-    steps = (p[1:] - p[:-1] + (Q1 * ens.x.T[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw.T)
+    p = recon.p
+    k = recon.k[:-1]
+    steps = (p[1:] - p[:-1] + (Q1 * ens.x[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw)
     return BsdeResidual(time_summed=reduce(np.add, steps))  # node order, whatever the chunk

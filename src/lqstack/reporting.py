@@ -72,7 +72,7 @@ def write_trajectories_csv(path, ens, max_paths: int = TRAJECTORY_PATHS) -> None
 
     def per_path(a):
         """Path 0's nodes, then path 1's, ...; a shared (1-d) control repeats."""
-        return np.tile(a, m) if a.ndim == 1 else a[:m].ravel()
+        return np.tile(a, m) if a.ndim == 1 else a[:, :m].T.ravel()
 
     q = ens.q if ens.q is not None else np.zeros(nodes)
     write_csv(path, header, [np.repeat(np.arange(m), nodes), per_path(ens.grid.times()), per_path(ens.x),

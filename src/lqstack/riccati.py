@@ -40,8 +40,9 @@ single RK4 stage (an int block index) the entries are Python floats read from
 a flat view of each block, over the whole half grid (a slice) they are
 arrays, and one formula set serves both, rounding identically.  A numpy call
 on a 2x2 matrix costs several times the arithmetic it does, and the two
-RK4 recurrences make about 19000 such evaluations at N=1600.  Only the RK4
-recurrence loops over grid points.
+RK4 recurrences make about 19000 such evaluations at N=1600.  The sigmas and
+right-hand sides take the inverses gain_inverses guards, so each point is
+guarded once.  Only the RK4 recurrence loops over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -61,6 +62,8 @@ from .model import LQModel, TimeGrid
 # half-grid arrays (relative to the node grid).
 P_REFINE = 4
 P1_REFINE = 2
+# Relative guard on the follower's D1^2 P + R1, the H3 check.
+INV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ def _blow_up_bound(terminal_scale: float, factor: float) -> float:
     return factor * (1.0 + abs(terminal_scale))
 
 
-def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: float = 1e-10) -> FollowerRiccati:
+def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> FollowerRiccati:
     """Integrate the follower's Riccati equation backward from P(T) = G1.
 
     RK4 with internal step dt/4 (coefficients read at dt/8 spacing); every
@@ -168,7 +171,7 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8, inv_tol: fl
     def rhs(i8: int, p: float) -> float:
         # dP/dtau at coefficient index i8, a half point of the dt/4 steps.
         s = d1[i8] * d1[i8] * p + r1[i8]
-        if not (s > inv_tol * (1.0 + abs(d1[i8] * d1[i8] * p) + abs(r1[i8]))):
+        if not (s > INV_TOL * (1.0 + abs(d1[i8] * d1[i8] * p) + abs(r1[i8]))):
             raise H3Violated("D1^2 P + R1 not invertible", i8 * horizon / (2 * n_fine))
         bc = b1[i8] + d1[i8] * c[i8]
         return 2.0 * a[i8] * p + c[i8] * c[i8] * p - bc * bc * p * p / s + q1[i8]
@@ -209,7 +212,7 @@ class FollowerCoefficients:
         return -(k[0] * xhat + k[1] * theta_hat + k[2] * u2hat)
 
 
-def follower_coefficients(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) -> FollowerCoefficients:
+def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoefficients:
     """Evaluate the follower's coefficients once where P is sampled.
 
     Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
@@ -220,7 +223,7 @@ def follower_coefficients(model: LQModel, P: FollowerRiccati, inv_tol: float = 1
     p = P.fine
 
     s = D1 * D1 * p + R1
-    bad = ~(s > inv_tol * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
+    bad = ~(s > INV_TOL * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
     if np.any(bad):
         q = int(np.argmax(bad))
         raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / refine)
@@ -347,14 +350,14 @@ def _over_r2(rr: np.ndarray, *pairs) -> np.ndarray:
     return total * rr[:, None, None]
 
 
-def _display_blocks(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) -> dict:
+def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
     """Every block of the augmented-system display, sampled where P is.
 
     Each entry is an explicit function of the model coefficients and the
     follower's coefficients, so a recomputation from (model, P) reproduces
     it exactly.
     """
-    fol = follower_coefficients(model, P, inv_tol)
+    fol = follower_coefficients(model, P)
     refine = fol.refine
     L = len(P.fine)
     zeros = np.zeros(L)
@@ -392,12 +395,12 @@ def _display_blocks(model: LQModel, P: FollowerRiccati, inv_tol: float = 1e-10) 
     )
 
 
-def assemble_leader_blocks(model: LQModel, P: FollowerRiccati, *, inv_tol: float = 1e-10) -> LeaderBlocks:
+def assemble_leader_blocks(model: LQModel, P: FollowerRiccati) -> LeaderBlocks:
     """Sample the display blocks where P is and evaluate the effective blocks once.
 
     Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
     """
-    raw = _display_blocks(model, P, inv_tol)
+    raw = _display_blocks(model, P)
     d1, d2, d3, d4, d5 = (raw[k] for k in ("d1", "d2", "d3", "d4", "d5"))
     b1 = raw.pop("b1")
     c1 = raw.pop("c1")
@@ -507,40 +510,27 @@ def _sigma3(p1, p2, m2, s1, blocks: LeaderBlocks, q):
     return _mm(m2, inner)
 
 
-def sigma1(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
-           m1: np.ndarray | None = None) -> np.ndarray:
+def sigma1(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, m1: np.ndarray) -> np.ndarray:
     """Gain mapping the estimated state to the estimated adjoint diffusion."""
-    if m1 is None:
-        m1 = gain_inverses(p1, blocks, q, det_tol=det_tol)[0]
     return _matrix(_sigma1(_entries(p1), _entries(p2), _entries(m1), blocks, q))
 
 
-def sigma2(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
-           m2: np.ndarray | None = None) -> np.ndarray:
+def sigma2(p1: np.ndarray, blocks: LeaderBlocks, q, *, m2: np.ndarray) -> np.ndarray:
     """Gain mapping the raw state to the adjoint diffusion."""
-    if m2 is None:
-        m2 = gain_inverses(p1, blocks, q, det_tol=det_tol)[1]
     p1 = _entries(p1)
     a3, cc = blocks.entries(q, "a3", "cc")
     inner = _add(_mm(p1, a3), _mm(_mm(p1, _t(cc)), p1))
     return _matrix(_mm(_entries(m2), inner))
 
 
-def sigma3(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
-           m2: np.ndarray | None = None, s1: np.ndarray | None = None) -> np.ndarray:
+def sigma3(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, m2: np.ndarray,
+           s1: np.ndarray) -> np.ndarray:
     """Gain mapping the estimated state to the adjoint diffusion."""
-    if m2 is None:
-        m2 = gain_inverses(p1, blocks, q, det_tol=det_tol)[1]
-    if s1 is None:
-        s1 = sigma1(p1, p2, blocks, q, det_tol=det_tol)
     return _matrix(_sigma3(_entries(p1), _entries(p2), _entries(m2), _entries(s1), blocks, q))
 
 
-def rhs_p1(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
-           m2: np.ndarray | None = None) -> np.ndarray:
+def rhs_p1(p1: np.ndarray, blocks: LeaderBlocks, q, *, m2: np.ndarray) -> np.ndarray:
     """d(p1)/dtau of the first leader Riccati equation (general form)."""
-    if m2 is None:
-        m2 = gain_inverses(p1, blocks, q, det_tol=det_tol)[1]
     p1 = _entries(p1)
     a1, a3, a5, bb, cc = blocks.entries(q, "a1", "a3", "a5", "bb", "cc")
     out = _add(_mm(p1, a1), _mm(a1, p1))
@@ -550,11 +540,9 @@ def rhs_p1(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
     return _matrix(_add(out, _mm(left, _add(a3, _mm(_t(cc), p1)))))
 
 
-def rhs_p2(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10,
-           m1: np.ndarray | None = None, m2: np.ndarray | None = None) -> np.ndarray:
+def rhs_p2(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, m1: np.ndarray,
+           m2: np.ndarray) -> np.ndarray:
     """d(p2)/dtau of the second leader Riccati equation (general form)."""
-    if m1 is None or m2 is None:
-        m1, m2, _, _ = gain_inverses(p1, blocks, q, det_tol=det_tol)
     p1 = _entries(p1)
     p2 = _entries(p2)
     s1 = _sigma1(p1, p2, _entries(m1), blocks, q)
@@ -624,7 +612,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         _, m2, det1, det2 = gain_inverses(mat, blocks, q, det_tol=det_tol)
         min_det[0] = min(min_det[0], abs(det1))
         min_det[1] = min(min_det[1], abs(det2))
-        return rhs_p1(mat, blocks, q, det_tol=det_tol, m2=m2)
+        return rhs_p1(mat, blocks, q, m2=m2)
 
     def solve(rhs, terminal, label):
         fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
@@ -641,7 +629,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
 
     def rhs2(j, mat):
-        return rhs_p2(p1_fine[j], mat, blocks, blocks.half_index(j), det_tol=det_tol, m1=m1[j], m2=m2[j])
+        return rhs_p2(p1_fine[j], mat, blocks, blocks.half_index(j), m1=m1[j], m2=m2[j])
 
     return LeaderRiccati(
         grid=grid,

@@ -10,12 +10,12 @@ path's N normals advance the first counter word by about N/4, which never
 carries into the third, so the two streams never meet.  Only the density
 process reads the observation increments; they are drawn on first read.
 
-Per-path arrays are stored node-major, (N+1, m) states and (N, m) noise, and
-handed out as their (m, .) transposes; the Euler kernels write row k+1 from
-row k, so a path takes the same operations whatever paths run beside it.
-Time sums of such data fold in node order (costs, the backward-step
-residual): numpy sums a contiguous axis pairwise but a strided one row by
-row, so its sum over the time axis rounds a 1-path chunk differently.
+Every per-path array is node-major, paths along the last axis: (N+1, m)
+states and controls, (N, m) noise.  The Euler kernels write row k+1 from row
+k, so a path takes the same operations whatever paths run beside it.  Time
+sums of such data fold in node order (costs, the backward-step residual):
+numpy sums a contiguous axis pairwise but a strided one row by row, so its
+sum over the time axis rounds a 1-path chunk differently.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ NOISE_ROWS = 64  # paths drawn path-major into one buffer before it is stored in
 class NoiseBundle:
     """Brownian increments of paths first_path .. first_path + m - 1.
 
-    dw drives the state, dwbar the observation; both are (m, steps), Normal(0, dt).
+    dw drives the state, dwbar the observation; both are (steps, m), Normal(0, dt).
     dwbar is drawn on its first read and then kept.
     """
 
@@ -50,15 +50,15 @@ class NoiseBundle:
 
     @property
     def m(self) -> int:
-        return self.dw.shape[0]
+        return self.dw.shape[1]
 
     @cached_property
     def dwbar(self) -> np.ndarray:
-        return _increments(self.seed, self.m, self.grid, self.first_path, process=1).T
+        return _increments(self.seed, self.m, self.grid, self.first_path, process=1)
 
 
 def _increments(seed: int, m: int, grid: TimeGrid, first_path: int, process: int) -> np.ndarray:
-    """Node-major (steps, m) increments of one process (0: state, 1: observation)
+    """The (steps, m) increments of one process (0: state, 1: observation)
     of paths first_path .. first_path + m - 1, read from counter (0, 0, process, path)."""
     n = grid.steps
     bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
@@ -81,27 +81,27 @@ def _increments(seed: int, m: int, grid: TimeGrid, first_path: int, process: int
 def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> NoiseBundle:
     """Draw the state increments of paths first_path .. first_path + m - 1.
 
-    Identical (seed, grid, path index) always reproduce the same rows, so a
-    smaller bundle is a prefix of a larger one and chunked runs draw the
-    same rows as monolithic ones (each path restarts the seed's stream at
-    its own counter, whatever was drawn before it).
+    Identical (seed, grid, path index) always reproduce the same column, so
+    a smaller bundle is the leading columns of a larger one and chunked runs
+    draw the same columns as monolithic ones (each path restarts the seed's
+    stream at its own counter, whatever was drawn before it).
     """
     if m < 1:
         raise ValueError(f"path count must be >= 1, got {m}")
     if first_path < 0 or first_path + m > 2**64:
         raise ValueError(f"path indices {first_path} .. {first_path + m - 1} must lie in [0, 2**64)")
-    return NoiseBundle(seed=seed, grid=grid, dw=_increments(seed, m, grid, first_path, process=0).T,
+    return NoiseBundle(seed=seed, grid=grid, dw=_increments(seed, m, grid, first_path, process=0),
                        first_path=first_path)
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Simulated paths at the grid nodes, one path per row.
+    """Simulated paths at the grid nodes, (N+1, m): one node per row, one path per column.
 
     x holds the scalar game state (closed loop: first augmented component);
     q holds the second augmented component for closed-loop runs, else None.
-    Controls are node-sampled, either shared across paths (1-d) or per path
-    (2-d).
+    Controls are node-sampled, either shared across paths (N+1,) or per path
+    (N+1, m).
     """
 
     grid: TimeGrid
@@ -113,15 +113,15 @@ class TrajectoryEnsemble:
 
     @property
     def m(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[1]
 
     def head(self, m: int) -> "TrajectoryEnsemble":
         """Copies of the first m paths, holding no reference to this ensemble's arrays."""
-        def rows(a):
-            return None if a is None else (a.copy() if a.ndim == 1 else a[:m].copy())
+        def paths(a):
+            return None if a is None else (a.copy() if a.ndim == 1 else a[:, :m].copy())
 
-        noise = replace(self.noise, dw=self.noise.dw[:m].copy())  # dwbar, if read, is drawn for these paths
-        return replace(self, x=rows(self.x), q=rows(self.q), u1=rows(self.u1), u2=rows(self.u2), noise=noise)
+        noise = replace(self.noise, dw=paths(self.noise.dw))  # dwbar, if read, is drawn for these paths
+        return replace(self, x=paths(self.x), q=paths(self.q), u1=paths(self.u1), u2=paths(self.u2), noise=noise)
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,15 @@ def _node_products(coef: np.ndarray, xh: np.ndarray) -> np.ndarray:
 
 def _check_finite(noise: NoiseBundle, *states: np.ndarray) -> None:
     """Raise NonFiniteState at the lowest path, then the lowest step, at which
-    any of the (m, N+1) state arrays is not finite."""
+    any of the (N+1, m) state arrays is not finite."""
     finite = np.isfinite(states[0])
     for s in states[1:]:
         finite &= np.isfinite(s)
     if finite.all():
         return
-    path, step = np.argwhere(~finite)[0]
-    raise NonFiniteState(noise.first_path + int(path), int(step), int(step) * noise.grid.dt)
+    path = int(np.argmin(finite.all(axis=0)))
+    step = int(np.argmin(finite[:, path]))
+    raise NonFiniteState(noise.first_path + path, step, step * noise.grid.dt)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness guard reports overflow
@@ -184,7 +185,7 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
     diff_shared = _node_products(system.diff_xhat, xh).tolist()
     fx, gx, lx = system.drift_x.tolist(), system.diff_x.tolist(), system.lx.tolist()
 
-    dw = noise.dw.T
+    dw = noise.dw
     x = np.empty((n + 1, m))
     q = np.empty((n + 1, m))
     u2 = np.empty((n + 1, m))
@@ -201,7 +202,6 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
         q[k + 1] = qk + dt * (xk * a21 + qk * a22 + c2) + (xk * g21 + qk * g22 + e2) * dw[k]
     l1, l2 = lx[n]
     u2[n] = x[n] * l1 + q[n] * l2 + u2_shared[n]
-    x, q, u2 = x.T, q.T, u2.T
     _check_finite(noise, x, q)
     return TrajectoryEnsemble(grid=grid, x=x, q=q, u1=u1, u2=u2, noise=noise)
 
@@ -218,7 +218,7 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     """Euler-Maruyama on the raw scalar state equation for given controls.
 
     Controls are node-sampled arrays, either deterministic (N+1,) or per-path
-    (m, N+1) aligned with the noise bundle.  Raises NonFiniteState at the
+    (N+1, m) aligned with the noise bundle; node k of either is u[k].  Raises NonFiniteState at the
     first path and node that is not finite.
     """
     grid = model.grid
@@ -229,16 +229,13 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     u2 = u2.nodes if isinstance(u2, DeterministicPath) else np.asarray(u2, dtype=float)
     A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
     a, c = A.tolist(), C.tolist()
-    # Node k of a control: a scalar if shared, else the row of every path.
-    u1k, u2k = (u if u.ndim == 1 else u.T for u in (u1, u2))
-    dw = noise.dw.T
+    dw = noise.dw
     x = np.empty((n + 1, m))
     x[0] = model.x0
     for k in range(n):
         xk = x[k]
-        x[k + 1] = (xk + dt * (a[k] * xk + B1[k] * u1k[k] + B2[k] * u2k[k])
-                    + (c[k] * xk + D1[k] * u1k[k] + D2[k] * u2k[k]) * dw[k])
-    x = x.T
+        x[k + 1] = (xk + dt * (a[k] * xk + B1[k] * u1[k] + B2[k] * u2[k])
+                    + (c[k] * xk + D1[k] * u1[k] + D2[k] * u2[k]) * dw[k])
     _check_finite(noise, x)
     return TrajectoryEnsemble(grid=grid, x=x, q=None, u1=u1, u2=u2, noise=noise)
 
@@ -264,7 +261,7 @@ def sensitivity_nodes(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: Noi
     dx = np.zeros((drift.shape[1], noise.m))
     growth, step = np.empty(noise.m), np.empty_like(dx)
     yield dx
-    for k, dw in enumerate(noise.dw.T):
+    for k, dw in enumerate(noise.dw):
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness guard reports overflow
             np.multiply(C[k], dw, out=growth)
             growth += 1.0 + A[k] * dt
@@ -290,8 +287,9 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     reading the path and controls piecewise-linearly between nodes.  RK4 is
     linear, so this equals integrating the offset and its filtered value
     jointly, and a path that coincides with its filter gives theta_hat
-    exactly.  Used for residual verification only; the reconstruction
-    anticipates the path and is never fed back into controls.
+    exactly.  x and a per-path u2 are (N+1, m), or (N+1,) for one path, and
+    so is the result.  Used for residual verification only; the
+    reconstruction anticipates the path and is never fed back into controls.
     """
     grid = model.grid
     n = grid.steps
@@ -302,7 +300,7 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
         own midpoints."""
         if isinstance(arr, DeterministicPath):
             return (arr.half_values() - filtered.half_values())[:, None]
-        nodes = np.atleast_2d(np.asarray(arr, dtype=float)).T
+        nodes = np.asarray(arr, dtype=float).reshape(n + 1, -1)
         out = np.empty((2 * n + 1, nodes.shape[1]))
         out[::2] = nodes
         out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
@@ -315,7 +313,7 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
     forcing = half_gap(x, xhat) * fol.offset[0][:, None] + half_gap(u2, as_path(u2hat)) * fol.offset_u2[:, None]
     e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), grid.dt, n,
                       backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
-    return (e.nodes + as_path(theta_hat).nodes[:, None]).T
+    return e.nodes + as_path(theta_hat).nodes[:, None]
 
 
 def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:
@@ -328,4 +326,4 @@ def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:
     """
     h = model.nodes("h")[:-1, None]
     # Folded in node order: numpy's sum over the node axis rounds a 1-path chunk differently.
-    return np.exp(reduce(np.add, h * noise.dwbar.T - 0.5 * (h * h) * model.grid.dt))
+    return np.exp(reduce(np.add, h * noise.dwbar - 0.5 * (h * h) * model.grid.dt))

@@ -100,7 +100,7 @@ def test_criterion_05_tower_property_strict(eq_b200, tower_ensemble):
     t0 = time.perf_counter()
     ens = tower_ensemble
     n = eq_b200.model.grid.steps
-    X = np.stack([ens.x, ens.q], axis=-1)
+    X = np.stack([ens.x.T, ens.q.T], axis=-1)
     mean = X.mean(axis=0)
     stderr = X.std(axis=0, ddof=1) / np.sqrt(ens.m)
     ok = True
@@ -125,7 +125,7 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
     n = model.grid.steps
     dt = model.grid.dt
     sys_cl = eq_b200.closed_loop()
-    X = np.stack([ens.x, ens.q], axis=-1)
+    X = np.stack([ens.x.T, ens.q.T], axis=-1)
     mean = X.mean(axis=0)
     stderr = X.std(axis=0, ddof=1) / np.sqrt(ens.m)
 

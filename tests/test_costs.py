@@ -128,7 +128,7 @@ def test_path_values_independent_of_paths_beside_it():
         ens = simulate_closed_loop(eq.closed_loop(), noise)
         recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
         sweeps = [OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0][:, i] for which in ("J1", "J2")]
-        return [ens.x[i], ens.q[i], ens.u2[i], pathwise_J1(m, ens)[i], pathwise_J2(m, ens)[i], *sweeps,
+        return [ens.x[:, i], ens.q[:, i], ens.u2[:, i], pathwise_J1(m, ens)[i], pathwise_J2(m, ens)[i], *sweeps,
                 grid_features(eq, ens)[:, i], bsde_residual(eq, ens, recon).time_summed[i]]
 
     together = path_values(generate_noise(9, 60, m.grid), 37)
@@ -301,7 +301,7 @@ def test_leader_sweep_matches_resimulation(eq_ens_oracle):
         shifted = DeterministicPath(nodes=u2hat.nodes + e * v,
                                     mids=u2hat.half_values()[1::2] + e * 0.5 * (v[:-1] + v[1:]))
         u1 = follower_response(eq, shifted)
-        return pathwise_J2(model, simulate_open_loop(model, u1, ens.u2 + e * v, ens.noise))
+        return pathwise_J2(model, simulate_open_loop(model, u1, ens.u2 + e * v[:, None], ens.noise))
 
     base = run(0.0, np.zeros(model.grid.steps + 1))
     _assert_matches_resimulation(verify_leader_optimality(eq, ens, dirs, [0.2]),

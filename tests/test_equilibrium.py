@@ -149,23 +149,23 @@ def recon_b200(eq_b200, ens_b200):
 def test_structural_zero_of_adjoint_diffusion(eq_b200, ens_b200, recon_b200):
     _, recon = recon_b200
     scale = np.max(np.abs(recon.z)) + 1.0
-    assert np.max(np.abs(recon.z[:, :, 1])) <= 1e-9 * scale
+    assert np.max(np.abs(recon.z[1])) <= 1e-9 * scale
 
 
 def test_terminal_reconstruction(eq_b200, ens_b200, recon_b200):
     _, recon = recon_b200
     assert np.array_equal(eq_b200.leader.p1[-1], eq_b200.blocks.gbar)
-    X_T = np.stack([ens_b200.x[:, -1], ens_b200.q[:, -1]], axis=-1)
+    X_T = np.stack([ens_b200.x[-1], ens_b200.q[-1]], axis=-1)
     expected = X_T @ eq_b200.blocks.gbar.T
     scale = np.max(np.abs(expected)) + 1e-300
-    assert np.max(np.abs(recon.y[:, -1, :] - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(recon.y[:, -1].T - expected)) <= 1e-12 * scale
 
 
 def test_terminal_follower_adjoint(eq_b200, ens_b200, recon_b200):
     theta, recon = recon_b200
     # p(T) = G1 x(T) exactly: terminal offset is zero and P(T) = G1
-    assert np.all(theta[:, -1] == 0.0)
-    assert np.array_equal(recon.p[:, -1], eq_b200.model.G1 * ens_b200.x[:, -1])
+    assert np.all(theta[-1] == 0.0)
+    assert np.array_equal(recon.p[-1], eq_b200.model.G1 * ens_b200.x[-1])
 
 
 def test_follower_stationarity_zero_weights():
@@ -192,10 +192,10 @@ def test_follower_stationarity_deterministic_degenerate():
     m = make_model(steps=400, C=0.0)
     eq = solve_equilibrium(m)
     fp = solve_follower_filter(m, eq.P, eq.u2hat_path())
-    x = fp.xhat.nodes[None, :]
-    q_path = eq.xhat.nodes[:, 1][None, :]
+    x = fp.xhat.nodes[:, None]
+    q_path = eq.xhat.nodes[:, 1][:, None]
     u1 = np.einsum("ki,ki->k", eq.gains.f_nodes, eq.xhat.nodes)
-    u2 = eq.u2hat_path().nodes[None, :]
+    u2 = eq.u2hat_path().nodes[:, None]
     theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path(), fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)

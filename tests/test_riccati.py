@@ -259,9 +259,10 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
         q = blocks.node_index(k)
         p1 = leader.p1[k]
         p2 = leader.p2[k]
-        g1 = rhs_p1(p1, blocks, q)
+        m1, m2, _, _ = gain_inverses(p1, blocks, q)
+        g1 = rhs_p1(p1, blocks, q, m2=m2)
         r1 = rhs_p1_reduced(p1, blocks, display, q)
-        g2 = rhs_p2(p1, p2, blocks, q)
+        g2 = rhs_p2(p1, p2, blocks, q, m1=m1, m2=m2)
         r2 = rhs_p2_reduced(p1, p2, blocks, display, q)
         worst = max(worst,
                     np.max(np.abs(g1 - r1)) / (1.0 + np.max(np.abs(g1))),
@@ -351,12 +352,11 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     for a, b in zip(gain_inverses(p1[j], blocks, stage), g):
         same(a, b)
     m1, m2 = g[0], g[1]
-    same(sigma1(p1[j], p2[j], blocks, stage), sigma1(p1, p2, blocks, grid))
-    same(sigma2(p1[j], blocks, stage), sigma2(p1, blocks, grid))
-    same(sigma3(p1[j], p2[j], blocks, stage), sigma3(p1, p2, blocks, grid))
-    same(rhs_p1(p1[j], blocks, stage), rhs_p1(p1, blocks, grid))
+    s1_stage, s1 = sigma1(p1[j], p2[j], blocks, stage, m1=m1[j]), sigma1(p1, p2, blocks, grid, m1=m1)
+    same(s1_stage, s1)
+    same(sigma2(p1[j], blocks, stage, m2=m2[j]), sigma2(p1, blocks, grid, m2=m2))
+    same(sigma3(p1[j], p2[j], blocks, stage, m2=m2[j], s1=s1_stage), sigma3(p1, p2, blocks, grid, m2=m2, s1=s1))
     same(rhs_p1(p1[j], blocks, stage, m2=m2[j]), rhs_p1(p1, blocks, grid, m2=m2))
-    same(rhs_p2(p1[j], p2[j], blocks, stage), rhs_p2(p1, p2, blocks, grid))
     same(rhs_p2(p1[j], p2[j], blocks, stage, m1=m1[j], m2=m2[j]), rhs_p2(p1, p2, blocks, grid, m1=m1, m2=m2))
 
 
@@ -380,9 +380,11 @@ def test_sigmas_vanish_with_zero_first_riccati():
     q = blocks.node_index(7)
     zero = np.zeros((2, 2))
     some = np.array([[0.3, -0.2], [0.1, 0.4]])
-    assert np.all(sigma1(zero, some, blocks, q) == 0.0)
-    assert np.all(sigma2(zero, blocks, q) == 0.0)
-    assert np.all(sigma3(zero, some, blocks, q) == 0.0)
+    m1, m2, _, _ = gain_inverses(zero, blocks, q)
+    s1 = sigma1(zero, some, blocks, q, m1=m1)
+    assert np.all(s1 == 0.0)
+    assert np.all(sigma2(zero, blocks, q, m2=m2) == 0.0)
+    assert np.all(sigma3(zero, some, blocks, q, m2=m2, s1=s1) == 0.0)
 
 
 def test_sigma_one_equals_two_plus_three_zero_diffusion():

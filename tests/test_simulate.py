@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqstack.cli import main
-from lqstack.equilibrium import solve_equilibrium
+from lqstack.equilibrium import reconstruct_adjoints, solve_equilibrium
 from lqstack.errors import NonFiniteState
 from lqstack.filtering import DeterministicPath, solve_follower_filter
 from lqstack.model import TimeGrid, model_to_dict
 from lqstack.simulate import (ClosedLoopSystem, NoiseBundle, backfill_theta, density_process, generate_noise,
                               sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
 
-from conftest import make_model, random_admissible_model, time_varying
+from conftest import backfill, make_model, random_admissible_model, time_varying
 
 
 def test_noise_reproducible():
@@ -29,10 +29,10 @@ def test_noise_rows_independent_of_batch_size():
     grid = TimeGrid(1.0, 8)
     small = generate_noise(7, 50, grid)
     large = generate_noise(7, 200, grid)
-    assert np.array_equal(small.dw, large.dw[:50])
-    assert np.array_equal(small.dwbar, large.dwbar[:50])
+    assert np.array_equal(small.dw, large.dw[:, :50])
+    assert np.array_equal(small.dwbar, large.dwbar[:, :50])
     tail = generate_noise(7, 150, grid, first_path=50)
-    assert np.array_equal(tail.dw, large.dw[50:])
+    assert np.array_equal(tail.dw, large.dw[:, 50:])
 
 
 def _path_stream(seed: int, path: int, n: int, process: int = 0) -> np.ndarray:
@@ -55,8 +55,8 @@ def test_noise_rows_are_path_streams():
     far = generate_noise(19, 2, grid, first_path=2**40 - 1)
     for bundle, path in [(large, p) for p in (0, 63, 64, 1999, 2000)] + [(far, 2**40)]:
         row = path - bundle.first_path
-        assert np.array_equal(bundle.dw[row], _path_stream(19, path, 8) * root), path
-        assert np.array_equal(bundle.dwbar[row], _path_stream(19, path, 8, process=1) * root), path
+        assert np.array_equal(bundle.dw[:, row], _path_stream(19, path, 8) * root), path
+        assert np.array_equal(bundle.dwbar[:, row], _path_stream(19, path, 8, process=1) * root), path
 
 
 def test_observation_noise_drawn_on_first_read():
@@ -69,13 +69,26 @@ def test_observation_noise_drawn_on_first_read():
 
 def test_head_draws_its_own_observation_noise():
     # the head's dwbar is redrawn for its paths: the same rows, and the
-    # full bundle is not drawn to give them
+    # full bundle is not drawn to give them.  Every per-path array is
+    # published as stored, node-major and C-contiguous with paths along the
+    # last axis, and the head holds copies
     eq = solve_equilibrium(make_model(steps=20))
     ens = simulate_closed_loop(eq.closed_loop(), generate_noise(3, 100, eq.model.grid, first_path=50))
     head = ens.head(3)
     dwbar = head.noise.dwbar
     assert "dwbar" not in vars(ens.noise)
-    assert np.array_equal(dwbar, ens.noise.dwbar[:3])
+    assert np.array_equal(dwbar, ens.noise.dwbar[:, :3])
+    theta = backfill(eq, ens)
+    recon = reconstruct_adjoints(eq, ens, theta)
+    layout = {(21, 100): [ens.x, ens.q, ens.u2, theta, recon.p, recon.k],
+              (20, 100): [ens.noise.dw, ens.noise.dwbar], (2, 21, 100): [recon.y, recon.z],
+              (21, 3): [head.x, head.q, head.u2], (20, 3): [head.noise.dw, dwbar]}
+    for shape, arrays in layout.items():
+        for a in arrays:
+            assert a.shape == shape and a.flags.c_contiguous, shape
+    for a, b in ((head.x, ens.x), (head.q, ens.q), (head.u1, ens.u1), (head.u2, ens.u2),
+                 (head.noise.dw, ens.noise.dw)):
+        assert not np.shares_memory(a, b)
 
 
 def test_simulate_never_reads_observation_noise(tmp_path, monkeypatch):
@@ -93,8 +106,8 @@ def test_one_path_bundle_is_row_of_larger_bundle():
     large = generate_noise(7, 200, grid)
     for path in (0, 63, 64, 199):
         single = generate_noise(7, 1, grid, first_path=path)
-        assert np.array_equal(single.dw[0], large.dw[path]), path
-        assert np.array_equal(single.dwbar[0], large.dwbar[path]), path
+        assert np.array_equal(single.dw[:, 0], large.dw[:, path]), path
+        assert np.array_equal(single.dwbar[:, 0], large.dwbar[:, path]), path
 
 
 def test_seeds_give_different_rows():
@@ -113,7 +126,7 @@ def test_noise_rejects_paths_beyond_counter_word():
     # the path index fills one 64-bit counter word: path 2**64 - 1 is the last
     grid = TimeGrid(1.0, 8)
     last = generate_noise(7, 1, grid, first_path=2**64 - 1)
-    assert np.array_equal(last.dw[0], _path_stream(7, 2**64 - 1, 8) * np.sqrt(grid.dt))
+    assert np.array_equal(last.dw[:, 0], _path_stream(7, 2**64 - 1, 8) * np.sqrt(grid.dt))
     with pytest.raises(ValueError, match="must lie in"):
         generate_noise(7, 2, grid, first_path=2**64 - 1)
 
@@ -123,7 +136,7 @@ def test_noise_moments():
     grid = TimeGrid(1.0, 2)
     noise = generate_noise(11, 500000, grid)
     dt = grid.dt
-    dw = noise.dw[:, 0]
+    dw = noise.dw[0]
     assert abs(dw.mean()) <= 4.0 * np.sqrt(dt / len(dw))
     assert abs(dw.var() - dt) <= 0.01 * dt
 
@@ -141,7 +154,7 @@ def test_open_loop_pure_control_integration():
     m = make_model(steps=200, A=0.0, C=0.0, x0=0.0)
     noise = generate_noise(3, 16, m.grid)
     ens = simulate_open_loop(m, np.zeros(201), np.ones(201), noise)
-    assert np.max(np.abs(ens.x[:, -1] - 1.0)) < 1e-12
+    assert np.max(np.abs(ens.x[-1] - 1.0)) < 1e-12
 
 
 def test_open_loop_mean_matches_exponential():
@@ -151,8 +164,8 @@ def test_open_loop_mean_matches_exponential():
     noise = generate_noise(5, 1000, m.grid)
     zeros = np.zeros(401)
     ens = simulate_open_loop(m, zeros, zeros, noise)
-    mean = ens.x[:, -1].mean()
-    stderr = ens.x[:, -1].std(ddof=1) / np.sqrt(ens.m)
+    mean = ens.x[-1].mean()
+    stderr = ens.x[-1].std(ddof=1) / np.sqrt(ens.m)
     assert abs(mean - np.e) <= 3.0 * stderr + np.e * m.grid.dt
 
 
@@ -162,7 +175,7 @@ def test_open_loop_weak_convergence_rate():
         m = make_model(steps=steps, A=1.0, C=0.0)
         noise = generate_noise(5, 4, m.grid)
         ens = simulate_open_loop(m, np.zeros(steps + 1), np.zeros(steps + 1), noise)
-        return abs(ens.x[0, -1] - np.e)
+        return abs(ens.x[-1, 0] - np.e)
 
     assert 1.7 < mean_error(100) / mean_error(200) < 2.4
 
@@ -170,15 +183,15 @@ def test_open_loop_weak_convergence_rate():
 def test_open_loop_per_path_controls():
     m = make_model(steps=50, A=0.0, C=0.0, x0=0.0)
     noise = generate_noise(9, 3, m.grid)
-    u2 = np.vstack([np.full(51, 0.0), np.full(51, 1.0), np.full(51, 2.0)])
+    u2 = np.column_stack([np.full(51, 0.0), np.full(51, 1.0), np.full(51, 2.0)])
     ens = simulate_open_loop(m, np.zeros(51), u2, noise)
-    assert abs(ens.x[0, -1]) < 1e-12
-    assert abs(ens.x[1, -1] - 1.0) < 1e-12
-    assert abs(ens.x[2, -1] - 2.0) < 1e-12
+    assert abs(ens.x[-1, 0]) < 1e-12
+    assert abs(ens.x[-1, 1] - 1.0) < 1e-12
+    assert abs(ens.x[-1, 2] - 2.0) < 1e-12
 
 
 def test_open_loop_leaves_per_path_controls_unchanged():
-    # a one-path chunk's (1, N+1) control and a Fortran-ordered control are
+    # a one-path chunk's (N+1, 1) control and a Fortran-ordered control are
     # read in step blocks that can be views of the caller's array; the
     # kernel must not write to them, so a rerun with the same controls
     # (as the optimality sweeps and the grid search make) sees the same x
@@ -186,8 +199,8 @@ def test_open_loop_leaves_per_path_controls_unchanged():
     rng = np.random.default_rng(5)
     for paths, order in ((1, "C"), (40, "F")):
         noise = generate_noise(23, paths, m.grid)
-        u1 = np.array(rng.standard_normal((paths, 201)), order=order)
-        u2 = np.array(rng.standard_normal((paths, 201)), order=order)
+        u1 = np.array(rng.standard_normal((201, paths)), order=order)
+        u2 = np.array(rng.standard_normal((201, paths)), order=order)
         kept1, kept2 = u1.copy(), u2.copy()
         first = simulate_open_loop(m, u1, u2, noise).x
         assert np.array_equal(u1, kept1) and np.array_equal(u2, kept2), (paths, order)
@@ -259,7 +272,7 @@ def _first_non_finite(system: ClosedLoopSystem, noise) -> tuple[int, int]:
     xh = system.xhat.nodes
     dt = system.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, dw in enumerate(noise.dw):
+        for i, dw in enumerate(noise.dw.T):
             state = xh[0].copy()
             for k in range(system.grid.steps):
                 drift = system.drift_x[k] @ state + system.drift_xhat[k] @ xh[k]
@@ -304,14 +317,14 @@ def test_sensitivity_is_difference_of_open_loop_runs(seed, varying):
     if varying:
         model = time_varying(model)
     noise = generate_noise(int(rng.integers(1000)), 30, model.grid, first_path=5)
-    u1, u2 = rng.standard_normal(61), rng.standard_normal((30, 61))
+    u1, u2 = rng.standard_normal(61), rng.standard_normal((61, 30))
     v1, v2 = rng.standard_normal((3, 61)), rng.standard_normal((3, 61))
     dx = responses(model, v1, v2, noise)
     base = simulate_open_loop(model, u1, u2, noise).x
     for i in range(3):
-        shifted = simulate_open_loop(model, u1 + v1[i], u2 + v2[i], noise).x
+        shifted = simulate_open_loop(model, u1 + v1[i], u2 + v2[i][:, None], noise).x
         scale = np.max(np.abs(shifted)) + np.max(np.abs(base))
-        assert np.max(np.abs(dx[:, i].T - (shifted - base))) <= 1e-13 * scale
+        assert np.max(np.abs(dx[:, i] - (shifted - base))) <= 1e-13 * scale
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose, as in the reference loop
@@ -324,7 +337,7 @@ def test_sensitivity_non_finite_reported():
     dx, dt = np.zeros((2, 5)), model.grid.dt
     finite = []
     for k in range(200):
-        dx = dx * (1.0 + 0.1 * dt + 1000.0 * noise.dw[:, k]) + v1[:, k, None] * dt
+        dx = dx * (1.0 + 0.1 * dt + 1000.0 * noise.dw[k]) + v1[:, k, None] * dt
         finite.append(np.isfinite(dx).all(axis=0))
     step, path = np.argwhere(~np.array(finite))[0]
     with pytest.raises(NonFiniteState) as info:
@@ -339,8 +352,8 @@ def test_backfill_zero_forcing():
     P = solve_follower_P(m)
     xhat = DeterministicPath(nodes=np.linspace(1.0, 2.0, 101))
     u2hat = DeterministicPath(nodes=np.full(101, 0.3))
-    x = np.tile(xhat.nodes, (5, 1))
-    u2 = np.tile(u2hat.nodes, (5, 1))
+    x = np.tile(xhat.nodes[:, None], (1, 5))
+    u2 = np.tile(u2hat.nodes[:, None], (1, 5))
     theta_hat = solve_follower_filter(m, P, u2hat).theta_hat
     assert np.all(theta_hat.nodes == 0.0)
     theta = backfill_theta(m, P, x, u2, xhat, u2hat, theta_hat)
@@ -350,9 +363,9 @@ def test_backfill_zero_forcing():
 def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
     u2hat = eq_b200.u2hat_path()
     theta_hat = solve_follower_filter(eq_b200.model, eq_b200.P, u2hat).theta_hat
-    theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x[:100], ens_b200.u2[:100],
+    theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x[:, :100], ens_b200.u2[:, :100],
                            eq_b200.xhat_scalar_path(), u2hat, theta_hat)
-    assert np.all(theta[:, -1] == 0.0)
+    assert np.all(theta[-1] == 0.0)
 
 
 def test_backfill_degenerate_path_matches_filter(eq_b400):
@@ -361,7 +374,7 @@ def test_backfill_degenerate_path_matches_filter(eq_b400):
     fp = solve_follower_filter(eq.model, eq.P, eq.u2hat_path())
     theta = backfill_theta(eq.model, eq.P, fp.xhat, eq.u2hat_path(),
                            fp.xhat, eq.u2hat_path(), fp.theta_hat)
-    assert np.array_equal(theta[0], fp.theta_hat.nodes)
+    assert np.array_equal(theta[:, 0], fp.theta_hat.nodes)
 
 
 def test_backfill_fourth_order_off_the_filter():
@@ -397,7 +410,7 @@ def test_density_matches_path_major_formula():
     m = make_model(steps=50, h=0.5 + np.sin(3 * t))
     noise = generate_noise(31, 100, m.grid)
     h = m.nodes("h")[:-1]
-    increments = h[None, :] * noise.dwbar - 0.5 * (h * h)[None, :] * m.grid.dt
+    increments = h[None, :] * noise.dwbar.T - 0.5 * (h * h)[None, :] * m.grid.dt
     expected = np.exp(np.cumsum(increments, axis=1)[:, -1])
     assert np.array_equal(density_process(m, noise), expected)
     singles = [density_process(m, generate_noise(31, 1, m.grid, first_path=path)) for path in range(10)]
