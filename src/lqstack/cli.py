@@ -85,8 +85,8 @@ class RunConfig:
             raise ParseError(f"steps must be >= 2, got {self.steps}")
         if self.seed < 0:
             raise ParseError(f"seed must be >= 0, got {self.seed}")
-        if not all(0.0 < abs(e) < np.inf for e in self.eps):
-            raise ParseError("epsilon values must be finite and nonzero")
+        if not self.eps or not all(0.0 < abs(e) < np.inf for e in self.eps):
+            raise ParseError("epsilon values must be a non-empty list of finite, nonzero numbers")
 
 
 def _load(config: RunConfig) -> LQModel:

@@ -314,7 +314,6 @@ class GridSearchResult:
     best_mean: float
     best_stderr: float
     equilibrium_mean: float
-    equilibrium_stderr: float
 
     def dominance_margin(self, stderr_mult: float = 2.0) -> float:
         """best grid cost + allowance - equilibrium cost (>= 0 means pass)."""
@@ -373,7 +372,7 @@ def grid_result(features: np.ndarray, alphas, betas) -> GridSearchResult:
         alphas=alphas, betas=betas, cost_mean=mean, cost_stderr=stderr,
         best_alpha=float(alphas[bi]), best_beta=float(betas[bj]),
         best_mean=float(mean[bi, bj]), best_stderr=float(stderr[bi, bj]),
-        equilibrium_mean=float(base_cost.mean()), equilibrium_stderr=_stderr(base_cost),
+        equilibrium_mean=float(base_cost.mean()),
     )
 
 

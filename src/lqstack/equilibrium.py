@@ -21,8 +21,8 @@ import numpy as np
 
 from .filtering import solve_leader_xhat
 from .model import LQModel, validate_model
-from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
-                      assemble_leader_blocks, compute_sigmas, solve_follower_P,
+from .riccati import (P1_REFINE, DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati,
+                      Sigmas, assemble_leader_blocks, compute_sigmas, solve_follower_P,
                       solve_leader_riccati)
 from .simulate import ClosedLoopSystem, TrajectoryEnsemble
 
@@ -68,27 +68,26 @@ def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> FeedbackGains:
     """Evaluate both players' feedback rows at every half-grid point."""
-    q = blocks.half_points
     # s_inv D1 D2 P, the follower's coefficient on the filtered leader control.
-    cross = blocks.follower.law[2, q, None]
-    rr = blocks.rr[q, None]
+    cross = blocks.follower.law[2, :, None]
+    rr = blocks.rr[:, None]
     p1 = leader.p1_fine
     p2 = leader.p2_fine
     p12 = p1 + p2
     s1 = sigmas.s1
-    d5 = blocks.d5[q]
-    lx = -rr * (_rows(blocks.d2[q], p1) + _rows(blocks.d4[q], sigmas.s2))
-    lxhat = -rr * (_rows(blocks.d1[q], p12) + _rows(blocks.d2[q], p2)
-                   + _rows(blocks.d3[q], s1) + _rows(blocks.d4[q], sigmas.s3) + d5)
-    f = (blocks.a6[q] + _rows(blocks.b2[q], p12)
-         + cross * rr * (_rows(blocks.d1[q], p12) + _rows(blocks.d2[q], p12)
-                         + _rows(blocks.d3[q], s1) + _rows(blocks.d4[q], s1) + d5))
+    d5 = blocks.d5
+    lx = -rr * (_rows(blocks.d2, p1) + _rows(blocks.d4, sigmas.s2))
+    lxhat = -rr * (_rows(blocks.d1, p12) + _rows(blocks.d2, p2)
+                   + _rows(blocks.d3, s1) + _rows(blocks.d4, sigmas.s3) + d5)
+    f = (blocks.a6 + _rows(blocks.b2, p12)
+         + cross * rr * (_rows(blocks.d1, p12) + _rows(blocks.d2, p12)
+                         + _rows(blocks.d3, s1) + _rows(blocks.d4, s1) + d5))
     return FeedbackGains(lx=lx, lxhat=lxhat, f=f)
 
 
 def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas):
     """Node-sampled drift/diffusion coefficient matrices of the closed loop."""
-    q = slice(None, None, blocks.refine)
+    q = slice(None, None, P1_REFINE)
     p1 = leader.p1
     p2 = leader.p2
     p12 = p1 + p2
@@ -145,7 +144,7 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
     P = solve_follower_P(model, blow_up_factor=blow_up_factor)
     blocks = assemble_leader_blocks(model, P)
     leader = solve_leader_riccati(model, blocks, det_tol=det_tol, blow_up_factor=blow_up_factor)
-    sigmas = compute_sigmas(blocks, leader, det_tol=det_tol)
+    sigmas = compute_sigmas(blocks, leader)
     gains = build_gains(blocks, leader, sigmas)
     xhat = solve_leader_xhat(model, blocks, leader, sigmas)
     return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader,
@@ -302,7 +301,7 @@ class LeaderStationarity:
 def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                                  recon: AdjointReconstruction) -> LeaderStationarity:
     blocks = eq.blocks
-    qn = blocks.node_index(np.arange(eq.model.grid.steps + 1))
+    qn = slice(None, None, P1_REFINE)
     c_phi = blocks.d2[qn, 0]
     c_delta = blocks.d4[qn, 0]
     c_phih = blocks.d1[qn, 0]
@@ -339,7 +338,6 @@ class DriftResiduals:
     backward equations hold.
     """
 
-    times: np.ndarray
     follower_x: np.ndarray
     follower_xhat: np.ndarray
     follower_u2: np.ndarray
@@ -372,7 +370,7 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     Q1 = model.nodes("Q1")
     pn = eq.P.values
     fol = blocks.follower
-    nodes = slice(None, None, fol.refine)
+    nodes = slice(None, None, P1_REFINE)
     law = fol.law[:, nodes]
     offset = fol.offset[:, nodes]
 
@@ -392,7 +390,7 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
 
     p1n = eq.leader.p1
     p2n = eq.leader.p2
-    q = slice(blocks.refine, blocks.refine * n, blocks.refine)
+    q = slice(P1_REFINE, P1_REFINE * n, P1_REFINE)
     p1 = p1n[inner]
     p2 = p2n[inner]
     p12 = p1 + p2
@@ -424,7 +422,6 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     lead_xh -= blocks.e55[q]
 
     return DriftResiduals(
-        times=model.grid.times()[inner],
         follower_x=fol_x, follower_xhat=fol_xhat, follower_u2=fol_u2,
         follower_u2hat=fol_u2hat, follower_theta_hat=fol_theta_hat,
         leader_x=lead_x, leader_xhat=lead_xh,

@@ -87,11 +87,10 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
 
 def leader_xhat_matrix(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> np.ndarray:
     """(2N+1, 2, 2) drift matrix of the filtered augmented state ODE."""
-    q = blocks.half_points
-    out = blocks.a1[q] + blocks.a2e[q]
-    out += blocks.bb12[q] @ (leader.p1_fine + leader.p2_fine)
-    out += blocks.cc[q] @ (sigmas.s2 + sigmas.s3)
-    out -= blocks.e13[q] @ sigmas.s1
+    out = blocks.a1 + blocks.a2e
+    out += blocks.bb12 @ (leader.p1_fine + leader.p2_fine)
+    out += blocks.cc @ (sigmas.s2 + sigmas.s3)
+    out -= blocks.e13 @ sigmas.s1
     return out
 
 

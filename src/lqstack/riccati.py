@@ -41,8 +41,10 @@ a flat view of each block, over the whole half grid (a slice) they are
 arrays, and one formula set serves both, rounding identically.  A numpy call
 on a 2x2 matrix costs several times the arithmetic it does, and the two
 RK4 recurrences make about 19000 such evaluations at N=1600.  The sigmas and
-right-hand sides take the inverses gain_inverses guards, so each point is
-guarded once.  Only the RK4 recurrence loops over grid points.
+right-hand sides take the inverses gain_inverses guards: the first equation
+guards them at each of its stages; the leader solve then evaluates them once
+over the half grid from the first solution and keeps them for the second
+equation and the sigmas.  Only the RK4 recurrence loops over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -58,8 +60,8 @@ import numpy as np
 from .errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
 from .model import LQModel, TimeGrid
 
-# Step refinement of the follower solve and storage refinement of the
-# half-grid arrays (relative to the node grid).
+# Steps of the follower solve per node interval, and samples per node
+# interval of every half-grid array: index j of those is t = j * dt/2.
 P_REFINE = 4
 P1_REFINE = 2
 # Relative guard on the follower's D1^2 P + R1, the H3 check.
@@ -183,7 +185,7 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> Follower
 
 @dataclass(frozen=True)
 class FollowerCoefficients:
-    """The follower's coefficients, sampled where P is (index q: t = q * dt/refine).
+    """The follower's coefficients on the half grid (index j: t = j * dt/2).
 
     The follower's control is u1 = -s_inv [bc P xhat + B1 theta_hat + D1 D2 P u2hat],
     s_inv = (D1^2 P + R1)^-1, bc = B1 + D1 C.  law, drift, diffusion and offset
@@ -197,7 +199,6 @@ class FollowerCoefficients:
     d(theta_hat)/dtau = theta_self theta_hat + theta_u2 u2hat, tau = T - t.
     """
 
-    refine: int
     law: np.ndarray
     drift: np.ndarray
     diffusion: np.ndarray
@@ -208,25 +209,24 @@ class FollowerCoefficients:
 
     def control(self, xhat, theta_hat, u2hat) -> np.ndarray:
         """The follower's control at the nodes from node samples of its inputs."""
-        k = self.law[:, ::self.refine]
+        k = self.law[:, ::P1_REFINE]
         return -(k[0] * xhat + k[1] * theta_hat + k[2] * u2hat)
 
 
 def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoefficients:
-    """Evaluate the follower's coefficients once where P is sampled.
+    """Evaluate the follower's coefficients once on the half grid, where P is sampled.
 
     Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
     """
     grid = model.grid
-    refine = (len(P.fine) - 1) // grid.steps
-    A, B1, B2, C, D1, D2, R1 = (model.nodes(k, refine) for k in ("A", "B1", "B2", "C", "D1", "D2", "R1"))
+    A, B1, B2, C, D1, D2, R1 = (model.nodes(k, P1_REFINE) for k in ("A", "B1", "B2", "C", "D1", "D2", "R1"))
     p = P.fine
 
     s = D1 * D1 * p + R1
     bad = ~(s > INV_TOL * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
     if np.any(bad):
         q = int(np.argmax(bad))
-        raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / refine)
+        raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / P1_REFINE)
     s_inv = 1.0 / s
     bc = B1 + D1 * C
 
@@ -237,7 +237,7 @@ def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoeffic
     offset = rows(bc) * p
     offset_u2 = (B2 + D2 * C) * p
     return FollowerCoefficients(
-        refine=refine, law=rows(1.0), drift=rows(B1), diffusion=rows(D1),
+        law=rows(1.0), drift=rows(B1), diffusion=rows(D1),
         offset=offset, offset_u2=offset_u2,
         theta_self=A - offset[1], theta_u2=offset_u2 - offset[2],
     )
@@ -247,10 +247,11 @@ def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoeffic
 class LeaderBlocks:
     """Coefficient blocks of the leader's augmented forward-backward system.
 
-    Sampled where P is, i.e. on the half grid for a solved P (refine attribute:
-    index q is t = q * dt/refine); every RK4 stage, gain and closed-loop
-    matrix is evaluated at half-grid points.  Shapes: 2x2 blocks (L,2,2),
-    column blocks (L,2), gain rows (L,2), scalars (L,).
+    Sampled on the half grid, where P is: block index j is t = j * dt/2, so
+    an RK4 stage at half point j reads index j and node k reads 2k; every
+    RK4 stage, gain and closed-loop matrix is evaluated at half-grid points.
+    Shapes (L = 2N+1): 2x2 blocks (L,2,2), column blocks (L,2), gain rows
+    (L,2), scalars (L,).
 
     Roles in the augmented dynamics dX = [...]dt + [...]dW, -dY = [...]dt - Z dW:
       a1, a2   drift couplings to X and its estimate,
@@ -281,7 +282,6 @@ class LeaderBlocks:
     """
 
     grid: TimeGrid
-    refine: int
     a1: np.ndarray
     a3: np.ndarray
     a5: np.ndarray
@@ -311,18 +311,6 @@ class LeaderBlocks:
     def e11(self) -> np.ndarray:
         return _over_r2(self.rr, (self.d1, self.d1 + self.d2), (self.d2, self.d1))
 
-    @property
-    def half_points(self) -> slice:
-        """Every half-grid point, as an index that slices without copying."""
-        return slice(None, None, self.refine // 2)
-
-    def node_index(self, k):
-        return self.refine * k
-
-    def half_index(self, j):
-        """Block index of half-grid point j (t = j * dt/2)."""
-        return (self.refine // 2) * j
-
     @cached_property
     def _flat(self) -> dict:
         """Flat float views of the (L, 2, 2) blocks, without copies: entry k of block index q at 4q + k."""
@@ -334,7 +322,7 @@ class LeaderBlocks:
         """Entry tuples (m00, m01, m10, m11) of the named 2x2 blocks at index q.
 
         Python floats for an int q (one RK4 stage), arrays for a slice or an
-        index array (the half grid).
+        index array (slice(None): the whole half grid).
         """
         if isinstance(q, int):
             i = 4 * q
@@ -351,14 +339,13 @@ def _over_r2(rr: np.ndarray, *pairs) -> np.ndarray:
 
 
 def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
-    """Every block of the augmented-system display, sampled where P is.
+    """Every block of the augmented-system display, on the half grid.
 
     Each entry is an explicit function of the model coefficients and the
     follower's coefficients, so a recomputation from (model, P) reproduces
     it exactly.
     """
     fol = follower_coefficients(model, P)
-    refine = fol.refine
     L = len(P.fine)
     zeros = np.zeros(L)
 
@@ -371,7 +358,7 @@ def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
         return np.column_stack([top, bottom])
 
     a1 = np.zeros((L, 2, 2))
-    a1[:, 0, 0] = model.nodes("A", refine)
+    a1[:, 0, 0] = model.nodes("A", P1_REFINE)
     a1[:, 1, 1] = fol.theta_self
     b1 = np.zeros((L, 2, 2))
     b1[:, 0, 1] = -fol.drift[1]
@@ -385,18 +372,18 @@ def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
     # a G1 cross term would break the leader's first-order optimality (the
     # constructed control then loses against direct minimization).
     return dict(
-        refine=refine, a1=a1, a2=corner(-fol.drift[0]), a3=corner(model.nodes("C", refine)),
-        a4=corner(-fol.diffusion[0]), a5=corner(model.nodes("Q2", refine)), b1=b1, c1=c1,
-        d1=column(-fol.drift[2]), d2=column(model.nodes("B2", refine)),
-        d3=column(-fol.diffusion[2]), d4=column(model.nodes("D2", refine)),
+        a1=a1, a2=corner(-fol.drift[0]), a3=corner(model.nodes("C", P1_REFINE)),
+        a4=corner(-fol.diffusion[0]), a5=corner(model.nodes("Q2", P1_REFINE)), b1=b1, c1=c1,
+        d1=column(-fol.drift[2]), d2=column(model.nodes("B2", P1_REFINE)),
+        d3=column(-fol.diffusion[2]), d4=column(model.nodes("D2", P1_REFINE)),
         d5=column(zeros, fol.theta_u2), a6=column(-fol.law[0]), b2=column(zeros, -fol.law[1]),
-        r2=model.nodes("R2", refine), follower=fol,
+        r2=model.nodes("R2", P1_REFINE), follower=fol,
         gbar=np.array([[model.G2, 0.0], [0.0, 0.0]]),
     )
 
 
 def assemble_leader_blocks(model: LQModel, P: FollowerRiccati) -> LeaderBlocks:
-    """Sample the display blocks where P is and evaluate the effective blocks once.
+    """Sample the display blocks on the half grid and evaluate the effective blocks once.
 
     Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
     """
@@ -477,7 +464,7 @@ def _inv2(m, det_tol: float, blocks: LeaderBlocks, q, err):
     det = m00 * m11 - m01 * m10
     ok = abs(det) > det_tol * (1.0 + (((m00 * m00 + m01 * m01) + m10 * m10) + m11 * m11))
     if not (ok if isinstance(ok, bool) else ok.all()):
-        times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / blocks.refine)
+        times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / P1_REFINE)
         raise err("gain matrix inverse does not exist", float(np.max(times[np.logical_not(ok)])))
     return (m11 / det, -m01 / det, -m10 / det, m00 / det), det
 
@@ -486,7 +473,7 @@ def gain_inverses(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1
     """The two 2x2 inverse matrices guarding the Z-elimination, plus determinants.
 
     First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1.
-    q is a block index, or an index array or slice with p1 stacked to match.
+    q is a half-grid index, or an index array or slice with p1 stacked to match.
     Raises M1NotInvertible / M2NotInvertible when the guard trips.
     """
     p = _entries(p1)
@@ -567,6 +554,8 @@ class LeaderRiccati:
     are the RK4 node values, odd indices the integrator's Hermite midpoints,
     so downstream stages can read them off-node without losing order.
     Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
+    m1 and m2 are the two guarded gain inverses of gain_inverses at p1_fine,
+    on the same half grid; the second equation and compute_sigmas read them.
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
@@ -574,7 +563,8 @@ class LeaderRiccati:
     grid: TimeGrid
     p1_fine: np.ndarray
     p2_fine: np.ndarray
-    gbar: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
     min_det_m1: float
     min_det_m2: float
 
@@ -597,9 +587,10 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     at every RK4 stage; the second consumes the first at its stage times
     through the Hermite midpoints, so its inverses depend on the first
     solution only and are computed and guarded for the whole half grid in
-    one pass.  When D1 = D2 = 0 the general right-hand sides reduce
-    algebraically to the special-case forms (the guarded inverses are
-    exactly the identity); the same integrator serves both regimes.
+    one pass, and kept for compute_sigmas.  When D1 = D2 = 0 the general
+    right-hand sides reduce algebraically to the special-case forms (the
+    guarded inverses are exactly the identity); the same integrator serves
+    both regimes.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
     blow_up_factor * (1 + max|gbar|).
     """
@@ -608,11 +599,10 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     min_det = [np.inf, np.inf]
 
     def rhs1(j, mat):
-        q = blocks.half_index(j)
-        _, m2, det1, det2 = gain_inverses(mat, blocks, q, det_tol=det_tol)
+        _, m2, det1, det2 = gain_inverses(mat, blocks, j, det_tol=det_tol)
         min_det[0] = min(min_det[0], abs(det1))
         min_det[1] = min(min_det[1], abs(det2))
-        return rhs_p1(mat, blocks, q, m2=m2)
+        return rhs_p1(mat, blocks, j, m2=m2)
 
     def solve(rhs, terminal, label):
         fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
@@ -620,7 +610,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         return path.half_values()
 
     p1_fine = solve(rhs1, blocks.gbar, "first")
-    m1, m2, det1, det2 = gain_inverses(p1_fine, blocks, blocks.half_points, det_tol=det_tol)
+    m1, m2, det1, det2 = gain_inverses(p1_fine, blocks, slice(None), det_tol=det_tol)
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
     for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):
@@ -629,13 +619,13 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
 
     def rhs2(j, mat):
-        return rhs_p2(p1_fine[j], mat, blocks, blocks.half_index(j), m1=m1[j], m2=m2[j])
+        return rhs_p2(p1_fine[j], mat, blocks, j, m1=m1[j], m2=m2[j])
 
     return LeaderRiccati(
         grid=grid,
         p1_fine=p1_fine,
         p2_fine=solve(rhs2, np.zeros((2, 2)), "second"),
-        gbar=blocks.gbar.copy(),
+        m1=m1, m2=m2,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),
     )
@@ -663,12 +653,14 @@ class Sigmas:
         return self.s3[::2]
 
 
-def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati, *, det_tol: float = 1e-10) -> Sigmas:
-    """Evaluate the three gain matrices on the whole half grid from the Riccati output."""
-    q = blocks.half_points
+def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
+    """Evaluate the three gain matrices on the whole half grid from the Riccati output.
+
+    The gain inverses are the ones the leader solve guarded and kept.
+    """
+    q = slice(None)
     p1 = leader.p1_fine
     p2 = leader.p2_fine
-    m1, m2, _, _ = gain_inverses(p1, blocks, q, det_tol=det_tol)
-    s1 = sigma1(p1, p2, blocks, q, m1=m1)
-    return Sigmas(grid=leader.grid, s1=s1, s2=sigma2(p1, blocks, q, m2=m2),
-                  s3=sigma3(p1, p2, blocks, q, m2=m2, s1=s1))
+    s1 = sigma1(p1, p2, blocks, q, m1=leader.m1)
+    return Sigmas(grid=leader.grid, s1=s1, s2=sigma2(p1, blocks, q, m2=leader.m2),
+                  s3=sigma3(p1, p2, blocks, q, m2=leader.m2, s1=s1))

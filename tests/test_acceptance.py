@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from lqstack.costs import gain_grid_search, verify_optimality_chunked
+from lqstack.costs import OptimalitySweep, gain_grid_search
 from lqstack.equilibrium import (bsde_residual, drift_residuals, reconstruct_adjoints,
                                  solve_equilibrium)
 from lqstack.model import model_to_dict
 from lqstack.riccati import assemble_leader_blocks, solve_follower_P, solve_leader_riccati
-from lqstack.simulate import density_process, generate_noise, simulate_closed_loop
+from lqstack.simulate import closed_loop_chunks, density_process, generate_noise, simulate_closed_loop
 
 from conftest import backfill, make_model, random_admissible_model
 
@@ -196,13 +196,28 @@ def test_criterion_07_gain_consistency(eq_b200):
     assert report(7, worst <= 1e-10, f"worst rel gap={worst:.2e} over benchmark + 10 random models")
 
 
-def _optimality_criterion(num, which, steps=1600, m_paths=100000):
+@pytest.fixture(scope="module")
+def optimality_reports():
+    """The J1 and J2 sweeps of criteria 08 and 09, fed from one closed-loop stream.
+
+    Both check the same seed-42 ensemble; each report equals that of its own
+    verify_optimality_chunked run.
+    """
     # grid fine enough that the O(dt) bias of the frozen-control differencing
     # sits below the Monte-Carlo slope resolution
+    steps = 1600
     eq = solve_equilibrium(make_model(steps))
     t = eq.model.grid.times()
     dirs = {"const": np.ones(steps + 1), "ramp": t, "sine": np.sin(2.0 * np.pi * t)}
-    rep = verify_optimality_chunked(eq, which, dirs, [0.05, 0.1, 0.2], seed=42, m=m_paths)
+    sweeps = {which: OptimalitySweep(eq, which, dirs, [0.05, 0.1, 0.2]) for which in ("J1", "J2")}
+    for ens in closed_loop_chunks(eq.closed_loop(), 42, 100000):
+        for sweep in sweeps.values():
+            sweep.add(ens)
+        del ens  # else it stays alive while the next chunk is simulated
+    return {which: sweep.report() for which, sweep in sweeps.items()}
+
+
+def _optimality_criterion(num, rep):
     ok = True
     details = []
     for c in rep.curves:
@@ -215,13 +230,13 @@ def _optimality_criterion(num, which, steps=1600, m_paths=100000):
 
 
 @pytest.mark.slow
-def test_criterion_08_follower_optimality():
-    _optimality_criterion(8, "J1")
+def test_criterion_08_follower_optimality(optimality_reports):
+    _optimality_criterion(8, optimality_reports["J1"])
 
 
 @pytest.mark.slow
-def test_criterion_09_leader_optimality():
-    _optimality_criterion(9, "J2")
+def test_criterion_09_leader_optimality(optimality_reports):
+    _optimality_criterion(9, optimality_reports["J2"])
 
 
 def test_criterion_10_brute_force_dominance(eq_b200):

@@ -98,7 +98,7 @@ def parse_fails(tmp_path, monkeypatch, *flags) -> bool:
 
 
 def test_bad_eps_exit_2(tmp_path, monkeypatch):
-    for eps in ("0.1,zero", "0.0", "0.1,nan", "inf"):
+    for eps in ("0.1,zero", "0.0", "0.1,nan", "inf", ",", ""):
         assert parse_fails(tmp_path, monkeypatch, "--eps", eps), eps
 
 

@@ -51,9 +51,8 @@ def test_follower_gain_structure_zero_diffusion(eq_b200):
     eq = eq_b200
     k = 60
     j = 2 * k
-    q = eq.blocks.node_index(k)
     p12 = eq.leader.p1[k] + eq.leader.p2[k]
-    expected = eq.blocks.a6[q] + eq.blocks.b2[q] @ p12
+    expected = eq.blocks.a6[j] + eq.blocks.b2[j] @ p12
     assert np.allclose(eq.gains.f_nodes[k], expected, rtol=0, atol=1e-15)
 
 

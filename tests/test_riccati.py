@@ -163,7 +163,7 @@ def test_blow_up_guard_reports_time():
 def test_h3_guard_on_forged_input():
     # Valid weights keep D1^2 P + R1 positive, so force a negative P directly.
     m = make_model(steps=10, D1=1.0)
-    forged = FollowerRiccati(grid=m.grid, fine=np.full(41, -1.0))
+    forged = FollowerRiccati(grid=m.grid, fine=np.full(21, -1.0))
     with pytest.raises(H3Violated):
         assemble_leader_blocks(m, forged)
 
@@ -175,7 +175,7 @@ def test_blocks_zero_diffusion_substitutions():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     display = riccati._display_blocks(m, P)
-    k = blocks.node_index(17)
+    k = 2 * 17
     assert np.all(display["a4"][k] == 0.0)
     assert np.all(display["c1"][k] == 0.0)
     assert np.all(blocks.d1[k] == 0.0)
@@ -199,17 +199,17 @@ def test_blocks_vanish_with_zero_follower_riccati():
 
 
 def test_blocks_recompute_exactly():
-    m = make_model(steps=60, D1=0.4, D2=0.3, C=0.5)
+    # Time-varying A and B1, so a coefficient read at the wrong time shows.
+    m = time_varying(make_model(steps=60, D1=0.4, D2=0.3, C=0.5))
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
-    q = blocks.node_index(23)
-    t_idx = q
-    A = m.nodes("A", 4)[t_idx]
-    B1 = m.nodes("B1", 4)[t_idx]
-    D1 = m.nodes("D1", 4)[t_idx]
-    C = m.nodes("C", 4)[t_idx]
-    R1 = m.nodes("R1", 4)[t_idx]
-    p = P.fine[t_idx]
+    q = 2 * 23
+    A = m.nodes("A", 2)[q]
+    B1 = m.nodes("B1", 2)[q]
+    D1 = m.nodes("D1", 2)[q]
+    C = m.nodes("C", 2)[q]
+    R1 = m.nodes("R1", 2)[q]
+    p = P.fine[q]
     s = D1 * D1 * p + R1
     expected = -((B1 + D1 * C) / s * B1 * p - A)
     assert blocks.a1[q][1, 1] == expected
@@ -231,7 +231,7 @@ def test_leader_gain_inverses_identity_when_zero_diffusion():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    m1, m2, det1, det2 = gain_inverses(leader.p1[5], blocks, blocks.node_index(5))
+    m1, m2, det1, det2 = gain_inverses(leader.p1[5], blocks, 2 * 5)
     assert np.array_equal(m1, np.eye(2))
     assert np.array_equal(m2, np.eye(2))
     assert det1 == 1.0 and det2 == 1.0
@@ -256,7 +256,7 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
     display = riccati._display_blocks(m, P)
     worst = 0.0
     for k in range(101):
-        q = blocks.node_index(k)
+        q = 2 * k
         p1 = leader.p1[k]
         p2 = leader.p2[k]
         m1, m2, _, _ = gain_inverses(p1, blocks, q)
@@ -305,7 +305,7 @@ def test_leader_second_gain_inverse_guard_on_forged_blocks():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     e44 = blocks.e44.copy()
-    e44[blocks.half_index(50), 0, 0] = -1e12
+    e44[50, 0, 0] = -1e12
     with pytest.raises(M2NotInvertible) as info:
         solve_leader_riccati(m, dataclasses.replace(blocks, e44=e44))
     assert type(info.value) is M2NotInvertible
@@ -333,7 +333,8 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     # One formula set on two entry types: Python floats at an int block
     # index, arrays over the half grid.  Elementwise float64 arithmetic rounds
     # as Python float arithmetic does, so row j of the half-grid evaluation
-    # equals the evaluation at half-grid point j exactly.
+    # equals the evaluation at half-grid point j exactly.  The leader solve
+    # keeps the half-grid inverses, which compute_sigmas reads.
     m = random_admissible_model(np.random.default_rng(seed), steps=40)
     m = dataclasses.replace(m, D1=math.copysign(max(abs(m.D1), 0.1), m.D1),
                             D2=math.copysign(max(abs(m.D2), 0.1), m.D2))
@@ -343,7 +344,7 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
     p1, p2 = leader.p1_fine, leader.p2_fine
-    grid, stage = blocks.half_points, blocks.half_index(j)
+    grid, stage = slice(None), j
 
     def same(at_stage, on_grid):
         assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(on_grid[j]).tobytes()
@@ -352,6 +353,7 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     for a, b in zip(gain_inverses(p1[j], blocks, stage), g):
         same(a, b)
     m1, m2 = g[0], g[1]
+    assert (leader.m1.tobytes(), leader.m2.tobytes()) == (m1.tobytes(), m2.tobytes())
     s1_stage, s1 = sigma1(p1[j], p2[j], blocks, stage, m1=m1[j]), sigma1(p1, p2, blocks, grid, m1=m1)
     same(s1_stage, s1)
     same(sigma2(p1[j], blocks, stage, m2=m2[j]), sigma2(p1, blocks, grid, m2=m2))
@@ -377,7 +379,7 @@ def test_sigmas_vanish_with_zero_first_riccati():
     m = make_model(steps=40, D1=0.2, D2=0.3, C=0.5)
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
-    q = blocks.node_index(7)
+    q = 2 * 7
     zero = np.zeros((2, 2))
     some = np.array([[0.3, -0.2], [0.1, 0.4]])
     m1, m2, _, _ = gain_inverses(zero, blocks, q)
