@@ -23,8 +23,8 @@ from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import (Coefficient, LQModel, TimeGrid, Violation, check_hypotheses,
                     load_model, model_from_dict, model_to_dict, sample_at,
                     sample_on_grid, validate_model)
-from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
-                      assemble_leader_blocks, compute_sigmas, gain_inverses,
+from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, P1Terms,
+                      Sigmas, assemble_leader_blocks, compute_sigmas, gain_inverses, p1_terms,
                       sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 from .simulate import (ClosedLoopSystem, NoiseBundle, TrajectoryEnsemble,
                        backfill_theta, density_process, generate_noise,

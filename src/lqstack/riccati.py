@@ -34,17 +34,22 @@ residuals read them.
 The leader's side reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
 assemble_leader_blocks evaluates once on the whole half grid; a transpose is
-a swapaxes view.  gain_inverses, sigma1-sigma3, rhs_p1 and rhs_p2 do their
-arithmetic on 2x2 matrices held as entry tuples (m00, m01, m10, m11): at a
+a swapaxes view.  gain_inverses, p1_terms, sigma1-sigma3, rhs_p1 and rhs_p2
+take and return 2x2 matrices as entry tuples (m00, m01, m10, m11): at a
 single RK4 stage (an int block index) the entries are Python floats read from
-a flat view of each block, over the whole half grid (a slice) they are
-arrays, and one formula set serves both, rounding identically.  A numpy call
-on a 2x2 matrix costs several times the arithmetic it does, and the two
-RK4 recurrences make about 19000 such evaluations at N=1600.  The sigmas and
-right-hand sides take the inverses gain_inverses guards: the first equation
-guards them at each of its stages; the leader solve then evaluates them once
-over the half grid from the first solution and keeps them for the second
-equation and the sigmas.  Only the RK4 recurrence loops over grid points.
+a flat view of each block, over a slice of the half grid they are arrays, and
+one formula set serves both, rounding identically.  A numpy call on a 2x2
+matrix costs several times the arithmetic it does, and the two leader
+recurrences call these functions about 19000 times at N=1600; a stage
+converts only its own state between the integrator's 2x2 array and a tuple.
+The first equation guards its gain inverses at each of its stages.  Once it
+is solved, the leader solve evaluates the inverses once over the half grid
+and keeps them.  Everything the second equation reads of the first solution
+-- p1, the inverses and nine products of p1 with the blocks, a P1Terms -- is
+then fixed: p1_terms evaluates it on arrays a window of half-grid indices at
+a time, and the stages read it as floats and compute only the terms with p2.
+compute_sigmas reads the same P1Terms, in wider windows.  Only the RK4
+recurrence loops over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -52,6 +57,7 @@ bit-exactly as given.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
@@ -66,6 +72,12 @@ P_REFINE = 4
 P1_REFINE = 2
 # Relative guard on the follower's D1^2 P + R1, the H3 check.
 INV_TOL = 1e-10
+# Half-grid indices per array evaluation of the first leader solution's
+# terms (p1_terms): few where the second equation's stages read them back as
+# Python floats, more where the sigmas keep them as arrays.  Either bounds
+# the memory a whole-grid evaluation would hold.
+_STAGE_WINDOW = 64
+_SIGMA_WINDOW = 512
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,7 @@ def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
         k4 = rhs(j + 2 * d, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         k += d
-        if not (np.abs(y) <= bound).all():
+        if not (abs(y) <= bound if isinstance(y, float) else (np.abs(y) <= bound).all()):
             raise fail(k * h)
         nodes[k] = y
     slopes[k] = rhs(2 * k, y)
@@ -469,82 +481,87 @@ def _inv2(m, det_tol: float, blocks: LeaderBlocks, q, err):
     return (m11 / det, -m01 / det, -m10 / det, m00 / det), det
 
 
-def gain_inverses(p1: np.ndarray, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
+def gain_inverses(p1, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
     """The two 2x2 inverse matrices guarding the Z-elimination, plus determinants.
 
-    First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1.
-    q is a half-grid index, or an index array or slice with p1 stacked to match.
+    First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1,
+    both as entry tuples.  p1 is the entry tuple of the first solution at q,
+    a half-grid index, or at an index array or slice.
     Raises M1NotInvertible / M2NotInvertible when the guard trips.
     """
-    p = _entries(p1)
     e34, e44 = blocks.entries(q, "e34", "e44")
-    m1, det1 = _inv2(_add(_I2, _mm(p, e34)), det_tol, blocks, q, M1NotInvertible)
-    m2, det2 = _inv2(_add(_I2, _mm(p, e44)), det_tol, blocks, q, M2NotInvertible)
-    return _matrix(m1), _matrix(m2), det1, det2
+    m1, det1 = _inv2(_add(_I2, _mm(p1, e34)), det_tol, blocks, q, M1NotInvertible)
+    m2, det2 = _inv2(_add(_I2, _mm(p1, e44)), det_tol, blocks, q, M2NotInvertible)
+    return m1, m2, det1, det2
 
 
-def _sigma1(p1, p2, m1, blocks: LeaderBlocks, q):
-    a3, a4e, cc12 = blocks.entries(q, "a3", "a4e", "cc12")
-    inner = _add(_mm(p1, _add(a3, a4e)), _mm(_mm(p1, _t(cc12)), _add(p1, p2)))
-    return _mm(m1, inner)
-
-
-def _sigma3(p1, p2, m2, s1, blocks: LeaderBlocks, q):
-    a4e, cc, e13, e33 = blocks.entries(q, "a4e", "cc", "e13", "e33")
-    inner = _add(_mm(p1, a4e), _mm(_mm(p1, _t(cc)), p2))
-    inner = _sub(inner, _mm(_mm(p1, _t(e13)), _add(p1, p2)))
-    inner = _sub(inner, _mm(_mm(p1, e33), s1))
-    return _mm(m2, inner)
-
-
-def sigma1(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, m1: np.ndarray) -> np.ndarray:
-    """Gain mapping the estimated state to the estimated adjoint diffusion."""
-    return _matrix(_sigma1(_entries(p1), _entries(p2), _entries(m1), blocks, q))
-
-
-def sigma2(p1: np.ndarray, blocks: LeaderBlocks, q, *, m2: np.ndarray) -> np.ndarray:
-    """Gain mapping the raw state to the adjoint diffusion."""
-    p1 = _entries(p1)
-    a3, cc = blocks.entries(q, "a3", "cc")
-    inner = _add(_mm(p1, a3), _mm(_mm(p1, _t(cc)), p1))
-    return _matrix(_mm(_entries(m2), inner))
-
-
-def sigma3(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, m2: np.ndarray,
-           s1: np.ndarray) -> np.ndarray:
-    """Gain mapping the estimated state to the adjoint diffusion."""
-    return _matrix(_sigma3(_entries(p1), _entries(p2), _entries(m2), _entries(s1), blocks, q))
-
-
-def rhs_p1(p1: np.ndarray, blocks: LeaderBlocks, q, *, m2: np.ndarray) -> np.ndarray:
-    """d(p1)/dtau of the first leader Riccati equation (general form)."""
-    p1 = _entries(p1)
+def rhs_p1(p1, blocks: LeaderBlocks, q, *, m2):
+    """d(p1)/dtau of the first leader Riccati equation (general form), an entry tuple."""
     a1, a3, a5, bb, cc = blocks.entries(q, "a1", "a3", "a5", "bb", "cc")
     out = _add(_mm(p1, a1), _mm(a1, p1))
     out = _add(out, _mm(_mm(p1, bb), p1))
     out = _add(out, a5)
-    left = _mm(_mm(_add(a3, _mm(p1, cc)), _entries(m2)), p1)
-    return _matrix(_add(out, _mm(left, _add(a3, _mm(_t(cc), p1)))))
+    left = _mm(_mm(_add(a3, _mm(p1, cc)), m2), p1)
+    return _add(out, _mm(left, _add(a3, _mm(_t(cc), p1))))
 
 
-def rhs_p2(p1: np.ndarray, p2: np.ndarray, blocks: LeaderBlocks, q, *, m1: np.ndarray,
-           m2: np.ndarray) -> np.ndarray:
-    """d(p2)/dtau of the second leader Riccati equation (general form)."""
-    p1 = _entries(p1)
-    p2 = _entries(p2)
-    s1 = _sigma1(p1, p2, _entries(m1), blocks, q)
-    s3 = _sigma3(p1, p2, _entries(m2), s1, blocks, q)
-    a1, a2e, a3, a4e, bb, bb12, cc, cc12, e13, e55 = blocks.entries(
-        q, "a1", "a2e", "a3", "a4e", "bb", "bb12", "cc", "cc12", "e13", "e55")
-    p12 = _add(p1, p2)
+# What the second leader equation and the sigmas read of the first solution
+# at one q, all entry tuples: p1, its two gain inverses and the products of p1
+# with the blocks (t marks a transpose, p1_a34 is p1 (a3 + a4e) and a3_p1_cc
+# is a3 + p1 cc).  None depends on p2.
+P1Terms = namedtuple("P1Terms", "p1 m1 m2 p1_a34 p1_cc12t p1_a4e p1_cct p1_e13t p1_e33 p1_bb_p1 "
+                                "a3_p1_cc p1_e13")
+
+
+def p1_terms(p1, m1, m2, blocks: LeaderBlocks, q) -> P1Terms:
+    """The first solution's terms at q from p1 and its gain inverses m1, m2 (entry tuples)."""
+    a3, a4e, bb, cc, cc12, e13, e33 = blocks.entries(q, "a3", "a4e", "bb", "cc", "cc12", "e13", "e33")
+    return P1Terms(p1, m1, m2, _mm(p1, _add(a3, a4e)), _mm(p1, _t(cc12)), _mm(p1, a4e), _mm(p1, _t(cc)),
+                   _mm(p1, _t(e13)), _mm(p1, e33), _mm(_mm(p1, bb), p1), _add(a3, _mm(p1, cc)),
+                   _mm(p1, e13))
+
+
+def _p1_term_windows(p1_fine, m1, m2, blocks: LeaderBlocks, width: int):
+    """(q, p1_terms at q) on arrays, for slices q of `width` half-grid indices from the top down."""
+    for hi in range(len(blocks.rr), 0, -width):
+        q = slice(max(0, hi - width), hi)
+        yield q, p1_terms(_entries(p1_fine[q]), _entries(m1[q]), _entries(m2[q]), blocks, q)
+
+
+def sigma1(f: P1Terms, p2):
+    """Gain mapping the estimated state to the estimated adjoint diffusion."""
+    return _mm(f.m1, _add(f.p1_a34, _mm(f.p1_cc12t, _add(f.p1, p2))))
+
+
+def sigma2(f: P1Terms, blocks: LeaderBlocks, q):
+    """Gain mapping the raw state to the adjoint diffusion."""
+    (a3,) = blocks.entries(q, "a3")
+    return _mm(f.m2, _add(_mm(f.p1, a3), _mm(f.p1_cct, f.p1)))
+
+
+def sigma3(f: P1Terms, p2, s1):
+    """Gain mapping the estimated state to the adjoint diffusion."""
+    inner = _add(f.p1_a4e, _mm(f.p1_cct, p2))
+    inner = _sub(inner, _mm(f.p1_e13t, _add(f.p1, p2)))
+    inner = _sub(inner, _mm(f.p1_e33, s1))
+    return _mm(f.m2, inner)
+
+
+def rhs_p2(f: P1Terms, p2, blocks: LeaderBlocks, q):
+    """d(p2)/dtau of the second leader Riccati equation (general form), an entry tuple."""
+    s1 = sigma1(f, p2)
+    s3 = sigma3(f, p2, s1)
+    a1, a2e, a4e, bb12, cc12, e55 = blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")
+    p12 = _add(f.p1, p2)
 
     out = _add(_mm(p12, a2e), _mm(_t(a2e), p12))
     out = _add(out, _add(_mm(p2, a1), _mm(a1, p2)))
     out = _add(out, _mm(_mm(p12, bb12), p12))
-    out = _sub(out, _mm(_mm(p1, bb), p1))
-    out = _add(out, _mm(_add(a3, _mm(p1, cc)), s3))
-    out = _add(out, _mm(_sub(_add(_t(a4e), _mm(p2, cc12)), _mm(p1, e13)), s1))
-    return _matrix(_sub(out, e55))
+    out = _sub(out, f.p1_bb_p1)
+    out = _add(out, _mm(f.a3_p1_cc, s3))
+    out = _add(out, _mm(_sub(_add(_t(a4e), _mm(p2, cc12)), f.p1_e13), s1))
+    return _sub(out, e55)
+
 
 @dataclass(frozen=True)
 class LeaderRiccati:
@@ -555,7 +572,8 @@ class LeaderRiccati:
     so downstream stages can read them off-node without losing order.
     Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
     m1 and m2 are the two guarded gain inverses of gain_inverses at p1_fine,
-    on the same half grid; the second equation and compute_sigmas read them.
+    on the same half grid; the second equation and compute_sigmas read them,
+    with p1_fine, through p1_terms.
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
@@ -587,10 +605,14 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     at every RK4 stage; the second consumes the first at its stage times
     through the Hermite midpoints, so its inverses depend on the first
     solution only and are computed and guarded for the whole half grid in
-    one pass, and kept for compute_sigmas.  When D1 = D2 = 0 the general
-    right-hand sides reduce algebraically to the special-case forms (the
-    guarded inverses are exactly the identity); the same integrator serves
-    both regimes.
+    one pass, and kept for compute_sigmas.  The rest of what the second
+    equation reads of the first solution (p1_terms) is evaluated on arrays,
+    _STAGE_WINDOW half-grid indices at a time as the backward solve reaches
+    them, and its stages read it as floats: the same operations in the same
+    order as a per-stage evaluation, so the same bits.  When D1 = D2 = 0 the
+    general right-hand sides reduce algebraically to the special-case forms
+    (the guarded inverses are exactly the identity); the same integrator
+    serves both regimes.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
     blow_up_factor * (1 + max|gbar|).
     """
@@ -599,10 +621,11 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     min_det = [np.inf, np.inf]
 
     def rhs1(j, mat):
-        _, m2, det1, det2 = gain_inverses(mat, blocks, j, det_tol=det_tol)
+        p1 = _entries(mat)
+        _, m2, det1, det2 = gain_inverses(p1, blocks, j, det_tol=det_tol)
         min_det[0] = min(min_det[0], abs(det1))
         min_det[1] = min(min_det[1], abs(det2))
-        return rhs_p1(mat, blocks, j, m2=m2)
+        return _matrix(rhs_p1(p1, blocks, j, m2=m2))
 
     def solve(rhs, terminal, label):
         fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
@@ -610,7 +633,8 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         return path.half_values()
 
     p1_fine = solve(rhs1, blocks.gbar, "first")
-    m1, m2, det1, det2 = gain_inverses(p1_fine, blocks, slice(None), det_tol=det_tol)
+    m1, m2, det1, det2 = gain_inverses(_entries(p1_fine), blocks, slice(None), det_tol=det_tol)
+    m1, m2 = _matrix(m1), _matrix(m2)
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
     for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):
@@ -618,8 +642,17 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         if flipped.size:
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
 
+    # The backward solve reads the half-grid indices in descending order.
+    windows = _p1_term_windows(p1_fine, m1, m2, blocks, _STAGE_WINDOW)
+    window = {}
+
     def rhs2(j, mat):
-        return rhs_p2(p1_fine[j], mat, blocks, j, m1=m1[j], m2=m2[j])
+        nonlocal window
+        if j not in window:
+            q, terms = next(windows)
+            rows = np.array(terms).transpose(2, 0, 1).tolist()
+            window = dict(zip(range(q.start, q.stop), map(P1Terms._make, rows)))
+        return _matrix(rhs_p2(window[j], _entries(mat), blocks, j))
 
     return LeaderRiccati(
         grid=grid,
@@ -656,11 +689,14 @@ class Sigmas:
 def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
     """Evaluate the three gain matrices on the whole half grid from the Riccati output.
 
-    The gain inverses are the ones the leader solve guarded and kept.
+    The gain inverses are the ones the leader solve guarded and kept; the
+    first solution's terms (p1_terms) are evaluated _SIGMA_WINDOW half-grid
+    indices at a time.
     """
-    q = slice(None)
-    p1 = leader.p1_fine
-    p2 = leader.p2_fine
-    s1 = sigma1(p1, p2, blocks, q, m1=leader.m1)
-    return Sigmas(grid=leader.grid, s1=s1, s2=sigma2(p1, blocks, q, m2=leader.m2),
-                  s3=sigma3(p1, p2, blocks, q, m2=leader.m2, s1=s1))
+    s1, s2, s3 = (np.empty_like(leader.p1_fine) for _ in range(3))
+    p2 = _entries(leader.p2_fine)
+    for q, f in _p1_term_windows(leader.p1_fine, leader.m1, leader.m2, blocks, _SIGMA_WINDOW):
+        p2q = [e[q] for e in p2]
+        s1q = sigma1(f, p2q)
+        s1[q], s2[q], s3[q] = _matrix(s1q), _matrix(sigma2(f, blocks, q)), _matrix(sigma3(f, p2q, s1q))
+    return Sigmas(grid=leader.grid, s1=s1, s2=s2, s3=s3)

@@ -30,8 +30,8 @@ def test_gains_zero_when_weights_zero():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), varying=st.booleans())
 def test_zero_weights_give_exact_zeros_random_models(seed, varying):
-    # Q1 = Q2 = G1 = G2 = 0: every Riccati solution, gain and cost is exactly
-    # zero, whatever the dynamics and the diffusion controls.
+    # Q1 = Q2 = G1 = G2 = 0: every Riccati solution, gain, cost and residual
+    # is exactly zero, whatever the dynamics and the diffusion controls.
     m = random_admissible_model(np.random.default_rng(seed), steps=40)
     m = dataclasses.replace(m, Q1=0.0, Q2=0.0, G1=0.0, G2=0.0)
     if varying:
@@ -43,6 +43,13 @@ def test_zero_weights_give_exact_zeros_random_models(seed, varying):
     ens = simulate_closed_loop(eq.closed_loop(), generate_noise(seed, 20, m.grid))
     assert np.all(pathwise_J1(m, ens) == 0.0)
     assert np.all(pathwise_J2(m, ens) == 0.0)
+    dr = drift_residuals(eq)
+    assert dr.follower_max == 0.0
+    assert dr.leader_max == 0.0
+    recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
+    assert np.all(follower_stationarity_residual(eq, ens, recon).residual == 0.0)
+    assert leader_stationarity_residual(eq, ens, recon).algebraic_max == 0.0
+    assert bsde_residual(eq, ens, recon).rms == 0.0
 
 
 def test_follower_gain_structure_zero_diffusion(eq_b200):

@@ -10,8 +10,8 @@ from scipy.integrate import solve_ivp
 from lqstack import riccati
 from lqstack.errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
 from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_blocks,
-                             compute_sigmas, gain_inverses, rhs_p1, rhs_p2, rk4_half_grid, sigma1,
-                             sigma2, sigma3, solve_follower_P, solve_leader_riccati)
+                             compute_sigmas, gain_inverses, p1_terms, rhs_p1, rhs_p2, rk4_half_grid,
+                             sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 
 from conftest import make_model, random_admissible_model, time_varying
 
@@ -231,9 +231,9 @@ def test_leader_gain_inverses_identity_when_zero_diffusion():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    m1, m2, det1, det2 = gain_inverses(leader.p1[5], blocks, 2 * 5)
-    assert np.array_equal(m1, np.eye(2))
-    assert np.array_equal(m2, np.eye(2))
+    m1, m2, det1, det2 = gain_inverses(riccati._entries(leader.p1[5]), blocks, 2 * 5)
+    assert np.array_equal(riccati._matrix(m1), np.eye(2))
+    assert np.array_equal(riccati._matrix(m2), np.eye(2))
     assert det1 == 1.0 and det2 == 1.0
 
 
@@ -259,10 +259,11 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
         q = 2 * k
         p1 = leader.p1[k]
         p2 = leader.p2[k]
-        m1, m2, _, _ = gain_inverses(p1, blocks, q)
-        g1 = rhs_p1(p1, blocks, q, m2=m2)
+        e1, e2 = riccati._entries(p1), riccati._entries(p2)
+        m1, m2, _, _ = gain_inverses(e1, blocks, q)
+        g1 = riccati._matrix(rhs_p1(e1, blocks, q, m2=m2))
         r1 = rhs_p1_reduced(p1, blocks, display, q)
-        g2 = rhs_p2(p1, p2, blocks, q, m1=m1, m2=m2)
+        g2 = riccati._matrix(rhs_p2(p1_terms(e1, m1, m2, blocks, q), e2, blocks, q))
         r2 = rhs_p2_reduced(p1, p2, blocks, display, q)
         worst = max(worst,
                     np.max(np.abs(g1 - r1)) / (1.0 + np.max(np.abs(g1))),
@@ -343,23 +344,131 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    p1, p2 = leader.p1_fine, leader.p2_fine
     grid, stage = slice(None), j
+    p1, p2 = riccati._entries(leader.p1_fine), riccati._entries(leader.p2_fine)
+    p1j, p2j = riccati._entries(leader.p1_fine[j]), riccati._entries(leader.p2_fine[j])
 
     def same(at_stage, on_grid):
-        assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(on_grid[j]).tobytes()
+        row = [e[j] for e in on_grid] if isinstance(on_grid, tuple) else on_grid[j]
+        assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(row).tobytes()
 
-    g = gain_inverses(p1, blocks, grid)
-    for a, b in zip(gain_inverses(p1[j], blocks, stage), g):
+    g_stage, g = gain_inverses(p1j, blocks, stage), gain_inverses(p1, blocks, grid)
+    for a, b in zip(g_stage, g):
         same(a, b)
-    m1, m2 = g[0], g[1]
+    m1, m2 = riccati._matrix(g[0]), riccati._matrix(g[1])
     assert (leader.m1.tobytes(), leader.m2.tobytes()) == (m1.tobytes(), m2.tobytes())
-    s1_stage, s1 = sigma1(p1[j], p2[j], blocks, stage, m1=m1[j]), sigma1(p1, p2, blocks, grid, m1=m1)
+    f_stage, f = p1_terms(p1j, *g_stage[:2], blocks, stage), p1_terms(p1, *g[:2], blocks, grid)
+    for a, b in zip(f_stage, f):
+        same(a, b)
+    s1_stage, s1 = sigma1(f_stage, p2j), sigma1(f, p2)
     same(s1_stage, s1)
-    same(sigma2(p1[j], blocks, stage, m2=m2[j]), sigma2(p1, blocks, grid, m2=m2))
-    same(sigma3(p1[j], p2[j], blocks, stage, m2=m2[j], s1=s1_stage), sigma3(p1, p2, blocks, grid, m2=m2, s1=s1))
-    same(rhs_p1(p1[j], blocks, stage, m2=m2[j]), rhs_p1(p1, blocks, grid, m2=m2))
-    same(rhs_p2(p1[j], p2[j], blocks, stage, m1=m1[j], m2=m2[j]), rhs_p2(p1, p2, blocks, grid, m1=m1, m2=m2))
+    same(sigma2(f_stage, blocks, stage), sigma2(f, blocks, grid))
+    same(sigma3(f_stage, p2j, s1_stage), sigma3(f, p2, s1))
+    same(rhs_p1(p1j, blocks, stage, m2=g_stage[1]), rhs_p1(p1, blocks, grid, m2=g[1]))
+    same(rhs_p2(f_stage, p2j, blocks, stage), rhs_p2(f, p2, blocks, grid))
+
+
+def rhs_p2_at_stage(p1, p2, m1, m2, blocks: LeaderBlocks, q: int):
+    """rhs_p2 with sigma1 and sigma3 written out, every product formed at the stage.
+
+    The same entry-tuple operations in the same order as the solver's, so it
+    rounds identically, but nothing is read from a P1Terms: a product of the
+    first solution evaluated any other way in the solver shows as a bit
+    difference.
+    """
+    mm, add, sub, t = riccati._mm, riccati._add, riccati._sub, riccati._t
+    a1, a2e, a3, a4e, bb, bb12, cc, cc12, e13, e33, e55 = blocks.entries(
+        q, "a1", "a2e", "a3", "a4e", "bb", "bb12", "cc", "cc12", "e13", "e33", "e55")
+    p12 = add(p1, p2)
+    s1 = mm(m1, add(mm(p1, add(a3, a4e)), mm(mm(p1, t(cc12)), p12)))
+    inner = add(mm(p1, a4e), mm(mm(p1, t(cc)), p2))
+    inner = sub(inner, mm(mm(p1, t(e13)), p12))
+    inner = sub(inner, mm(mm(p1, e33), s1))
+    s3 = mm(m2, inner)
+    out = add(mm(p12, a2e), mm(t(a2e), p12))
+    out = add(out, add(mm(p2, a1), mm(a1, p2)))
+    out = add(out, mm(mm(p12, bb12), p12))
+    out = sub(out, mm(mm(p1, bb), p1))
+    out = add(out, mm(add(a3, mm(p1, cc)), s3))
+    out = add(out, mm(sub(add(t(a4e), mm(p2, cc12)), mm(p1, e13)), s1))
+    return sub(out, e55)
+
+
+def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
+    """Both leader equations stepped through rk4_half_grid with every stage computed at the stage.
+
+    The first equation calls gain_inverses and rhs_p1 at each stage, the
+    second reads the first solution and its half-grid inverses at index j
+    and evaluates rhs_p2_at_stage.  Returns p1_fine, p2_fine, m1, m2 and
+    the two smallest |det|.
+    """
+    grid = model.grid
+    bound = 1e8 * (1.0 + float(np.max(np.abs(blocks.gbar))))
+    entries, matrix = riccati._entries, riccati._matrix
+    min_det = [np.inf, np.inf]
+
+    def solve(rhs, terminal):
+        return rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound,
+                             fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
+
+    def rhs1(j, mat):
+        p1 = entries(mat)
+        _, m2, det1, det2 = gain_inverses(p1, blocks, j, det_tol=det_tol)
+        min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
+        return matrix(rhs_p1(p1, blocks, j, m2=m2))
+
+    p1 = solve(rhs1, blocks.gbar)
+    m1, m2, det1, det2 = gain_inverses(entries(p1), blocks, slice(None), det_tol=det_tol)
+    m1, m2 = matrix(m1), matrix(m2)
+
+    def rhs2(j, mat):
+        return matrix(rhs_p2_at_stage(entries(p1[j]), entries(mat), entries(m1[j]), entries(m2[j]),
+                                      blocks, j))
+
+    return (p1, solve(rhs2, np.zeros((2, 2))), m1, m2,
+            float(min(min_det[0], np.min(np.abs(det1)))), float(min(min_det[1], np.min(np.abs(det2)))))
+
+
+@pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
+def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch):
+    # 601 half-grid points: the solver evaluates the first solution's terms
+    # in windows (ten for its stages, two for the sigmas), the reference at
+    # each of the 1201 stages and over the whole half grid.  An ulp in one
+    # stage's right-hand side rarely survives the RK4 update y + (h/6)(...),
+    # so each of the solver's rhs_p2 values is compared too.
+    m = make_model(steps=300)
+    if case != "standard":
+        m = random_admissible_model(np.random.default_rng(31), steps=300)
+        m = dataclasses.replace(m, D1=math.copysign(max(abs(m.D1), 0.1), m.D1),
+                                D2=math.copysign(max(abs(m.D2), 0.1), m.D2))
+    if case == "time_varying":
+        m = time_varying(m)
+    blocks = assemble_leader_blocks(m, solve_follower_P(m))
+    stages = []
+
+    def recorded(f, p2, blocks, j):
+        out = rhs_p2(f, p2, blocks, j)
+        stages.append((j, p2, out))
+        return out
+
+    monkeypatch.setattr(riccati, "rhs_p2", recorded)
+    leader = solve_leader_riccati(m, blocks)
+    ref = leader_per_stage(m, blocks)
+    got = (leader.p1_fine, leader.p2_fine, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2)
+    for a, b in zip(got, ref):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    entries = riccati._entries
+    p1, _, m1, m2 = ref[:4]
+    assert len(stages) == 4 * m.grid.steps + 1
+    for j, p2, out in stages:
+        at_stage = rhs_p2_at_stage(entries(p1[j]), p2, entries(m1[j]), entries(m2[j]), blocks, j)
+        assert np.asarray(out).tobytes() == np.asarray(at_stage).tobytes()
+    whole = slice(None)
+    f, p2 = p1_terms(entries(p1), entries(m1), entries(m2), blocks, whole), entries(ref[1])
+    s1 = sigma1(f, p2)
+    sig = compute_sigmas(blocks, leader)
+    for a, b in zip((sig.s1, sig.s2, sig.s3), (s1, sigma2(f, blocks, whole), sigma3(f, p2, s1))):
+        assert a.tobytes() == riccati._matrix(b).tobytes()
 
 
 # --- gain matrices ---
@@ -380,13 +489,14 @@ def test_sigmas_vanish_with_zero_first_riccati():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     q = 2 * 7
-    zero = np.zeros((2, 2))
-    some = np.array([[0.3, -0.2], [0.1, 0.4]])
+    zero = riccati._entries(np.zeros((2, 2)))
+    some = riccati._entries(np.array([[0.3, -0.2], [0.1, 0.4]]))
     m1, m2, _, _ = gain_inverses(zero, blocks, q)
-    s1 = sigma1(zero, some, blocks, q, m1=m1)
-    assert np.all(s1 == 0.0)
-    assert np.all(sigma2(zero, blocks, q, m2=m2) == 0.0)
-    assert np.all(sigma3(zero, some, blocks, q, m2=m2, s1=s1) == 0.0)
+    f = p1_terms(zero, m1, m2, blocks, q)
+    s1 = sigma1(f, some)
+    assert np.all(np.array(s1) == 0.0)
+    assert np.all(np.array(sigma2(f, blocks, q)) == 0.0)
+    assert np.all(np.array(sigma3(f, some, s1)) == 0.0)
 
 
 def test_sigma_one_equals_two_plus_three_zero_diffusion():
