@@ -446,8 +446,8 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
     blocks = assemble_leader_blocks(m, solve_follower_P(m))
     stages = []
 
-    def recorded(f, p2, blocks, j):
-        out = rhs_p2(f, p2, blocks, j)
+    def recorded(f, p2, b, j):
+        out = rhs_p2(f, p2, b, j)
         stages.append((j, p2, out))
         return out
 
