@@ -61,21 +61,21 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
     Raises SolverError at the first node where either solution is not finite.
     """
     grid = model.grid
-    u2_half = as_path(u2hat).half_values()
+    u2_half = as_path(u2hat).half_values().tolist()
     fol = follower_coefficients(model, P)
-    theta_self, theta_u2 = fol.theta_self, fol.theta_u2
+    theta_self, theta_u2 = fol.theta_self.tolist(), fol.theta_u2.tolist()
 
     def dtheta_dtau(j, val):
         return theta_self[j] * val + theta_u2[j] * u2_half[j]
 
     theta = rk4_half_grid(dtheta_dtau, 0.0, grid.dt, grid.steps, backward=True,
                           fail=partial(SolverError, "follower's filtered offset is not finite"))
-    theta_half = theta.half_values()
+    theta_half = theta.half_values().tolist()
 
     # The follower's control enters the state drift as B1 u1.
-    drift_x = model.nodes("A", 2) - fol.drift[0]
-    drift_th = -fol.drift[1]
-    drift_u2 = model.nodes("B2", 2) - fol.drift[2]
+    drift_x = (model.nodes("A", 2) - fol.drift[0]).tolist()
+    drift_th = (-fol.drift[1]).tolist()
+    drift_u2 = (model.nodes("B2", 2) - fol.drift[2]).tolist()
 
     def dxhat_dt(j, val):
         return drift_x[j] * val + drift_th[j] * theta_half[j] + drift_u2[j] * u2_half[j]

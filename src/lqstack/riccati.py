@@ -1,7 +1,7 @@
 """Backward Riccati solves for both players, and the shared ODE integrator.
 
 Every deterministic ODE of the equilibrium -- the follower's Riccati
-equation, the leader's two 2x2 Riccati equations, the follower's filtered
+equation, the leader's two Riccati equations, the follower's filtered
 pair and the leader's filtered state -- and the pathwise offset of
 simulate.backfill_theta are solved by rk4_half_grid: classical RK4 with its
 stages at half points of the step, which returns the node values together
@@ -12,13 +12,15 @@ The Riccati equations, integrated under the time reversal tau = T - t:
   * the follower's scalar equation
         P' + 2 A P + C^2 P - (D1^2 P + R1)^-1 (B1 + D1 C)^2 P^2 + Q1 = 0,
         P(T) = G1,
-  * the leader's first 2x2 equation (autonomous given P, terminal Gbar),
+  * the leader's first equation (autonomous given P, terminal diag(G2, 0)),
+    whose solution is p1 = diag(pi, 0) (see gain_inverses), with
+        pi' + 2 A pi + C^2 pi - (D2^2 pi + R2)^-1 (B2 + D2 C)^2 pi^2 + Q2 = 0,
   * the leader's second 2x2 equation (consumes the first, terminal 0).
 
 Because each downstream solve evaluates the upstream solution at its RK4
-stage times, P is integrated with step dt/4 and both 2x2 solves step dt with
-stages at half-grid points.  Everything is stored on the half grid, the only
-points any later stage reads: P, the coefficient blocks, and both 2x2
+stage times, P is integrated with step dt/4 and both leader solves step dt
+with stages at half-grid points.  Everything is stored on the half grid, the
+only points any later stage reads: P, the coefficient blocks, and both leader
 solutions, whose off-node values are the Hermite midpoints.  Every stage then
 reads upstream data at full accuracy and each solve keeps genuine 4th-order
 convergence for constant coefficients (array coefficients interpolate
@@ -34,22 +36,19 @@ residuals read them.
 The leader's side reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
 assemble_leader_blocks evaluates once on the whole half grid; a transpose is
-a swapaxes view.  gain_inverses, p1_terms, sigma1-sigma3, rhs_p1 and rhs_p2
-take and return 2x2 matrices as entry tuples (m00, m01, m10, m11): at a
-single RK4 stage (an int block index) the entries are Python floats read from
-a flat view of each block, over a slice of the half grid they are arrays, and
-one formula set serves both, rounding identically.  A numpy call on a 2x2
-matrix costs several times the arithmetic it does, and the two leader
-recurrences call these functions about 19000 times at N=1600; a stage
-converts only its own state between the integrator's 2x2 array and a tuple.
-The first equation guards its gain inverses at each of its stages.  Once it
-is solved, the leader solve evaluates the inverses once over the half grid
-and keeps them.  Everything the second equation reads of the first solution
--- p1, the inverses and nine products of p1 with the blocks, a P1Terms -- is
-then fixed: p1_terms evaluates it on arrays a window of half-grid indices at
-a time, and the stages read it as floats and compute only the terms with p2.
-compute_sigmas reads the same P1Terms, in wider windows.  Only the RK4
-recurrence loops over grid points.
+a swapaxes view.  gain_inverses and rhs_p1 take pi, and the 2x2 matrices
+of gain_inverses, p1_terms, sigma1-sigma3 and rhs_p2 are entry tuples
+(m00, m01, m10, m11): at a single RK4 stage (an int block index) these are
+Python floats read from a flat view of the blocks, over a slice of the half
+grid they are arrays, and one formula set serves both, rounding identically.
+A numpy call on a 2x2 matrix costs several times the arithmetic it does,
+and the two leader recurrences call these functions about 19000 times at
+N=1600.  Everything the second equation reads of the first solution -- p1,
+its gain inverses and nine products of p1 with the blocks, a P1Terms -- is
+fixed once the first is solved: p1_terms evaluates it on arrays a window of
+half-grid indices at a time, the stages read it as floats and compute only
+the terms with p2, and compute_sigmas reads it in wider windows.  Only the
+RK4 recurrence loops over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -341,6 +340,15 @@ class LeaderBlocks:
             return [(f[i], f[i + 1], f[i + 2], f[i + 3]) for f in map(self._flat.__getitem__, names)]
         return [(b[q, 0, 0], b[q, 0, 1], b[q, 1, 0], b[q, 1, 1]) for b in (getattr(self, n) for n in names)]
 
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        return np.stack([getattr(self, n)[:, 0, 0] for n in ("a1", "a3", "a5", "bb", "cc", "e34", "e44")], axis=1)
+
+    def corners(self, q) -> list:
+        """The (0, 0) entries of a1, a3, a5, bb, cc, e34 and e44 at index q, typed as in entries."""
+        rows = self._corners[q]
+        return rows.tolist() if isinstance(q, int) else list(rows.T)
+
 
 def _over_r2(rr: np.ndarray, *pairs) -> np.ndarray:
     """(sum of u v^T over the (u, v) pairs) / r2 at every sample point."""
@@ -463,46 +471,42 @@ def _matrix(m) -> np.ndarray:
     return np.stack(m, axis=-1).reshape(m[0].shape + (2, 2))
 
 
-_I2 = (1.0, 0.0, 0.0, 1.0)
-
-
-def _inv2(m, det_tol: float, blocks: LeaderBlocks, q, err):
-    """Adjugate inverse of a 2x2 entry tuple and its determinant, guarded.
+def _corner_inverse(det, det_tol: float, blocks: LeaderBlocks, q, err):
+    """Adjugate inverse of [[det, +0.0], [+0.0, 1]] as an entry tuple, guarded as a 2x2 matrix.
 
     A failure is reported at the failing time nearest T, where a backward
     solve meets it first.
     """
-    m00, m01, m10, m11 = m
-    det = m00 * m11 - m01 * m10
-    ok = abs(det) > det_tol * (1.0 + (((m00 * m00 + m01 * m01) + m10 * m10) + m11 * m11))
+    ok = abs(det) > det_tol * (1.0 + (det * det + 1.0))
     if not (ok if isinstance(ok, bool) else ok.all()):
         times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / P1_REFINE)
         raise err("gain matrix inverse does not exist", float(np.max(times[np.logical_not(ok)])))
-    return (m11 / det, -m01 / det, -m10 / det, m00 / det), det
+    return (1.0 / det, -0.0 / det, -0.0 / det, det / det)
 
 
-def gain_inverses(p1, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
+def gain_inverses(pi, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
     """The two 2x2 inverse matrices guarding the Z-elimination, plus determinants.
 
     First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1,
-    both as entry tuples.  p1 is the entry tuple of the first solution at q,
-    a half-grid index, or at an index array or slice.
+    as entry tuples, at p1 = diag(pi, 0) at q, a half-grid index (pi a
+    float), or at an index array or slice (an array).  p1 keeps that form
+    exactly (a1 is diagonal, a3, a5, e34 and e44 are corner blocks, bb and cc
+    enter only as p1 bb p1, p1 cc and cc^T p1), so this and rhs_p1 are the
+    (0, 0) entries of the 2x2 forms with every product by an exact zero
+    dropped, in the same operation order: the same bits.
     Raises M1NotInvertible / M2NotInvertible when the guard trips.
     """
-    e34, e44 = blocks.entries(q, "e34", "e44")
-    m1, det1 = _inv2(_add(_I2, _mm(p1, e34)), det_tol, blocks, q, M1NotInvertible)
-    m2, det2 = _inv2(_add(_I2, _mm(p1, e44)), det_tol, blocks, q, M2NotInvertible)
+    *_, e34, e44 = blocks.corners(q)
+    det1, det2 = 1.0 + pi * e34, 1.0 + pi * e44
+    m1 = _corner_inverse(det1, det_tol, blocks, q, M1NotInvertible)
+    m2 = _corner_inverse(det2, det_tol, blocks, q, M2NotInvertible)
     return m1, m2, det1, det2
 
 
-def rhs_p1(p1, blocks: LeaderBlocks, q, *, m2):
-    """d(p1)/dtau of the first leader Riccati equation (general form), an entry tuple."""
-    a1, a3, a5, bb, cc = blocks.entries(q, "a1", "a3", "a5", "bb", "cc")
-    out = _add(_mm(p1, a1), _mm(a1, p1))
-    out = _add(out, _mm(_mm(p1, bb), p1))
-    out = _add(out, a5)
-    left = _mm(_mm(_add(a3, _mm(p1, cc)), m2), p1)
-    return _add(out, _mm(left, _add(a3, _mm(_t(cc), p1))))
+def rhs_p1(pi, blocks: LeaderBlocks, q, *, m2):
+    """d(pi)/dtau of the first leader Riccati equation, with m2 the second gain inverse at pi."""
+    a1, a3, a5, bb, cc, _, _ = blocks.corners(q)
+    return (((pi * a1 + a1 * pi) + (pi * bb) * pi) + a5) + (((a3 + pi * cc) * m2[0]) * pi) * (a3 + cc * pi)
 
 
 # What the second leader equation and the sigmas read of the first solution
@@ -514,11 +518,12 @@ P1Terms = namedtuple("P1Terms", "p1 m1 m2 p1_a34 p1_cc12t p1_a4e p1_cct p1_e13t 
 
 
 def p1_terms(p1, m1, m2, blocks: LeaderBlocks, q) -> P1Terms:
-    """The first solution's terms at q from p1 and its gain inverses m1, m2 (entry tuples)."""
+    """The first solution's terms at q from p1 = diag(pi, 0), where p1 b is pi times b's first row."""
     a3, a4e, bb, cc, cc12, e13, e33 = blocks.entries(q, "a3", "a4e", "bb", "cc", "cc12", "e13", "e33")
-    return P1Terms(p1, m1, m2, _mm(p1, _add(a3, a4e)), _mm(p1, _t(cc12)), _mm(p1, a4e), _mm(p1, _t(cc)),
-                   _mm(p1, _t(e13)), _mm(p1, e33), _mm(_mm(p1, bb), p1), _add(a3, _mm(p1, cc)),
-                   _mm(p1, e13))
+    pi, zero = p1[0], p1[3]
+    *rows, p1_cc, p1_e13 = [(pi * b[0], pi * b[1], zero, zero)
+                            for b in (_add(a3, a4e), _t(cc12), a4e, _t(cc), _t(e13), e33, cc, e13)]
+    return P1Terms(p1, m1, m2, *rows, ((pi * bb[0]) * pi, zero, zero, zero), _add(a3, p1_cc), p1_e13)
 
 
 def _p1_term_windows(p1_fine, m1, m2, blocks: LeaderBlocks, width: int):
@@ -565,7 +570,7 @@ def rhs_p2(f: P1Terms, p2, blocks: LeaderBlocks, q):
 
 @dataclass(frozen=True)
 class LeaderRiccati:
-    """Both 2x2 leader Riccati solutions, non-symmetric, never symmetrized.
+    """Both leader Riccati solutions, (L, 2, 2) and never symmetrized; p1 = diag(pi, 0).
 
     p1_fine and p2_fine hold the two solutions at dt/2 spacing: even indices
     are the RK4 node values, odd indices the integrator's Hermite midpoints,
@@ -600,19 +605,15 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     """Integrate both leader Riccati equations backward.
 
     Both equations step on the node grid (RK4 stages at half-grid points,
-    where the blocks are stored exactly).  The first equation is autonomous
-    in its own unknown and is solved first, with the gain inverses guarded
-    at every RK4 stage; the second consumes the first at its stage times
-    through the Hermite midpoints, so its inverses depend on the first
-    solution only and are computed and guarded for the whole half grid in
-    one pass, and kept for compute_sigmas.  The rest of what the second
-    equation reads of the first solution (p1_terms) is evaluated on arrays,
+    where the blocks are stored exactly).  The first is autonomous and is
+    solved first, for pi alone, with the gain inverses guarded at every RK4
+    stage; the second reads the first at its stage times, so its inverses
+    are computed and guarded once over the half grid, and kept.  The rest of
+    what it reads of the first solution (p1_terms) is evaluated on arrays,
     _STAGE_WINDOW half-grid indices at a time as the backward solve reaches
-    them, and its stages read it as floats: the same operations in the same
-    order as a per-stage evaluation, so the same bits.  When D1 = D2 = 0 the
-    general right-hand sides reduce algebraically to the special-case forms
-    (the guarded inverses are exactly the identity); the same integrator
-    serves both regimes.
+    them, with the same bits as a per-stage evaluation.  When D1 = D2 = 0
+    the inverses are exactly the identity and the general right-hand sides
+    reduce to the special-case forms.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
     blow_up_factor * (1 + max|gbar|).
     """
@@ -620,21 +621,19 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     bound = _blow_up_bound(float(np.max(np.abs(blocks.gbar))), blow_up_factor)
     min_det = [np.inf, np.inf]
 
-    def rhs1(j, mat):
-        p1 = _entries(mat)
-        _, m2, det1, det2 = gain_inverses(p1, blocks, j, det_tol=det_tol)
-        min_det[0] = min(min_det[0], abs(det1))
-        min_det[1] = min(min_det[1], abs(det2))
-        return _matrix(rhs_p1(p1, blocks, j, m2=m2))
+    def rhs1(j, pi):
+        _, m2, det1, det2 = gain_inverses(pi, blocks, j, det_tol=det_tol)
+        min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
+        return rhs_p1(pi, blocks, j, m2=m2)
 
     def solve(rhs, terminal, label):
         fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
         path = rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound, fail=fail)
         return path.half_values()
 
-    p1_fine = solve(rhs1, blocks.gbar, "first")
-    m1, m2, det1, det2 = gain_inverses(_entries(p1_fine), blocks, slice(None), det_tol=det_tol)
-    m1, m2 = _matrix(m1), _matrix(m2)
+    pi = solve(rhs1, float(blocks.gbar[0, 0]), "first")
+    m1, m2, det1, det2 = gain_inverses(pi, blocks, slice(None), det_tol=det_tol)
+    m1, m2, p1_fine = _matrix(m1), _matrix(m2), _matrix((pi, *[np.zeros_like(pi)] * 3))
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
     for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):

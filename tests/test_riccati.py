@@ -16,6 +16,67 @@ from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_bloc
 from conftest import make_model, random_admissible_model, time_varying
 
 
+# --- the first leader equation in general 2x2 form, the oracle of its scalar route ---
+# The solver integrates only pi, the (0, 0) entry of p1 = diag(pi, 0).  These
+# are the general forms on entry tuples; leader_first_2x2 steps them from
+# gbar, and the tests require the same bits as the scalar route.
+
+def _inv2(m, det_tol: float, blocks: LeaderBlocks, q, err):
+    """Adjugate inverse of a 2x2 entry tuple and its determinant, guarded."""
+    m00, m01, m10, m11 = m
+    det = m00 * m11 - m01 * m10
+    ok = abs(det) > det_tol * (1.0 + (((m00 * m00 + m01 * m01) + m10 * m10) + m11 * m11))
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / 2)
+        raise err("gain matrix inverse does not exist", float(np.max(times[np.logical_not(ok)])))
+    return (m11 / det, -m01 / det, -m10 / det, m00 / det), det
+
+
+def gain_inverses_2x2(p1, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
+    """[I + p1 e34]^-1 and [I + p1 e44]^-1 for a general p1 entry tuple, plus determinants."""
+    add, mm = riccati._add, riccati._mm
+    e34, e44 = blocks.entries(q, "e34", "e44")
+    eye = (1.0, 0.0, 0.0, 1.0)
+    m1, det1 = _inv2(add(eye, mm(p1, e34)), det_tol, blocks, q, M1NotInvertible)
+    m2, det2 = _inv2(add(eye, mm(p1, e44)), det_tol, blocks, q, M2NotInvertible)
+    return m1, m2, det1, det2
+
+
+def rhs_p1_2x2(p1, blocks: LeaderBlocks, q, *, m2):
+    """d(p1)/dtau of the first leader Riccati equation for a general p1 entry tuple."""
+    add, mm, t = riccati._add, riccati._mm, riccati._t
+    a1, a3, a5, bb, cc = blocks.entries(q, "a1", "a3", "a5", "bb", "cc")
+    out = add(mm(p1, a1), mm(a1, p1))
+    out = add(out, mm(mm(p1, bb), p1))
+    out = add(out, a5)
+    left = mm(mm(add(a3, mm(p1, cc)), m2), p1)
+    return add(out, mm(left, add(a3, mm(t(cc), p1))))
+
+
+def leader_first_2x2(model, blocks: LeaderBlocks, det_tol=1e-10):
+    """The first leader equation stepped in 2x2 form through rk4_half_grid.
+
+    gain_inverses_2x2 and rhs_p1_2x2 at each stage, then the inverses over
+    the half grid.  Returns p1_fine, m1, m2 and the two smallest |det|.
+    """
+    grid = model.grid
+    bound = 1e8 * (1.0 + float(np.max(np.abs(blocks.gbar))))
+    entries, matrix = riccati._entries, riccati._matrix
+    min_det = [np.inf, np.inf]
+
+    def rhs1(j, mat):
+        p1 = entries(mat)
+        _, m2, det1, det2 = gain_inverses_2x2(p1, blocks, j, det_tol=det_tol)
+        min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
+        return matrix(rhs_p1_2x2(p1, blocks, j, m2=m2))
+
+    p1 = rk4_half_grid(rhs1, blocks.gbar, grid.dt, grid.steps, backward=True, bound=bound,
+                       fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
+    m1, m2, det1, det2 = gain_inverses_2x2(entries(p1), blocks, slice(None), det_tol=det_tol)
+    return (p1, matrix(m1), matrix(m2),
+            float(min(min_det[0], np.min(np.abs(det1)))), float(min(min_det[1], np.min(np.abs(det2)))))
+
+
 # --- hand-coded zero-diffusion oracles for the general integrands ---
 # They read the display blocks (a2, b1, r2) the solver folds into its
 # effective blocks, so they share no arithmetic with rhs_p1 and rhs_p2.
@@ -231,7 +292,7 @@ def test_leader_gain_inverses_identity_when_zero_diffusion():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    m1, m2, det1, det2 = gain_inverses(riccati._entries(leader.p1[5]), blocks, 2 * 5)
+    m1, m2, det1, det2 = gain_inverses(leader.p1[5][0, 0], blocks, 2 * 5)
     assert np.array_equal(riccati._matrix(m1), np.eye(2))
     assert np.array_equal(riccati._matrix(m2), np.eye(2))
     assert det1 == 1.0 and det2 == 1.0
@@ -260,8 +321,8 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
         p1 = leader.p1[k]
         p2 = leader.p2[k]
         e1, e2 = riccati._entries(p1), riccati._entries(p2)
-        m1, m2, _, _ = gain_inverses(e1, blocks, q)
-        g1 = riccati._matrix(rhs_p1(e1, blocks, q, m2=m2))
+        m1, m2, _, _ = gain_inverses(e1[0], blocks, q)
+        g1 = riccati._matrix((rhs_p1(e1[0], blocks, q, m2=m2), 0.0, 0.0, 0.0))
         r1 = rhs_p1_reduced(p1, blocks, display, q)
         g2 = riccati._matrix(rhs_p2(p1_terms(e1, m1, m2, blocks, q), e2, blocks, q))
         r2 = rhs_p2_reduced(p1, p2, blocks, display, q)
@@ -352,7 +413,7 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
         row = [e[j] for e in on_grid] if isinstance(on_grid, tuple) else on_grid[j]
         assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(row).tobytes()
 
-    g_stage, g = gain_inverses(p1j, blocks, stage), gain_inverses(p1, blocks, grid)
+    g_stage, g = gain_inverses(p1j[0], blocks, stage), gain_inverses(p1[0], blocks, grid)
     for a, b in zip(g_stage, g):
         same(a, b)
     m1, m2 = riccati._matrix(g[0]), riccati._matrix(g[1])
@@ -364,7 +425,7 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     same(s1_stage, s1)
     same(sigma2(f_stage, blocks, stage), sigma2(f, blocks, grid))
     same(sigma3(f_stage, p2j, s1_stage), sigma3(f, p2, s1))
-    same(rhs_p1(p1j, blocks, stage, m2=g_stage[1]), rhs_p1(p1, blocks, grid, m2=g[1]))
+    same(rhs_p1(p1j[0], blocks, stage, m2=g_stage[1]), rhs_p1(p1[0], blocks, grid, m2=g[1]))
     same(rhs_p2(f_stage, p2j, blocks, stage), rhs_p2(f, p2, blocks, grid))
 
 
@@ -397,36 +458,23 @@ def rhs_p2_at_stage(p1, p2, m1, m2, blocks: LeaderBlocks, q: int):
 def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
     """Both leader equations stepped through rk4_half_grid with every stage computed at the stage.
 
-    The first equation calls gain_inverses and rhs_p1 at each stage, the
-    second reads the first solution and its half-grid inverses at index j
-    and evaluates rhs_p2_at_stage.  Returns p1_fine, p2_fine, m1, m2 and
-    the two smallest |det|.
+    The first equation is the 2x2 oracle leader_first_2x2, the second reads
+    its solution and half-grid inverses at index j and evaluates
+    rhs_p2_at_stage.  Returns p1_fine, p2_fine, m1, m2 and the two smallest
+    |det|.
     """
     grid = model.grid
-    bound = 1e8 * (1.0 + float(np.max(np.abs(blocks.gbar))))
     entries, matrix = riccati._entries, riccati._matrix
-    min_det = [np.inf, np.inf]
-
-    def solve(rhs, terminal):
-        return rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound,
-                             fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
-
-    def rhs1(j, mat):
-        p1 = entries(mat)
-        _, m2, det1, det2 = gain_inverses(p1, blocks, j, det_tol=det_tol)
-        min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
-        return matrix(rhs_p1(p1, blocks, j, m2=m2))
-
-    p1 = solve(rhs1, blocks.gbar)
-    m1, m2, det1, det2 = gain_inverses(entries(p1), blocks, slice(None), det_tol=det_tol)
-    m1, m2 = matrix(m1), matrix(m2)
+    p1, m1, m2, min1, min2 = leader_first_2x2(model, blocks, det_tol)
 
     def rhs2(j, mat):
         return matrix(rhs_p2_at_stage(entries(p1[j]), entries(mat), entries(m1[j]), entries(m2[j]),
                                       blocks, j))
 
-    return (p1, solve(rhs2, np.zeros((2, 2))), m1, m2,
-            float(min(min_det[0], np.min(np.abs(det1)))), float(min(min_det[1], np.min(np.abs(det2)))))
+    p2 = rk4_half_grid(rhs2, np.zeros((2, 2)), grid.dt, grid.steps, backward=True,
+                       bound=1e8 * (1.0 + float(np.max(np.abs(blocks.gbar)))),
+                       fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
+    return p1, p2, m1, m2, min1, min2
 
 
 @pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
@@ -471,6 +519,48 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
         assert a.tobytes() == riccati._matrix(b).tobytes()
 
 
+def _with_diffusion_controls(m):
+    """The model with |D1|, |D2| raised to at least 0.1, signs kept."""
+    return dataclasses.replace(m, D1=math.copysign(max(abs(m.D1), 0.1), m.D1),
+                               D2=math.copysign(max(abs(m.D2), 0.1), m.D2))
+
+
+@pytest.mark.parametrize("varying", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_first_leader_equation_is_scalar_bit_for_bit(seed, varying):
+    # The 2x2 flow from gbar = diag(G2, 0) keeps p1's second row and (0, 1)
+    # entry +0.0 exactly, so the scalar route that integrates only pi gives
+    # the same p1_fine, gain inverses (signed zeros included) and min |det|.
+    m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(100 + seed), steps=120))
+    if varying:
+        m = time_varying(m)
+    blocks = assemble_leader_blocks(m, solve_follower_P(m))
+    p1, m1, m2, min1, min2 = leader_first_2x2(m, blocks)
+    zeros = np.zeros(len(p1))
+    assert np.all(p1[:, 0, 0] != 0.0)
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        assert p1[:, i, j].tobytes() == zeros.tobytes()
+    leader = solve_leader_riccati(m, blocks)
+    for a, b in zip((leader.p1_fine, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2),
+                    (p1, m1, m2, min1, min2)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_first_leader_solution_is_the_leaders_own_riccati_equation(varying):
+    # pi solves the follower's equation with the leader's coefficients
+    # (B2, D2, Q2, R2, G2) in place of (B1, D1, Q1, R1, G1): the stochastic
+    # LQ Riccati equation with control-dependent diffusion.  The two solves
+    # step dt and dt/4, so they agree to the leader solve's truncation error.
+    m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(17), steps=400))
+    if varying:
+        m = time_varying(m)
+    leader = solve_leader_riccati(m, assemble_leader_blocks(m, solve_follower_P(m)))
+    swapped = dataclasses.replace(m, B1=m.B2, D1=m.D2, Q1=m.Q2, R1=m.R2, G1=m.G2)
+    P = solve_follower_P(swapped).fine
+    assert np.max(np.abs(leader.p1_fine[:, 0, 0] - P) / np.abs(P)) <= 1e-9
+
+
 # --- gain matrices ---
 
 def test_sigmas_vanish_without_diffusion_coupling():
@@ -491,7 +581,7 @@ def test_sigmas_vanish_with_zero_first_riccati():
     q = 2 * 7
     zero = riccati._entries(np.zeros((2, 2)))
     some = riccati._entries(np.array([[0.3, -0.2], [0.1, 0.4]]))
-    m1, m2, _, _ = gain_inverses(zero, blocks, q)
+    m1, m2, _, _ = gain_inverses(zero[0], blocks, q)
     f = p1_terms(zero, m1, m2, blocks, q)
     s1 = sigma1(f, some)
     assert np.all(np.array(s1) == 0.0)
