@@ -53,14 +53,20 @@ def rhs_p1_2x2(p1, blocks: LeaderBlocks, q, *, m2):
     return add(out, mm(left, add(a3, mm(t(cc), p1))))
 
 
+def reference_solve(rhs, terminal, model, blocks: LeaderBlocks) -> np.ndarray:
+    """Half-grid values of a leader equation stepped backward as the solver steps it."""
+    grid = model.grid
+    return rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True,
+                         bound=1e8 * (1.0 + float(np.max(np.abs(blocks.gbar)))),
+                         fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
+
+
 def leader_first_2x2(model, blocks: LeaderBlocks, det_tol=1e-10):
     """The first leader equation stepped in 2x2 form through rk4_half_grid.
 
     gain_inverses_2x2 and rhs_p1_2x2 at each stage, then the inverses over
     the half grid.  Returns p1_fine, m1, m2 and the two smallest |det|.
     """
-    grid = model.grid
-    bound = 1e8 * (1.0 + float(np.max(np.abs(blocks.gbar))))
     entries, matrix = riccati._entries, riccati._matrix
     min_det = [np.inf, np.inf]
 
@@ -70,8 +76,7 @@ def leader_first_2x2(model, blocks: LeaderBlocks, det_tol=1e-10):
         min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
         return matrix(rhs_p1_2x2(p1, blocks, j, m2=m2))
 
-    p1 = rk4_half_grid(rhs1, blocks.gbar, grid.dt, grid.steps, backward=True, bound=bound,
-                       fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
+    p1 = reference_solve(rhs1, blocks.gbar, model, blocks)
     m1, m2, det1, det2 = gain_inverses_2x2(entries(p1), blocks, slice(None), det_tol=det_tol)
     return (p1, matrix(m1), matrix(m2),
             float(min(min_det[0], np.min(np.abs(det1)))), float(min(min_det[1], np.min(np.abs(det2)))))
@@ -463,7 +468,6 @@ def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
     rhs_p2_at_stage.  Returns p1_fine, p2_fine, m1, m2 and the two smallest
     |det|.
     """
-    grid = model.grid
     entries, matrix = riccati._entries, riccati._matrix
     p1, m1, m2, min1, min2 = leader_first_2x2(model, blocks, det_tol)
 
@@ -471,10 +475,7 @@ def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
         return matrix(rhs_p2_at_stage(entries(p1[j]), entries(mat), entries(m1[j]), entries(m2[j]),
                                       blocks, j))
 
-    p2 = rk4_half_grid(rhs2, np.zeros((2, 2)), grid.dt, grid.steps, backward=True,
-                       bound=1e8 * (1.0 + float(np.max(np.abs(blocks.gbar)))),
-                       fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
-    return p1, p2, m1, m2, min1, min2
+    return p1, reference_solve(rhs2, np.zeros((2, 2)), model, blocks), m1, m2, min1, min2
 
 
 @pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
