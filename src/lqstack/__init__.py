@@ -21,8 +21,7 @@ from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
                      RiccatiBlowUp, SolverError)
 from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import (Coefficient, LQModel, TimeGrid, Violation, check_hypotheses,
-                    load_model, model_from_dict, model_to_dict, sample_at,
-                    sample_on_grid, validate_model)
+                    load_model, model_from_dict, sample_on_grid, validate_model)
 from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, P1Terms,
                       Sigmas, assemble_leader_blocks, compute_sigmas, gain_inverses, p1_terms,
                       sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)

@@ -330,19 +330,15 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
 class DriftResiduals:
     """Residual coefficient grids of the two drift-matching identities.
 
-    Interior nodes only (time derivatives by central differences).  The
-    follower identity is grouped by what each coefficient multiplies; only
-    the state coefficient carries the O(dt^2) differencing signal, the other
-    groups cancel algebraically.  The leader identity is grouped by the raw
-    augmented state and its estimate; both vanish at O(dt^2) when the two
-    backward equations hold.
+    Interior nodes only (time derivatives by central differences).  Of the
+    follower identity only the state coefficient is kept: it carries the
+    O(dt^2) differencing signal, and the coefficients of the estimate, the
+    controls and the offset cancel algebraically.  The leader identity is
+    grouped by the raw augmented state and its estimate; both vanish at
+    O(dt^2) when the two backward equations hold.
     """
 
     follower_x: np.ndarray
-    follower_xhat: np.ndarray
-    follower_u2: np.ndarray
-    follower_u2hat: np.ndarray
-    follower_theta_hat: np.ndarray
     leader_x: np.ndarray
     leader_xhat: np.ndarray
 
@@ -362,31 +358,14 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     blocks = eq.blocks
 
     A = model.nodes("A")
-    B1 = model.nodes("B1")
-    B2 = model.nodes("B2")
     C = model.nodes("C")
-    D1 = model.nodes("D1")
-    D2 = model.nodes("D2")
     Q1 = model.nodes("Q1")
     pn = eq.P.values
-    fol = blocks.follower
-    nodes = slice(None, None, P1_REFINE)
-    law = fol.law[:, nodes]
-    offset = fol.offset[:, nodes]
+    offset = blocks.follower.offset[:, ::P1_REFINE]
 
     inner = slice(1, n)
     dp = (pn[2:] - pn[:-2]) / (2.0 * dt)
     fol_x = dp + (2.0 * A * pn + C * C * pn - offset[0] + Q1)[inner]
-    # The controls enter the adjoint drift through the Ito expansion of P x,
-    # as (C D1 P + P B1) u1 + (C D2 P + P B2) u2, and the offset drift as
-    # (B1 + D1 C) P u1 + (B2 + D2 C) P u2, read from the follower's
-    # coefficients.  The groups compare the two coefficient by coefficient
-    # and cancel identically; kept as an honesty check.
-    cd = C * D1 * pn + pn * B1
-    fol_xhat = (cd * law[0] - offset[0])[inner]
-    fol_u2 = (fol.offset_u2[nodes] - (C * D2 * pn + pn * B2))[inner]
-    fol_u2hat = (cd * law[2] - offset[2])[inner]
-    fol_theta_hat = (cd * law[1] - offset[1])[inner]
 
     p1n = eq.leader.p1
     p2n = eq.leader.p2
@@ -421,11 +400,7 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     lead_xh += blocks.a4e[q].swapaxes(-1, -2) @ s1
     lead_xh -= blocks.e55[q]
 
-    return DriftResiduals(
-        follower_x=fol_x, follower_xhat=fol_xhat, follower_u2=fol_u2,
-        follower_u2hat=fol_u2hat, follower_theta_hat=fol_theta_hat,
-        leader_x=lead_x, leader_xhat=lead_xh,
-    )
+    return DriftResiduals(follower_x=fol_x, leader_x=lead_x, leader_xhat=lead_xh)
 
 
 @dataclass(frozen=True)

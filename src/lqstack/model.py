@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ModelValidationError, OutOfRange, ParseError
+from .errors import ModelValidationError, ParseError
 
 Coefficient = Union[float, np.ndarray]
 
@@ -68,35 +68,11 @@ class Violation:
     detail: str
 
 
-def sample_at(fn: Coefficient, t: float, grid: TimeGrid) -> float:
-    """Evaluate a coefficient at time t.
-
-    Constants evaluate to themselves; arrays are interpolated linearly
-    between the bracketing grid nodes and are exact at nodes.
-    """
-    tol = 1e-12 * grid.horizon
-    if t < -tol or t > grid.horizon + tol:
-        raise OutOfRange(f"t={t} outside [0, {grid.horizon}]")
-    if np.isscalar(fn) or np.ndim(fn) == 0:
-        return float(fn)
-    values = np.asarray(fn, dtype=float)
-    t = min(max(t, 0.0), grid.horizon)
-    pos = t / grid.dt
-    # Snap to the node when t is a node time up to rounding, so node values
-    # are returned exactly.
-    nearest = round(pos)
-    if 0 <= nearest <= grid.steps and abs(pos - nearest) <= 1e-9 * max(1.0, nearest):
-        return float(values[nearest])
-    k = min(int(pos), grid.steps - 1)
-    frac = pos - k
-    return float((1.0 - frac) * values[k] + frac * values[k + 1])
-
-
 def sample_on_grid(fn: Coefficient, grid: TimeGrid, refine: int = 1) -> np.ndarray:
     """Coefficient values on the refine-times finer grid (length refine*N+1).
 
     Node values are copied exactly (no interpolation error at nodes);
-    intermediate values interpolate linearly, matching sample_at.
+    intermediate values interpolate linearly.
     """
     n_fine = refine * grid.steps
     if np.isscalar(fn) or np.ndim(fn) == 0:
@@ -289,13 +265,3 @@ def load_model(path, steps_override: int | None = None) -> LQModel:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     return model_from_dict(data, steps_override=steps_override)
-
-
-def model_to_dict(model: LQModel) -> dict:
-    """Inverse of model_from_dict (arrays become lists)."""
-    out = {}
-    for key in _MODEL_KEYS:
-        v = getattr(model, key)
-        out[key] = v.tolist() if isinstance(v, np.ndarray) else v
-    out.update(G1=model.G1, G2=model.G2, x0=model.x0, T=model.grid.horizon, steps=model.grid.steps)
-    return out

@@ -38,17 +38,18 @@ b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
 assemble_leader_blocks evaluates once on the whole half grid; a transpose is
 a swapaxes view.  gain_inverses and rhs_p1 take pi, and the 2x2 matrices
 of gain_inverses, p1_terms, sigma1-sigma3 and rhs_p2 are entry tuples
-(m00, m01, m10, m11): at a single RK4 stage (an int block index) these are
-Python floats read from a flat view of the blocks, over a slice of the half
-grid they are arrays, and one formula set serves both, rounding identically.
-A numpy call on a 2x2 matrix costs several times the arithmetic it does,
-and the two leader recurrences call these functions about 19000 times at
-N=1600.  Everything the second equation reads of the first solution -- p1,
-its gain inverses and nine products of p1 with the blocks, a P1Terms -- is
-fixed once the first is solved: p1_terms evaluates it on arrays a window of
-half-grid indices at a time, the stages read it as floats and compute only
-the terms with p2, and compute_sigmas reads it in wider windows.  Only the
-RK4 recurrence loops over grid points.
+(m00, m01, m10, m11).  The stage functions take the block entries they
+read: Python floats at one RK4 stage, arrays over a slice of the half grid;
+one formula set serves both, rounding identically.  A numpy call on a 2x2
+matrix costs several times the arithmetic it does, and the two leader
+recurrences call these functions about 19000 times at N=1600.  So both
+leader equations get their stage floats from one _window_reader, which
+evaluates a stage's inputs on arrays a window of half-grid indices at a
+time: the first equation's seven corner entries, and the second's P1Terms
+-- p1, its gain inverses and nine products of p1 with the blocks, fixed
+once the first is solved -- with the six blocks it reads besides, so its
+stages compute only the terms with p2.  compute_sigmas evaluates the
+P1Terms in wider windows.  Only the RK4 recurrence loops over grid points.
 
 Node-level views are the public arrays; terminal values are stored
 bit-exactly as given.
@@ -57,8 +58,8 @@ bit-exactly as given.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,10 +72,10 @@ P_REFINE = 4
 P1_REFINE = 2
 # Relative guard on the follower's D1^2 P + R1, the H3 check.
 INV_TOL = 1e-10
-# Half-grid indices per array evaluation of the first leader solution's
-# terms (p1_terms): few where the second equation's stages read them back as
-# Python floats, more where the sigmas keep them as arrays.  Either bounds
-# the memory a whole-grid evaluation would hold.
+# Half-grid indices per array evaluation of the leader equations' stage
+# inputs: few where the stages read them back as Python floats
+# (_window_reader), more where the sigmas keep the first solution's terms as
+# arrays.  Either bounds the memory a whole-grid evaluation would hold.
 _STAGE_WINDOW = 64
 _SIGMA_WINDOW = 512
 
@@ -289,7 +290,8 @@ class LeaderBlocks:
     e11 (read by the closed-loop matrices and the drift residual, not by
     the solves) is evaluated on access.  The display blocks a2, a4, b1, c1
     and r2 are read by no solver and are not kept; _display_blocks gives
-    them.
+    them.  Arrays only: the leader solves read stage floats through
+    _window_reader.
     """
 
     grid: TimeGrid
@@ -322,32 +324,9 @@ class LeaderBlocks:
     def e11(self) -> np.ndarray:
         return _over_r2(self.rr, (self.d1, self.d1 + self.d2), (self.d2, self.d1))
 
-    @cached_property
-    def _flat(self) -> dict:
-        """Flat float views of the (L, 2, 2) blocks, without copies: entry k of block index q at 4q + k."""
-        blocks = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: memoryview(np.ascontiguousarray(b)).cast("B").cast("d")
-                for name, b in blocks if isinstance(b, np.ndarray) and b.shape[1:] == (2, 2)}
-
     def entries(self, q, *names) -> list:
-        """Entry tuples (m00, m01, m10, m11) of the named 2x2 blocks at index q.
-
-        Python floats for an int q (one RK4 stage), arrays for a slice or an
-        index array (slice(None): the whole half grid).
-        """
-        if isinstance(q, int):
-            i = 4 * q
-            return [(f[i], f[i + 1], f[i + 2], f[i + 3]) for f in map(self._flat.__getitem__, names)]
-        return [(b[q, 0, 0], b[q, 0, 1], b[q, 1, 0], b[q, 1, 1]) for b in (getattr(self, n) for n in names)]
-
-    @cached_property
-    def _corners(self) -> np.ndarray:
-        return np.stack([getattr(self, n)[:, 0, 0] for n in ("a1", "a3", "a5", "bb", "cc", "e34", "e44")], axis=1)
-
-    def corners(self, q) -> list:
-        """The (0, 0) entries of a1, a3, a5, bb, cc, e34 and e44 at index q, typed as in entries."""
-        rows = self._corners[q]
-        return rows.tolist() if isinstance(q, int) else list(rows.T)
+        """Entry tuples (m00, m01, m10, m11) of the named 2x2 blocks over q, a half-grid slice."""
+        return [(b[q, 0, 0], b[q, 0, 1], b[q, 1, 0], b[q, 1, 1]) for b in map(self.__getattribute__, names)]
 
 
 def _over_r2(rr: np.ndarray, *pairs) -> np.ndarray:
@@ -471,41 +450,39 @@ def _matrix(m) -> np.ndarray:
     return np.stack(m, axis=-1).reshape(m[0].shape + (2, 2))
 
 
-def _corner_inverse(det, det_tol: float, blocks: LeaderBlocks, q, err):
+def _corner_inverse(det, det_tol: float, t, err):
     """Adjugate inverse of [[det, +0.0], [+0.0, 1]] as an entry tuple, guarded as a 2x2 matrix.
 
-    A failure is reported at the failing time nearest T, where a backward
-    solve meets it first.
+    t is the time of each sample of det.  A failure is reported at the
+    failing time nearest T, where a backward solve meets it first.
     """
     ok = abs(det) > det_tol * (1.0 + (det * det + 1.0))
     if not (ok if isinstance(ok, bool) else ok.all()):
-        times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / P1_REFINE)
-        raise err("gain matrix inverse does not exist", float(np.max(times[np.logical_not(ok)])))
+        raise err("gain matrix inverse does not exist", float(np.max(np.asarray(t)[np.logical_not(ok)])))
     return (1.0 / det, -0.0 / det, -0.0 / det, det / det)
 
 
-def gain_inverses(pi, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
+def gain_inverses(pi, e34, e44, t, *, det_tol: float = 1e-10):
     """The two 2x2 inverse matrices guarding the Z-elimination, plus determinants.
 
     First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1,
-    as entry tuples, at p1 = diag(pi, 0) at q, a half-grid index (pi a
-    float), or at an index array or slice (an array).  p1 keeps that form
-    exactly (a1 is diagonal, a3, a5, e34 and e44 are corner blocks, bb and cc
-    enter only as p1 bb p1, p1 cc and cc^T p1), so this and rhs_p1 are the
-    (0, 0) entries of the 2x2 forms with every product by an exact zero
-    dropped, in the same operation order: the same bits.
+    as entry tuples, at p1 = diag(pi, 0), with e34 and e44 the (0, 0)
+    entries of those two blocks and t the time: floats at one RK4 stage,
+    arrays over a slice of the half grid.  p1 keeps that form exactly (a1 is
+    diagonal, a3, a5, e34 and e44 are corner blocks, bb and cc enter only as
+    p1 bb p1, p1 cc and cc^T p1), so this and rhs_p1 are the (0, 0) entries
+    of the 2x2 forms with every product by an exact zero dropped, in the
+    same operation order: the same bits.
     Raises M1NotInvertible / M2NotInvertible when the guard trips.
     """
-    *_, e34, e44 = blocks.corners(q)
     det1, det2 = 1.0 + pi * e34, 1.0 + pi * e44
-    m1 = _corner_inverse(det1, det_tol, blocks, q, M1NotInvertible)
-    m2 = _corner_inverse(det2, det_tol, blocks, q, M2NotInvertible)
+    m1 = _corner_inverse(det1, det_tol, t, M1NotInvertible)
+    m2 = _corner_inverse(det2, det_tol, t, M2NotInvertible)
     return m1, m2, det1, det2
 
 
-def rhs_p1(pi, blocks: LeaderBlocks, q, *, m2):
+def rhs_p1(pi, a1, a3, a5, bb, cc, *, m2):
     """d(pi)/dtau of the first leader Riccati equation, with m2 the second gain inverse at pi."""
-    a1, a3, a5, bb, cc, _, _ = blocks.corners(q)
     return (((pi * a1 + a1 * pi) + (pi * bb) * pi) + a5) + (((a3 + pi * cc) * m2[0]) * pi) * (a3 + cc * pi)
 
 
@@ -518,19 +495,12 @@ P1Terms = namedtuple("P1Terms", "p1 m1 m2 p1_a34 p1_cc12t p1_a4e p1_cct p1_e13t 
 
 
 def p1_terms(p1, m1, m2, blocks: LeaderBlocks, q) -> P1Terms:
-    """The first solution's terms at q from p1 = diag(pi, 0), where p1 b is pi times b's first row."""
+    """The first solution's terms over q from p1 = diag(pi, 0), where p1 b is pi times b's first row."""
     a3, a4e, bb, cc, cc12, e13, e33 = blocks.entries(q, "a3", "a4e", "bb", "cc", "cc12", "e13", "e33")
     pi, zero = p1[0], p1[3]
     *rows, p1_cc, p1_e13 = [(pi * b[0], pi * b[1], zero, zero)
                             for b in (_add(a3, a4e), _t(cc12), a4e, _t(cc), _t(e13), e33, cc, e13)]
     return P1Terms(p1, m1, m2, *rows, ((pi * bb[0]) * pi, zero, zero, zero), _add(a3, p1_cc), p1_e13)
-
-
-def _p1_term_windows(p1_fine, m1, m2, blocks: LeaderBlocks, width: int):
-    """(q, p1_terms at q) on arrays, for slices q of `width` half-grid indices from the top down."""
-    for hi in range(len(blocks.rr), 0, -width):
-        q = slice(max(0, hi - width), hi)
-        yield q, p1_terms(_entries(p1_fine[q]), _entries(m1[q]), _entries(m2[q]), blocks, q)
 
 
 def sigma1(f: P1Terms, p2):
@@ -552,11 +522,10 @@ def sigma3(f: P1Terms, p2, s1):
     return _mm(f.m2, inner)
 
 
-def rhs_p2(f: P1Terms, p2, blocks: LeaderBlocks, q):
+def rhs_p2(f: P1Terms, p2, a1, a2e, a4e, bb12, cc12, e55):
     """d(p2)/dtau of the second leader Riccati equation (general form), an entry tuple."""
     s1 = sigma1(f, p2)
     s3 = sigma3(f, p2, s1)
-    a1, a2e, a4e, bb12, cc12, e55 = blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")
     p12 = _add(f.p1, p2)
 
     out = _add(_mm(p12, a2e), _mm(_t(a2e), p12))
@@ -600,6 +569,27 @@ class LeaderRiccati:
         return self.p2_fine[::P1_REFINE]
 
 
+def _window_reader(evaluate, width: int):
+    """read(j): the stage inputs at half-grid index j, as Python floats.
+
+    evaluate(q) gives the inputs on arrays (or entry tuples of arrays) over a
+    half-grid slice q.  A j outside the current window evaluates the `width`
+    indices ending at j and converts them with one tolist(), so a backward
+    solve, reading from the top down, evaluates each index once.
+    """
+    lo = hi = 0
+    rows = []
+
+    def read(j):
+        nonlocal lo, hi, rows
+        if not lo <= j < hi:
+            lo, hi = max(0, j + 1 - width), j + 1
+            rows = np.moveaxis(np.array(evaluate(slice(lo, hi))), -1, 0).tolist()
+        return rows[j - lo]
+
+    return read
+
+
 def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float = 1e-10,
                          blow_up_factor: float = 1e8) -> LeaderRiccati:
     """Integrate both leader Riccati equations backward.
@@ -608,23 +598,28 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     where the blocks are stored exactly).  The first is autonomous and is
     solved first, for pi alone, with the gain inverses guarded at every RK4
     stage; the second reads the first at its stage times, so its inverses
-    are computed and guarded once over the half grid, and kept.  The rest of
-    what it reads of the first solution (p1_terms) is evaluated on arrays,
-    _STAGE_WINDOW half-grid indices at a time as the backward solve reaches
-    them, with the same bits as a per-stage evaluation.  When D1 = D2 = 0
-    the inverses are exactly the identity and the general right-hand sides
-    reduce to the special-case forms.
+    are computed and guarded once over the half grid, and kept.  Both read
+    their stage inputs (the first its corner entries, the second p1_terms
+    and its blocks) through a _window_reader of _STAGE_WINDOW indices, with
+    the same bits as a per-stage evaluation.  When D1 = D2 = 0 the inverses
+    are exactly the identity and the general right-hand sides reduce to the
+    special-case forms.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
     blow_up_factor * (1 + max|gbar|).
     """
     grid = model.grid
     bound = _blow_up_bound(float(np.max(np.abs(blocks.gbar))), blow_up_factor)
     min_det = [np.inf, np.inf]
+    # The first equation's inputs: the time and the (0, 0) entries of its blocks.
+    first = [np.arange(len(blocks.rr)) * (grid.dt / P1_REFINE),
+             *(getattr(blocks, n)[:, 0, 0] for n in ("a1", "a3", "a5", "bb", "cc", "e34", "e44"))]
+    read1 = _window_reader(lambda q: [a[q] for a in first], _STAGE_WINDOW)
 
     def rhs1(j, pi):
-        _, m2, det1, det2 = gain_inverses(pi, blocks, j, det_tol=det_tol)
+        t, a1, a3, a5, bb, cc, e34, e44 = read1(j)
+        _, m2, det1, det2 = gain_inverses(pi, e34, e44, t, det_tol=det_tol)
         min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
-        return rhs_p1(pi, blocks, j, m2=m2)
+        return rhs_p1(pi, a1, a3, a5, bb, cc, m2=m2)
 
     def solve(rhs, terminal, label):
         fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
@@ -632,7 +627,8 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         return path.half_values()
 
     pi = solve(rhs1, float(blocks.gbar[0, 0]), "first")
-    m1, m2, det1, det2 = gain_inverses(pi, blocks, slice(None), det_tol=det_tol)
+    t, *_, e34, e44 = first
+    m1, m2, det1, det2 = gain_inverses(pi, e34, e44, t, det_tol=det_tol)
     m1, m2, p1_fine = _matrix(m1), _matrix(m2), _matrix((pi, *[np.zeros_like(pi)] * 3))
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
@@ -641,17 +637,15 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         if flipped.size:
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
 
-    # The backward solve reads the half-grid indices in descending order.
-    windows = _p1_term_windows(p1_fine, m1, m2, blocks, _STAGE_WINDOW)
-    window = {}
+    def second_inputs(q):
+        terms = p1_terms(_entries(p1_fine[q]), _entries(m1[q]), _entries(m2[q]), blocks, q)
+        return [*terms, *blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")]
+
+    read2 = _window_reader(second_inputs, _STAGE_WINDOW)
 
     def rhs2(j, mat):
-        nonlocal window
-        if j not in window:
-            q, terms = next(windows)
-            rows = np.array(terms).transpose(2, 0, 1).tolist()
-            window = dict(zip(range(q.start, q.stop), map(P1Terms._make, rows)))
-        return _matrix(rhs_p2(window[j], _entries(mat), blocks, j))
+        *terms, a1, a2e, a4e, bb12, cc12, e55 = read2(j)
+        return _matrix(rhs_p2(P1Terms._make(terms), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
 
     return LeaderRiccati(
         grid=grid,
@@ -689,13 +683,14 @@ def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
     """Evaluate the three gain matrices on the whole half grid from the Riccati output.
 
     The gain inverses are the ones the leader solve guarded and kept; the
-    first solution's terms (p1_terms) are evaluated _SIGMA_WINDOW half-grid
-    indices at a time.
+    first solution's terms (p1_terms) and the gains are evaluated on arrays,
+    _SIGMA_WINDOW half-grid indices at a time.
     """
     s1, s2, s3 = (np.empty_like(leader.p1_fine) for _ in range(3))
-    p2 = _entries(leader.p2_fine)
-    for q, f in _p1_term_windows(leader.p1_fine, leader.m1, leader.m2, blocks, _SIGMA_WINDOW):
-        p2q = [e[q] for e in p2]
-        s1q = sigma1(f, p2q)
-        s1[q], s2[q], s3[q] = _matrix(s1q), _matrix(sigma2(f, blocks, q)), _matrix(sigma3(f, p2q, s1q))
+    for lo in range(0, len(s1), _SIGMA_WINDOW):
+        q = slice(lo, lo + _SIGMA_WINDOW)
+        f = p1_terms(_entries(leader.p1_fine[q]), _entries(leader.m1[q]), _entries(leader.m2[q]), blocks, q)
+        p2 = _entries(leader.p2_fine[q])
+        s1q = sigma1(f, p2)
+        s1[q], s2[q], s3[q] = _matrix(s1q), _matrix(sigma2(f, blocks, q)), _matrix(sigma3(f, p2, s1q))
     return Sigmas(grid=leader.grid, s1=s1, s2=s2, s3=s3)

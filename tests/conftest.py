@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lqstack.model import LQModel, TimeGrid
+from lqstack.errors import OutOfRange
+from lqstack.model import _MODEL_KEYS, Coefficient, LQModel, TimeGrid
 
 
 def make_model(steps=200, horizon=1.0, **overrides):
@@ -12,6 +13,40 @@ def make_model(steps=200, horizon=1.0, **overrides):
                   Q1=1.0, R1=1.0, Q2=1.0, R2=1.0, G1=1.0, G2=1.0, x0=1.0)
     params.update(overrides)
     return LQModel(grid=TimeGrid(horizon, steps), **params)
+
+
+def sample_at(fn: Coefficient, t: float, grid: TimeGrid) -> float:
+    """Evaluate a coefficient at time t.
+
+    Constants evaluate to themselves; arrays are interpolated linearly
+    between the bracketing grid nodes and are exact at nodes.
+    """
+    tol = 1e-12 * grid.horizon
+    if t < -tol or t > grid.horizon + tol:
+        raise OutOfRange(f"t={t} outside [0, {grid.horizon}]")
+    if np.isscalar(fn) or np.ndim(fn) == 0:
+        return float(fn)
+    values = np.asarray(fn, dtype=float)
+    t = min(max(t, 0.0), grid.horizon)
+    pos = t / grid.dt
+    # Snap to the node when t is a node time up to rounding, so node values
+    # are returned exactly.
+    nearest = round(pos)
+    if 0 <= nearest <= grid.steps and abs(pos - nearest) <= 1e-9 * max(1.0, nearest):
+        return float(values[nearest])
+    k = min(int(pos), grid.steps - 1)
+    frac = pos - k
+    return float((1.0 - frac) * values[k] + frac * values[k + 1])
+
+
+def model_to_dict(model: LQModel) -> dict:
+    """Inverse of lqstack.model.model_from_dict (arrays become lists)."""
+    out = {}
+    for key in _MODEL_KEYS:
+        v = getattr(model, key)
+        out[key] = v.tolist() if isinstance(v, np.ndarray) else v
+    out.update(G1=model.G1, G2=model.G2, x0=model.x0, T=model.grid.horizon, steps=model.grid.steps)
+    return out
 
 
 def random_admissible_model(rng, steps=200):

@@ -18,11 +18,10 @@ import pytest
 from lqstack.costs import OptimalitySweep, gain_grid_search
 from lqstack.equilibrium import (bsde_residual, drift_residuals, reconstruct_adjoints,
                                  solve_equilibrium)
-from lqstack.model import model_to_dict
 from lqstack.riccati import assemble_leader_blocks, solve_follower_P, solve_leader_riccati
 from lqstack.simulate import closed_loop_chunks, density_process, generate_noise, simulate_closed_loop
 
-from conftest import backfill, make_model, random_admissible_model
+from conftest import backfill, make_model, model_to_dict, random_admissible_model
 
 # Frozen 100000-step reference for the first leader Riccati matrix at t=0 on
 # the benchmark model (regenerate with scripts/make_reference.py).

@@ -12,9 +12,8 @@ import pytest
 from lqstack import equilibrium as eq_mod
 from lqstack import simulate
 from lqstack.cli import main
-from lqstack.model import model_to_dict
 
-from conftest import make_model
+from conftest import make_model, model_to_dict
 
 
 def write_model(tmp_path, name="model.json", **overrides):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqstack.errors import ModelValidationError, OutOfRange, ParseError
-from lqstack.model import (TimeGrid, check_hypotheses, load_model,
-                           model_from_dict, model_to_dict, sample_at,
+from lqstack.model import (TimeGrid, check_hypotheses, load_model, model_from_dict,
                            sample_on_grid, validate_model)
 
-from conftest import make_model
+from conftest import make_model, model_to_dict, sample_at
 
 
 def test_constant_model_accepted():

@@ -16,6 +16,35 @@ from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_bloc
 from conftest import make_model, random_admissible_model, time_varying
 
 
+# --- stage inputs read at one half-grid index, as the oracles and the tests read them ---
+
+def block_entries(blocks: LeaderBlocks, q, *names):
+    """Entry tuples of the named blocks: Python floats at an int half-grid index q, arrays over a slice."""
+    if isinstance(q, int):
+        return [tuple(getattr(blocks, n)[q].ravel().tolist()) for n in names]
+    return blocks.entries(q, *names)
+
+
+def first_inputs(blocks: LeaderBlocks, q):
+    """The time and the (0, 0) entries of a1, a3, a5, bb, cc, e34 and e44 at q, typed as in block_entries."""
+    t = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / 2)
+    return [t.tolist() if isinstance(q, int) else t,
+            *(e[0] for e in block_entries(blocks, q, "a1", "a3", "a5", "bb", "cc", "e34", "e44"))]
+
+
+def gain_inverses_at(pi, blocks: LeaderBlocks, q):
+    t, *_, e34, e44 = first_inputs(blocks, q)
+    return gain_inverses(pi, e34, e44, t)
+
+
+def rhs_p1_at(pi, blocks: LeaderBlocks, q, *, m2):
+    return rhs_p1(pi, *first_inputs(blocks, q)[1:6], m2=m2)
+
+
+def rhs_p2_at(f, p2, blocks: LeaderBlocks, q):
+    return rhs_p2(f, p2, *block_entries(blocks, q, "a1", "a2e", "a4e", "bb12", "cc12", "e55"))
+
+
 # --- the first leader equation in general 2x2 form, the oracle of its scalar route ---
 # The solver integrates only pi, the (0, 0) entry of p1 = diag(pi, 0).  These
 # are the general forms on entry tuples; leader_first_2x2 steps them from
@@ -35,7 +64,7 @@ def _inv2(m, det_tol: float, blocks: LeaderBlocks, q, err):
 def gain_inverses_2x2(p1, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
     """[I + p1 e34]^-1 and [I + p1 e44]^-1 for a general p1 entry tuple, plus determinants."""
     add, mm = riccati._add, riccati._mm
-    e34, e44 = blocks.entries(q, "e34", "e44")
+    e34, e44 = block_entries(blocks, q, "e34", "e44")
     eye = (1.0, 0.0, 0.0, 1.0)
     m1, det1 = _inv2(add(eye, mm(p1, e34)), det_tol, blocks, q, M1NotInvertible)
     m2, det2 = _inv2(add(eye, mm(p1, e44)), det_tol, blocks, q, M2NotInvertible)
@@ -45,7 +74,7 @@ def gain_inverses_2x2(p1, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
 def rhs_p1_2x2(p1, blocks: LeaderBlocks, q, *, m2):
     """d(p1)/dtau of the first leader Riccati equation for a general p1 entry tuple."""
     add, mm, t = riccati._add, riccati._mm, riccati._t
-    a1, a3, a5, bb, cc = blocks.entries(q, "a1", "a3", "a5", "bb", "cc")
+    a1, a3, a5, bb, cc = block_entries(blocks, q, "a1", "a3", "a5", "bb", "cc")
     out = add(mm(p1, a1), mm(a1, p1))
     out = add(out, mm(mm(p1, bb), p1))
     out = add(out, a5)
@@ -297,7 +326,7 @@ def test_leader_gain_inverses_identity_when_zero_diffusion():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    m1, m2, det1, det2 = gain_inverses(leader.p1[5][0, 0], blocks, 2 * 5)
+    m1, m2, det1, det2 = gain_inverses_at(leader.p1[5][0, 0], blocks, 2 * 5)
     assert np.array_equal(riccati._matrix(m1), np.eye(2))
     assert np.array_equal(riccati._matrix(m2), np.eye(2))
     assert det1 == 1.0 and det2 == 1.0
@@ -326,10 +355,10 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
         p1 = leader.p1[k]
         p2 = leader.p2[k]
         e1, e2 = riccati._entries(p1), riccati._entries(p2)
-        m1, m2, _, _ = gain_inverses(e1[0], blocks, q)
-        g1 = riccati._matrix((rhs_p1(e1[0], blocks, q, m2=m2), 0.0, 0.0, 0.0))
+        m1, m2, _, _ = gain_inverses_at(e1[0], blocks, q)
+        g1 = riccati._matrix((rhs_p1_at(e1[0], blocks, q, m2=m2), 0.0, 0.0, 0.0))
         r1 = rhs_p1_reduced(p1, blocks, display, q)
-        g2 = riccati._matrix(rhs_p2(p1_terms(e1, m1, m2, blocks, q), e2, blocks, q))
+        g2 = riccati._matrix(rhs_p2_at(p1_terms(e1, m1, m2, blocks, q), e2, blocks, q))
         r2 = rhs_p2_reduced(p1, p2, blocks, display, q)
         worst = max(worst,
                     np.max(np.abs(g1 - r1)) / (1.0 + np.max(np.abs(g1))),
@@ -418,7 +447,7 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
         row = [e[j] for e in on_grid] if isinstance(on_grid, tuple) else on_grid[j]
         assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(row).tobytes()
 
-    g_stage, g = gain_inverses(p1j[0], blocks, stage), gain_inverses(p1[0], blocks, grid)
+    g_stage, g = gain_inverses_at(p1j[0], blocks, stage), gain_inverses_at(p1[0], blocks, grid)
     for a, b in zip(g_stage, g):
         same(a, b)
     m1, m2 = riccati._matrix(g[0]), riccati._matrix(g[1])
@@ -430,8 +459,8 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     same(s1_stage, s1)
     same(sigma2(f_stage, blocks, stage), sigma2(f, blocks, grid))
     same(sigma3(f_stage, p2j, s1_stage), sigma3(f, p2, s1))
-    same(rhs_p1(p1j[0], blocks, stage, m2=g_stage[1]), rhs_p1(p1[0], blocks, grid, m2=g[1]))
-    same(rhs_p2(f_stage, p2j, blocks, stage), rhs_p2(f, p2, blocks, grid))
+    same(rhs_p1_at(p1j[0], blocks, stage, m2=g_stage[1]), rhs_p1_at(p1[0], blocks, grid, m2=g[1]))
+    same(rhs_p2_at(f_stage, p2j, blocks, stage), rhs_p2_at(f, p2, blocks, grid))
 
 
 def rhs_p2_at_stage(p1, p2, m1, m2, blocks: LeaderBlocks, q: int):
@@ -443,8 +472,8 @@ def rhs_p2_at_stage(p1, p2, m1, m2, blocks: LeaderBlocks, q: int):
     difference.
     """
     mm, add, sub, t = riccati._mm, riccati._add, riccati._sub, riccati._t
-    a1, a2e, a3, a4e, bb, bb12, cc, cc12, e13, e33, e55 = blocks.entries(
-        q, "a1", "a2e", "a3", "a4e", "bb", "bb12", "cc", "cc12", "e13", "e33", "e55")
+    a1, a2e, a3, a4e, bb, bb12, cc, cc12, e13, e33, e55 = block_entries(
+        blocks, q, "a1", "a2e", "a3", "a4e", "bb", "bb12", "cc", "cc12", "e13", "e33", "e55")
     p12 = add(p1, p2)
     s1 = mm(m1, add(mm(p1, add(a3, a4e)), mm(mm(p1, t(cc12)), p12)))
     inner = add(mm(p1, a4e), mm(mm(p1, t(cc)), p2))
@@ -495,9 +524,9 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
     blocks = assemble_leader_blocks(m, solve_follower_P(m))
     stages = []
 
-    def recorded(f, p2, b, j):
-        out = rhs_p2(f, p2, b, j)
-        stages.append((j, p2, out))
+    def recorded(f, p2, *block_args):
+        out = rhs_p2(f, p2, *block_args)
+        stages.append((p2, out))
         return out
 
     monkeypatch.setattr(riccati, "rhs_p2", recorded)
@@ -509,7 +538,10 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
     entries = riccati._entries
     p1, _, m1, m2 = ref[:4]
     assert len(stages) == 4 * m.grid.steps + 1
-    for j, p2, out in stages:
+    # A backward RK4 step from node k reads half-grid points 2k, 2k-1 twice
+    # and 2k-2; the last call is the slope at node 0.
+    order = [j for k in range(m.grid.steps, 0, -1) for j in (2 * k, 2 * k - 1, 2 * k - 1, 2 * k - 2)] + [0]
+    for j, (p2, out) in zip(order, stages):
         at_stage = rhs_p2_at_stage(entries(p1[j]), p2, entries(m1[j]), entries(m2[j]), blocks, j)
         assert np.asarray(out).tobytes() == np.asarray(at_stage).tobytes()
     whole = slice(None)
@@ -518,6 +550,42 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
     sig = compute_sigmas(blocks, leader)
     for a, b in zip((sig.s1, sig.s2, sig.s3), (s1, sigma2(f, blocks, whole), sigma3(f, p2, s1))):
         assert a.tobytes() == riccati._matrix(b).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 7, 10**6])
+@pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
+def test_leader_outputs_do_not_depend_on_window_width(case, width, monkeypatch):
+    # The stage inputs and the sigmas are evaluated on arrays, a window of
+    # half-grid indices at a time; any width gives the same bits.  The widths
+    # are read from the module when the solve runs, and each consumer
+    # evaluates every half-grid index once.
+    m = make_model(steps=40)
+    if case != "standard":
+        m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(41), steps=40))
+    if case == "time_varying":
+        m = time_varying(m)
+    blocks = assemble_leader_blocks(m, solve_follower_P(m))
+
+    def run():
+        leader = solve_leader_riccati(m, blocks)
+        return leader, compute_sigmas(blocks, leader)
+
+    default = run()
+    sizes = []
+
+    def recorded(p1, m1, m2, b, q):
+        sizes.append(len(range(len(b.rr))[q]))
+        return p1_terms(p1, m1, m2, b, q)
+
+    monkeypatch.setattr(riccati, "p1_terms", recorded)
+    monkeypatch.setattr(riccati, "_STAGE_WINDOW", width)
+    monkeypatch.setattr(riccati, "_SIGMA_WINDOW", width)
+    L = len(blocks.rr)
+    for a, b in zip(default, run()):
+        assert a.grid == b.grid
+        for field in dataclasses.fields(a)[1:]:
+            assert np.asarray(getattr(a, field.name)).tobytes() == np.asarray(getattr(b, field.name)).tobytes()
+    assert sum(sizes) == 2 * L and max(sizes) == min(width, L)
 
 
 def _with_diffusion_controls(m):
@@ -582,7 +650,7 @@ def test_sigmas_vanish_with_zero_first_riccati():
     q = 2 * 7
     zero = riccati._entries(np.zeros((2, 2)))
     some = riccati._entries(np.array([[0.3, -0.2], [0.1, 0.4]]))
-    m1, m2, _, _ = gain_inverses(zero[0], blocks, q)
+    m1, m2, _, _ = gain_inverses_at(zero[0], blocks, q)
     f = p1_terms(zero, m1, m2, blocks, q)
     s1 = sigma1(f, some)
     assert np.all(np.array(s1) == 0.0)

@@ -10,11 +10,11 @@ from lqstack.cli import main
 from lqstack.equilibrium import reconstruct_adjoints, solve_equilibrium
 from lqstack.errors import NonFiniteState
 from lqstack.filtering import DeterministicPath, solve_follower_filter
-from lqstack.model import TimeGrid, model_to_dict
+from lqstack.model import TimeGrid
 from lqstack.simulate import (ClosedLoopSystem, NoiseBundle, backfill_theta, density_process, generate_noise,
                               sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
 
-from conftest import backfill, make_model, random_admissible_model, time_varying
+from conftest import backfill, make_model, model_to_dict, random_admissible_model, time_varying
 
 
 def test_noise_reproducible():
