@@ -17,15 +17,14 @@ The Riccati equations, integrated under the time reversal tau = T - t:
         pi' + 2 A pi + C^2 pi - (D2^2 pi + R2)^-1 (B2 + D2 C)^2 pi^2 + Q2 = 0,
   * the leader's second 2x2 equation (consumes the first, terminal 0).
 
-Because each downstream solve evaluates the upstream solution at its RK4
-stage times, P is integrated with step dt/4 and both leader solves step dt
-with stages at half-grid points.  Everything is stored on the half grid, the
-only points any later stage reads: P, the coefficient blocks, and both leader
-solutions, whose off-node values are the Hermite midpoints.  Every stage then
-reads upstream data at full accuracy and each solve keeps genuine 4th-order
-convergence for constant coefficients (array coefficients interpolate
-linearly, which caps accuracy at 2nd order there, as for the rest of the
-pipeline).
+All three go through one backward solve, _solve_backward: step dt on the
+node grid, stages at half-grid points.  Everything is stored on the half
+grid, the only points any later stage reads: P, the coefficient blocks, and
+both leader solutions, whose off-node values are the Hermite midpoints.
+Every stage then reads upstream data at 4th-order accuracy and each solve
+keeps genuine 4th-order convergence for constant coefficients (array
+coefficients interpolate linearly, which caps accuracy at 2nd order there,
+as for the rest of the pipeline).
 
 The follower's coefficients -- (D1^2 P + R1)^-1 and its products with
 B1 + D1 C, B1 and D1 D2 P -- are evaluated once where P is sampled, by
@@ -66,9 +65,8 @@ import numpy as np
 from .errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
 from .model import LQModel, TimeGrid
 
-# Steps of the follower solve per node interval, and samples per node
-# interval of every half-grid array: index j of those is t = j * dt/2.
-P_REFINE = 4
+# Samples per node interval of every half-grid array: index j of those is
+# t = j * dt/2.
 P1_REFINE = 2
 # Relative guard on the follower's D1^2 P + R1, the H3 check.
 INV_TOL = 1e-10
@@ -143,7 +141,9 @@ def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
 class FollowerRiccati:
     """Scalar backward Riccati solution P on the half grid.
 
-    fine[j] is P(j * dt/2); the node values are fine[::2].  P(T) = G1 exactly.
+    fine[j] is P(j * dt/2): even indices are the RK4 node values, odd indices
+    the integrator's Hermite midpoints; the node values are fine[::2].
+    P(T) = G1 exactly.
     """
 
     grid: TimeGrid
@@ -158,41 +158,38 @@ def _blow_up_bound(terminal_scale: float, factor: float) -> float:
     return factor * (1.0 + abs(terminal_scale))
 
 
+def _solve_backward(rhs, terminal, grid: TimeGrid, bound: float, message: str) -> np.ndarray:
+    """Half-grid samples of rk4_half_grid stepped back from terminal at T with step dt.
+
+    Raises RiccatiBlowUp(message) when a node value is not finite or exceeds bound.
+    """
+    path = rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound,
+                         fail=partial(RiccatiBlowUp, message))
+    return path.half_values()
+
+
 def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> FollowerRiccati:
     """Integrate the follower's Riccati equation backward from P(T) = G1.
 
-    RK4 with internal step dt/4 (coefficients read at dt/8 spacing); every
-    second node value is kept, so later solves read P exactly at their stage
-    times on the half grid.
+    _solve_backward with the coefficients read at the half-grid stage times;
+    P is kept there too (nodes and Hermite midpoints), where later solves
+    read it.
     Raises H3Violated if D1^2 P + R1 degenerates at any evaluation point and
     RiccatiBlowUp if |P| exceeds blow_up_factor * (1 + |G1|).
     """
     grid = model.grid
-    n_fine = P_REFINE * grid.steps
-    # Coefficients at half the P-grid spacing, i.e. dt/8, for the RK4 stages.
-    cref = 2 * P_REFINE
-    a = model.nodes("A", cref).tolist()
-    b1 = model.nodes("B1", cref).tolist()
-    c = model.nodes("C", cref).tolist()
-    d1 = model.nodes("D1", cref).tolist()
-    q1 = model.nodes("Q1", cref).tolist()
-    r1 = model.nodes("R1", cref).tolist()
+    a, b1, c, d1, q1, r1 = (model.nodes(k, P1_REFINE).tolist() for k in ("A", "B1", "C", "D1", "Q1", "R1"))
 
-    horizon = grid.horizon
-    h = horizon / n_fine
-    bound = _blow_up_bound(model.G1, blow_up_factor)
+    def rhs(j: int, p: float) -> float:
+        s = d1[j] * d1[j] * p + r1[j]
+        if not (s > INV_TOL * (1.0 + abs(d1[j] * d1[j] * p) + abs(r1[j]))):
+            raise H3Violated("D1^2 P + R1 not invertible", j * grid.dt / P1_REFINE)
+        bc = b1[j] + d1[j] * c[j]
+        return 2.0 * a[j] * p + c[j] * c[j] * p - bc * bc * p * p / s + q1[j]
 
-    def rhs(i8: int, p: float) -> float:
-        # dP/dtau at coefficient index i8, a half point of the dt/4 steps.
-        s = d1[i8] * d1[i8] * p + r1[i8]
-        if not (s > INV_TOL * (1.0 + abs(d1[i8] * d1[i8] * p) + abs(r1[i8]))):
-            raise H3Violated("D1^2 P + R1 not invertible", i8 * horizon / (2 * n_fine))
-        bc = b1[i8] + d1[i8] * c[i8]
-        return 2.0 * a[i8] * p + c[i8] * c[i8] * p - bc * bc * p * p / s + q1[i8]
-
-    path = rk4_half_grid(rhs, float(model.G1), h, n_fine, backward=True, bound=bound,
-                         fail=partial(RiccatiBlowUp, "follower Riccati solution exploded"))
-    return FollowerRiccati(grid=grid, fine=path.nodes[::P_REFINE // P1_REFINE].copy())
+    fine = _solve_backward(rhs, float(model.G1), grid, _blow_up_bound(model.G1, blow_up_factor),
+                           "follower Riccati solution exploded")
+    return FollowerRiccati(grid=grid, fine=fine)
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,8 @@ class FollowerCoefficients:
 def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoefficients:
     """Evaluate the follower's coefficients once on the half grid, where P is sampled.
 
-    Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
+    Raises H3Violated if D1^2 P + R1 degenerates at a sample point, at the
+    failing time nearest T, where a backward solve meets it first.
     """
     grid = model.grid
     A, B1, B2, C, D1, D2, R1 = (model.nodes(k, P1_REFINE) for k in ("A", "B1", "B2", "C", "D1", "D2", "R1"))
@@ -237,7 +235,7 @@ def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoeffic
     s = D1 * D1 * p + R1
     bad = ~(s > INV_TOL * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
     if np.any(bad):
-        q = int(np.argmax(bad))
+        q = int(np.flatnonzero(bad)[-1])
         raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / P1_REFINE)
     s_inv = 1.0 / s
     bc = B1 + D1 * C
@@ -594,14 +592,14 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
                          blow_up_factor: float = 1e8) -> LeaderRiccati:
     """Integrate both leader Riccati equations backward.
 
-    Both equations step on the node grid (RK4 stages at half-grid points,
-    where the blocks are stored exactly).  The first is autonomous and is
-    solved first, for pi alone, with the gain inverses guarded at every RK4
-    stage; the second reads the first at its stage times, so its inverses
-    are computed and guarded once over the half grid, and kept.  Both read
-    their stage inputs (the first its corner entries, the second p1_terms
-    and its blocks) through a _window_reader of _STAGE_WINDOW indices, with
-    the same bits as a per-stage evaluation.  When D1 = D2 = 0 the inverses
+    Both equations step on the node grid through _solve_backward, as P
+    does (RK4 stages at half-grid points, where the blocks are stored).  The
+    first is autonomous and is solved first, for pi alone, with the gain
+    inverses guarded at every RK4 stage; the second reads the first at its
+    stage times, so its inverses are computed and guarded once over the half
+    grid, and kept.  Both read their stage inputs (the first its corner
+    entries, the second p1_terms and its blocks) through a _window_reader of
+    _STAGE_WINDOW indices, with the same bits as a per-stage evaluation.  When D1 = D2 = 0 the inverses
     are exactly the identity and the general right-hand sides reduce to the
     special-case forms.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
@@ -621,12 +619,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
         return rhs_p1(pi, a1, a3, a5, bb, cc, m2=m2)
 
-    def solve(rhs, terminal, label):
-        fail = partial(RiccatiBlowUp, f"leader Riccati solution ({label}) exploded")
-        path = rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound, fail=fail)
-        return path.half_values()
-
-    pi = solve(rhs1, float(blocks.gbar[0, 0]), "first")
+    pi = _solve_backward(rhs1, float(blocks.gbar[0, 0]), grid, bound, "leader Riccati solution (first) exploded")
     t, *_, e34, e44 = first
     m1, m2, det1, det2 = gain_inverses(pi, e34, e44, t, det_tol=det_tol)
     m1, m2, p1_fine = _matrix(m1), _matrix(m2), _matrix((pi, *[np.zeros_like(pi)] * 3))
@@ -650,7 +643,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     return LeaderRiccati(
         grid=grid,
         p1_fine=p1_fine,
-        p2_fine=solve(rhs2, np.zeros((2, 2)), "second"),
+        p2_fine=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
         m1=m1, m2=m2,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),

@@ -213,6 +213,20 @@ def test_follower_riccati_tanh_closed_form():
     assert np.max(np.abs(P.values - np.tanh(1.0 - times))) < 1e-12
 
 
+@pytest.mark.parametrize("case, exact", [(rational_case, lambda t: 1.0 / (1.0 + (1.0 - t))),
+                                         (tanh_case, lambda t: np.tanh(1.0 - t))])
+def test_follower_riccati_half_grid_fourth_order(case, exact):
+    # Even samples are RK4 nodes, odd ones Hermite midpoints; each converges
+    # at 4th order on its own.
+    def errors(steps):
+        P = solve_follower_P(case(steps)).fine
+        err = np.abs(P - exact(np.arange(len(P)) * (0.5 / steps)))
+        return np.array([err[::2].max(), err[1::2].max()])
+
+    ratios = errors(50) / errors(100)
+    assert np.all((12.0 <= ratios) & (ratios <= 20.0)), ratios
+
+
 def test_follower_riccati_zero_solution():
     m = make_model(steps=100, Q1=0.0, G1=0.0, D1=0.3, C=0.4)
     P = solve_follower_P(m)
@@ -257,10 +271,23 @@ def test_blow_up_guard_reports_time():
 
 def test_h3_guard_on_forged_input():
     # Valid weights keep D1^2 P + R1 positive, so force a negative P directly.
+    # It fails everywhere; the report names the failing time nearest T.
     m = make_model(steps=10, D1=1.0)
     forged = FollowerRiccati(grid=m.grid, fine=np.full(21, -1.0))
-    with pytest.raises(H3Violated):
+    with pytest.raises(H3Violated) as info:
         assemble_leader_blocks(m, forged)
+    assert info.value.time == pytest.approx(m.grid.horizon, rel=1e-12)
+
+
+def test_h3_guard_in_follower_solve_reports_half_grid_time():
+    # R1 < 0 at node 25 only: coming back from T, the first stage to read a
+    # negative R1 is the half point after node 25, (25 + 1/2) dt.
+    r1 = np.ones(41)
+    r1[25] = -5.0
+    m = make_model(steps=40, R1=r1, D1=0.3)
+    with pytest.raises(H3Violated) as info:
+        solve_follower_P(m)
+    assert info.value.time == pytest.approx(25.5 * m.grid.dt, rel=1e-12)
 
 
 # --- block assembly ---
@@ -619,15 +646,15 @@ def test_first_leader_equation_is_scalar_bit_for_bit(seed, varying):
 def test_first_leader_solution_is_the_leaders_own_riccati_equation(varying):
     # pi solves the follower's equation with the leader's coefficients
     # (B2, D2, Q2, R2, G2) in place of (B1, D1, Q1, R1, G1): the stochastic
-    # LQ Riccati equation with control-dependent diffusion.  The two solves
-    # step dt and dt/4, so they agree to the leader solve's truncation error.
+    # LQ Riccati equation with control-dependent diffusion.  Both solves take
+    # the same steps, so they agree to rounding.
     m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(17), steps=400))
     if varying:
         m = time_varying(m)
     leader = solve_leader_riccati(m, assemble_leader_blocks(m, solve_follower_P(m)))
     swapped = dataclasses.replace(m, B1=m.B2, D1=m.D2, Q1=m.Q2, R1=m.R2, G1=m.G2)
     P = solve_follower_P(swapped).fine
-    assert np.max(np.abs(leader.p1_fine[:, 0, 0] - P) / np.abs(P)) <= 1e-9
+    assert np.max(np.abs(leader.p1_fine[:, 0, 0] - P) / np.abs(P)) <= 1e-13
 
 
 # --- gain matrices ---
