@@ -46,7 +46,7 @@ def main():
     fP = solve_follower_P(fmodel)
     fp = solve_follower_filter(fmodel, fP, np.ones(100001))
     print(f"# {time.time() - t0:.0f}s, filter state at t=T, 100000 steps, unit filtered control")
-    print(f"XHAT_T_REF = {fp.xhat.nodes[-1]!r}")
+    print(f"XHAT_T_REF = {fp.xhat[-1]!r}")
 
     try:
         from scipy.integrate import solve_ivp

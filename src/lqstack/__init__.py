@@ -17,14 +17,14 @@ from .equilibrium import (AdjointReconstruction, EquilibriumSolution, FeedbackGa
                           leader_stationarity_residual, reconstruct_adjoints,
                           solve_equilibrium)
 from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
-                     ModelValidationError, NonFiniteState, OutOfRange, ParseError,
+                     ModelValidationError, NonFiniteState, ParseError,
                      RiccatiBlowUp, SolverError)
 from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import (Coefficient, LQModel, TimeGrid, Violation, check_hypotheses,
                     load_model, model_from_dict, sample_on_grid, validate_model)
-from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, P1Terms,
-                      Sigmas, assemble_leader_blocks, compute_sigmas, gain_inverses, p1_terms,
-                      sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
+from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, P1Terms, Sigmas,
+                      assemble_leader_blocks, compute_sigmas, gain_inverses, p1_terms, sigma1,
+                      sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 from .simulate import (ClosedLoopSystem, NoiseBundle, TrajectoryEnsemble,
                        backfill_theta, density_process, generate_noise,
                        simulate_closed_loop, simulate_open_loop)

@@ -204,7 +204,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
         float(np.max(np.abs(eq.leader.p1[-1] - eq.blocks.gbar))),
         float(np.max(np.abs(eq.leader.p2[-1]))),
         abs(eq.P.values[-1] - model.G1),
-        float(np.max(np.abs(eq.xhat.nodes[0] - np.array([model.x0, 0.0])))),
+        float(np.max(np.abs(eq.xhat[0] - np.array([model.x0, 0.0])))),
     )
     add("terminal_data", "algebraic", term, 0.0, "stored bit-exactly")
 
@@ -220,10 +220,10 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
     # The follower filter driven by the leader's filtered feedback must
     # reproduce the first component of the augmented estimate (same ODE,
     # 4th-order discretizations).
-    xh = eq.xhat.nodes
+    xh = eq.xhat[::2]
     u2hat = eq.u2hat_path()
     fp = solve_follower_filter(model, eq.P, u2hat)
-    route_gap = float(np.max(np.abs(fp.xhat.nodes - xh[:, 0])))
+    route_gap = float(np.max(np.abs(fp.xhat[::2] - xh[:, 0])))
     xh_scale = float(np.max(np.abs(xh[:, 0]))) + 1.0
     add("filter_route_consistency", "algebraic", route_gap,
         max(tol.structural_rel, 1e2 * dt ** 4) * xh_scale)
@@ -246,7 +246,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
         peak[name] = float(np.maximum(peak.get(name, 0.0), np.max(np.abs(values))))  # NaN propagates
 
     for ens in closed_loop_chunks(eq.closed_loop(), config.seed, config.paths):
-        theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, fp.theta_hat)
+        theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], u2hat, fp.theta_hat)
         recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
         fold("z", recon.z)
         fold("z_2", recon.z[1])

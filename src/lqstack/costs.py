@@ -37,8 +37,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumSolution, NodeMoments
 from .filtering import solve_follower_filter
-from .model import LQModel
-from .riccati import DeterministicPath
+from .model import LQModel, lift
 from .simulate import TrajectoryEnsemble, closed_loop_chunks, sensitivity_nodes
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .simulate import simulate_open_loop  # noqa: F401
@@ -184,12 +183,6 @@ def _curve(name: str, eps: np.ndarray, base_cost: np.ndarray,
     )
 
 
-def _shifted(path: DeterministicPath, v: np.ndarray) -> DeterministicPath:
-    """path + v, with v read linearly between nodes."""
-    return DeterministicPath(nodes=path.nodes + v,
-                             mids=path.half_values()[1::2] + 0.5 * (v[:-1] + v[1:]))
-
-
 class OptimalitySweep:
     """The optimality verifier, fed baseline ensembles chunk by chunk.
 
@@ -215,7 +208,8 @@ class OptimalitySweep:
         if which == "J2":
             u2hat = eq.u2hat_path()
             self.u1_lead = follower_response(eq, u2hat)
-            self.du1 = np.array([follower_response(eq, _shifted(u2hat, v)) - self.u1_lead for v in self.v])
+            n = eq.model.grid.steps
+            self.du1 = np.array([follower_response(eq, u2hat + lift(v, n)) - self.u1_lead for v in self.v])
         self.pairs = [(0, 0)] + [p for i in range(1, k + 1) for p in ((0, i), (i, i))]
         self.parts: list[np.ndarray] = []  # per chunk: base cost, then a and b of each direction
 
@@ -260,14 +254,16 @@ def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnse
     return OptimalitySweep(eq, "J1", directions, eps_list).add(baseline).report()
 
 
-def follower_response(eq: EquilibriumSolution, u2hat: DeterministicPath) -> np.ndarray:
+def follower_response(eq: EquilibriumSolution, u2hat) -> np.ndarray:
     """The follower's optimal deterministic control for a filtered leader control.
 
-    Re-solves the filtering pair under u2hat and evaluates the follower's
-    control law at the nodes.
+    u2hat is a (2N+1,) half-grid path or (N+1,) node samples, read linearly
+    between nodes.  Re-solves the filtering pair under u2hat and evaluates
+    the follower's control law at the nodes.
     """
+    u2hat = lift(u2hat, eq.model.grid.steps)
     fp = solve_follower_filter(eq.model, eq.P, u2hat)
-    return eq.blocks.follower.control(fp.xhat.nodes, fp.theta_hat.nodes, u2hat.nodes)
+    return eq.blocks.follower.control(fp.xhat[::2], fp.theta_hat[::2], u2hat[::2])
 
 
 def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
@@ -338,7 +334,7 @@ def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.n
     features.
     """
     model = eq.model
-    xhat = eq.xhat_scalar_path().nodes
+    xhat = eq.xhat[::2, 0]
     v1 = np.array([baseline.u1, xhat, np.ones_like(xhat)])
     nodes = zip(baseline.x, sensitivity_nodes(model, v1, np.zeros_like(v1), baseline.noise))
     forms = _pair_forms(model, "J1", baseline.m, ([xk - dx[0], dx[1], dx[2]] for xk, dx in nodes),

@@ -21,9 +21,8 @@ import numpy as np
 
 from .filtering import solve_leader_xhat
 from .model import LQModel, validate_model
-from .riccati import (P1_REFINE, DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati,
-                      Sigmas, assemble_leader_blocks, compute_sigmas, solve_follower_P,
-                      solve_leader_riccati)
+from .riccati import (P1_REFINE, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
+                      assemble_leader_blocks, compute_sigmas, solve_follower_P, solve_leader_riccati)
 from .simulate import ClosedLoopSystem, TrajectoryEnsemble
 
 
@@ -109,7 +108,10 @@ def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Si
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Everything the closed-loop equilibrium needs, solved once per model."""
+    """Everything the closed-loop equilibrium needs, solved once per model.
+
+    xhat is the (2N+1, 2) half-grid path of the filtered augmented state.
+    """
 
     model: LQModel
     P: FollowerRiccati
@@ -117,24 +119,19 @@ class EquilibriumSolution:
     leader: LeaderRiccati
     sigmas: Sigmas
     gains: FeedbackGains
-    xhat: DeterministicPath
+    xhat: np.ndarray
 
     def closed_loop(self) -> ClosedLoopSystem:
         fx, fxh, gx, gxh = closed_loop_matrices(self.blocks, self.leader, self.sigmas)
         return ClosedLoopSystem(
             grid=self.model.grid, drift_x=fx, drift_xhat=fxh, diff_x=gx, diff_xhat=gxh,
             lx=self.gains.lx_nodes, lxhat=self.gains.lxhat_nodes, f=self.gains.f_nodes,
-            xhat=self.xhat,
+            xhat=self.xhat[::2],
         )
 
-    def u2hat_path(self) -> DeterministicPath:
-        """The leader's filtered equilibrium control."""
-        vals = np.einsum("ji,ji->j", self.gains.lhat, self.xhat.half_values())
-        return DeterministicPath(nodes=vals[::2], mids=vals[1::2])
-
-    def xhat_scalar_path(self) -> DeterministicPath:
-        """First component of the filtered augmented state."""
-        return DeterministicPath(nodes=self.xhat.nodes[:, 0], mids=self.xhat.mids[:, 0])
+    def u2hat_path(self) -> np.ndarray:
+        """The leader's filtered equilibrium control, a (2N+1,) half-grid path."""
+        return np.einsum("ji,ji->j", self.gains.lhat, self.xhat)
 
 
 def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
@@ -175,7 +172,7 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
 
     p = pn * x + theta
     k = pn * (C * x + (eq.model.nodes("D1") * ens.u1)[:, None] + D2 * ens.u2)
-    xh = eq.xhat.nodes[:, :, None]
+    xh = eq.xhat[::2, :, None]
     scratch = np.empty_like(x)
 
     def affine(gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -259,7 +256,7 @@ def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
     Its first component is the filtered phi of the leader's condition, its
     second the follower's filtered offset theta_hat.
     """
-    return np.einsum("kij,kj->ki", eq.leader.p1 + eq.leader.p2, eq.xhat.nodes)
+    return np.einsum("kij,kj->ki", eq.leader.p1 + eq.leader.p2, eq.xhat[::2])
 
 
 def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
@@ -269,7 +266,7 @@ def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
     the filtered leader control read from the leader's solution: an
     algebraic identity, zero to rounding.
     """
-    xh = eq.xhat.nodes
+    xh = eq.xhat[::2]
     u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
     u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
     u1_sub = eq.blocks.follower.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], u2hat)
@@ -308,8 +305,8 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     c_deltah = blocks.d3[qn, 0]
     c_qh = blocks.d5[qn, 1]
     # The filtered terms, shared by every path: phi_hat, delta_hat = (s1 xhat)[0] and q_hat.
-    delta_hat = (eq.sigmas.s1_nodes @ eq.xhat.nodes[:, :, None])[:, 0, 0]
-    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * eq.xhat.nodes[:, 1]
+    delta_hat = (eq.sigmas.s1_nodes @ eq.xhat[::2, :, None])[:, 0, 0]
+    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * eq.xhat[::2, 1]
 
     # phi = y[0], delta = z[0].  Each term is added into the control's buffer
     # once its maximum is taken, in the order control + adjoint

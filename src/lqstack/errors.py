@@ -24,10 +24,6 @@ class ModelValidationError(LQStackError):
         super().__init__(f"model validation failed: {lines}")
 
 
-class OutOfRange(LQStackError):
-    """Time argument outside [0, T] beyond tolerance."""
-
-
 class SolverError(LQStackError):
     """Base class for failures during the ODE solves and the Euler simulations.
 

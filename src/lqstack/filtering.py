@@ -11,13 +11,15 @@ about the state noise, so the conditional expectations solve plain ODEs:
 
 Each is solved by riccati.rk4_half_grid, the integrator every deterministic
 ODE of the equilibrium goes through: RK4 on the node grid with stages at
-half-grid points, so a step never crosses a kink of a piecewise-linear input,
-returning node values with cubic-Hermite midpoints, which keeps every
-consumer of off-node values at the integrator's accuracy.  The follower's
-pair reads its coefficients from riccati.follower_coefficients.  The pathwise
-offset reconstruction (simulate.backfill_theta) starts from the filtered
-offset solved here and keeps its own RK4 loop for the deviation from it, as
-that state is a whole ensemble.
+half-grid points, so a step never crosses a kink of a piecewise-linear input.
+Each path is a (2N+1, ...) half-grid array of node values and cubic-Hermite
+midpoints, which keeps every consumer of off-node values at the integrator's
+accuracy; a path input given at the nodes only is read linearly between them
+(model.lift).  The follower's pair reads its coefficients from
+riccati.follower_coefficients.  The pathwise offset reconstruction
+(simulate.backfill_theta) starts from the filtered offset solved here and
+integrates the deviation from it, one column per path, through the same
+integrator.
 """
 
 from __future__ import annotations
@@ -28,40 +30,34 @@ from functools import partial
 import numpy as np
 
 from .errors import SolverError
-from .model import LQModel
-from .riccati import (DeterministicPath, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
-                      follower_coefficients, rk4_half_grid)
-
-
-def as_path(u) -> DeterministicPath:
-    if isinstance(u, DeterministicPath):
-        return u
-    return DeterministicPath(nodes=np.asarray(u, dtype=float))
+from .model import LQModel, lift
+from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, follower_coefficients,
+                      rk4_half_grid)
 
 
 @dataclass(frozen=True)
 class FilterPath:
-    """Follower's filtered state and filtered offset.
+    """Follower's filtered state and filtered offset, (2N+1,) half-grid arrays.
 
     xhat(0) = x0 exactly; theta_hat(T) = 0 exactly.
     """
 
-    xhat: DeterministicPath
-    theta_hat: DeterministicPath
+    xhat: np.ndarray
+    theta_hat: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness guards report overflow
 def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPath:
     """Solve the follower's filtering pair for a given filtered leader control.
 
-    u2hat is a deterministic time function: a (N+1,) array of node samples
-    (piecewise linear off-node) or a DeterministicPath carrying midpoints.
+    u2hat is a deterministic time function: (N+1,) node samples (read
+    linearly between nodes) or (2N+1,) half-grid samples.
     The offset integrates backward from 0 using only (u2hat, itself); the
     filtered state then integrates forward from x0 using (offset, u2hat).
     Raises SolverError at the first node where either solution is not finite.
     """
     grid = model.grid
-    u2_half = as_path(u2hat).half_values().tolist()
+    u2_half = lift(u2hat, grid.steps).tolist()
     fol = follower_coefficients(model, P)
     theta_self, theta_u2 = fol.theta_self.tolist(), fol.theta_u2.tolist()
 
@@ -70,7 +66,7 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
 
     theta = rk4_half_grid(dtheta_dtau, 0.0, grid.dt, grid.steps, backward=True,
                           fail=partial(SolverError, "follower's filtered offset is not finite"))
-    theta_half = theta.half_values().tolist()
+    theta_half = theta.tolist()
 
     # The follower's control enters the state drift as B1 u1.
     drift_x = (model.nodes("A", 2) - fol.drift[0]).tolist()
@@ -96,11 +92,11 @@ def leader_xhat_matrix(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigm
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness guards report overflow
 def solve_leader_xhat(model: LQModel, blocks: LeaderBlocks, leader: LeaderRiccati,
-                      sigmas: Sigmas) -> DeterministicPath:
+                      sigmas: Sigmas) -> np.ndarray:
     """Integrate the filtered augmented state forward from (x0, 0) by RK4.
 
-    The path's values are 2-vectors (filtered state, filtered
-    adjoint-forward component); nodes[0] = (x0, 0) exactly.  Raises
+    The (2N+1, 2) half-grid path of 2-vectors (filtered state, filtered
+    adjoint-forward component); its row 0 is (x0, 0) exactly.  Raises
     SolverError at the first node where the state is not finite.
     """
     K = leader_xhat_matrix(blocks, leader, sigmas)

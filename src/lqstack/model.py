@@ -68,22 +68,45 @@ class Violation:
     detail: str
 
 
+def lift(values, steps: int) -> np.ndarray:
+    """Half-grid samples (index j at t = j * dt/2) of a deterministic path.
+
+    Node samples, shape (steps+1, ...), are read linearly between nodes:
+    node k goes to index 2k, the midpoint of [t_k, t_k+1] to 2k+1.
+    Half-grid samples, shape (2*steps+1, ...), are returned unchanged; any
+    other length raises ValueError.
+    """
+    values = np.asarray(values, dtype=float)
+    if len(values) == 2 * steps + 1:
+        return values
+    if len(values) != steps + 1:
+        raise ValueError(f"expected {steps + 1} node or {2 * steps + 1} half-grid samples, got {len(values)}")
+    out = np.empty((2 * steps + 1, *values.shape[1:]))
+    out[::2] = values
+    linear_midpoints(out)
+    return out
+
+
+def linear_midpoints(half: np.ndarray) -> np.ndarray:
+    """Set every odd row of a half-grid array to 0.5 * (a + b) of its two even
+    neighbours, in place, and return the odd rows (a view)."""
+    mids = np.add(half[:-2:2], half[2::2], out=half[1::2])
+    mids *= 0.5
+    return mids
+
+
 def sample_on_grid(fn: Coefficient, grid: TimeGrid, refine: int = 1) -> np.ndarray:
-    """Coefficient values on the refine-times finer grid (length refine*N+1).
+    """Coefficient values on the nodes (refine=1) or on the half grid (refine=2).
 
     Node values are copied exactly (no interpolation error at nodes);
-    intermediate values interpolate linearly.
+    midpoints interpolate linearly (lift).
     """
-    n_fine = refine * grid.steps
+    if refine not in (1, 2):
+        raise ValueError(f"refine must be 1 or 2, got {refine}")
     if np.isscalar(fn) or np.ndim(fn) == 0:
-        return np.full(n_fine + 1, float(fn))
-    values = np.asarray(fn, dtype=float)
-    out = np.empty(n_fine + 1)
-    out[::refine] = values
-    for s in range(1, refine):
-        w = s / refine
-        out[s::refine] = (1.0 - w) * values[:-1] + w * values[1:]
-    return out
+        return np.full(refine * grid.steps + 1, float(fn))
+    values = np.array(fn, dtype=float)
+    return values if refine == 1 else lift(values, grid.steps)
 
 
 _DYNAMICS = ("A", "B1", "B2", "C", "D1", "D2", "h")

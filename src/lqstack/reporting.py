@@ -60,8 +60,8 @@ def write_gains_csv(path, times, gains) -> None:
 
 def write_xhat_csv(path, times, filter_path, leader_path) -> None:
     header = ["t", "xhat", "theta_hat", "XHAT_1", "XHAT_2"]
-    write_csv(path, header, [times, filter_path.xhat.nodes, filter_path.theta_hat.nodes,
-                             leader_path.nodes[:, 0], leader_path.nodes[:, 1]])
+    write_csv(path, header, [times, filter_path.xhat[::2], filter_path.theta_hat[::2],
+                             leader_path[::2, 0], leader_path[::2, 1]])
 
 
 def write_trajectories_csv(path, ens, max_paths: int = TRAJECTORY_PATHS) -> None:

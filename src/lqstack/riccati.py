@@ -4,8 +4,10 @@ Every deterministic ODE of the equilibrium -- the follower's Riccati
 equation, the leader's two Riccati equations, the follower's filtered
 pair and the leader's filtered state -- and the pathwise offset of
 simulate.backfill_theta are solved by rk4_half_grid: classical RK4 with its
-stages at half points of the step, which returns the node values together
-with cubic-Hermite midpoints (4th order, from node values and node slopes).
+stages at half points of the step.  It returns the path as a (2N+1, ...)
+half-grid array, the one representation of every deterministic path: index j
+is t = j * dt/2, node values at even indices and cubic-Hermite midpoints (4th
+order, from node values and node slopes) at odd ones.
 
 The Riccati equations, integrated under the time reversal tau = T - t:
 
@@ -63,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from .errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
-from .model import LQModel, TimeGrid
+from .model import LQModel, TimeGrid, linear_midpoints
 
 # Samples per node interval of every half-grid array: index j of those is
 # t = j * dt/2.
@@ -78,32 +80,12 @@ _STAGE_WINDOW = 64
 _SIGMA_WINDOW = 512
 
 
-@dataclass(frozen=True)
-class DeterministicPath:
-    """Time path on the node grid, scalar or vector valued, with midpoints.
-
-    nodes[k] is the value at t_k; mids[k], when given, the value at the
-    midpoint of [t_k, t_k+1].  Without midpoints the path is read linearly
-    between nodes.
-    """
-
-    nodes: np.ndarray
-    mids: np.ndarray | None = None
-
-    def half_values(self) -> np.ndarray:
-        """Node and midpoint values interleaved on the half grid, shape (2N+1, ...)."""
-        n = len(self.nodes) - 1
-        out = np.empty((2 * n + 1, *self.nodes.shape[1:]))
-        out[::2] = self.nodes
-        out[1::2] = self.mids if self.mids is not None else 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return out
-
-
 def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
-                  bound: float = np.finfo(float).max, fail) -> DeterministicPath:
+                  bound: float = np.finfo(float).max, fail) -> np.ndarray:
     """Classical RK4 over `steps` steps of size h, stages at half points.
 
-    Node k is at t = k h and half point j at t = j h/2.  rhs(j, y) is the
+    Returns the (2*steps+1, ...) half-grid path: index j is at t = j h/2,
+    node k at index 2k and the midpoint of its step at 2k+1.  rhs(j, y) is the
     derivative of y in the stepping direction: d/dt forward from node 0, or
     d/dtau (tau = T - t) backward from node `steps`; y0 is stored there
     exactly.  Each new node must have every component within [-bound,
@@ -115,7 +97,8 @@ def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
     """
     d = -1 if backward else 1
     k = steps if backward else 0
-    nodes = np.empty((steps + 1, *np.shape(y0)))
+    out = np.empty((2 * steps + 1, *np.shape(y0)))
+    nodes = out[::2]
     slopes = np.empty_like(nodes)
     nodes[k] = y0
     y = y0
@@ -132,9 +115,11 @@ def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
             raise fail(k * h)
         nodes[k] = y
     slopes[k] = rhs(2 * k, y)
-    # Slopes are taken in the stepping direction, hence the sign d.
-    mids = 0.5 * (nodes[:-1] + nodes[1:]) + (d * h / 8.0) * (slopes[:-1] - slopes[1:])
-    return DeterministicPath(nodes=nodes, mids=mids)
+    # The linear midpoint plus (d h/8)(s_a - s_b), formed in place; slopes are
+    # taken in the stepping direction, hence the sign d.
+    mids = linear_midpoints(out)
+    mids += (d * h / 8.0) * (slopes[:-1] - slopes[1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,6 @@ class FollowerRiccati:
     P(T) = G1 exactly.
     """
 
-    grid: TimeGrid
     fine: np.ndarray
 
     @property
@@ -163,9 +147,8 @@ def _solve_backward(rhs, terminal, grid: TimeGrid, bound: float, message: str) -
 
     Raises RiccatiBlowUp(message) when a node value is not finite or exceeds bound.
     """
-    path = rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound,
+    return rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True, bound=bound,
                          fail=partial(RiccatiBlowUp, message))
-    return path.half_values()
 
 
 def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> FollowerRiccati:
@@ -189,7 +172,7 @@ def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> Follower
 
     fine = _solve_backward(rhs, float(model.G1), grid, _blow_up_bound(model.G1, blow_up_factor),
                            "follower Riccati solution exploded")
-    return FollowerRiccati(grid=grid, fine=fine)
+    return FollowerRiccati(fine=fine)
 
 
 @dataclass(frozen=True)
@@ -550,7 +533,6 @@ class LeaderRiccati:
     inverses seen during integration.
     """
 
-    grid: TimeGrid
     p1_fine: np.ndarray
     p2_fine: np.ndarray
     m1: np.ndarray
@@ -641,7 +623,6 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         return _matrix(rhs_p2(P1Terms._make(terms), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
 
     return LeaderRiccati(
-        grid=grid,
         p1_fine=p1_fine,
         p2_fine=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
         m1=m1, m2=m2,
@@ -654,7 +635,6 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
 class Sigmas:
     """Half-grid samples (t = j * dt/2) of the three adjoint-diffusion gains."""
 
-    grid: TimeGrid
     s1: np.ndarray
     s2: np.ndarray
     s3: np.ndarray
@@ -686,4 +666,4 @@ def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
         p2 = _entries(leader.p2_fine[q])
         s1q = sigma1(f, p2)
         s1[q], s2[q], s3[q] = _matrix(s1q), _matrix(sigma2(f, blocks, q)), _matrix(sigma3(f, p2, s1q))
-    return Sigmas(grid=leader.grid, s1=s1, s2=s2, s3=s3)
+    return Sigmas(s1=s1, s2=s2, s3=s3)

@@ -26,9 +26,8 @@ from functools import cached_property, partial, reduce
 import numpy as np
 
 from .errors import NonFiniteState, SolverError
-from .filtering import as_path
-from .model import LQModel, TimeGrid
-from .riccati import DeterministicPath, FollowerRiccati, follower_coefficients, rk4_half_grid
+from .model import LQModel, TimeGrid, lift
+from .riccati import FollowerRiccati, follower_coefficients, rk4_half_grid
 
 
 CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
@@ -130,7 +129,8 @@ class ClosedLoopSystem:
 
     dX = [drift_x X + drift_xhat Xhat] dt + [diff_x X + diff_xhat Xhat] dW,
     with the leader control  u2 = lx . X + lxhat . Xhat  and the follower
-    control  u1 = f . Xhat  recorded along the way.
+    control  u1 = f . Xhat  recorded along the way; xhat holds the (N+1, 2)
+    node rows of Xhat, the only rows the Euler kernel reads.
     """
 
     grid: TimeGrid
@@ -141,7 +141,7 @@ class ClosedLoopSystem:
     lx: np.ndarray
     lxhat: np.ndarray
     f: np.ndarray
-    xhat: DeterministicPath
+    xhat: np.ndarray
 
 
 def _node_products(coef: np.ndarray, xh: np.ndarray) -> np.ndarray:
@@ -177,7 +177,7 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
     n = grid.steps
     dt = grid.dt
     m = noise.m
-    xh = system.xhat.nodes
+    xh = system.xhat
     # The terms every path shares, once per node.
     u1 = _node_products(system.f, xh)
     u2_shared = _node_products(system.lxhat, xh).tolist()
@@ -225,8 +225,8 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     n = grid.steps
     dt = grid.dt
     m = noise.m
-    u1 = u1.nodes if isinstance(u1, DeterministicPath) else np.asarray(u1, dtype=float)
-    u2 = u2.nodes if isinstance(u2, DeterministicPath) else np.asarray(u2, dtype=float)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
     A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
     a, c = A.tolist(), C.tolist()
     dw = noise.dw
@@ -276,44 +276,38 @@ def sensitivity_nodes(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: Noi
 
 
 def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
-                   xhat: DeterministicPath, u2hat, theta_hat) -> np.ndarray:
+                   xhat, u2hat, theta_hat) -> np.ndarray:
     """Pathwise backward reconstruction of the follower's adjoint offset.
 
-    theta = theta_hat + e along each realized path, where theta_hat (a
-    DeterministicPath or node array) is the filtered offset that
-    solve_follower_filter gives for u2hat.  The deviation e integrates
-    backward from e(T) = 0 by rk4_half_grid,
+    theta = theta_hat + e along each realized path, where theta_hat is the
+    filtered offset that solve_follower_filter gives for u2hat.  The
+    deviation e integrates backward from e(T) = 0 by rk4_half_grid,
         de/dtau = bc^2 s_inv P^2 (x - xhat) + (B2 + D2 C) P (u2 - u2hat) + A e,
-    reading the path and controls piecewise-linearly between nodes.  RK4 is
-    linear, so this equals integrating the offset and its filtered value
-    jointly, and a path that coincides with its filter gives theta_hat
-    exactly.  x and a per-path u2 are (N+1, m), or (N+1,) for one path, and
-    so is the result.  Used for residual verification only; the
-    reconstruction anticipates the path and is never fed back into controls.
+    with its forcing formed on the half grid.  Every input is lifted there
+    (model.lift): the deterministic paths xhat, u2hat and theta_hat are
+    (2N+1,) half-grid or (N+1,) node arrays, and x and a per-path u2 are
+    (N+1, m) node arrays, or (N+1,) or (2N+1,) for one path, read linearly
+    between nodes.  RK4 is linear, so this equals integrating the offset and
+    its filtered value jointly, and a path that coincides with its filter
+    gives theta_hat exactly.  The result is (N+1, m), one column per path.
+    Used for residual verification only; the reconstruction anticipates the
+    path and is never fed back into controls.
     """
     grid = model.grid
     n = grid.steps
 
-    def half_gap(arr, filtered) -> np.ndarray:
-        """arr - filtered on the half grid, one column per path (or one shared
-        column); paths interpolate linearly, deterministic paths carry their
-        own midpoints."""
-        if isinstance(arr, DeterministicPath):
-            return (arr.half_values() - filtered.half_values())[:, None]
-        nodes = np.asarray(arr, dtype=float).reshape(n + 1, -1)
-        out = np.empty((2 * n + 1, nodes.shape[1]))
-        out[::2] = nodes
-        out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        out -= filtered.half_values()[:, None]
+    def gap(arr, filtered, coef) -> np.ndarray:
+        """coef (arr - filtered) on the half grid, one column per path (or one shared column)."""
+        out = lift(arr, n).reshape(2 * n + 1, -1) - lift(filtered, n)[:, None]
+        out *= coef[:, None]
         return out
 
     fol = follower_coefficients(model, P)
     A = model.nodes("A", 2)
-    # The deviation's forcing on the half grid j = 0..2N, one column per path.
-    forcing = half_gap(x, xhat) * fol.offset[0][:, None] + half_gap(u2, as_path(u2hat)) * fol.offset_u2[:, None]
+    forcing = gap(x, xhat, fol.offset[0]) + gap(u2, u2hat, fol.offset_u2)
     e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), grid.dt, n,
                       backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
-    return e.nodes + as_path(theta_hat).nodes[:, None]
+    return e[::2] + lift(theta_hat, n)[::2, None]
 
 
 def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:

@@ -3,8 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lqstack.errors import OutOfRange
+from lqstack.errors import LQStackError
 from lqstack.model import _MODEL_KEYS, Coefficient, LQModel, TimeGrid
+
+
+class OutOfRange(LQStackError):
+    """Time argument outside [0, T] beyond tolerance."""
 
 
 def make_model(steps=200, horizon=1.0, **overrides):
@@ -81,7 +85,7 @@ def backfill(eq, ens):
     from lqstack.simulate import backfill_theta
     u2hat = eq.u2hat_path()
     theta_hat = solve_follower_filter(eq.model, eq.P, u2hat).theta_hat
-    return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat_scalar_path(), u2hat, theta_hat)
+    return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], u2hat, theta_hat)
 
 
 @pytest.fixture(scope="session")

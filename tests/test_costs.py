@@ -10,7 +10,7 @@ from lqstack.costs import (OptimalitySweep, estimate_J1, estimate_J2, follower_r
                            grid_features, pathwise_J1, pathwise_J2, verify_follower_optimality,
                            verify_leader_optimality, verify_optimality_chunked)
 from lqstack.equilibrium import bsde_residual, reconstruct_adjoints, solve_equilibrium
-from lqstack.filtering import DeterministicPath
+from lqstack.model import lift
 from lqstack.simulate import generate_noise, simulate_closed_loop, simulate_open_loop
 
 from conftest import backfill, make_model, random_admissible_model, time_varying
@@ -250,7 +250,7 @@ def test_grid_search_dominance_benchmark(eq_ens_small):
 
 def test_follower_response_matches_gain_form(eq_b200):
     u1 = follower_response(eq_b200, eq_b200.u2hat_path())
-    u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f_nodes, eq_b200.xhat.nodes)
+    u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f_nodes, eq_b200.xhat[::2])
     assert np.max(np.abs(u1 - u1_gain)) <= 1e-9
 
 
@@ -298,8 +298,7 @@ def test_leader_sweep_matches_resimulation(eq_ens_oracle):
     u2hat = eq.u2hat_path()
 
     def run(e, v):
-        shifted = DeterministicPath(nodes=u2hat.nodes + e * v,
-                                    mids=u2hat.half_values()[1::2] + e * 0.5 * (v[:-1] + v[1:]))
+        shifted = u2hat + e * lift(v, model.grid.steps)
         u1 = follower_response(eq, shifted)
         return pathwise_J2(model, simulate_open_loop(model, u1, ens.u2 + e * v[:, None], ens.noise))
 
@@ -311,7 +310,7 @@ def test_leader_sweep_matches_resimulation(eq_ens_oracle):
 def test_grid_search_matches_resimulation(eq_ens_oracle):
     eq, ens = eq_ens_oracle
     model = eq.model
-    xhat = eq.xhat_scalar_path().nodes
+    xhat = eq.xhat[::2, 0]
     alphas, betas = [-3.0, 0.4, 2.5], [-1.5, 0.0, 3.0]
     res = gain_grid_search(eq, ens, alphas, betas)
     for i, (a, b) in enumerate(zip(alphas, betas)):

@@ -74,7 +74,7 @@ def test_follower_two_form_consistency(eq_b200):
     D1 = model.nodes("D1")
     D2 = model.nodes("D2")
     si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
-    xh = eq.xhat.nodes
+    xh = eq.xhat[::2]
     n = model.grid.steps
     u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
     theta_rec = np.array([(eq.leader.p1[k] + eq.leader.p2[k])[1] @ xh[k] for k in range(n + 1)])
@@ -95,7 +95,7 @@ def test_two_form_consistency_with_diffusion_controls():
     D1 = m.nodes("D1")
     D2 = m.nodes("D2")
     si = 1.0 / (D1 * D1 * pn + m.nodes("R1"))
-    xh = eq.xhat.nodes
+    xh = eq.xhat[::2]
     u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
     theta_rec = np.array([(eq.leader.p1[k] + eq.leader.p2[k])[1] @ xh[k] for k in range(n + 1)])
     u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
@@ -198,10 +198,10 @@ def test_follower_stationarity_deterministic_degenerate():
     m = make_model(steps=400, C=0.0)
     eq = solve_equilibrium(m)
     fp = solve_follower_filter(m, eq.P, eq.u2hat_path())
-    x = fp.xhat.nodes[:, None]
-    q_path = eq.xhat.nodes[:, 1][:, None]
-    u1 = np.einsum("ki,ki->k", eq.gains.f_nodes, eq.xhat.nodes)
-    u2 = eq.u2hat_path().nodes[:, None]
+    x = fp.xhat[::2, None]
+    q_path = eq.xhat[::2, 1][:, None]
+    u1 = np.einsum("ki,ki->k", eq.gains.f_nodes, eq.xhat[::2])
+    u2 = eq.u2hat_path()[::2, None]
     theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path(), fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)
@@ -319,7 +319,7 @@ def test_time_varying_leader_self_convergence():
     # solve by about 4.
     eqs = [solve_equilibrium(time_varying_model(steps)) for steps in (100, 200, 400, 800)]
     quantities = {"P": lambda eq: eq.P.values, "p1": lambda eq: eq.leader.p1,
-                  "p2": lambda eq: eq.leader.p2, "xhat": lambda eq: eq.xhat.nodes}
+                  "p2": lambda eq: eq.leader.p2, "xhat": lambda eq: eq.xhat[::2]}
     for name, get in quantities.items():
         gaps = [np.max(np.abs(get(coarse) - get(fine)[::2])) for coarse, fine in zip(eqs, eqs[1:])]
         for g1, g2 in zip(gaps, gaps[1:]):

@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 from lqstack.equilibrium import solve_equilibrium
 from lqstack.errors import SolverError
 from lqstack.filtering import solve_follower_filter
-from lqstack.riccati import DeterministicPath, solve_follower_P
+from lqstack.model import TimeGrid, lift, sample_on_grid
+from lqstack.riccati import solve_follower_P
+from lqstack.simulate import backfill_theta
 
 from conftest import make_model, random_admissible_model
 
@@ -29,32 +31,32 @@ def test_zero_control_zero_offset_and_exponential_state():
     m = make_model(steps=400, A=0.7, Q1=0.0, G1=0.0)
     P = solve_follower_P(m)
     fp = solve_follower_filter(m, P, np.zeros(401))
-    assert np.all(fp.theta_hat.nodes == 0.0)
+    assert np.all(fp.theta_hat[::2] == 0.0)
     times = m.grid.times()
-    assert np.max(np.abs(fp.xhat.nodes - np.exp(0.7 * times))) < 1e-10
+    assert np.max(np.abs(fp.xhat[::2] - np.exp(0.7 * times))) < 1e-10
 
 
 def test_zero_control_zero_offset_any_model():
     m = make_model(steps=300, D1=0.4, D2=0.2, C=0.5)
     P = solve_follower_P(m)
     fp = solve_follower_filter(m, P, np.zeros(301))
-    assert np.all(fp.theta_hat.nodes == 0.0)
-    assert np.all(fp.theta_hat.mids == 0.0)
+    assert np.all(fp.theta_hat[::2] == 0.0)
+    assert np.all(fp.theta_hat[1::2] == 0.0)
 
 
 def test_terminal_offset_and_initial_state_exact():
     m = make_model(steps=100)
     P = solve_follower_P(m)
     fp = solve_follower_filter(m, P, np.linspace(0.5, -0.5, 101))
-    assert fp.theta_hat.nodes[-1] == 0.0
-    assert fp.xhat.nodes[0] == m.x0
+    assert fp.theta_hat[-1] == 0.0
+    assert fp.xhat[0] == m.x0
 
 
 def test_filter_self_convergence():
     m = filter_model(1000)
     P = solve_follower_P(m)
     fp = solve_follower_filter(m, P, np.ones(1001))
-    assert abs(fp.xhat.nodes[-1] - XHAT_T_REF) < 1e-8
+    assert abs(fp.xhat[-1] - XHAT_T_REF) < 1e-8
 
 
 def test_filter_against_adaptive_integrator():
@@ -74,7 +76,7 @@ def test_filter_against_adaptive_integrator():
         return [-p * y[0] - th.sol(t)[0] + 1.0]
 
     xh = solve_ivp(xhat_rhs, (0.0, 1.0), [1.0], rtol=1e-12, atol=1e-14)
-    assert abs(fp.xhat.nodes[-1] - xh.y[0, -1]) < 1e-9
+    assert abs(fp.xhat[-1] - xh.y[0, -1]) < 1e-9
 
 
 def test_filter_substitution_residual_second_order():
@@ -85,8 +87,8 @@ def test_filter_substitution_residual_second_order():
         fp = solve_follower_filter(m, P, u2)
         dt = m.grid.dt
         pn = P.values
-        x = fp.xhat.nodes
-        th = fp.theta_hat.nodes
+        x = fp.xhat[::2]
+        th = fp.theta_hat[::2]
         dx = (x[2:] - x[:-2]) / (2.0 * dt)
         dth = (th[2:] - th[:-2]) / (2.0 * dt)
         inner = slice(1, steps)
@@ -104,17 +106,17 @@ def test_leader_xhat_trivial_cases(eq_b200):
     from lqstack.equilibrium import solve_equilibrium
     eq = solve_equilibrium(m)
     times = m.grid.times()
-    assert np.max(np.abs(eq.xhat.nodes[:, 0] - np.exp(0.1 * times))) < 1e-10
-    assert np.all(eq.xhat.nodes[:, 1] == 0.0)
+    assert np.max(np.abs(eq.xhat[::2, 0] - np.exp(0.1 * times))) < 1e-10
+    assert np.all(eq.xhat[::2, 1] == 0.0)
 
     # zero initial state: homogeneous linear ODE stays at zero
     m0 = make_model(steps=200, x0=0.0)
     eq0 = solve_equilibrium(m0)
-    assert np.all(eq0.xhat.nodes == 0.0)
+    assert np.all(eq0.xhat[::2] == 0.0)
 
 
 def test_leader_xhat_initial_exact(eq_b200):
-    assert np.array_equal(eq_b200.xhat.nodes[0], [1.0, 0.0])
+    assert np.array_equal(eq_b200.xhat[0], [1.0, 0.0])
 
 
 def test_two_xhat_routes_agree(eq_b400):
@@ -122,8 +124,8 @@ def test_two_xhat_routes_agree(eq_b400):
     # driven by the leader's filtered feedback discretize the same ODE.
     eq = eq_b400
     fp = solve_follower_filter(eq.model, eq.P, eq.u2hat_path())
-    scale = np.max(np.abs(eq.xhat.nodes[:, 0]))
-    assert np.max(np.abs(fp.xhat.nodes - eq.xhat.nodes[:, 0])) <= 1e-9 * scale
+    scale = np.max(np.abs(eq.xhat[::2, 0]))
+    assert np.max(np.abs(fp.xhat[::2] - eq.xhat[::2, 0])) <= 1e-9 * scale
 
 
 
@@ -143,8 +145,8 @@ def test_linearity_in_initial_state():
     m1 = make_model(steps=150, x0=1.25)
     m2 = make_model(steps=150, x0=2.5)
     from lqstack.equilibrium import solve_equilibrium
-    a = solve_equilibrium(m1).xhat.nodes
-    b = solve_equilibrium(m2).xhat.nodes
+    a = solve_equilibrium(m1).xhat[::2]
+    b = solve_equilibrium(m2).xhat[::2]
     # doubling x0 doubles the whole path (exact: scaling by 2 is lossless)
     assert np.array_equal(2.0 * a, b)
 
@@ -165,15 +167,39 @@ def test_linearity_in_initial_state_random_models(seed, c):
     fa = solve_follower_filter(m, a.P, a.u2hat_path())
     fb = solve_follower_filter(b.model, b.P, b.u2hat_path())
     for pa, pb in ((a.xhat, b.xhat), (fa.xhat, fb.xhat), (fa.theta_hat, fb.theta_hat)):
-        assert np.array_equal(c * pa.nodes, pb.nodes)
-        assert np.array_equal(c * pa.mids, pb.mids)
+        assert np.array_equal(c * pa[::2], pb[::2])
+        assert np.array_equal(c * pa[1::2], pb[1::2])
 
 
-def test_deterministic_path_half_values():
-    p = DeterministicPath(nodes=np.array([0.0, 2.0, 4.0]))
-    assert np.array_equal(p.half_values(), [0.0, 1.0, 2.0, 3.0, 4.0])
-    q = DeterministicPath(nodes=np.array([0.0, 2.0, 4.0]), mids=np.array([0.7, 3.1]))
-    assert np.array_equal(q.half_values(), [0.0, 0.7, 2.0, 3.1, 4.0])
-    # vector values interleave along the leading (time) axis
-    v = DeterministicPath(nodes=np.array([[0.0, 1.0], [2.0, 3.0]]), mids=np.array([[5.0, 6.0]]))
-    assert np.array_equal(v.half_values(), [[0.0, 1.0], [5.0, 6.0], [2.0, 3.0]])
+def test_lift_reads_node_samples_linearly():
+    rng = np.random.default_rng(5)
+    n = 7
+    for shape in ((n + 1,), (n + 1, 2), (n + 1, 5)):
+        nodes = rng.standard_normal(shape)
+        half = lift(nodes, n)
+        assert half.shape == (2 * n + 1, *shape[1:])
+        assert np.array_equal(half[::2], nodes)
+        assert np.array_equal(half[1::2], 0.5 * nodes[:-1] + 0.5 * nodes[1:])
+        # half-grid samples pass through as they are
+        assert lift(half, n) is half
+    for bad in (n, n + 2, 2 * n, 2 * n + 2):
+        with pytest.raises(ValueError):
+            lift(np.zeros(bad), n)
+    with pytest.raises(ValueError):
+        sample_on_grid(np.zeros(n + 1), TimeGrid(1.0, n), 3)
+
+
+def test_node_and_lifted_inputs_agree(eq_b200, ens_b200):
+    # a node array is read exactly as its lifted half-grid form
+    eq = eq_b200
+    n = eq.model.grid.steps
+    u2_nodes = eq.u2hat_path()[::2]
+    a = solve_follower_filter(eq.model, eq.P, u2_nodes)
+    b = solve_follower_filter(eq.model, eq.P, lift(u2_nodes, n))
+    assert np.array_equal(a.xhat, b.xhat) and np.array_equal(a.theta_hat, b.theta_hat)
+    x, u2 = ens_b200.x[:, :50], ens_b200.u2[:, :50]
+    xhat_nodes = eq.xhat[::2, 0]
+    from_nodes = backfill_theta(eq.model, eq.P, x, u2, xhat_nodes, u2_nodes, a.theta_hat[::2])
+    from_half = backfill_theta(eq.model, eq.P, lift(x, n), lift(u2, n), lift(xhat_nodes, n),
+                               lift(u2_nodes, n), a.theta_hat)
+    assert np.array_equal(from_nodes, from_half)

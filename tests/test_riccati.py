@@ -87,7 +87,7 @@ def reference_solve(rhs, terminal, model, blocks: LeaderBlocks) -> np.ndarray:
     grid = model.grid
     return rk4_half_grid(rhs, terminal, grid.dt, grid.steps, backward=True,
                          bound=1e8 * (1.0 + float(np.max(np.abs(blocks.gbar)))),
-                         fail=lambda t: RiccatiBlowUp("reference exploded", t)).half_values()
+                         fail=lambda t: RiccatiBlowUp("reference exploded", t))
 
 
 def leader_first_2x2(model, blocks: LeaderBlocks, det_tol=1e-10):
@@ -162,8 +162,8 @@ def test_rk4_half_grid_both_directions():
     fwd = rk4_half_grid(lambda j, y: -t[j] * y, 1.0, 1.0 / 40, 40, fail=fail)
     bwd = rk4_half_grid(lambda j, y: t[j] * y, exact[-1], 1.0 / 40, 40, backward=True, fail=fail)
     for path in (fwd, bwd):
-        assert np.max(np.abs(path.half_values() - exact)) < 1e-8
-    assert fwd.nodes[0] == 1.0 and bwd.nodes[-1] == exact[-1]
+        assert np.max(np.abs(path - exact)) < 1e-8
+    assert fwd[0] == 1.0 and bwd[-1] == exact[-1]
 
 
 def test_rk4_half_grid_guard_reports_node_time():
@@ -273,7 +273,7 @@ def test_h3_guard_on_forged_input():
     # Valid weights keep D1^2 P + R1 positive, so force a negative P directly.
     # It fails everywhere; the report names the failing time nearest T.
     m = make_model(steps=10, D1=1.0)
-    forged = FollowerRiccati(grid=m.grid, fine=np.full(21, -1.0))
+    forged = FollowerRiccati(fine=np.full(21, -1.0))
     with pytest.raises(H3Violated) as info:
         assemble_leader_blocks(m, forged)
     assert info.value.time == pytest.approx(m.grid.horizon, rel=1e-12)
@@ -609,8 +609,7 @@ def test_leader_outputs_do_not_depend_on_window_width(case, width, monkeypatch):
     monkeypatch.setattr(riccati, "_SIGMA_WINDOW", width)
     L = len(blocks.rr)
     for a, b in zip(default, run()):
-        assert a.grid == b.grid
-        for field in dataclasses.fields(a)[1:]:
+        for field in dataclasses.fields(a):
             assert np.asarray(getattr(a, field.name)).tobytes() == np.asarray(getattr(b, field.name)).tobytes()
     assert sum(sizes) == 2 * L and max(sizes) == min(width, L)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lqstack.cli import main
 from lqstack.equilibrium import reconstruct_adjoints, solve_equilibrium
 from lqstack.errors import NonFiniteState
-from lqstack.filtering import DeterministicPath, solve_follower_filter
+from lqstack.filtering import solve_follower_filter
 from lqstack.model import TimeGrid
 from lqstack.simulate import (ClosedLoopSystem, NoiseBundle, backfill_theta, density_process, generate_noise,
                               sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
@@ -262,14 +262,14 @@ def _q_first_system(grid: TimeGrid) -> ClosedLoopSystem:
     zeros = np.zeros((n + 1, 2))
     return ClosedLoopSystem(grid=grid, drift_x=drift_x, drift_xhat=drift_xhat, diff_x=diff_x,
                             diff_xhat=np.zeros((n + 1, 2, 2)), lx=zeros, lxhat=zeros, f=zeros,
-                            xhat=DeterministicPath(nodes=np.tile([1.0, 0.0], (n + 1, 1))))
+                            xhat=np.tile([1.0, 0.0], (n + 1, 1)))
 
 
 def _first_non_finite(system: ClosedLoopSystem, noise) -> tuple[int, int]:
     """(path, step) at which a plain per-path Euler loop over the noise rows
     first leaves the finite numbers: the lowest such path, then its earliest
     step."""
-    xh = system.xhat.nodes
+    xh = system.xhat
     dt = system.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i, dw in enumerate(noise.dw.T):
@@ -350,12 +350,12 @@ def test_backfill_zero_forcing():
     m = make_model(steps=100, Q1=0.0, G1=0.0)
     from lqstack.riccati import solve_follower_P
     P = solve_follower_P(m)
-    xhat = DeterministicPath(nodes=np.linspace(1.0, 2.0, 101))
-    u2hat = DeterministicPath(nodes=np.full(101, 0.3))
-    x = np.tile(xhat.nodes[:, None], (1, 5))
-    u2 = np.tile(u2hat.nodes[:, None], (1, 5))
+    xhat = np.linspace(1.0, 2.0, 101)
+    u2hat = np.full(101, 0.3)
+    x = np.tile(xhat[:, None], (1, 5))
+    u2 = np.tile(u2hat[:, None], (1, 5))
     theta_hat = solve_follower_filter(m, P, u2hat).theta_hat
-    assert np.all(theta_hat.nodes == 0.0)
+    assert np.all(theta_hat[::2] == 0.0)
     theta = backfill_theta(m, P, x, u2, xhat, u2hat, theta_hat)
     assert np.all(theta == 0.0)
 
@@ -364,7 +364,7 @@ def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
     u2hat = eq_b200.u2hat_path()
     theta_hat = solve_follower_filter(eq_b200.model, eq_b200.P, u2hat).theta_hat
     theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x[:, :100], ens_b200.u2[:, :100],
-                           eq_b200.xhat_scalar_path(), u2hat, theta_hat)
+                           eq_b200.xhat[:, 0], u2hat, theta_hat)
     assert np.all(theta[-1] == 0.0)
 
 
@@ -374,7 +374,7 @@ def test_backfill_degenerate_path_matches_filter(eq_b400):
     fp = solve_follower_filter(eq.model, eq.P, eq.u2hat_path())
     theta = backfill_theta(eq.model, eq.P, fp.xhat, eq.u2hat_path(),
                            fp.xhat, eq.u2hat_path(), fp.theta_hat)
-    assert np.array_equal(theta[:, 0], fp.theta_hat.nodes)
+    assert np.array_equal(theta[:, 0], fp.theta_hat[::2])
 
 
 def test_backfill_fourth_order_off_the_filter():
@@ -384,8 +384,7 @@ def test_backfill_fourth_order_off_the_filter():
         eq = solve_equilibrium(make_model(steps=steps, D1=0.3, D2=0.2))
         u2hat = eq.u2hat_path()
         fp = solve_follower_filter(eq.model, eq.P, u2hat)
-        half = fp.xhat.half_values() + 0.3 * np.sin(2.0 * np.pi * eq.model.grid.times(2))
-        x = DeterministicPath(nodes=half[::2], mids=half[1::2])
+        x = fp.xhat + 0.3 * np.sin(2.0 * np.pi * eq.model.grid.times(2))
         return backfill_theta(eq.model, eq.P, x, u2hat, fp.xhat, u2hat, fp.theta_hat)[0, 0]
 
     vals = [theta0(steps) for steps in (25, 50, 100, 200)]
@@ -433,15 +432,6 @@ def test_density_martingale_time_varying_drift():
     zt = density_process(m, noise)
     stderr = zt.std(ddof=1) / np.sqrt(len(zt))
     assert abs(zt.mean() - 1.0) <= 3.0 * stderr
-
-
-def test_open_loop_accepts_deterministic_path():
-    from lqstack.filtering import DeterministicPath as DP
-    m = make_model(steps=50, A=0.0, C=0.0, x0=0.0)
-    noise = generate_noise(3, 4, m.grid)
-    a = simulate_open_loop(m, DP(nodes=np.zeros(51)), DP(nodes=np.ones(51)), noise)
-    b = simulate_open_loop(m, np.zeros(51), np.ones(51), noise)
-    assert np.array_equal(a.x, b.x)
 
 
 def test_ensemble_reproducible(eq_b200):
