@@ -218,15 +218,17 @@ def simulate_open_loop(model: LQModel, u1, u2, noise: NoiseBundle) -> Trajectory
     """Euler-Maruyama on the raw scalar state equation for given controls.
 
     Controls are node-sampled arrays, either deterministic (N+1,) or per-path
-    (N+1, m) aligned with the noise bundle; node k of either is u[k].  Raises NonFiniteState at the
-    first path and node that is not finite.
+    (N+1, m) aligned with the noise bundle; node k of either is u[k].  Any
+    other length, a (2N+1,) half-grid path among them, raises ValueError.
+    Raises NonFiniteState at the first path and node that is not finite.
     """
     grid = model.grid
     n = grid.steps
     dt = grid.dt
     m = noise.m
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
+    u1, u2 = (np.asarray(u, dtype=float) for u in (u1, u2))
+    if len(u1) != n + 1 or len(u2) != n + 1:
+        raise ValueError(f"controls need {n + 1} node rows, got {len(u1)} and {len(u2)}")
     A, B1, B2, C, D1, D2 = (model.nodes(name) for name in ("A", "B1", "B2", "C", "D1", "D2"))
     a, c = A.tolist(), C.tolist()
     dw = noise.dw

@@ -250,6 +250,14 @@ def test_non_finite_state_reported():
     assert info.value.path == 0
 
 
+def test_open_loop_rejects_half_grid_controls():
+    # a deterministic path is a (2N+1,) half-grid array; its first N+1 samples are not the nodes
+    m = make_model(steps=10)
+    noise = generate_noise(1, 2, m.grid)
+    with pytest.raises(ValueError):
+        simulate_open_loop(m, np.zeros(11), np.zeros(21), noise)
+
+
 def _q_first_system(grid: TimeGrid) -> ClosedLoopSystem:
     """x and q with diffusion 1000, q with drift 20000 q + 1 as well: q
     overflows first on every path, and x, which reads q through a zero
