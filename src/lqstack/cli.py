@@ -153,10 +153,11 @@ def cmd_solve(config: RunConfig) -> int:
     reporting.ensure_dir(config.out_dir)
     out = lambda name: f"{config.out_dir}/{name}"
     fp = solve_follower_filter(model, P, u2hat)
-    reporting.write_riccati_csv(out("riccati.csv"), times, P.values, leader.p1, leader.p2)
-    reporting.write_gains_csv(out("gains.csv"), times, gains)
+    reporting.write_riccati_csv(out("riccati.csv"), times, P.p[::2], leader.p1[::2], leader.p2[::2])
+    reporting.write_gains_csv(out("gains.csv"), times,
+                              *(g[::2] for g in (gains.lx, gains.lxhat, gains.lhat, gains.f)))
     reporting.write_xhat_csv(out("xhat.csv"), times, fp, xhat)
-    print(f"solved: P(0)={float(P.values[0])!r}, min|det| gain guards: "
+    print(f"solved: P(0)={float(P.p[0])!r}, min|det| gain guards: "
           f"{float(leader.min_det_m1)!r}, {float(leader.min_det_m2)!r}")
     print(f"wrote {out('riccati.csv')}, {out('gains.csv')}, {out('xhat.csv')}")
     return EXIT_OK
@@ -203,7 +204,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
     term = max(
         float(np.max(np.abs(eq.leader.p1[-1] - eq.blocks.gbar))),
         float(np.max(np.abs(eq.leader.p2[-1]))),
-        abs(eq.P.values[-1] - model.G1),
+        abs(eq.P.p[-1] - model.G1),
         float(np.max(np.abs(eq.xhat[0] - np.array([model.x0, 0.0])))),
     )
     add("terminal_data", "algebraic", term, 0.0, "stored bit-exactly")

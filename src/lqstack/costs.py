@@ -263,7 +263,7 @@ def follower_response(eq: EquilibriumSolution, u2hat) -> np.ndarray:
     """
     u2hat = lift(u2hat, eq.model.grid.steps)
     fp = solve_follower_filter(eq.model, eq.P, u2hat)
-    return eq.blocks.follower.control(fp.xhat[::2], fp.theta_hat[::2], u2hat[::2])
+    return eq.P.control(fp.xhat[::2], fp.theta_hat[::2], u2hat[::2])
 
 
 def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,

@@ -21,14 +21,14 @@ import numpy as np
 
 from .filtering import solve_leader_xhat
 from .model import LQModel, validate_model
-from .riccati import (P1_REFINE, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
-                      assemble_leader_blocks, compute_sigmas, solve_follower_P, solve_leader_riccati)
+from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, assemble_leader_blocks,
+                      compute_sigmas, solve_follower_P, solve_leader_riccati)
 from .simulate import ClosedLoopSystem, TrajectoryEnsemble
 
 
 @dataclass(frozen=True)
 class FeedbackGains:
-    """Row gains on the half grid (t = j * dt/2); node values at even indices.
+    """Row gains, (2N+1, 2) on the half grid (t = j * dt/2); node values are [::2].
 
     Leader control:  u2(t) = lx(t) . X(t) + lxhat(t) . Xhat(t),
     filtered leader control:  u2hat(t) = lhat(t) . Xhat(t), lhat = lx + lxhat,
@@ -43,22 +43,6 @@ class FeedbackGains:
     def lhat(self) -> np.ndarray:
         return self.lx + self.lxhat
 
-    @property
-    def lx_nodes(self) -> np.ndarray:
-        return self.lx[::2]
-
-    @property
-    def lxhat_nodes(self) -> np.ndarray:
-        return self.lxhat[::2]
-
-    @property
-    def lhat_nodes(self) -> np.ndarray:
-        return self.lhat[::2]
-
-    @property
-    def f_nodes(self) -> np.ndarray:
-        return self.f[::2]
-
 
 def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Row vectors times 2x2 matrices, batched over the leading grid axis."""
@@ -70,8 +54,8 @@ def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> 
     # s_inv D1 D2 P, the follower's coefficient on the filtered leader control.
     cross = blocks.follower.law[2, :, None]
     rr = blocks.rr[:, None]
-    p1 = leader.p1_fine
-    p2 = leader.p2_fine
+    p1 = leader.p1
+    p2 = leader.p2
     p12 = p1 + p2
     s1 = sigmas.s1
     d5 = blocks.d5
@@ -86,13 +70,13 @@ def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> 
 
 def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas):
     """Node-sampled drift/diffusion coefficient matrices of the closed loop."""
-    q = slice(None, None, P1_REFINE)
-    p1 = leader.p1
-    p2 = leader.p2
+    q = slice(None, None, 2)
+    p1 = leader.p1[q]
+    p2 = leader.p2[q]
     p12 = p1 + p2
-    s1 = sigmas.s1_nodes
-    s2 = sigmas.s2_nodes
-    s3 = sigmas.s3_nodes
+    s1 = sigmas.s1[q]
+    s2 = sigmas.s2[q]
+    s3 = sigmas.s3[q]
     bb = blocks.bb[q]
     cc = blocks.cc[q]
     cct = cc.swapaxes(-1, -2)
@@ -111,6 +95,8 @@ class EquilibriumSolution:
     """Everything the closed-loop equilibrium needs, solved once per model.
 
     xhat is the (2N+1, 2) half-grid path of the filtered augmented state.
+    P is the follower's solve: P.p and the follower's coefficients, which
+    blocks.follower holds as well, since the blocks are built from them.
     """
 
     model: LQModel
@@ -125,7 +111,7 @@ class EquilibriumSolution:
         fx, fxh, gx, gxh = closed_loop_matrices(self.blocks, self.leader, self.sigmas)
         return ClosedLoopSystem(
             grid=self.model.grid, drift_x=fx, drift_xhat=fxh, diff_x=gx, diff_xhat=gxh,
-            lx=self.gains.lx_nodes, lxhat=self.gains.lxhat_nodes, f=self.gains.f_nodes,
+            lx=self.gains.lx[::2], lxhat=self.gains.lxhat[::2], f=self.gains.f[::2],
             xhat=self.xhat[::2],
         )
 
@@ -166,7 +152,7 @@ class AdjointReconstruction:
 def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                          theta: np.ndarray) -> AdjointReconstruction:
     """Evaluate the decoupling ansatz quantities on a closed-loop ensemble."""
-    pn = eq.P.values[:, None]
+    pn = eq.P.p[::2, None]
     C, D2 = (eq.model.nodes(name)[:, None] for name in ("C", "D2"))
     x, q = ens.x, ens.q
 
@@ -185,8 +171,8 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
             row += shared[:, i, None]
         return out
 
-    return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1, eq.leader.p2),
-                                 z=affine(eq.sigmas.s2_nodes, eq.sigmas.s3_nodes))
+    return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1[::2], eq.leader.p2[::2]),
+                                 z=affine(eq.sigmas.s2[::2], eq.sigmas.s3[::2]))
 
 
 @dataclass(frozen=True)
@@ -256,7 +242,7 @@ def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
     Its first component is the filtered phi of the leader's condition, its
     second the follower's filtered offset theta_hat.
     """
-    return np.einsum("kij,kj->ki", eq.leader.p1 + eq.leader.p2, eq.xhat[::2])
+    return np.einsum("kij,kj->ki", eq.leader.p1[::2] + eq.leader.p2[::2], eq.xhat[::2])
 
 
 def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
@@ -267,9 +253,9 @@ def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
     algebraic identity, zero to rounding.
     """
     xh = eq.xhat[::2]
-    u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
-    u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
-    u1_sub = eq.blocks.follower.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], u2hat)
+    u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+    u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
+    u1_sub = eq.P.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], u2hat)
     return ResidualStats(residual=u1_gain - u1_sub, stderr=None,
                          scale=float(np.max(np.abs(u1_gain))) + 1.0)
 
@@ -298,14 +284,13 @@ class LeaderStationarity:
 def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                                  recon: AdjointReconstruction) -> LeaderStationarity:
     blocks = eq.blocks
-    qn = slice(None, None, P1_REFINE)
-    c_phi = blocks.d2[qn, 0]
-    c_delta = blocks.d4[qn, 0]
-    c_phih = blocks.d1[qn, 0]
-    c_deltah = blocks.d3[qn, 0]
-    c_qh = blocks.d5[qn, 1]
+    c_phi = blocks.d2[::2, 0]
+    c_delta = blocks.d4[::2, 0]
+    c_phih = blocks.d1[::2, 0]
+    c_deltah = blocks.d3[::2, 0]
+    c_qh = blocks.d5[::2, 1]
     # The filtered terms, shared by every path: phi_hat, delta_hat = (s1 xhat)[0] and q_hat.
-    delta_hat = (eq.sigmas.s1_nodes @ eq.xhat[::2, :, None])[:, 0, 0]
+    delta_hat = (eq.sigmas.s1[::2] @ eq.xhat[::2, :, None])[:, 0, 0]
     shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * eq.xhat[::2, 1]
 
     # phi = y[0], delta = z[0].  Each term is added into the control's buffer
@@ -357,22 +342,22 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     A = model.nodes("A")
     C = model.nodes("C")
     Q1 = model.nodes("Q1")
-    pn = eq.P.values
-    offset = blocks.follower.offset[:, ::P1_REFINE]
+    pn = eq.P.p[::2]
+    offset = eq.P.offset[:, ::2]
 
     inner = slice(1, n)
     dp = (pn[2:] - pn[:-2]) / (2.0 * dt)
     fol_x = dp + (2.0 * A * pn + C * C * pn - offset[0] + Q1)[inner]
 
-    p1n = eq.leader.p1
-    p2n = eq.leader.p2
-    q = slice(P1_REFINE, P1_REFINE * n, P1_REFINE)
+    p1n = eq.leader.p1[::2]
+    p2n = eq.leader.p2[::2]
+    q = slice(2, 2 * n, 2)  # the interior nodes' half-grid rows
     p1 = p1n[inner]
     p2 = p2n[inner]
     p12 = p1 + p2
-    s1 = eq.sigmas.s1_nodes[inner]
-    s2 = eq.sigmas.s2_nodes[inner]
-    s3 = eq.sigmas.s3_nodes[inner]
+    s1 = eq.sigmas.s1[q]
+    s2 = eq.sigmas.s2[q]
+    s3 = eq.sigmas.s3[q]
     a1 = blocks.a1[q]
     a2e = blocks.a2e[q]
     a3 = blocks.a3[q]

@@ -15,8 +15,9 @@ half-grid points, so a step never crosses a kink of a piecewise-linear input.
 Each path is a (2N+1, ...) half-grid array of node values and cubic-Hermite
 midpoints, which keeps every consumer of off-node values at the integrator's
 accuracy; a path input given at the nodes only is read linearly between them
-(model.lift).  The follower's pair reads its coefficients from
-riccati.follower_coefficients.  The pathwise offset reconstruction
+(model.lift).  The follower's pair reads its coefficients from the
+follower's solve (riccati.FollowerRiccati), where they are evaluated once.
+The pathwise offset reconstruction
 (simulate.backfill_theta) starts from the filtered offset solved here and
 integrates the deviation from it, one column per path, through the same
 integrator.
@@ -31,8 +32,7 @@ import numpy as np
 
 from .errors import SolverError
 from .model import LQModel, lift
-from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, follower_coefficients,
-                      rk4_half_grid)
+from .riccati import FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, rk4_half_grid
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
     """
     grid = model.grid
     u2_half = lift(u2hat, grid.steps).tolist()
-    fol = follower_coefficients(model, P)
-    theta_self, theta_u2 = fol.theta_self.tolist(), fol.theta_u2.tolist()
+    theta_self, theta_u2 = P.theta_self.tolist(), P.theta_u2.tolist()
 
     def dtheta_dtau(j, val):
         return theta_self[j] * val + theta_u2[j] * u2_half[j]
@@ -69,9 +68,9 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
     theta_half = theta.tolist()
 
     # The follower's control enters the state drift as B1 u1.
-    drift_x = (model.nodes("A", 2) - fol.drift[0]).tolist()
-    drift_th = (-fol.drift[1]).tolist()
-    drift_u2 = (model.nodes("B2", 2) - fol.drift[2]).tolist()
+    drift_x = (model.nodes("A", 2) - P.drift[0]).tolist()
+    drift_th = (-P.drift[1]).tolist()
+    drift_u2 = (model.nodes("B2", 2) - P.drift[2]).tolist()
 
     def dxhat_dt(j, val):
         return drift_x[j] * val + drift_th[j] * theta_half[j] + drift_u2[j] * u2_half[j]
@@ -84,7 +83,7 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
 def leader_xhat_matrix(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> np.ndarray:
     """(2N+1, 2, 2) drift matrix of the filtered augmented state ODE."""
     out = blocks.a1 + blocks.a2e
-    out += blocks.bb12 @ (leader.p1_fine + leader.p2_fine)
+    out += blocks.bb12 @ (leader.p1 + leader.p2)
     out += blocks.cc @ (sigmas.s2 + sigmas.s3)
     out -= blocks.e13 @ sigmas.s1
     return out

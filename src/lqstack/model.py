@@ -54,9 +54,9 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    def times(self, refine: int = 1) -> np.ndarray:
-        """Node times, optionally on a refine-times finer grid."""
-        return np.linspace(0.0, self.horizon, refine * self.steps + 1)
+    def times(self) -> np.ndarray:
+        """Node times."""
+        return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,10 @@ def write_riccati_csv(path, times, P, p1, p2) -> None:
     write_csv(path, header, [times, P, *pi])
 
 
-def write_gains_csv(path, times, gains) -> None:
+def write_gains_csv(path, times, lx, lxhat, lhat, f) -> None:
+    """One row per node: t, then the two entries of each gain row."""
     header = ["t", "LX_1", "LX_2", "LXHAT_1", "LXHAT_2", "LHAT_1", "LHAT_2", "F_1", "F_2"]
-    nodes = (gains.lx_nodes, gains.lxhat_nodes, gains.lhat_nodes, gains.f_nodes)
-    write_csv(path, header, [times, *(g[:, i] for g in nodes for i in (0, 1))])
+    write_csv(path, header, [times, *(g[:, i] for g in (lx, lxhat, lhat, f) for i in (0, 1))])
 
 
 def write_xhat_csv(path, times, filter_path, leader_path) -> None:

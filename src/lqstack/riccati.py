@@ -29,10 +29,11 @@ coefficients interpolate linearly, which caps accuracy at 2nd order there,
 as for the rest of the pipeline).
 
 The follower's coefficients -- (D1^2 P + R1)^-1 and its products with
-B1 + D1 C, B1 and D1 D2 P -- are evaluated once where P is sampled, by
-follower_coefficients; the leader's blocks, the follower's filtered pair,
-the pathwise offset, the follower's control law, the gains and the drift
-residuals read them.
+B1 + D1 C, B1 and D1 D2 P -- are evaluated once per solve, where P is
+sampled, by follower_coefficients, and kept with P in the one result of the
+follower's solve, FollowerRiccati.  The leader's blocks, the follower's
+filtered pair, the pathwise offset, the follower's control law, the gains
+and the drift residuals read them from there.
 
 The leader's side reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
@@ -52,8 +53,8 @@ once the first is solved -- with the six blocks it reads besides, so its
 stages compute only the terms with p2.  compute_sigmas evaluates the
 P1Terms in wider windows.  Only the RK4 recurrence loops over grid points.
 
-Node-level views are the public arrays; terminal values are stored
-bit-exactly as given.
+Each result holds every half-grid array under one name, and a reader takes
+node rows as [::2]; terminal values are stored bit-exactly as given.
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ import numpy as np
 from .errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
 from .model import LQModel, TimeGrid, linear_midpoints
 
-# Samples per node interval of every half-grid array: index j of those is
-# t = j * dt/2.
-P1_REFINE = 2
 # Relative guard on the follower's D1^2 P + R1, the H3 check.
 INV_TOL = 1e-10
 # Half-grid indices per array evaluation of the leader equations' stage
@@ -122,22 +120,6 @@ def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
     return out
 
 
-@dataclass(frozen=True)
-class FollowerRiccati:
-    """Scalar backward Riccati solution P on the half grid.
-
-    fine[j] is P(j * dt/2): even indices are the RK4 node values, odd indices
-    the integrator's Hermite midpoints; the node values are fine[::2].
-    P(T) = G1 exactly.
-    """
-
-    fine: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.fine[::P1_REFINE]
-
-
 def _blow_up_bound(terminal_scale: float, factor: float) -> float:
     return factor * (1.0 + abs(terminal_scale))
 
@@ -151,33 +133,13 @@ def _solve_backward(rhs, terminal, grid: TimeGrid, bound: float, message: str) -
                          fail=partial(RiccatiBlowUp, message))
 
 
-def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> FollowerRiccati:
-    """Integrate the follower's Riccati equation backward from P(T) = G1.
-
-    _solve_backward with the coefficients read at the half-grid stage times;
-    P is kept there too (nodes and Hermite midpoints), where later solves
-    read it.
-    Raises H3Violated if D1^2 P + R1 degenerates at any evaluation point and
-    RiccatiBlowUp if |P| exceeds blow_up_factor * (1 + |G1|).
-    """
-    grid = model.grid
-    a, b1, c, d1, q1, r1 = (model.nodes(k, P1_REFINE).tolist() for k in ("A", "B1", "C", "D1", "Q1", "R1"))
-
-    def rhs(j: int, p: float) -> float:
-        s = d1[j] * d1[j] * p + r1[j]
-        if not (s > INV_TOL * (1.0 + abs(d1[j] * d1[j] * p) + abs(r1[j]))):
-            raise H3Violated("D1^2 P + R1 not invertible", j * grid.dt / P1_REFINE)
-        bc = b1[j] + d1[j] * c[j]
-        return 2.0 * a[j] * p + c[j] * c[j] * p - bc * bc * p * p / s + q1[j]
-
-    fine = _solve_backward(rhs, float(model.G1), grid, _blow_up_bound(model.G1, blow_up_factor),
-                           "follower Riccati solution exploded")
-    return FollowerRiccati(fine=fine)
-
-
 @dataclass(frozen=True)
-class FollowerCoefficients:
-    """The follower's coefficients on the half grid (index j: t = j * dt/2).
+class FollowerRiccati:
+    """The follower's solve: P and the coefficients read from it, on the half grid.
+
+    Index j of every array is t = j * dt/2.  p[j] is P(j * dt/2): the RK4
+    node values at even indices, the integrator's Hermite midpoints at odd
+    ones, and P(T) = G1 exactly.
 
     The follower's control is u1 = -s_inv [bc P xhat + B1 theta_hat + D1 D2 P u2hat],
     s_inv = (D1^2 P + R1)^-1, bc = B1 + D1 C.  law, drift, diffusion and offset
@@ -191,6 +153,7 @@ class FollowerCoefficients:
     d(theta_hat)/dtau = theta_self theta_hat + theta_u2 u2hat, tau = T - t.
     """
 
+    p: np.ndarray
     law: np.ndarray
     drift: np.ndarray
     diffusion: np.ndarray
@@ -201,25 +164,46 @@ class FollowerCoefficients:
 
     def control(self, xhat, theta_hat, u2hat) -> np.ndarray:
         """The follower's control at the nodes from node samples of its inputs."""
-        k = self.law[:, ::P1_REFINE]
+        k = self.law[:, ::2]
         return -(k[0] * xhat + k[1] * theta_hat + k[2] * u2hat)
 
 
-def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoefficients:
-    """Evaluate the follower's coefficients once on the half grid, where P is sampled.
+def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> FollowerRiccati:
+    """Integrate the follower's Riccati equation backward from P(T) = G1.
+
+    _solve_backward with the coefficients read at the half-grid stage times;
+    P is kept there too (nodes and Hermite midpoints), where later solves
+    read it, and its coefficients are evaluated there once
+    (follower_coefficients).
+    Raises H3Violated if D1^2 P + R1 degenerates at any evaluation point and
+    RiccatiBlowUp if |P| exceeds blow_up_factor * (1 + |G1|).
+    """
+    grid = model.grid
+    a, b1, c, d1, q1, r1 = (model.nodes(k, 2).tolist() for k in ("A", "B1", "C", "D1", "Q1", "R1"))
+
+    def rhs(j: int, p: float) -> float:
+        s = d1[j] * d1[j] * p + r1[j]
+        if not (s > INV_TOL * (1.0 + abs(d1[j] * d1[j] * p) + abs(r1[j]))):
+            raise H3Violated("D1^2 P + R1 not invertible", j * grid.dt / 2)
+        bc = b1[j] + d1[j] * c[j]
+        return 2.0 * a[j] * p + c[j] * c[j] * p - bc * bc * p * p / s + q1[j]
+
+    p = _solve_backward(rhs, float(model.G1), grid, _blow_up_bound(model.G1, blow_up_factor),
+                        "follower Riccati solution exploded")
+    return follower_coefficients(model, p)
+
+
+def follower_coefficients(model: LQModel, p: np.ndarray) -> FollowerRiccati:
+    """The follower's solve from p, the (2N+1,) half-grid samples of P.
 
     Raises H3Violated if D1^2 P + R1 degenerates at a sample point, at the
     failing time nearest T, where a backward solve meets it first.
     """
-    grid = model.grid
-    A, B1, B2, C, D1, D2, R1 = (model.nodes(k, P1_REFINE) for k in ("A", "B1", "B2", "C", "D1", "D2", "R1"))
-    p = P.fine
-
+    A, B1, B2, C, D1, D2, R1 = (model.nodes(k, 2) for k in ("A", "B1", "B2", "C", "D1", "D2", "R1"))
     s = D1 * D1 * p + R1
     bad = ~(s > INV_TOL * (1.0 + np.abs(D1 * D1 * p) + np.abs(R1)))
     if np.any(bad):
-        q = int(np.flatnonzero(bad)[-1])
-        raise H3Violated("D1^2 P + R1 not invertible", q * grid.dt / P1_REFINE)
+        raise H3Violated("D1^2 P + R1 not invertible", int(np.flatnonzero(bad)[-1]) * model.grid.dt / 2)
     s_inv = 1.0 / s
     bc = B1 + D1 * C
 
@@ -229,8 +213,8 @@ def follower_coefficients(model: LQModel, P: FollowerRiccati) -> FollowerCoeffic
 
     offset = rows(bc) * p
     offset_u2 = (B2 + D2 * C) * p
-    return FollowerCoefficients(
-        law=rows(1.0), drift=rows(B1), diffusion=rows(D1),
+    return FollowerRiccati(
+        p=p, law=rows(1.0), drift=rows(B1), diffusion=rows(D1),
         offset=offset, offset_u2=offset_u2,
         theta_self=A - offset[1], theta_u2=offset_u2 - offset[2],
     )
@@ -256,7 +240,8 @@ class LeaderBlocks:
       a6, b2   rows assembling the follower's control from the estimate and Y,
       r2       leader control weight,
       gbar     terminal matrix [[G2, 0], [0, 0]];
-    follower holds the follower's coefficients these blocks are built from.
+    follower is the follower's solve (P and its coefficients) these blocks
+    are built from.
 
     Effective blocks, left after the leader's control is eliminated (every
     consumer reads these; none re-derives them), with d12 = d1 + d2 and
@@ -275,7 +260,6 @@ class LeaderBlocks:
     _window_reader.
     """
 
-    grid: TimeGrid
     a1: np.ndarray
     a3: np.ndarray
     a5: np.ndarray
@@ -286,7 +270,7 @@ class LeaderBlocks:
     d5: np.ndarray
     a6: np.ndarray
     b2: np.ndarray
-    follower: FollowerCoefficients
+    follower: FollowerRiccati
     gbar: np.ndarray
     rr: np.ndarray
     bb: np.ndarray
@@ -325,8 +309,7 @@ def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
     follower's coefficients, so a recomputation from (model, P) reproduces
     it exactly.
     """
-    fol = follower_coefficients(model, P)
-    L = len(P.fine)
+    L = len(P.p)
     zeros = np.zeros(L)
 
     def corner(top_left):
@@ -338,13 +321,13 @@ def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
         return np.column_stack([top, bottom])
 
     a1 = np.zeros((L, 2, 2))
-    a1[:, 0, 0] = model.nodes("A", P1_REFINE)
-    a1[:, 1, 1] = fol.theta_self
+    a1[:, 0, 0] = model.nodes("A", 2)
+    a1[:, 1, 1] = P.theta_self
     b1 = np.zeros((L, 2, 2))
-    b1[:, 0, 1] = -fol.drift[1]
-    b1[:, 1, 0] = -fol.drift[1]
+    b1[:, 0, 1] = -P.drift[1]
+    b1[:, 1, 0] = -P.drift[1]
     c1 = np.zeros((L, 2, 2))
-    c1[:, 1, 0] = -fol.diffusion[1]
+    c1[:, 1, 0] = -P.diffusion[1]
 
     # Terminal data of the adjoint pair in offset coordinates: the follower's
     # terminal weight is already absorbed by P(T) = G1, so only the leader's
@@ -352,21 +335,18 @@ def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
     # a G1 cross term would break the leader's first-order optimality (the
     # constructed control then loses against direct minimization).
     return dict(
-        a1=a1, a2=corner(-fol.drift[0]), a3=corner(model.nodes("C", P1_REFINE)),
-        a4=corner(-fol.diffusion[0]), a5=corner(model.nodes("Q2", P1_REFINE)), b1=b1, c1=c1,
-        d1=column(-fol.drift[2]), d2=column(model.nodes("B2", P1_REFINE)),
-        d3=column(-fol.diffusion[2]), d4=column(model.nodes("D2", P1_REFINE)),
-        d5=column(zeros, fol.theta_u2), a6=column(-fol.law[0]), b2=column(zeros, -fol.law[1]),
-        r2=model.nodes("R2", P1_REFINE), follower=fol,
+        a1=a1, a2=corner(-P.drift[0]), a3=corner(model.nodes("C", 2)),
+        a4=corner(-P.diffusion[0]), a5=corner(model.nodes("Q2", 2)), b1=b1, c1=c1,
+        d1=column(-P.drift[2]), d2=column(model.nodes("B2", 2)),
+        d3=column(-P.diffusion[2]), d4=column(model.nodes("D2", 2)),
+        d5=column(zeros, P.theta_u2), a6=column(-P.law[0]), b2=column(zeros, -P.law[1]),
+        r2=model.nodes("R2", 2), follower=P,
         gbar=np.array([[model.G2, 0.0], [0.0, 0.0]]),
     )
 
 
 def assemble_leader_blocks(model: LQModel, P: FollowerRiccati) -> LeaderBlocks:
-    """Sample the display blocks on the half grid and evaluate the effective blocks once.
-
-    Raises H3Violated if D1^2 P + R1 degenerates at a sample point.
-    """
+    """Sample the display blocks on the half grid and evaluate the effective blocks once."""
     raw = _display_blocks(model, P)
     d1, d2, d3, d4, d5 = (raw[k] for k in ("d1", "d2", "d3", "d4", "d5"))
     b1 = raw.pop("b1")
@@ -378,7 +358,7 @@ def assemble_leader_blocks(model: LQModel, P: FollowerRiccati) -> LeaderBlocks:
     d34 = d3 + d4
 
     return LeaderBlocks(
-        grid=model.grid, **raw,
+        **raw,
         rr=rr,
         bb=b1 - _over_r2(rr, (d2, d2)),
         bb12=b1 - _over_r2(rr, (d12, d12)),
@@ -522,31 +502,24 @@ def rhs_p2(f: P1Terms, p2, a1, a2e, a4e, bb12, cc12, e55):
 class LeaderRiccati:
     """Both leader Riccati solutions, (L, 2, 2) and never symmetrized; p1 = diag(pi, 0).
 
-    p1_fine and p2_fine hold the two solutions at dt/2 spacing: even indices
-    are the RK4 node values, odd indices the integrator's Hermite midpoints,
-    so downstream stages can read them off-node without losing order.
+    p1 and p2 hold the two solutions on the half grid (index j: t = j * dt/2):
+    even indices are the RK4 node values, odd indices the integrator's
+    Hermite midpoints, so downstream stages can read them off-node without
+    losing order; the node values are p1[::2] and p2[::2].
     Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
-    m1 and m2 are the two guarded gain inverses of gain_inverses at p1_fine,
-    on the same half grid; the second equation and compute_sigmas read them,
-    with p1_fine, through p1_terms.
+    m1 and m2 are the two guarded gain inverses of gain_inverses at p1, on
+    the same half grid; the second equation and compute_sigmas read them,
+    with p1, through p1_terms.
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
 
-    p1_fine: np.ndarray
-    p2_fine: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
     min_det_m1: float
     min_det_m2: float
-
-    @property
-    def p1(self) -> np.ndarray:
-        return self.p1_fine[::P1_REFINE]
-
-    @property
-    def p2(self) -> np.ndarray:
-        return self.p2_fine[::P1_REFINE]
 
 
 def _window_reader(evaluate, width: int):
@@ -591,7 +564,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     bound = _blow_up_bound(float(np.max(np.abs(blocks.gbar))), blow_up_factor)
     min_det = [np.inf, np.inf]
     # The first equation's inputs: the time and the (0, 0) entries of its blocks.
-    first = [np.arange(len(blocks.rr)) * (grid.dt / P1_REFINE),
+    first = [np.arange(len(blocks.rr)) * (grid.dt / 2),
              *(getattr(blocks, n)[:, 0, 0] for n in ("a1", "a3", "a5", "bb", "cc", "e34", "e44"))]
     read1 = _window_reader(lambda q: [a[q] for a in first], _STAGE_WINDOW)
 
@@ -604,7 +577,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     pi = _solve_backward(rhs1, float(blocks.gbar[0, 0]), grid, bound, "leader Riccati solution (first) exploded")
     t, *_, e34, e44 = first
     m1, m2, det1, det2 = gain_inverses(pi, e34, e44, t, det_tol=det_tol)
-    m1, m2, p1_fine = _matrix(m1), _matrix(m2), _matrix((pi, *[np.zeros_like(pi)] * 3))
+    m1, m2, p1 = _matrix(m1), _matrix(m2), _matrix((pi, *[np.zeros_like(pi)] * 3))
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
     for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):
@@ -613,7 +586,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
 
     def second_inputs(q):
-        terms = p1_terms(_entries(p1_fine[q]), _entries(m1[q]), _entries(m2[q]), blocks, q)
+        terms = p1_terms(_entries(p1[q]), _entries(m1[q]), _entries(m2[q]), blocks, q)
         return [*terms, *blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")]
 
     read2 = _window_reader(second_inputs, _STAGE_WINDOW)
@@ -623,8 +596,8 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         return _matrix(rhs_p2(P1Terms._make(terms), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
 
     return LeaderRiccati(
-        p1_fine=p1_fine,
-        p2_fine=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
+        p1=p1,
+        p2=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
         m1=m1, m2=m2,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),
@@ -633,23 +606,14 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
 
 @dataclass(frozen=True)
 class Sigmas:
-    """Half-grid samples (t = j * dt/2) of the three adjoint-diffusion gains."""
+    """The three adjoint-diffusion gains, (L, 2, 2) on the half grid (index j: t = j * dt/2).
+
+    Node values are at even indices: s1[::2], s2[::2], s3[::2].
+    """
 
     s1: np.ndarray
     s2: np.ndarray
     s3: np.ndarray
-
-    @property
-    def s1_nodes(self) -> np.ndarray:
-        return self.s1[::2]
-
-    @property
-    def s2_nodes(self) -> np.ndarray:
-        return self.s2[::2]
-
-    @property
-    def s3_nodes(self) -> np.ndarray:
-        return self.s3[::2]
 
 
 def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
@@ -659,11 +623,11 @@ def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
     first solution's terms (p1_terms) and the gains are evaluated on arrays,
     _SIGMA_WINDOW half-grid indices at a time.
     """
-    s1, s2, s3 = (np.empty_like(leader.p1_fine) for _ in range(3))
+    s1, s2, s3 = (np.empty_like(leader.p1) for _ in range(3))
     for lo in range(0, len(s1), _SIGMA_WINDOW):
         q = slice(lo, lo + _SIGMA_WINDOW)
-        f = p1_terms(_entries(leader.p1_fine[q]), _entries(leader.m1[q]), _entries(leader.m2[q]), blocks, q)
-        p2 = _entries(leader.p2_fine[q])
+        f = p1_terms(_entries(leader.p1[q]), _entries(leader.m1[q]), _entries(leader.m2[q]), blocks, q)
+        p2 = _entries(leader.p2[q])
         s1q = sigma1(f, p2)
         s1[q], s2[q], s3[q] = _matrix(s1q), _matrix(sigma2(f, blocks, q)), _matrix(sigma3(f, p2, s1q))
     return Sigmas(s1=s1, s2=s2, s3=s3)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonFiniteState, SolverError
 from .model import LQModel, TimeGrid, lift
-from .riccati import FollowerRiccati, follower_coefficients, rk4_half_grid
+from .riccati import FollowerRiccati, rk4_half_grid
 
 
 CHUNK_PATHS = 2000  # paths per chunk of a streamed pass; bounds its memory whatever the path count
@@ -304,9 +304,8 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
         out *= coef[:, None]
         return out
 
-    fol = follower_coefficients(model, P)
     A = model.nodes("A", 2)
-    forcing = gap(x, xhat, fol.offset[0]) + gap(u2, u2hat, fol.offset_u2)
+    forcing = gap(x, xhat, P.offset[0]) + gap(u2, u2hat, P.offset_u2)
     e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), grid.dt, n,
                       backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
     return e[::2] + lift(theta_hat, n)[::2, None]

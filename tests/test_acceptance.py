@@ -45,9 +45,9 @@ def tower_ensemble(eq_b200):
 def test_criterion_01_follower_riccati_closed_forms():
     t0 = time.perf_counter()
     rational = make_model(steps=1000, A=0.0, C=0.0, Q1=0.0, G1=1.0)
-    err_rational = abs(solve_follower_P(rational).values[0] - 0.5)
+    err_rational = abs(solve_follower_P(rational).p[0] - 0.5)
     tanh = make_model(steps=1000, A=0.0, C=0.0, Q1=1.0, G1=0.0)
-    err_tanh = abs(solve_follower_P(tanh).values[0] - np.tanh(1.0))
+    err_tanh = abs(solve_follower_P(tanh).p[0] - np.tanh(1.0))
     elapsed = time.perf_counter() - t0
     ok = err_rational <= 1e-8 and err_tanh <= 1e-8 and elapsed < 1.0
     assert report(1, ok, f"errs=({err_rational:.2e},{err_tanh:.2e}) runtime={elapsed:.2f}s")
@@ -71,7 +71,7 @@ def test_criterion_03_exact_terminal_data(eq_b200):
     fp = solve_follower_filter(m, eq_b200.P, eq_b200.u2hat_path())
     ok = (np.array_equal(eq_b200.leader.p1[-1], eq_b200.blocks.gbar)
           and np.all(eq_b200.leader.p2[-1] == 0.0)
-          and eq_b200.P.values[-1] == m.G1
+          and eq_b200.P.p[-1] == m.G1
           and fp.theta_hat[-1] == 0.0
           and np.array_equal(eq_b200.xhat[0], np.array([m.x0, 0.0])))
     assert report(3, ok, "bit-exact")
@@ -168,16 +168,16 @@ def test_criterion_07_gain_consistency(eq_b200):
     def two_form_gap(eq):
         model = eq.model
         n = model.grid.steps
-        pn = eq.P.values
+        pn = eq.P.p[::2]
         B1 = model.nodes("B1")
         C = model.nodes("C")
         D1 = model.nodes("D1")
         D2 = model.nodes("D2")
         si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
         xh = eq.xhat[::2]
-        u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
-        theta = np.array([(eq.leader.p1[k] + eq.leader.p2[k])[1] @ xh[k] for k in range(n + 1)])
-        u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
+        u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+        theta = np.array([(eq.leader.p1[2 * k] + eq.leader.p2[2 * k])[1] @ xh[k] for k in range(n + 1)])
+        u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
         u1_sub = -si * ((B1 + D1 * C) * pn * xh[:, 0] + B1 * theta + D1 * D2 * pn * u2hat)
         return np.max(np.abs(u1_gain - u1_sub)) / (np.max(np.abs(u1_gain)) + 1e-300)
 

@@ -266,6 +266,30 @@ def test_reruns_byte_identical(tmp_path):
     assert read_all(out1) == read_all(out2)
 
 
+def test_verify_builds_follower_coefficients_once(tmp_path, monkeypatch):
+    # The follower's coefficients are evaluated once, in its solve, and read
+    # from there: the display blocks, the filter re-solves and the offset of
+    # each of the two chunks build them nowhere else.
+    import lqstack
+    from lqstack import riccati
+    builder = riccati.follower_coefficients
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return builder(*args, **kwargs)
+
+    modules = [lqstack, *(m for name, m in sys.modules.items() if name.startswith("lqstack."))]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is builder:
+                monkeypatch.setattr(module, attr, counted)
+    path = write_model(tmp_path)
+    args = ["verify", "--model", path, "--out", str(tmp_path / "out"), "--steps", "40", "--paths", "4000"]
+    assert main(args) == 0
+    assert len(calls) == 1
+
+
 def test_verify_report_independent_of_chunking(tmp_path, monkeypatch):
     # Chunks of 1500 paths: the third straddles the grid search's first 4000
     # paths and the last holds one path.  Against one chunk of all paths,

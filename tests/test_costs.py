@@ -250,7 +250,7 @@ def test_grid_search_dominance_benchmark(eq_ens_small):
 
 def test_follower_response_matches_gain_form(eq_b200):
     u1 = follower_response(eq_b200, eq_b200.u2hat_path())
-    u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f_nodes, eq_b200.xhat[::2])
+    u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f[::2], eq_b200.xhat[::2])
     assert np.max(np.abs(u1 - u1_gain)) <= 1e-9
 
 

@@ -37,7 +37,7 @@ def test_zero_weights_give_exact_zeros_random_models(seed, varying):
     if varying:
         m = time_varying(m)
     eq = solve_equilibrium(m)
-    for arr in (eq.P.fine, eq.leader.p1_fine, eq.leader.p2_fine, eq.sigmas.s1, eq.sigmas.s2,
+    for arr in (eq.P.p, eq.leader.p1, eq.leader.p2, eq.sigmas.s1, eq.sigmas.s2,
                 eq.sigmas.s3, eq.gains.lx, eq.gains.lxhat, eq.gains.f):
         assert np.all(arr == 0.0)
     ens = simulate_closed_loop(eq.closed_loop(), generate_noise(seed, 20, m.grid))
@@ -56,11 +56,10 @@ def test_follower_gain_structure_zero_diffusion(eq_b200):
     # with D1 = D2 = 0 the cross-control term drops and the gain reduces to
     # the direct estimate row plus the adjoint-coupling row
     eq = eq_b200
-    k = 60
-    j = 2 * k
-    p12 = eq.leader.p1[k] + eq.leader.p2[k]
+    j = 2 * 60
+    p12 = eq.leader.p1[j] + eq.leader.p2[j]
     expected = eq.blocks.a6[j] + eq.blocks.b2[j] @ p12
-    assert np.allclose(eq.gains.f_nodes[k], expected, rtol=0, atol=1e-15)
+    assert np.allclose(eq.gains.f[j], expected, rtol=0, atol=1e-15)
 
 
 def test_follower_two_form_consistency(eq_b200):
@@ -68,7 +67,7 @@ def test_follower_two_form_consistency(eq_b200):
     # filtered control read from the reconstructions: a pure algebraic identity
     eq = eq_b200
     model = eq.model
-    pn = eq.P.values
+    pn = eq.P.p[::2]
     B1 = model.nodes("B1")
     C = model.nodes("C")
     D1 = model.nodes("D1")
@@ -76,9 +75,9 @@ def test_follower_two_form_consistency(eq_b200):
     si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
     xh = eq.xhat[::2]
     n = model.grid.steps
-    u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
-    theta_rec = np.array([(eq.leader.p1[k] + eq.leader.p2[k])[1] @ xh[k] for k in range(n + 1)])
-    u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
+    u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+    theta_rec = np.array([(eq.leader.p1[2 * k] + eq.leader.p2[2 * k])[1] @ xh[k] for k in range(n + 1)])
+    u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
     u1_sub = -si * ((B1 + D1 * C) * pn * xh[:, 0] + B1 * theta_rec + D1 * D2 * pn * u2hat)
     scale = np.max(np.abs(u1_gain)) + 1e-300
     assert np.max(np.abs(u1_gain - u1_sub)) <= 1e-10 * scale
@@ -89,16 +88,16 @@ def test_two_form_consistency_with_diffusion_controls():
     m = random_admissible_model(rng, steps=150)
     eq = solve_equilibrium(m)
     n = m.grid.steps
-    pn = eq.P.values
+    pn = eq.P.p[::2]
     B1 = m.nodes("B1")
     C = m.nodes("C")
     D1 = m.nodes("D1")
     D2 = m.nodes("D2")
     si = 1.0 / (D1 * D1 * pn + m.nodes("R1"))
     xh = eq.xhat[::2]
-    u1_gain = np.einsum("ki,ki->k", eq.gains.f_nodes, xh)
-    theta_rec = np.array([(eq.leader.p1[k] + eq.leader.p2[k])[1] @ xh[k] for k in range(n + 1)])
-    u2hat = np.einsum("ki,ki->k", eq.gains.lhat_nodes, xh)
+    u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+    theta_rec = np.array([(eq.leader.p1[2 * k] + eq.leader.p2[2 * k])[1] @ xh[k] for k in range(n + 1)])
+    u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
     u1_sub = -si * ((B1 + D1 * C) * pn * xh[:, 0] + B1 * theta_rec + D1 * D2 * pn * u2hat)
     scale = np.max(np.abs(u1_gain)) + 1e-300
     assert np.max(np.abs(u1_gain - u1_sub)) <= 1e-10 * scale
@@ -200,7 +199,7 @@ def test_follower_stationarity_deterministic_degenerate():
     fp = solve_follower_filter(m, eq.P, eq.u2hat_path())
     x = fp.xhat[::2, None]
     q_path = eq.xhat[::2, 1][:, None]
-    u1 = np.einsum("ki,ki->k", eq.gains.f_nodes, eq.xhat[::2])
+    u1 = np.einsum("ki,ki->k", eq.gains.f[::2], eq.xhat[::2])
     u2 = eq.u2hat_path()[::2, None]
     theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path(), fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
@@ -257,8 +256,8 @@ def test_drift_residual_cancelling_groups(eq_b200):
     # interior nodes.
     model = eq_b200.model
     B1, B2, C, D1, D2 = (model.nodes(k) for k in ("B1", "B2", "C", "D1", "D2"))
-    pn = eq_b200.P.values
-    fol = eq_b200.blocks.follower
+    fol = eq_b200.P
+    pn = fol.p[::2]
     law, offset = fol.law[:, ::2], fol.offset[:, ::2]
     cd = C * D1 * pn + pn * B1
     inner = slice(1, model.grid.steps)
@@ -318,8 +317,8 @@ def test_time_varying_leader_self_convergence():
     # second order: each halving of dt shrinks the gap to the next finer
     # solve by about 4.
     eqs = [solve_equilibrium(time_varying_model(steps)) for steps in (100, 200, 400, 800)]
-    quantities = {"P": lambda eq: eq.P.values, "p1": lambda eq: eq.leader.p1,
-                  "p2": lambda eq: eq.leader.p2, "xhat": lambda eq: eq.xhat[::2]}
+    quantities = {"P": lambda eq: eq.P.p[::2], "p1": lambda eq: eq.leader.p1[::2],
+                  "p2": lambda eq: eq.leader.p2[::2], "xhat": lambda eq: eq.xhat[::2]}
     for name, get in quantities.items():
         gaps = [np.max(np.abs(get(coarse) - get(fine)[::2])) for coarse, fine in zip(eqs, eqs[1:])]
         for g1, g2 in zip(gaps, gaps[1:]):

@@ -86,7 +86,7 @@ def test_filter_substitution_residual_second_order():
         u2 = np.sin(m.grid.times())
         fp = solve_follower_filter(m, P, u2)
         dt = m.grid.dt
-        pn = P.values
+        pn = P.p[::2]
         x = fp.xhat[::2]
         th = fp.theta_hat[::2]
         dx = (x[2:] - x[:-2]) / (2.0 * dt)
@@ -159,8 +159,8 @@ def test_linearity_in_initial_state_random_models(seed, c):
     m = random_admissible_model(np.random.default_rng(seed), steps=40)
     a = solve_equilibrium(m)
     b = solve_equilibrium(dataclasses.replace(m, x0=c * m.x0))
-    for x, y in ((a.P.fine, b.P.fine), (a.leader.p1_fine, b.leader.p1_fine),
-                 (a.leader.p2_fine, b.leader.p2_fine), (a.sigmas.s1, b.sigmas.s1),
+    for x, y in ((a.P.p, b.P.p), (a.leader.p1, b.leader.p1),
+                 (a.leader.p2, b.leader.p2), (a.sigmas.s1, b.sigmas.s1),
                  (a.sigmas.s2, b.sigmas.s2), (a.sigmas.s3, b.sigmas.s3), (a.gains.lx, b.gains.lx),
                  (a.gains.lxhat, b.gains.lxhat), (a.gains.f, b.gains.f)):
         assert np.array_equal(x, y)

@@ -9,9 +9,9 @@ from scipy.integrate import solve_ivp
 
 from lqstack import riccati
 from lqstack.errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
-from lqstack.riccati import (FollowerRiccati, LeaderBlocks, assemble_leader_blocks,
-                             compute_sigmas, gain_inverses, p1_terms, rhs_p1, rhs_p2, rk4_half_grid,
-                             sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
+from lqstack.riccati import (LeaderBlocks, assemble_leader_blocks, compute_sigmas, follower_coefficients,
+                             gain_inverses, p1_terms, rhs_p1, rhs_p2, rk4_half_grid, sigma1, sigma2,
+                             sigma3, solve_follower_P, solve_leader_riccati)
 
 from conftest import make_model, random_admissible_model, time_varying
 
@@ -25,20 +25,20 @@ def block_entries(blocks: LeaderBlocks, q, *names):
     return blocks.entries(q, *names)
 
 
-def first_inputs(blocks: LeaderBlocks, q):
+def first_inputs(model, blocks: LeaderBlocks, q):
     """The time and the (0, 0) entries of a1, a3, a5, bb, cc, e34 and e44 at q, typed as in block_entries."""
-    t = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / 2)
+    t = np.arange(len(blocks.rr))[q] * (model.grid.dt / 2)
     return [t.tolist() if isinstance(q, int) else t,
             *(e[0] for e in block_entries(blocks, q, "a1", "a3", "a5", "bb", "cc", "e34", "e44"))]
 
 
-def gain_inverses_at(pi, blocks: LeaderBlocks, q):
-    t, *_, e34, e44 = first_inputs(blocks, q)
+def gain_inverses_at(pi, model, blocks: LeaderBlocks, q):
+    t, *_, e34, e44 = first_inputs(model, blocks, q)
     return gain_inverses(pi, e34, e44, t)
 
 
-def rhs_p1_at(pi, blocks: LeaderBlocks, q, *, m2):
-    return rhs_p1(pi, *first_inputs(blocks, q)[1:6], m2=m2)
+def rhs_p1_at(pi, model, blocks: LeaderBlocks, q, *, m2):
+    return rhs_p1(pi, *first_inputs(model, blocks, q)[1:6], m2=m2)
 
 
 def rhs_p2_at(f, p2, blocks: LeaderBlocks, q):
@@ -50,24 +50,24 @@ def rhs_p2_at(f, p2, blocks: LeaderBlocks, q):
 # are the general forms on entry tuples; leader_first_2x2 steps them from
 # gbar, and the tests require the same bits as the scalar route.
 
-def _inv2(m, det_tol: float, blocks: LeaderBlocks, q, err):
+def _inv2(m, det_tol: float, model, q, err):
     """Adjugate inverse of a 2x2 entry tuple and its determinant, guarded."""
     m00, m01, m10, m11 = m
     det = m00 * m11 - m01 * m10
     ok = abs(det) > det_tol * (1.0 + (((m00 * m00 + m01 * m01) + m10 * m10) + m11 * m11))
     if not (ok if isinstance(ok, bool) else ok.all()):
-        times = np.arange(len(blocks.rr))[q] * (blocks.grid.dt / 2)
+        times = np.arange(2 * model.grid.steps + 1)[q] * (model.grid.dt / 2)
         raise err("gain matrix inverse does not exist", float(np.max(times[np.logical_not(ok)])))
     return (m11 / det, -m01 / det, -m10 / det, m00 / det), det
 
 
-def gain_inverses_2x2(p1, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
+def gain_inverses_2x2(p1, model, blocks: LeaderBlocks, q, *, det_tol: float = 1e-10):
     """[I + p1 e34]^-1 and [I + p1 e44]^-1 for a general p1 entry tuple, plus determinants."""
     add, mm = riccati._add, riccati._mm
     e34, e44 = block_entries(blocks, q, "e34", "e44")
     eye = (1.0, 0.0, 0.0, 1.0)
-    m1, det1 = _inv2(add(eye, mm(p1, e34)), det_tol, blocks, q, M1NotInvertible)
-    m2, det2 = _inv2(add(eye, mm(p1, e44)), det_tol, blocks, q, M2NotInvertible)
+    m1, det1 = _inv2(add(eye, mm(p1, e34)), det_tol, model, q, M1NotInvertible)
+    m2, det2 = _inv2(add(eye, mm(p1, e44)), det_tol, model, q, M2NotInvertible)
     return m1, m2, det1, det2
 
 
@@ -94,19 +94,19 @@ def leader_first_2x2(model, blocks: LeaderBlocks, det_tol=1e-10):
     """The first leader equation stepped in 2x2 form through rk4_half_grid.
 
     gain_inverses_2x2 and rhs_p1_2x2 at each stage, then the inverses over
-    the half grid.  Returns p1_fine, m1, m2 and the two smallest |det|.
+    the half grid.  Returns p1, m1, m2 and the two smallest |det|.
     """
     entries, matrix = riccati._entries, riccati._matrix
     min_det = [np.inf, np.inf]
 
     def rhs1(j, mat):
         p1 = entries(mat)
-        _, m2, det1, det2 = gain_inverses_2x2(p1, blocks, j, det_tol=det_tol)
+        _, m2, det1, det2 = gain_inverses_2x2(p1, model, blocks, j, det_tol=det_tol)
         min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
         return matrix(rhs_p1_2x2(p1, blocks, j, m2=m2))
 
     p1 = reference_solve(rhs1, blocks.gbar, model, blocks)
-    m1, m2, det1, det2 = gain_inverses_2x2(entries(p1), blocks, slice(None), det_tol=det_tol)
+    m1, m2, det1, det2 = gain_inverses_2x2(entries(p1), model, blocks, slice(None), det_tol=det_tol)
     return (p1, matrix(m1), matrix(m2),
             float(min(min_det[0], np.min(np.abs(det1)))), float(min(min_det[1], np.min(np.abs(det2)))))
 
@@ -202,15 +202,15 @@ def test_follower_riccati_rational_closed_form():
     # P(t) = G1 / (1 + G1 B1^2 (T - t) / R1)
     times = rational_case().grid.times()
     exact = 1.0 / (1.0 + (1.0 - times))
-    assert abs(P.values[0] - 0.5) < 1e-12
-    assert np.max(np.abs(P.values - exact)) < 1e-12
+    assert abs(P.p[0] - 0.5) < 1e-12
+    assert np.max(np.abs(P.p[::2] - exact)) < 1e-12
 
 
 def test_follower_riccati_tanh_closed_form():
     P = solve_follower_P(tanh_case())
     times = tanh_case().grid.times()
-    assert abs(P.values[0] - math.tanh(1.0)) < 1e-12
-    assert np.max(np.abs(P.values - np.tanh(1.0 - times))) < 1e-12
+    assert abs(P.p[0] - math.tanh(1.0)) < 1e-12
+    assert np.max(np.abs(P.p[::2] - np.tanh(1.0 - times))) < 1e-12
 
 
 @pytest.mark.parametrize("case, exact", [(rational_case, lambda t: 1.0 / (1.0 + (1.0 - t))),
@@ -219,7 +219,7 @@ def test_follower_riccati_half_grid_fourth_order(case, exact):
     # Even samples are RK4 nodes, odd ones Hermite midpoints; each converges
     # at 4th order on its own.
     def errors(steps):
-        P = solve_follower_P(case(steps)).fine
+        P = solve_follower_P(case(steps)).p
         err = np.abs(P - exact(np.arange(len(P)) * (0.5 / steps)))
         return np.array([err[::2].max(), err[1::2].max()])
 
@@ -230,13 +230,13 @@ def test_follower_riccati_half_grid_fourth_order(case, exact):
 def test_follower_riccati_zero_solution():
     m = make_model(steps=100, Q1=0.0, G1=0.0, D1=0.3, C=0.4)
     P = solve_follower_P(m)
-    assert np.all(P.fine == 0.0)
+    assert np.all(P.p == 0.0)
 
 
 def test_follower_terminal_stored_exactly():
     m = make_model(steps=100, G1=0.7)
     P = solve_follower_P(m)
-    assert P.values[-1] == 0.7
+    assert P.p[-1] == 0.7
 
 
 def test_follower_riccati_nonnegative_for_admissible_weights():
@@ -244,14 +244,14 @@ def test_follower_riccati_nonnegative_for_admissible_weights():
     for _ in range(8):
         m = random_admissible_model(rng, steps=120)
         P = solve_follower_P(m)
-        assert np.all(P.fine >= 0.0)
+        assert np.all(P.p >= 0.0)
 
 
 def test_follower_substitution_residual_second_order():
     # Central difference of P plus the equation's remaining terms ~ O(dt^2).
     def residual(steps):
         m = tanh_case(steps)
-        P = solve_follower_P(m).values
+        P = solve_follower_P(m).p[::2]
         dt = m.grid.dt
         dp = (P[2:] - P[:-2]) / (2.0 * dt)
         # A=C=D1=0, R1=1, Q1=1: residual = dP/dt - P^2 + 1
@@ -270,12 +270,12 @@ def test_blow_up_guard_reports_time():
 
 
 def test_h3_guard_on_forged_input():
-    # Valid weights keep D1^2 P + R1 positive, so force a negative P directly.
-    # It fails everywhere; the report names the failing time nearest T.
+    # Valid weights keep D1^2 P + R1 positive, so hand the coefficient
+    # builder a forged negative P.  It fails everywhere; the report names the
+    # failing time nearest T.
     m = make_model(steps=10, D1=1.0)
-    forged = FollowerRiccati(fine=np.full(21, -1.0))
     with pytest.raises(H3Violated) as info:
-        assemble_leader_blocks(m, forged)
+        follower_coefficients(m, np.full(21, -1.0))
     assert info.value.time == pytest.approx(m.grid.horizon, rel=1e-12)
 
 
@@ -306,7 +306,7 @@ def test_blocks_zero_diffusion_substitutions():
     assert np.array_equal(blocks.d4[k], [0.0, 0.0])
     # d5 = (0, B2 * P) when D1 = D2 = 0
     assert blocks.d5[k][0] == 0.0
-    assert blocks.d5[k][1] == pytest.approx(P.fine[k], rel=1e-15)
+    assert blocks.d5[k][1] == pytest.approx(P.p[k], rel=1e-15)
 
 
 def test_blocks_vanish_with_zero_follower_riccati():
@@ -331,7 +331,7 @@ def test_blocks_recompute_exactly():
     D1 = m.nodes("D1", 2)[q]
     C = m.nodes("C", 2)[q]
     R1 = m.nodes("R1", 2)[q]
-    p = P.fine[q]
+    p = P.p[q]
     s = D1 * D1 * p + R1
     expected = -((B1 + D1 * C) / s * B1 * p - A)
     assert blocks.a1[q][1, 1] == expected
@@ -344,7 +344,7 @@ def test_leader_zero_weights_zero_solution():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    assert np.all(leader.p1_fine == 0.0)
+    assert np.all(leader.p1 == 0.0)
     assert np.all(leader.p2 == 0.0)
 
 
@@ -353,7 +353,7 @@ def test_leader_gain_inverses_identity_when_zero_diffusion():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
-    m1, m2, det1, det2 = gain_inverses_at(leader.p1[5][0, 0], blocks, 2 * 5)
+    m1, m2, det1, det2 = gain_inverses_at(leader.p1[2 * 5][0, 0], m, blocks, 2 * 5)
     assert np.array_equal(riccati._matrix(m1), np.eye(2))
     assert np.array_equal(riccati._matrix(m2), np.eye(2))
     assert det1 == 1.0 and det2 == 1.0
@@ -367,7 +367,7 @@ def test_leader_terminal_bit_exact_and_not_symmetrized():
     assert np.array_equal(leader.p1[-1], blocks.gbar)
     assert np.all(leader.p2[-1] == 0.0)
     # second row stays exactly zero along the whole flow (never symmetrized)
-    assert np.all(leader.p1_fine[:, 1, :] == 0.0)
+    assert np.all(leader.p1[:, 1, :] == 0.0)
 
 
 def test_reduced_integrands_match_general_when_zero_diffusion():
@@ -379,11 +379,11 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
     worst = 0.0
     for k in range(101):
         q = 2 * k
-        p1 = leader.p1[k]
-        p2 = leader.p2[k]
+        p1 = leader.p1[q]
+        p2 = leader.p2[q]
         e1, e2 = riccati._entries(p1), riccati._entries(p2)
-        m1, m2, _, _ = gain_inverses_at(e1[0], blocks, q)
-        g1 = riccati._matrix((rhs_p1_at(e1[0], blocks, q, m2=m2), 0.0, 0.0, 0.0))
+        m1, m2, _, _ = gain_inverses_at(e1[0], m, blocks, q)
+        g1 = riccati._matrix((rhs_p1_at(e1[0], m, blocks, q, m2=m2), 0.0, 0.0, 0.0))
         r1 = rhs_p1_reduced(p1, blocks, display, q)
         g2 = riccati._matrix(rhs_p2_at(p1_terms(e1, m1, m2, blocks, q), e2, blocks, q))
         r2 = rhs_p2_reduced(p1, p2, blocks, display, q)
@@ -467,14 +467,14 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
     grid, stage = slice(None), j
-    p1, p2 = riccati._entries(leader.p1_fine), riccati._entries(leader.p2_fine)
-    p1j, p2j = riccati._entries(leader.p1_fine[j]), riccati._entries(leader.p2_fine[j])
+    p1, p2 = riccati._entries(leader.p1), riccati._entries(leader.p2)
+    p1j, p2j = riccati._entries(leader.p1[j]), riccati._entries(leader.p2[j])
 
     def same(at_stage, on_grid):
         row = [e[j] for e in on_grid] if isinstance(on_grid, tuple) else on_grid[j]
         assert np.asarray(at_stage, dtype=float).tobytes() == np.asarray(row).tobytes()
 
-    g_stage, g = gain_inverses_at(p1j[0], blocks, stage), gain_inverses_at(p1[0], blocks, grid)
+    g_stage, g = gain_inverses_at(p1j[0], m, blocks, stage), gain_inverses_at(p1[0], m, blocks, grid)
     for a, b in zip(g_stage, g):
         same(a, b)
     m1, m2 = riccati._matrix(g[0]), riccati._matrix(g[1])
@@ -486,7 +486,7 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     same(s1_stage, s1)
     same(sigma2(f_stage, blocks, stage), sigma2(f, blocks, grid))
     same(sigma3(f_stage, p2j, s1_stage), sigma3(f, p2, s1))
-    same(rhs_p1_at(p1j[0], blocks, stage, m2=g_stage[1]), rhs_p1_at(p1[0], blocks, grid, m2=g[1]))
+    same(rhs_p1_at(p1j[0], m, blocks, stage, m2=g_stage[1]), rhs_p1_at(p1[0], m, blocks, grid, m2=g[1]))
     same(rhs_p2_at(f_stage, p2j, blocks, stage), rhs_p2_at(f, p2, blocks, grid))
 
 
@@ -521,7 +521,7 @@ def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
 
     The first equation is the 2x2 oracle leader_first_2x2, the second reads
     its solution and half-grid inverses at index j and evaluates
-    rhs_p2_at_stage.  Returns p1_fine, p2_fine, m1, m2 and the two smallest
+    rhs_p2_at_stage.  Returns p1, p2, m1, m2 and the two smallest
     |det|.
     """
     entries, matrix = riccati._entries, riccati._matrix
@@ -559,7 +559,7 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
     monkeypatch.setattr(riccati, "rhs_p2", recorded)
     leader = solve_leader_riccati(m, blocks)
     ref = leader_per_stage(m, blocks)
-    got = (leader.p1_fine, leader.p2_fine, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2)
+    got = (leader.p1, leader.p2, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2)
     for a, b in zip(got, ref):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     entries = riccati._entries
@@ -625,7 +625,7 @@ def _with_diffusion_controls(m):
 def test_first_leader_equation_is_scalar_bit_for_bit(seed, varying):
     # The 2x2 flow from gbar = diag(G2, 0) keeps p1's second row and (0, 1)
     # entry +0.0 exactly, so the scalar route that integrates only pi gives
-    # the same p1_fine, gain inverses (signed zeros included) and min |det|.
+    # the same p1, gain inverses (signed zeros included) and min |det|.
     m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(100 + seed), steps=120))
     if varying:
         m = time_varying(m)
@@ -636,7 +636,7 @@ def test_first_leader_equation_is_scalar_bit_for_bit(seed, varying):
     for i, j in ((0, 1), (1, 0), (1, 1)):
         assert p1[:, i, j].tobytes() == zeros.tobytes()
     leader = solve_leader_riccati(m, blocks)
-    for a, b in zip((leader.p1_fine, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2),
+    for a, b in zip((leader.p1, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2),
                     (p1, m1, m2, min1, min2)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -652,8 +652,8 @@ def test_first_leader_solution_is_the_leaders_own_riccati_equation(varying):
         m = time_varying(m)
     leader = solve_leader_riccati(m, assemble_leader_blocks(m, solve_follower_P(m)))
     swapped = dataclasses.replace(m, B1=m.B2, D1=m.D2, Q1=m.Q2, R1=m.R2, G1=m.G2)
-    P = solve_follower_P(swapped).fine
-    assert np.max(np.abs(leader.p1_fine[:, 0, 0] - P) / np.abs(P)) <= 1e-13
+    P = solve_follower_P(swapped).p
+    assert np.max(np.abs(leader.p1[:, 0, 0] - P) / np.abs(P)) <= 1e-13
 
 
 # --- gain matrices ---
@@ -676,7 +676,7 @@ def test_sigmas_vanish_with_zero_first_riccati():
     q = 2 * 7
     zero = riccati._entries(np.zeros((2, 2)))
     some = riccati._entries(np.array([[0.3, -0.2], [0.1, 0.4]]))
-    m1, m2, _, _ = gain_inverses_at(zero[0], blocks, q)
+    m1, m2, _, _ = gain_inverses_at(zero[0], m, blocks, q)
     f = p1_terms(zero, m1, m2, blocks, q)
     s1 = sigma1(f, some)
     assert np.all(np.array(s1) == 0.0)

@@ -392,7 +392,7 @@ def test_backfill_fourth_order_off_the_filter():
         eq = solve_equilibrium(make_model(steps=steps, D1=0.3, D2=0.2))
         u2hat = eq.u2hat_path()
         fp = solve_follower_filter(eq.model, eq.P, u2hat)
-        x = fp.xhat + 0.3 * np.sin(2.0 * np.pi * eq.model.grid.times(2))
+        x = fp.xhat + 0.3 * np.sin(2.0 * np.pi * np.linspace(0.0, eq.model.grid.horizon, 2 * steps + 1))
         return backfill_theta(eq.model, eq.P, x, u2hat, fp.xhat, u2hat, fp.theta_hat)[0, 0]
 
     vals = [theta0(steps) for steps in (25, 50, 100, 200)]
