@@ -1,0 +1,155 @@
+"""Compare the outputs of two lqstack checkouts, column by column.
+
+Runs `solve`, `simulate` and `verify` (--paths 4000 --seed 3) from each
+checkout, with that checkout's src/ on PYTHONPATH, on three models: the
+standard model, the standard model with D1=0.3, D2=0.2, and a time-varying
+model (D1=0.3, D2=0.2, C=0.4, with A, R2, B1 and D2 as node arrays times
+1 + 0.3 sin(2 pi t / T)), each at N=200 and N=1600 steps.
+
+For every CSV file it prints each column's largest move over the column's
+scale (its largest absolute value in either run); a text column that
+differs, a differing row count, stdout or exit code is printed as a
+difference.  The last two lines give the largest move of all and the number
+of differences.
+
+    python scripts/compare_outputs.py PARENT CHANGE [--steps 200 1600]
+"""
+
+import argparse
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+STANDARD = {
+    "A": 0.1, "B1": 1.0, "B2": 1.0, "C": 0.2, "D1": 0.0, "D2": 0.0, "h": 1.0,
+    "Q1": 1.0, "R1": 1.0, "Q2": 1.0, "R2": 1.0, "G1": 1.0, "G2": 1.0,
+    "x0": 1.0, "T": 1.0,
+}
+COMMANDS = ("solve", "simulate", "verify")
+
+
+def models(steps: int) -> dict[str, dict]:
+    """The three compared problem files at the given step count."""
+    t = np.linspace(0.0, STANDARD["T"], steps + 1)
+    factor = 1.0 + 0.3 * np.sin(2.0 * np.pi * t / STANDARD["T"])
+    varying = dict(STANDARD, D1=0.3, D2=0.2, C=0.4, steps=steps)
+    varying.update({k: (varying[k] * factor).tolist() for k in ("A", "R2", "B1", "D2")})
+    return {"standard": dict(STANDARD, steps=steps),
+            "d1d2": dict(STANDARD, D1=0.3, D2=0.2, steps=steps),
+            "time_varying": varying}
+
+
+def run(checkout: Path, model: Path, command: str, out: Path) -> subprocess.CompletedProcess:
+    """One command from one checkout, run in out's parent so stdout names out alike on both sides."""
+    src = str(checkout.resolve() / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    args = [sys.executable, "-m", "lqstack", command, "--model", str(model), "--out", out.name,
+            "--paths", "4000", "--seed", "3"]
+    return subprocess.run(args, env=env, cwd=out.parent, capture_output=True, text=True)
+
+
+def read_columns(path: Path) -> dict[str, list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def column_move(a: list[str], b: list[str]) -> float | None:
+    """Largest |a - b| over the column's scale; None for a text column."""
+    try:
+        x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+    except ValueError:
+        return None
+    if np.array_equal(x, y, equal_nan=True):
+        return 0.0
+    scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
+    return float(np.max(np.abs(x - y)) / scale) if scale > 0 else float("inf")
+
+
+def compare_file(name: str, a: Path, b: Path) -> tuple[float, list[str]]:
+    """(largest column move, differences) of one CSV file; prints one line per file."""
+    cols_a, cols_b = read_columns(a), read_columns(b)
+    if list(cols_a) != list(cols_b):
+        return 0.0, [f"{name}: header {list(cols_a)} != {list(cols_b)}"]
+    moves, diffs = [], []
+    for col in cols_a:
+        if len(cols_a[col]) != len(cols_b[col]):
+            diffs.append(f"{name}: {len(cols_a[col])} rows != {len(cols_b[col])} rows")
+            break
+        move = column_move(cols_a[col], cols_b[col])
+        if move is None:
+            rows = [i for i, (u, v) in enumerate(zip(cols_a[col], cols_b[col])) if u != v]
+            if rows:
+                diffs.append(f"{name}: column {col} differs in rows {rows[:5]}"
+                             f" ({cols_a[col][rows[0]]!r} != {cols_b[col][rows[0]]!r})")
+        else:
+            moves.append((col, move))
+    print(f"    {name}: " + " | ".join(f"{col} {move:.2g}" for col, move in moves))
+    return max((move for _, move in moves), default=0.0), diffs
+
+
+def first_difference(a: str, b: str) -> str:
+    """The first differing line pair of two outputs."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for u, v in zip(lines_a, lines_b):
+        if u != v:
+            return f"{u!r} != {v!r}"
+    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+
+
+def compare_case(case: str, procs, outs: list[Path]) -> tuple[float, list[str]]:
+    """(largest column move, differences) of one command run from both checkouts."""
+    print(f"{case}: exit {procs[0].returncode} / {procs[1].returncode}")
+    diffs = []
+    if procs[0].returncode != procs[1].returncode:
+        diffs.append(f"exit code {procs[0].returncode} != {procs[1].returncode}")
+    if procs[0].stdout != procs[1].stdout:
+        diffs.append(f"stdout differs: {first_difference(procs[0].stdout, procs[1].stdout)}")
+    names = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
+    if names[0] != names[1]:
+        diffs.append(f"files {names[0]} != {names[1]}")
+    largest = 0.0
+    for name in sorted(set(names[0]) & set(names[1])):
+        move, file_diffs = compare_file(name, outs[0] / name, outs[1] / name)
+        largest = max(largest, move)
+        diffs += file_diffs
+    return largest, [f"{case}: {d}" for d in diffs]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path, help="checkout whose outputs are the reference")
+    parser.add_argument("change", type=Path, help="checkout compared against it")
+    parser.add_argument("--steps", type=int, nargs="+", default=[200, 1600], help="grid step counts")
+    args = parser.parse_args()
+
+    largest, diffs = 0.0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for steps in args.steps:
+            for label, data in models(steps).items():
+                model = work / f"{label}_{steps}.json"
+                model.write_text(json.dumps(data))
+                for command in COMMANDS:
+                    outs = [work / side / f"{label}_{steps}_{command}" for side in ("parent", "change")]
+                    procs = [run(checkout, model, command, out)
+                             for checkout, out in zip((args.parent, args.change), outs)]
+                    move, case_diffs = compare_case(f"{label} N={steps} {command}", procs, outs)
+                    largest = max(largest, move)
+                    diffs += case_diffs
+    for d in diffs:
+        print(f"DIFF {d}")
+    print(f"largest column move: {largest!r}")
+    print(f"differences: {len(diffs)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

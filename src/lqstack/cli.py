@@ -24,7 +24,6 @@ from . import equilibrium as eq_mod
 from . import reporting
 from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
                      ModelValidationError, ParseError, SolverError)
-from .filtering import solve_follower_filter
 from .model import LQModel, check_hypotheses, load_model
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .riccati import solve_follower_P  # noqa: F401
@@ -116,8 +115,7 @@ def cmd_validate(config: RunConfig) -> int:
         return EXIT_VALIDATION
     error = None
     try:
-        eq = _solve(config, model)
-        solve_follower_filter(model, eq.P, eq.u2hat_path())
+        _solve(config, model)
     except SolverError as exc:
         error = exc
     # A hypothesis passes once the solve has run every check of it.  The
@@ -145,19 +143,15 @@ def cmd_solve(config: RunConfig) -> int:
     """Run the deterministic pipeline and write riccati/gains/xhat CSVs."""
     model = _load(config)
     eq = _solve(config, model)
-    # Nothing below reads the coefficient blocks or the sigmas; releasing
-    # them first keeps the filter pass below the memory peak of the solve.
-    P, leader, gains, xhat, u2hat = eq.P, eq.leader, eq.gains, eq.xhat, eq.u2hat_path()
-    del eq
+    leader, gains = eq.leader, eq.gains
     times = model.grid.times()
     reporting.ensure_dir(config.out_dir)
     out = lambda name: f"{config.out_dir}/{name}"
-    fp = solve_follower_filter(model, P, u2hat)
-    reporting.write_riccati_csv(out("riccati.csv"), times, P.p[::2], leader.p1[::2], leader.p2[::2])
+    reporting.write_riccati_csv(out("riccati.csv"), times, eq.P.p[::2], leader.p1[::2], leader.p2[::2])
     reporting.write_gains_csv(out("gains.csv"), times,
                               *(g[::2] for g in (gains.lx, gains.lxhat, gains.lhat, gains.f)))
-    reporting.write_xhat_csv(out("xhat.csv"), times, fp, xhat)
-    print(f"solved: P(0)={float(P.p[0])!r}, min|det| gain guards: "
+    reporting.write_xhat_csv(out("xhat.csv"), times, eq.follower_filter, eq.xhat)
+    print(f"solved: P(0)={float(eq.P.p[0])!r}, min|det| gain guards: "
           f"{float(leader.min_det_m1)!r}, {float(leader.min_det_m2)!r}")
     print(f"wrote {out('riccati.csv')}, {out('gains.csv')}, {out('xhat.csv')}")
     return EXIT_OK
@@ -173,7 +167,7 @@ def cmd_simulate(config: RunConfig) -> int:
     model = _load(config)
     eq = _solve(config, model)
     j1, j2, head = [], [], None
-    for ens in closed_loop_chunks(eq.closed_loop(), config.seed, config.paths):
+    for ens in closed_loop_chunks(eq.closed_loop, config.seed, config.paths):
         if head is None:
             head = ens.head(reporting.TRAJECTORY_PATHS)
         j1.append(costs_mod.pathwise_J1(model, ens))
@@ -222,9 +216,7 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
     # reproduce the first component of the augmented estimate (same ODE,
     # 4th-order discretizations).
     xh = eq.xhat[::2]
-    u2hat = eq.u2hat_path()
-    fp = solve_follower_filter(model, eq.P, u2hat)
-    route_gap = float(np.max(np.abs(fp.xhat[::2] - xh[:, 0])))
+    route_gap = float(np.max(np.abs(eq.follower_filter.xhat[::2] - xh[:, 0])))
     xh_scale = float(np.max(np.abs(xh[:, 0]))) + 1.0
     add("filter_route_consistency", "algebraic", route_gap,
         max(tol.structural_rel, 1e2 * dt ** 4) * xh_scale)
@@ -246,8 +238,9 @@ def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckR
     def fold(name, values):
         peak[name] = float(np.maximum(peak.get(name, 0.0), np.max(np.abs(values))))  # NaN propagates
 
-    for ens in closed_loop_chunks(eq.closed_loop(), config.seed, config.paths):
-        theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], u2hat, fp.theta_hat)
+    for ens in closed_loop_chunks(eq.closed_loop, config.seed, config.paths):
+        theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat,
+                               eq.follower_filter.theta_hat)
         recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
         fold("z", recon.z)
         fold("z_2", recon.z[1])

@@ -196,8 +196,8 @@ class OptimalitySweep:
     ensemble itself.  J2 shifts the leader's control by each direction and
     the follower's by its response's change; the baseline is the ensemble
     moved by one more response, to the gap between the follower's response
-    to the unshifted filtered control and the ensemble's follower control
-    (a filter re-solve apart, about 5e-11 on the benchmark model).
+    to the unshifted filtered control, read from eq.follower_filter, and the
+    ensemble's follower control f . xhat (about 5e-11 on the benchmark model).
     """
 
     def __init__(self, eq: EquilibriumSolution, which: str, directions: dict[str, np.ndarray], eps_list):
@@ -206,8 +206,8 @@ class OptimalitySweep:
         self.v = np.array(list(self.dirs.values()))
         k = len(self.v)
         if which == "J2":
-            u2hat = eq.u2hat_path()
-            self.u1_lead = follower_response(eq, u2hat)
+            fp, u2hat = eq.follower_filter, eq.u2hat
+            self.u1_lead = eq.P.control(fp.xhat[::2], fp.theta_hat[::2], u2hat[::2])
             n = eq.model.grid.steps
             self.du1 = np.array([follower_response(eq, u2hat + lift(v, n)) - self.u1_lead for v in self.v])
         self.pairs = [(0, 0)] + [p for i in range(1, k + 1) for p in ((0, i), (i, i))]
@@ -286,7 +286,7 @@ def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
     Per-path noise streams make the result that of one ensemble of all m paths.
     """
     sweep = OptimalitySweep(eq, which, directions, eps_list)
-    for ens in closed_loop_chunks(eq.closed_loop(), seed, m):
+    for ens in closed_loop_chunks(eq.closed_loop, seed, m):
         sweep.add(ens)
         del ens  # else it stays alive while the next chunk is simulated
     return sweep.report()

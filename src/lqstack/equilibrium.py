@@ -1,7 +1,8 @@
 """Equilibrium assembly and verification of the decoupling identities.
 
 Builds the state-estimate feedback gains of both players from the Riccati
-output, assembles the closed-loop coefficient matrices, reconstructs the
+output and the closed-loop coefficient matrices, whose drift the filtered
+state steps (solve_equilibrium solves each part once), reconstructs the
 adjoint processes along simulated paths, and evaluates the residuals of
 every identity the decoupling rests on: first-order (stationarity)
 conditions, drift-matching of the two ansatz substitutions, and the discrete
@@ -19,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .filtering import solve_leader_xhat
+from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import LQModel, validate_model
 from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, assemble_leader_blocks,
                       compute_sigmas, solve_follower_P, solve_leader_riccati)
@@ -69,24 +70,23 @@ def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> 
 
 
 def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas):
-    """Node-sampled drift/diffusion coefficient matrices of the closed loop."""
-    q = slice(None, None, 2)
-    p1 = leader.p1[q]
-    p2 = leader.p2[q]
+    """Half-grid drift/diffusion coefficient matrices of the closed loop."""
+    p1 = leader.p1
+    p2 = leader.p2
     p12 = p1 + p2
-    s1 = sigmas.s1[q]
-    s2 = sigmas.s2[q]
-    s3 = sigmas.s3[q]
-    bb = blocks.bb[q]
-    cc = blocks.cc[q]
+    s1 = sigmas.s1
+    s2 = sigmas.s2
+    s3 = sigmas.s3
+    bb = blocks.bb
+    cc = blocks.cc
     cct = cc.swapaxes(-1, -2)
-    e13 = blocks.e13[q]
-    e44 = blocks.e44[q]
-    fx = blocks.a1[q] + bb @ p1 + cc @ s2
-    fxh = blocks.a2e[q] + bb @ p2 - blocks.e11[q] @ p12 + cc @ s3 - e13 @ s1
-    gx = blocks.a3[q] + cct @ p1 - e44 @ s2
-    gxh = (blocks.a4e[q] + cct @ p2 - e13.swapaxes(-1, -2) @ p12 - e44 @ s3
-           - blocks.e33[q] @ s1)
+    e13 = blocks.e13
+    e44 = blocks.e44
+    fx = blocks.a1 + bb @ p1 + cc @ s2
+    fxh = blocks.a2e + bb @ p2 - blocks.e11 @ p12 + cc @ s3 - e13 @ s1
+    gx = blocks.a3 + cct @ p1 - e44 @ s2
+    gxh = (blocks.a4e + cct @ p2 - e13.swapaxes(-1, -2) @ p12 - e44 @ s3
+           - blocks.e33 @ s1)
     return fx, fxh, gx, gxh
 
 
@@ -94,7 +94,11 @@ def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Si
 class EquilibriumSolution:
     """Everything the closed-loop equilibrium needs, solved once per model.
 
-    xhat is the (2N+1, 2) half-grid path of the filtered augmented state.
+    xhat is the (2N+1, 2) half-grid path of the filtered augmented state,
+    the conditional mean of the closed loop, and u2hat = lhat . xhat the
+    leader's filtered control on the same grid.  closed_loop holds the
+    node rows of the closed loop's coefficients, which the Euler kernel
+    reads.  follower_filter is the follower's filtered pair under u2hat.
     P is the follower's solve: P.p and the follower's coefficients, which
     blocks.follower holds as well, since the blocks are built from them.
     """
@@ -106,32 +110,30 @@ class EquilibriumSolution:
     sigmas: Sigmas
     gains: FeedbackGains
     xhat: np.ndarray
-
-    def closed_loop(self) -> ClosedLoopSystem:
-        fx, fxh, gx, gxh = closed_loop_matrices(self.blocks, self.leader, self.sigmas)
-        return ClosedLoopSystem(
-            grid=self.model.grid, drift_x=fx, drift_xhat=fxh, diff_x=gx, diff_xhat=gxh,
-            lx=self.gains.lx[::2], lxhat=self.gains.lxhat[::2], f=self.gains.f[::2],
-            xhat=self.xhat[::2],
-        )
-
-    def u2hat_path(self) -> np.ndarray:
-        """The leader's filtered equilibrium control, a (2N+1,) half-grid path."""
-        return np.einsum("ji,ji->j", self.gains.lhat, self.xhat)
+    u2hat: np.ndarray
+    closed_loop: ClosedLoopSystem
+    follower_filter: FilterPath
 
 
 def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
                       blow_up_factor: float = 1e8) -> EquilibriumSolution:
-    """Run the full deterministic pipeline for a validated model."""
+    """Run the full deterministic pipeline for a validated model, each part once."""
     validate_model(model)
     P = solve_follower_P(model, blow_up_factor=blow_up_factor)
     blocks = assemble_leader_blocks(model, P)
     leader = solve_leader_riccati(model, blocks, det_tol=det_tol, blow_up_factor=blow_up_factor)
     sigmas = compute_sigmas(blocks, leader)
     gains = build_gains(blocks, leader, sigmas)
-    xhat = solve_leader_xhat(model, blocks, leader, sigmas)
-    return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader,
-                               sigmas=sigmas, gains=gains, xhat=xhat)
+    fx, fxh, gx, gxh = closed_loop_matrices(blocks, leader, sigmas)
+    xhat = solve_leader_xhat(model, fx + fxh)
+    u2hat = np.einsum("ji,ji->j", gains.lhat, xhat)
+    closed_loop = ClosedLoopSystem(
+        grid=model.grid, drift_x=fx[::2], drift_xhat=fxh[::2], diff_x=gx[::2], diff_xhat=gxh[::2],
+        lx=gains.lx[::2], lxhat=gains.lxhat[::2], f=gains.f[::2], xhat=xhat[::2],
+    )
+    return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader, sigmas=sigmas,
+                               gains=gains, xhat=xhat, u2hat=u2hat, closed_loop=closed_loop,
+                               follower_filter=solve_follower_filter(model, P, u2hat))
 
 
 @dataclass(frozen=True)
@@ -254,8 +256,7 @@ def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
     """
     xh = eq.xhat[::2]
     u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
-    u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
-    u1_sub = eq.P.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], u2hat)
+    u1_sub = eq.P.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], eq.u2hat[::2])
     return ResidualStats(residual=u1_gain - u1_sub, stderr=None,
                          scale=float(np.max(np.abs(u1_gain))) + 1.0)
 

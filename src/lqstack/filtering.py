@@ -6,8 +6,12 @@ about the state noise, so the conditional expectations solve plain ODEs:
   * the follower's filtered pair: the offset estimate integrates backward
     from 0 and does not involve the filtered state, so the system is
     triangular and is solved sequentially (offset first, state second);
-  * the leader's filtered augmented state solves a linear 2-dimensional ODE
-    forward from (x0, 0).
+  * the leader's filtered augmented state, the closed loop's conditional
+    mean, solves a linear 2-dimensional ODE forward from (x0, 0) whose drift
+    is the closed loop's drift_x + drift_xhat.
+
+equilibrium.solve_equilibrium solves both once per equilibrium; the
+follower's pair is solved again only for another filtered leader control.
 
 Each is solved by riccati.rk4_half_grid, the integrator every deterministic
 ODE of the equilibrium goes through: RK4 on the node grid with stages at
@@ -17,10 +21,9 @@ midpoints, which keeps every consumer of off-node values at the integrator's
 accuracy; a path input given at the nodes only is read linearly between them
 (model.lift).  The follower's pair reads its coefficients from the
 follower's solve (riccati.FollowerRiccati), where they are evaluated once.
-The pathwise offset reconstruction
-(simulate.backfill_theta) starts from the filtered offset solved here and
-integrates the deviation from it, one column per path, through the same
-integrator.
+The pathwise offset reconstruction (simulate.backfill_theta) starts from
+the filtered offset solved here and integrates the deviation from it, one
+column per path, through the same integrator.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import SolverError
 from .model import LQModel, lift
-from .riccati import FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, rk4_half_grid
+from .riccati import FollowerRiccati, rk4_half_grid
 
 
 @dataclass(frozen=True)
@@ -80,24 +83,15 @@ def solve_follower_filter(model: LQModel, P: FollowerRiccati, u2hat) -> FilterPa
     return FilterPath(xhat=xhat, theta_hat=theta)
 
 
-def leader_xhat_matrix(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> np.ndarray:
-    """(2N+1, 2, 2) drift matrix of the filtered augmented state ODE."""
-    out = blocks.a1 + blocks.a2e
-    out += blocks.bb12 @ (leader.p1 + leader.p2)
-    out += blocks.cc @ (sigmas.s2 + sigmas.s3)
-    out -= blocks.e13 @ sigmas.s1
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness guards report overflow
-def solve_leader_xhat(model: LQModel, blocks: LeaderBlocks, leader: LeaderRiccati,
-                      sigmas: Sigmas) -> np.ndarray:
+def solve_leader_xhat(model: LQModel, drift: np.ndarray) -> np.ndarray:
     """Integrate the filtered augmented state forward from (x0, 0) by RK4.
 
-    The (2N+1, 2) half-grid path of 2-vectors (filtered state, filtered
-    adjoint-forward component); its row 0 is (x0, 0) exactly.  Raises
-    SolverError at the first node where the state is not finite.
+    drift is the (2N+1, 2, 2) half-grid drift matrix of the state's ODE, the
+    closed loop's drift_x + drift_xhat.  Returns the (2N+1, 2) half-grid
+    path of 2-vectors (filtered state, filtered adjoint-forward component);
+    its row 0 is (x0, 0) exactly.  Raises SolverError at the first node
+    where the state is not finite.
     """
-    K = leader_xhat_matrix(blocks, leader, sigmas)
-    return rk4_half_grid(lambda j, y: K[j] @ y, np.array([model.x0, 0.0]), model.grid.dt,
+    return rk4_half_grid(lambda j, y: drift[j] @ y, np.array([model.x0, 0.0]), model.grid.dt,
                          model.grid.steps, fail=partial(SolverError, "filtered leader state is not finite"))

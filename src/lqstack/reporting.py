@@ -65,7 +65,7 @@ def write_xhat_csv(path, times, filter_path, leader_path) -> None:
 
 
 def write_trajectories_csv(path, ens, max_paths: int = TRAJECTORY_PATHS) -> None:
-    """Node samples of the first max_paths paths (subsampled export)."""
+    """Node samples of the first max_paths paths of a closed-loop ensemble (subsampled export)."""
     header = ["path_id", "t", "X_1", "X_2", "u1", "u2"]
     nodes = ens.grid.steps + 1
     m = min(ens.m, max_paths)
@@ -74,9 +74,8 @@ def write_trajectories_csv(path, ens, max_paths: int = TRAJECTORY_PATHS) -> None
         """Path 0's nodes, then path 1's, ...; a shared (1-d) control repeats."""
         return np.tile(a, m) if a.ndim == 1 else a[:, :m].T.ravel()
 
-    q = ens.q if ens.q is not None else np.zeros(nodes)
     write_csv(path, header, [np.repeat(np.arange(m), nodes), per_path(ens.grid.times()), per_path(ens.x),
-                             per_path(q), per_path(ens.u1), per_path(ens.u2)])
+                             per_path(ens.q), per_path(ens.u1), per_path(ens.u2)])
 
 
 def write_costs_csv(path, estimates) -> None:

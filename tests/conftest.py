@@ -81,11 +81,9 @@ def time_varying(model):
 
 def backfill(eq, ens):
     """Pathwise offset along a closed-loop ensemble, built as lqstack verify builds it."""
-    from lqstack.filtering import solve_follower_filter
     from lqstack.simulate import backfill_theta
-    u2hat = eq.u2hat_path()
-    theta_hat = solve_follower_filter(eq.model, eq.P, u2hat).theta_hat
-    return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], u2hat, theta_hat)
+    return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat,
+                          eq.follower_filter.theta_hat)
 
 
 @pytest.fixture(scope="session")
@@ -105,4 +103,4 @@ def ens_b200(eq_b200):
     """Closed-loop benchmark ensemble, modest size, shared across tests."""
     from lqstack.simulate import generate_noise, simulate_closed_loop
     noise = generate_noise(2024, 20000, eq_b200.model.grid)
-    return simulate_closed_loop(eq_b200.closed_loop(), noise)
+    return simulate_closed_loop(eq_b200.closed_loop, noise)

@@ -39,7 +39,7 @@ def report(num, ok, detail=""):
 @pytest.fixture(scope="module")
 def tower_ensemble(eq_b200):
     noise = generate_noise(42, 100000, eq_b200.model.grid)
-    return simulate_closed_loop(eq_b200.closed_loop(), noise)
+    return simulate_closed_loop(eq_b200.closed_loop, noise)
 
 
 def test_criterion_01_follower_riccati_closed_forms():
@@ -67,8 +67,7 @@ def test_criterion_02_integrator_order():
 
 def test_criterion_03_exact_terminal_data(eq_b200):
     m = eq_b200.model
-    from lqstack.filtering import solve_follower_filter
-    fp = solve_follower_filter(m, eq_b200.P, eq_b200.u2hat_path())
+    fp = eq_b200.follower_filter
     ok = (np.array_equal(eq_b200.leader.p1[-1], eq_b200.blocks.gbar)
           and np.all(eq_b200.leader.p2[-1] == 0.0)
           and eq_b200.P.p[-1] == m.G1
@@ -123,7 +122,7 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
     model = eq_b200.model
     n = model.grid.steps
     dt = model.grid.dt
-    sys_cl = eq_b200.closed_loop()
+    sys_cl = eq_b200.closed_loop
     X = np.stack([ens.x.T, ens.q.T], axis=-1)
     mean = X.mean(axis=0)
     stderr = X.std(axis=0, ddof=1) / np.sqrt(ens.m)
@@ -142,7 +141,7 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
 
     def recursion_gap(steps):
         eq = solve_equilibrium(make_model(steps))
-        scl = eq.closed_loop()
+        scl = eq.closed_loop
         m_k = eq.xhat[0].copy()
         worst = 0.0
         for k in range(steps):
@@ -209,7 +208,7 @@ def optimality_reports():
     t = eq.model.grid.times()
     dirs = {"const": np.ones(steps + 1), "ramp": t, "sine": np.sin(2.0 * np.pi * t)}
     sweeps = {which: OptimalitySweep(eq, which, dirs, [0.05, 0.1, 0.2]) for which in ("J1", "J2")}
-    for ens in closed_loop_chunks(eq.closed_loop(), 42, 100000):
+    for ens in closed_loop_chunks(eq.closed_loop, 42, 100000):
         for sweep in sweeps.values():
             sweep.add(ens)
         del ens  # else it stays alive while the next chunk is simulated
@@ -240,7 +239,7 @@ def test_criterion_09_leader_optimality(optimality_reports):
 
 def test_criterion_10_brute_force_dominance(eq_b200):
     noise = generate_noise(42, 4000, eq_b200.model.grid)
-    ens = simulate_closed_loop(eq_b200.closed_loop(), noise)
+    ens = simulate_closed_loop(eq_b200.closed_loop, noise)
     res = gain_grid_search(eq_b200, ens, np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
     margin = res.dominance_margin(2.0)
     ok = margin >= 0.0
@@ -252,7 +251,7 @@ def test_criterion_11_bsde_residual_order():
     def rms(steps):
         eq = solve_equilibrium(make_model(steps))
         noise = generate_noise(42, 10000, eq.model.grid)
-        ens = simulate_closed_loop(eq.closed_loop(), noise)
+        ens = simulate_closed_loop(eq.closed_loop, noise)
         theta = backfill(eq, ens)
         recon = reconstruct_adjoints(eq, ens, theta)
         return bsde_residual(eq, ens, recon).rms

@@ -13,7 +13,7 @@ from lqstack import equilibrium as eq_mod
 from lqstack import simulate
 from lqstack.cli import main
 
-from conftest import make_model, model_to_dict
+from conftest import make_model, model_to_dict, time_varying
 
 
 def write_model(tmp_path, name="model.json", **overrides):
@@ -288,6 +288,78 @@ def test_verify_builds_follower_coefficients_once(tmp_path, monkeypatch):
     args = ["verify", "--model", path, "--out", str(tmp_path / "out"), "--steps", "40", "--paths", "4000"]
     assert main(args) == 0
     assert len(calls) == 1
+
+
+def test_verify_solves_equilibrium_filter_once(tmp_path, monkeypatch):
+    # The follower's filter under the equilibrium's u2hat is solved once, in
+    # solve_equilibrium, and read from there by the route check, the offset
+    # of each chunk and the leader's sweep; the sweep's 3 shifted u2hat
+    # re-solve it, 4 solves in all.
+    import lqstack
+    from lqstack import filtering
+    solver, solve_eq = filtering.solve_follower_filter, eq_mod.solve_equilibrium
+    calls, solved = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
+
+    def keep(*args, **kwargs):
+        solved.append(solve_eq(*args, **kwargs))
+        return solved[-1]
+
+    modules = [lqstack, *(m for name, m in sys.modules.items() if name.startswith("lqstack."))]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is solver:
+                monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(eq_mod, "solve_equilibrium", keep)
+    path = write_model(tmp_path)
+    args = ["verify", "--model", path, "--out", str(tmp_path / "out"), "--steps", "40", "--paths", "4000"]
+    assert main(args) == 0
+    (eq,) = solved
+    assert sum(np.array_equal(u2hat, eq.u2hat) for _, _, u2hat in calls) == 1
+    assert len(calls) == 4
+
+
+def write_time_varying_model(tmp_path):
+    """The conftest time_varying form of the D1=0.3, D2=0.2 model at N=200: A, R2, B1, D2 as arrays."""
+    path = tmp_path / "time_varying.json"
+    path.write_text(json.dumps(model_to_dict(time_varying(make_model(steps=200, D1=0.3, D2=0.2)))))
+    return str(path)
+
+
+def test_array_model_reruns_byte_identical(tmp_path):
+    path = write_time_varying_model(tmp_path)
+    for command in ("solve", "simulate"):
+        outs = [tmp_path / f"{command}{i}" for i in range(2)]
+        for out in outs:
+            assert main([command, "--model", path, "--out", str(out), "--paths", "1000", "--seed", "4"]) == 0
+        assert read_all(outs[0]) == read_all(outs[1]), command
+
+
+def test_array_model_simulate_independent_of_chunking(tmp_path, monkeypatch):
+    # one chunk of 2001 paths against chunks of 1000, the last holding one path
+    path = write_time_varying_model(tmp_path)
+    outs = []
+    for chunk in (2001, 1000):
+        monkeypatch.setattr(simulate, "CHUNK_PATHS", chunk)
+        outs.append(tmp_path / str(chunk))
+        assert main(["simulate", "--model", path, "--out", str(outs[-1]), "--paths", "2001", "--seed", "6"]) == 0
+    assert read_all(outs[0]) == read_all(outs[1])
+
+
+def test_compare_outputs_script_sees_no_moves_against_itself():
+    # scripts/compare_outputs.py on the repository against itself at N=20:
+    # every column move is zero and nothing differs
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "compare_outputs.py"), str(root), str(root),
+                           "--steps", "20"], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2:] == ["largest column move: 0.0", "differences: 0"], lines[-5:]
+    assert sum(": exit " in line for line in lines) == 9  # 3 models x 3 commands
+    assert sum(line.startswith("    verify_report.csv: ") for line in lines) == 3
 
 
 def test_verify_report_independent_of_chunking(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ def test_costs_zero_weights():
     m = zero_weight_model(R1=0.0 + 1.0, R2=1.0)  # weights on controls only
     eq = solve_equilibrium(m)
     noise = generate_noise(1, 50, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     # equilibrium controls vanish, so both costs are exactly zero
     assert estimate_J1(m, ens).mean == 0.0
     assert estimate_J1(m, ens).stderr == 0.0
@@ -42,8 +42,8 @@ def test_costs_scale_with_x0_squared(seed, c):
     runs = []
     for model in (m, dataclasses.replace(m, x0=c * m.x0)):
         eq = solve_equilibrium(model)
-        ens = simulate_closed_loop(eq.closed_loop(), noise)
-        runs.append((ens, follower_response(eq, eq.u2hat_path()),
+        ens = simulate_closed_loop(eq.closed_loop, noise)
+        runs.append((ens, follower_response(eq, eq.u2hat),
                      pathwise_J1(model, ens), pathwise_J2(model, ens)))
     (a, ua, j1a, j2a), (b, ub, j1b, j2b) = runs
     for name in ("x", "q", "u1", "u2"):
@@ -90,7 +90,7 @@ def test_deterministic_j2():
 @pytest.fixture(scope="module")
 def eq_ens_small(eq_b200):
     noise = generate_noise(77, 4000, eq_b200.model.grid)
-    return eq_b200, simulate_closed_loop(eq_b200.closed_loop(), noise)
+    return eq_b200, simulate_closed_loop(eq_b200.closed_loop, noise)
 
 
 def test_zero_direction_gives_exact_zero_differences(eq_ens_small):
@@ -108,7 +108,7 @@ def test_zero_direction_gives_exact_zero_differences(eq_ens_small):
 def test_zero_direction_gives_exact_zero_slope_and_curvature(diffusion):
     m = make_model(steps=60, **diffusion)
     eq = solve_equilibrium(m)
-    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(8, 100, m.grid))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(8, 100, m.grid))
     dirs = {"zero": np.zeros(61), "const": np.ones(61)}
     for which in ("J1", "J2"):
         _, a, b, a_const, _ = OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0]
@@ -125,7 +125,7 @@ def test_path_values_independent_of_paths_beside_it():
     dirs = _oracle_dirs(m)
 
     def path_values(noise, i):
-        ens = simulate_closed_loop(eq.closed_loop(), noise)
+        ens = simulate_closed_loop(eq.closed_loop, noise)
         recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
         sweeps = [OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0][:, i] for which in ("J1", "J2")]
         return [ens.x[:, i], ens.q[:, i], ens.u2[:, i], pathwise_J1(m, ens)[i], pathwise_J2(m, ens)[i], *sweeps,
@@ -144,7 +144,7 @@ def test_decoupled_quadratic_delta_closed_form():
     m = zero_weight_model(steps=120, R1=1.3)
     eq = solve_equilibrium(m)
     noise = generate_noise(6, 300, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     t = m.grid.times()
     v = np.sin(2 * np.pi * t) + 0.5
     rep = verify_follower_optimality(eq, ens, {"v": v}, [0.05, 0.2])
@@ -160,7 +160,7 @@ def test_leader_decoupled_quadratic_lower_bound():
     m = make_model(steps=120, Q2=0.0, G2=0.0)
     eq = solve_equilibrium(m)
     noise = generate_noise(14, 3000, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     t = m.grid.times()
     rep = verify_leader_optimality(eq, ens, {"v": np.cos(np.pi * t)}, [0.05, 0.1])
     assert rep.curves[0].min_delta_margin(3.0) >= 0.0
@@ -188,7 +188,7 @@ def test_stderr_scales_with_path_count(eq_b200):
     outs = []
     for seed, m_paths in seeds_m:
         noise = generate_noise(seed, m_paths, eq_b200.model.grid)
-        ens = simulate_closed_loop(eq_b200.closed_loop(), noise)
+        ens = simulate_closed_loop(eq_b200.closed_loop, noise)
         outs.append(estimate_J1(eq_b200.model, ens))
     ratio = outs[0].stderr / outs[1].stderr
     assert abs(ratio - 2.0) <= 0.4  # 1/sqrt(M): quadrupling halves stderr +-20%
@@ -200,7 +200,7 @@ def test_chunked_matches_monolithic(eq_b200, monkeypatch):
     t = eq_b200.model.grid.times()
     dirs = {"ramp": t}
     noise = generate_noise(55, 3000, eq_b200.model.grid)
-    ens = simulate_closed_loop(eq_b200.closed_loop(), noise)
+    ens = simulate_closed_loop(eq_b200.closed_loop, noise)
     for which, verify in (("J1", verify_follower_optimality), ("J2", verify_leader_optimality)):
         mono = verify(eq_b200, ens, dirs, [0.1])
         chunked = verify_optimality_chunked(eq_b200, which, dirs, [0.1], seed=55, m=3000)
@@ -215,13 +215,13 @@ def test_leader_report_scope_label(eq_b200):
     m = make_model(steps=80, D1=0.3, D2=0.4, C=0.3)
     eq = solve_equilibrium(m)
     noise = generate_noise(9, 3000, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     rep = verify_leader_optimality(eq, ens, {"const": np.ones(81)}, [0.1])
     assert not rep.proven_scope
     assert rep.curves[0].min_delta_margin(3.0) >= 0.0
 
     noise_b = generate_noise(3, 100, eq_b200.model.grid)
-    ens_b = simulate_closed_loop(eq_b200.closed_loop(), noise_b)
+    ens_b = simulate_closed_loop(eq_b200.closed_loop, noise_b)
     rep_b = verify_leader_optimality(eq_b200, ens_b, {"const": np.ones(201)}, [0.1])
     assert rep_b.proven_scope
 
@@ -233,7 +233,7 @@ def test_grid_search_zero_weights_ties():
     m = zero_weight_model(steps=80)
     eq = solve_equilibrium(m)
     noise = generate_noise(13, 200, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     res = gain_grid_search(eq, ens, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3))
     assert res.equilibrium_mean == 0.0
     assert res.best_mean == 0.0
@@ -249,7 +249,7 @@ def test_grid_search_dominance_benchmark(eq_ens_small):
 
 
 def test_follower_response_matches_gain_form(eq_b200):
-    u1 = follower_response(eq_b200, eq_b200.u2hat_path())
+    u1 = follower_response(eq_b200, eq_b200.u2hat)
     u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f[::2], eq_b200.xhat[::2])
     assert np.max(np.abs(u1 - u1_gain)) <= 1e-9
 
@@ -262,7 +262,7 @@ def eq_ens_oracle(request, eq_b200):
     eq = eq_b200 if request.param == "benchmark" else solve_equilibrium(
         make_model(steps=80, D1=0.3, D2=0.4, C=0.3))
     noise = generate_noise(31, 1500, eq.model.grid)
-    return eq, simulate_closed_loop(eq.closed_loop(), noise)
+    return eq, simulate_closed_loop(eq.closed_loop, noise)
 
 
 def _oracle_dirs(model):
@@ -295,7 +295,7 @@ def test_leader_sweep_matches_resimulation(eq_ens_oracle):
     eq, ens = eq_ens_oracle
     model = eq.model
     dirs = _oracle_dirs(model)
-    u2hat = eq.u2hat_path()
+    u2hat = eq.u2hat
 
     def run(e, v):
         shifted = u2hat + e * lift(v, model.grid.steps)

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqstack.costs import pathwise_J1, pathwise_J2
-from lqstack.equilibrium import (bsde_residual, drift_residuals, follower_stationarity_residual,
-                                 gain_consistency_residual, leader_stationarity_residual,
-                                 reconstruct_adjoints, solve_equilibrium)
-from lqstack.filtering import solve_follower_filter
+from lqstack.equilibrium import (bsde_residual, closed_loop_matrices, drift_residuals,
+                                 follower_stationarity_residual, gain_consistency_residual,
+                                 leader_stationarity_residual, reconstruct_adjoints, solve_equilibrium)
 from lqstack.model import LQModel
 from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
 
@@ -40,7 +39,7 @@ def test_zero_weights_give_exact_zeros_random_models(seed, varying):
     for arr in (eq.P.p, eq.leader.p1, eq.leader.p2, eq.sigmas.s1, eq.sigmas.s2,
                 eq.sigmas.s3, eq.gains.lx, eq.gains.lxhat, eq.gains.f):
         assert np.all(arr == 0.0)
-    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(seed, 20, m.grid))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(seed, 20, m.grid))
     assert np.all(pathwise_J1(m, ens) == 0.0)
     assert np.all(pathwise_J2(m, ens) == 0.0)
     dr = drift_residuals(eq)
@@ -50,6 +49,35 @@ def test_zero_weights_give_exact_zeros_random_models(seed, varying):
     assert np.all(follower_stationarity_residual(eq, ens, recon).residual == 0.0)
     assert leader_stationarity_residual(eq, ens, recon).algebraic_max == 0.0
     assert bsde_residual(eq, ens, recon).rms == 0.0
+
+
+def leader_xhat_matrix(blocks, leader, sigmas):
+    """The filtered augmented state's drift written from the blocks directly:
+    a1 + a2e + bb12 (p1 + p2) + cc (s2 + s3) - e13 s1 on the half grid."""
+    out = blocks.a1 + blocks.a2e
+    out += blocks.bb12 @ (leader.p1 + leader.p2)
+    out += blocks.cc @ (sigmas.s2 + sigmas.s3)
+    out -= blocks.e13 @ sigmas.s1
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), varying=st.booleans())
+def test_xhat_drift_is_closed_loop_drift(seed, varying):
+    # X-hat is the conditional mean of the closed loop, so its drift is the
+    # closed loop's drift_x + drift_xhat; the two formulas agree through the
+    # block identity bb - e11 = bb12, which D1, D2 != 0 exercise.
+    m = random_admissible_model(np.random.default_rng(seed), steps=40)
+    if varying:
+        m = time_varying(m)
+    eq = solve_equilibrium(m)
+    bb12 = eq.blocks.bb - eq.blocks.e11
+    assert np.max(np.abs(bb12 - eq.blocks.bb12)) <= 1e-13 * np.max(np.abs(eq.blocks.bb12))
+    oracle = leader_xhat_matrix(eq.blocks, eq.leader, eq.sigmas)
+    fx, fxh, _, _ = closed_loop_matrices(eq.blocks, eq.leader, eq.sigmas)
+    assert np.max(np.abs(fx + fxh - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert np.array_equal(eq.closed_loop.drift_x, fx[::2])
+    assert np.array_equal(eq.closed_loop.drift_xhat, fxh[::2])
 
 
 def test_follower_gain_structure_zero_diffusion(eq_b200):
@@ -176,7 +204,7 @@ def test_terminal_follower_adjoint(eq_b200, ens_b200, recon_b200):
 def test_follower_stationarity_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 200, eq.model.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = follower_stationarity_residual(eq, ens, recon)
@@ -196,12 +224,12 @@ def test_follower_stationarity_deterministic_degenerate():
     # condition is pure ODE arithmetic
     m = make_model(steps=400, C=0.0)
     eq = solve_equilibrium(m)
-    fp = solve_follower_filter(m, eq.P, eq.u2hat_path())
+    fp = eq.follower_filter
     x = fp.xhat[::2, None]
     q_path = eq.xhat[::2, 1][:, None]
     u1 = np.einsum("ki,ki->k", eq.gains.f[::2], eq.xhat[::2])
-    u2 = eq.u2hat_path()[::2, None]
-    theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat_path(), fp.xhat, eq.u2hat_path(), fp.theta_hat)
+    u2 = eq.u2hat[::2, None]
+    theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat, fp.xhat, eq.u2hat, fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)
     ens = TrajectoryEnsemble(grid=m.grid, x=x, q=q_path, u1=u1, u2=u2, noise=noise)
@@ -213,7 +241,7 @@ def test_follower_stationarity_deterministic_degenerate():
 def test_leader_stationarity_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 100, eq.model.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = leader_stationarity_residual(eq, ens, recon)
@@ -231,7 +259,7 @@ def test_leader_stationarity_general_model():
     m = random_admissible_model(rng, steps=120)
     eq = solve_equilibrium(m)
     noise = generate_noise(8, 2000, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = leader_stationarity_residual(eq, ens, recon)
@@ -332,7 +360,7 @@ def test_time_varying_algebraic_identities(eq_time_varying):
     assert np.max(np.abs(sig.s1 - (sig.s2 + sig.s3))) <= 1e-13 * scale
     assert gain_consistency_residual(eq).max_abs <= 1e-10
     noise = generate_noise(4, 200, eq.model.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     theta = backfill(eq, ens)
     stats = leader_stationarity_residual(eq, ens, reconstruct_adjoints(eq, ens, theta))
     assert stats.algebraic_max <= 1e-8 * stats.scale
@@ -342,7 +370,7 @@ def test_time_varying_algebraic_identities(eq_time_varying):
 def test_bsde_residual_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 100, eq.model.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     theta = backfill(eq, ens)
     recon = reconstruct_adjoints(eq, ens, theta)
     assert bsde_residual(eq, ens, recon).rms == 0.0
@@ -352,7 +380,7 @@ def test_bsde_residual_first_order():
     def rms(steps):
         eq = solve_equilibrium(make_model(steps=steps))
         noise = generate_noise(99, 2000, eq.model.grid)
-        ens = simulate_closed_loop(eq.closed_loop(), noise)
+        ens = simulate_closed_loop(eq.closed_loop, noise)
         theta = backfill(eq, ens)
         recon = reconstruct_adjoints(eq, ens, theta)
         return bsde_residual(eq, ens, recon).rms

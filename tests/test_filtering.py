@@ -123,7 +123,7 @@ def test_two_xhat_routes_agree(eq_b400):
     # The first component of the augmented estimate and the follower filter
     # driven by the leader's filtered feedback discretize the same ODE.
     eq = eq_b400
-    fp = solve_follower_filter(eq.model, eq.P, eq.u2hat_path())
+    fp = eq.follower_filter
     scale = np.max(np.abs(eq.xhat[::2, 0]))
     assert np.max(np.abs(fp.xhat[::2] - eq.xhat[::2, 0])) <= 1e-9 * scale
 
@@ -164,8 +164,8 @@ def test_linearity_in_initial_state_random_models(seed, c):
                  (a.sigmas.s2, b.sigmas.s2), (a.sigmas.s3, b.sigmas.s3), (a.gains.lx, b.gains.lx),
                  (a.gains.lxhat, b.gains.lxhat), (a.gains.f, b.gains.f)):
         assert np.array_equal(x, y)
-    fa = solve_follower_filter(m, a.P, a.u2hat_path())
-    fb = solve_follower_filter(b.model, b.P, b.u2hat_path())
+    fa = a.follower_filter
+    fb = b.follower_filter
     for pa, pb in ((a.xhat, b.xhat), (fa.xhat, fb.xhat), (fa.theta_hat, fb.theta_hat)):
         assert np.array_equal(c * pa[::2], pb[::2])
         assert np.array_equal(c * pa[1::2], pb[1::2])
@@ -193,7 +193,7 @@ def test_node_and_lifted_inputs_agree(eq_b200, ens_b200):
     # a node array is read exactly as its lifted half-grid form
     eq = eq_b200
     n = eq.model.grid.steps
-    u2_nodes = eq.u2hat_path()[::2]
+    u2_nodes = eq.u2hat[::2]
     a = solve_follower_filter(eq.model, eq.P, u2_nodes)
     b = solve_follower_filter(eq.model, eq.P, lift(u2_nodes, n))
     assert np.array_equal(a.xhat, b.xhat) and np.array_equal(a.theta_hat, b.theta_hat)

@@ -73,7 +73,7 @@ def test_head_draws_its_own_observation_noise():
     # published as stored, node-major and C-contiguous with paths along the
     # last axis, and the head holds copies
     eq = solve_equilibrium(make_model(steps=20))
-    ens = simulate_closed_loop(eq.closed_loop(), generate_noise(3, 100, eq.model.grid, first_path=50))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(3, 100, eq.model.grid, first_path=50))
     head = ens.head(3)
     dwbar = head.noise.dwbar
     assert "dwbar" not in vars(ens.noise)
@@ -213,7 +213,7 @@ def test_closed_loop_zero_weights_is_uncontrolled(eq_b200):
     m = make_model(steps=200, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
     eq = solve_equilibrium(m)
     noise = generate_noise(17, 500, m.grid)
-    closed = simulate_closed_loop(eq.closed_loop(), noise)
+    closed = simulate_closed_loop(eq.closed_loop, noise)
     zeros = np.zeros(201)
     open_ = simulate_open_loop(m, zeros, zeros, noise)
     # pathwise identical states and identically zero controls and q
@@ -227,7 +227,7 @@ def test_closed_loop_frozen_state_without_dynamics():
     m = make_model(steps=100, A=0.0, C=0.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0)
     eq = solve_equilibrium(m)
     noise = generate_noise(23, 32, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     assert np.all(ens.x == 1.0)
     assert np.all(ens.q == 0.0)
 
@@ -236,7 +236,7 @@ def test_closed_loop_zero_initial_state():
     m = make_model(steps=100, A=0.0, C=0.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0, x0=0.0)
     eq = solve_equilibrium(m)
     noise = generate_noise(29, 16, m.grid)
-    ens = simulate_closed_loop(eq.closed_loop(), noise)
+    ens = simulate_closed_loop(eq.closed_loop, noise)
     assert np.all(ens.x == 0.0)
 
 
@@ -299,7 +299,7 @@ def test_non_finite_state_names_path_in_whole_ensemble():
     # as the plain per-path loop finds them.
     eq = solve_equilibrium(make_model(steps=200, C=1000.0, Q1=0.0, G1=0.0, Q2=0.0, G2=0.0))
     noise = generate_noise(3, 5, eq.model.grid, first_path=7)
-    for system in (eq.closed_loop(), _q_first_system(eq.model.grid)):
+    for system in (eq.closed_loop, _q_first_system(eq.model.grid)):
         path, step = _first_non_finite(system, noise)
         with pytest.raises(NonFiniteState, match=f"non-finite state on path {path} at step {step} ") as info:
             simulate_closed_loop(system, noise)
@@ -369,8 +369,8 @@ def test_backfill_zero_forcing():
 
 
 def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
-    u2hat = eq_b200.u2hat_path()
-    theta_hat = solve_follower_filter(eq_b200.model, eq_b200.P, u2hat).theta_hat
+    u2hat = eq_b200.u2hat
+    theta_hat = eq_b200.follower_filter.theta_hat
     theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x[:, :100], ens_b200.u2[:, :100],
                            eq_b200.xhat[:, 0], u2hat, theta_hat)
     assert np.all(theta[-1] == 0.0)
@@ -379,9 +379,9 @@ def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
 def test_backfill_degenerate_path_matches_filter(eq_b400):
     # feeding the filter path itself reproduces the filtered offset
     eq = eq_b400
-    fp = solve_follower_filter(eq.model, eq.P, eq.u2hat_path())
-    theta = backfill_theta(eq.model, eq.P, fp.xhat, eq.u2hat_path(),
-                           fp.xhat, eq.u2hat_path(), fp.theta_hat)
+    fp = eq.follower_filter
+    theta = backfill_theta(eq.model, eq.P, fp.xhat, eq.u2hat,
+                           fp.xhat, eq.u2hat, fp.theta_hat)
     assert np.array_equal(theta[:, 0], fp.theta_hat[::2])
 
 
@@ -390,8 +390,8 @@ def test_backfill_fourth_order_off_the_filter():
     # keeps 4th order, so each halving of dt shrinks the self-gap by ~16
     def theta0(steps):
         eq = solve_equilibrium(make_model(steps=steps, D1=0.3, D2=0.2))
-        u2hat = eq.u2hat_path()
-        fp = solve_follower_filter(eq.model, eq.P, u2hat)
+        u2hat = eq.u2hat
+        fp = eq.follower_filter
         x = fp.xhat + 0.3 * np.sin(2.0 * np.pi * np.linspace(0.0, eq.model.grid.horizon, 2 * steps + 1))
         return backfill_theta(eq.model, eq.P, x, u2hat, fp.xhat, u2hat, fp.theta_hat)[0, 0]
 
@@ -444,7 +444,7 @@ def test_density_martingale_time_varying_drift():
 
 def test_ensemble_reproducible(eq_b200):
     noise = generate_noise(43, 256, eq_b200.model.grid)
-    a = simulate_closed_loop(eq_b200.closed_loop(), noise)
-    b = simulate_closed_loop(eq_b200.closed_loop(), generate_noise(43, 256, eq_b200.model.grid))
+    a = simulate_closed_loop(eq_b200.closed_loop, noise)
+    b = simulate_closed_loop(eq_b200.closed_loop, generate_noise(43, 256, eq_b200.model.grid))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.u2, b.u2)
