@@ -9,6 +9,11 @@ written).
 
 Every output is a pure function of the problem file, the flags and the seed;
 reruns are byte-identical.
+
+simulate and verify each make one pass over closed-loop chunks through
+equilibrium.fold_chunks.  verify's rows come from its list of check objects
+(equilibrium and costs), in report order; simulate folds each chunk's
+per-path costs.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
 from .model import LQModel, check_hypotheses, load_model
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .riccati import solve_follower_P  # noqa: F401
-from .simulate import backfill_theta, closed_loop_chunks, density_process
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -157,6 +161,20 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
+class _PathCosts:
+    """simulate's fold: the per-path J1 and J2 of every chunk, and copies of the first paths."""
+
+    def __init__(self, model: LQModel):
+        self.model, self.j1, self.j2, self.head = model, [], [], None
+
+    def add(self, chunk: eq_mod.Chunk) -> None:
+        ens = chunk.ens
+        if self.head is None:
+            self.head = ens.head(reporting.TRAJECTORY_PATHS)
+        self.j1.append(costs_mod.pathwise_J1(self.model, ens))
+        self.j2.append(costs_mod.pathwise_J2(self.model, ens))
+
+
 def cmd_simulate(config: RunConfig) -> int:
     """Closed-loop Monte-Carlo run: trajectories.csv and costs.csv.
 
@@ -166,151 +184,45 @@ def cmd_simulate(config: RunConfig) -> int:
     """
     model = _load(config)
     eq = _solve(config, model)
-    j1, j2, head = [], [], None
-    for ens in closed_loop_chunks(eq.closed_loop, config.seed, config.paths):
-        if head is None:
-            head = ens.head(reporting.TRAJECTORY_PATHS)
-        j1.append(costs_mod.pathwise_J1(model, ens))
-        j2.append(costs_mod.pathwise_J2(model, ens))
-        del ens  # else it stays alive while the next chunk is simulated
-    j1 = costs_mod.cost_estimate("J1", np.concatenate(j1))
-    j2 = costs_mod.cost_estimate("J2", np.concatenate(j2))
+    fold, = eq_mod.fold_chunks(eq, config.seed, config.paths, [_PathCosts(model)])
+    j1 = costs_mod.cost_estimate("J1", np.concatenate(fold.j1))
+    j2 = costs_mod.cost_estimate("J2", np.concatenate(fold.j2))
     reporting.ensure_dir(config.out_dir)
-    reporting.write_trajectories_csv(f"{config.out_dir}/trajectories.csv", head)
+    reporting.write_trajectories_csv(f"{config.out_dir}/trajectories.csv", fold.head)
     reporting.write_costs_csv(f"{config.out_dir}/costs.csv", [j1, j2])
     print(f"J1 = {j1.mean!r} (stderr {j1.stderr!r}), J2 = {j2.mean!r} (stderr {j2.stderr!r}), M = {config.paths}")
     return EXIT_OK
 
 
-def _verify_rows(config: RunConfig, model: LQModel, eq) -> list[reporting.CheckRow]:
-    tol = config.tolerances
-    rows: list[reporting.CheckRow] = []
-    n = model.grid.steps
-    dt = model.grid.dt
-    mult = f"{tol.stderr_mult:g} stderr"
+def _verify_checks(config: RunConfig, model: LQModel, eq) -> list:
+    """verify's checks in report order, after one pass over the closed-loop chunks.
 
-    def add(name, kind, residual, tolerance, note=""):
-        rows.append(reporting.CheckRow(name=name, kind=kind, residual=float(residual),
-                                       tolerance=float(tolerance), passed=bool(residual <= tolerance),
-                                       note=note))
-
-    # Exact terminal/initial data.
-    term = max(
-        float(np.max(np.abs(eq.leader.p1[-1] - eq.blocks.gbar))),
-        float(np.max(np.abs(eq.leader.p2[-1]))),
-        abs(eq.P.p[-1] - model.G1),
-        float(np.max(np.abs(eq.xhat[0] - np.array([model.x0, 0.0])))),
-    )
-    add("terminal_data", "algebraic", term, 0.0, "stored bit-exactly")
-
-    # Gain-matrix identity between the two eliminations of the adjoint diffusion.
-    sig_scale = float(np.max(np.abs(eq.sigmas.s1))) + 1.0
-    add("sigma_identity", "algebraic",
-        np.max(np.abs(eq.sigmas.s1 - (eq.sigmas.s2 + eq.sigmas.s3))), tol.sigma_rel * sig_scale)
-
-    # Follower control: gain form vs the filtered-feedback substitution.
-    gc = eq_mod.gain_consistency_residual(eq)
-    add("gain_consistency", "algebraic", gc.max_abs, tol.gain_rel * gc.scale, "two control representations")
-
-    # The follower filter driven by the leader's filtered feedback must
-    # reproduce the first component of the augmented estimate (same ODE,
-    # 4th-order discretizations).
-    xh = eq.xhat[::2]
-    route_gap = float(np.max(np.abs(eq.follower_filter.xhat[::2] - xh[:, 0])))
-    xh_scale = float(np.max(np.abs(xh[:, 0]))) + 1.0
-    add("filter_route_consistency", "algebraic", route_gap,
-        max(tol.structural_rel, 1e2 * dt ** 4) * xh_scale)
-
-    # Every Monte-Carlo row is a reduction over paths, so one pass over path
-    # chunks folds each chunk into running maxima, per-node moments (merged
-    # in chunk order) or per-path vectors: memory is set by the chunk size.
+    The last three, the follower's and the leader's sweeps and the grid, also
+    give the results of perturbations.csv and grid_search.csv.
+    """
     t = model.grid.times()
-    dirs = {"const": np.ones(n + 1), "ramp": t / model.grid.horizon,
-            "sine": np.sin(2.0 * np.pi * t / model.grid.horizon)}
-    sweeps = [costs_mod.OptimalitySweep(eq, which, dirs, config.eps) for which in ("J1", "J2")]
-    checkpoints = [int(round(f * n)) for f in np.linspace(0.1, 1.0, 10)]
-    density = not np.all(model.nodes("h") == 0.0)
-    fs_moments, tower = eq_mod.NodeMoments(), eq_mod.NodeMoments()
-    leader = eq_mod.LeaderStationarity(0.0, 0.0, 0.0)
-    bsde_sums, z_T, grid_parts = [], [], []
-    peak = {}
-
-    def fold(name, values):
-        peak[name] = float(np.maximum(peak.get(name, 0.0), np.max(np.abs(values))))  # NaN propagates
-
-    for ens in closed_loop_chunks(eq.closed_loop, config.seed, config.paths):
-        theta = backfill_theta(model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat,
-                               eq.follower_filter.theta_hat)
-        recon = eq_mod.reconstruct_adjoints(eq, ens, theta)
-        fold("z", recon.z)
-        fold("z_2", recon.z[1])
-        fold("y_T", recon.y[:, -1])
-        fold("y_T_gap", recon.y[:, -1] - eq.blocks.gbar @ np.stack([ens.x[-1], ens.q[-1]]))
-        fold("p", recon.p)
-        leader = leader.merge(eq_mod.leader_stationarity_residual(eq, ens, recon))
-        fs = eq_mod.follower_stationarity_residual(eq, ens, recon, fs_moments)
-        bsde_sums.append(eq_mod.bsde_residual(eq, ens, recon).time_summed)
-        tower.add(np.stack([ens.x[checkpoints], ens.q[checkpoints]], axis=1))
-        if density:
-            z_T.append(density_process(model, ens.noise))
-        for sweep in sweeps:
-            sweep.add(ens)
-        if ens.noise.first_path < 4000:  # brute-force dominance on the first 4000 paths
-            grid_parts.append(costs_mod.grid_features(eq, ens)[:, :4000 - ens.noise.first_path])
-        del ens, theta, recon  # else they stay alive while the next chunk is simulated
-
-    add("structural_zero", "algebraic", peak["z_2"], tol.structural_rel * (peak["z"] + 1.0))
-    add("terminal_reconstruction", "algebraic", peak["y_T_gap"], 1e-12 * (peak["y_T"] + 1.0))
-    add("leader_stationarity", "algebraic", leader.algebraic_max, tol.algebraic_rel * leader.scale)
-    fs_tol = tol.stderr_mult * float(np.max(fs.stderr)) + tol.dt_coeff * dt * fs.scale
-    add("follower_stationarity", "statistical", fs.max_abs, fs_tol, f"{mult} + O(dt) allowance")
-
-    dr = eq_mod.drift_residuals(eq)
-    add("drift_residual_follower", "order", dr.follower_max, tol.drift_coeff * dt * dt)
-    add("drift_residual_leader", "order", dr.leader_max, tol.drift_coeff * dt * dt)
-
-    br = eq_mod.BsdeResidual(np.concatenate(bsde_sums))
-    add("bsde_residual", "statistical", br.rms, tol.dt_coeff * 10.0 * dt * (peak["p"] + 1.0), "first-order in dt")
-
-    # Tower property with the first-order weak-error allowance.
-    gap = np.abs(tower.mean - xh[checkpoints]) - tol.stderr_mult * tower.stderr
-    x_scale = float(np.max(np.abs(xh))) + 1.0
-    add("tower_property", "statistical", max(0.0, float(np.max(gap))), tol.dt_coeff * dt * x_scale,
-        f"gap beyond {mult} vs O(dt) weak-error allowance")
-
-    # Observation-density martingale.
-    if density:
-        zt = np.concatenate(z_T)
-        add("density_martingale", "statistical", abs(float(zt.mean()) - 1.0),
-            tol.stderr_mult * float(zt.std(ddof=1) / np.sqrt(len(zt))) + 1e-12)
-
-    reports = [sweep.report() for sweep in sweeps]
-    for rep, player in zip(reports, ("follower", "leader")):
-        for c in rep.curves:
-            add(f"{player}_optimality_{c.name}", "statistical", -c.min_delta_margin(tol.stderr_mult), 0.0,
-                f"min over eps of dJ + {mult}, negated")
-            slope_tol = tol.stderr_mult * c.slope_stderr + tol.dt_coeff * dt * (1.0 + abs(c.baseline_mean))
-            add(f"{player}_slope_{c.name}", "statistical", abs(c.slope), slope_tol,
-                f"{mult} + O(dt) allowance")
-            add(f"{player}_curvature_{c.name}", "statistical", -c.curvature, 0.0)
-
-    grid = costs_mod.grid_result(np.concatenate(grid_parts, axis=1), np.linspace(-3, 3, 21),
-                                 np.linspace(-3, 3, 21))
-    add("grid_dominance", "statistical", -grid.dominance_margin(tol.grid_stderr_mult), 0.0,
-        f"best grid ({grid.best_alpha!r},{grid.best_beta!r}) J1={grid.best_mean!r}")
-
-    reporting.ensure_dir(config.out_dir)
-    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", reports, tol.stderr_mult)
-    reporting.write_grid_csv(f"{config.out_dir}/grid_search.csv", grid)
-    return rows
+    horizon = model.grid.horizon
+    dirs = {"const": np.ones_like(t), "ramp": t / horizon, "sine": np.sin(2.0 * np.pi * t / horizon)}
+    checks = [eq_mod.Identities(eq), eq_mod.AdjointMaxima(eq), eq_mod.LeaderStationarity(),
+              eq_mod.FollowerStationarity(eq), eq_mod.drift_residuals(eq), eq_mod.Bsde(eq), eq_mod.Tower(eq),
+              eq_mod.Density(eq),
+              *(costs_mod.OptimalitySweep(eq, which, dirs, config.eps) for which in ("J1", "J2")),
+              costs_mod.GridDominance(eq)]
+    return eq_mod.fold_chunks(eq, config.seed, config.paths, checks)
 
 
 def cmd_verify(config: RunConfig) -> int:
-    """Full identity and optimality suite; writes verify_report.csv."""
+    """Full identity and optimality suite: verify_report.csv, perturbations.csv and grid_search.csv."""
     model = _load(config)
     eq = _solve(config, model)
-    rows = _verify_rows(config, model, eq)
+    tol = config.tolerances
+    checks = _verify_checks(config, model, eq)
+    rows = [row for check in checks for row in check.rows(tol)]
+    *_, follower, leader, grid = checks
     reporting.ensure_dir(config.out_dir)
+    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", [follower.report(), leader.report()],
+                                     tol.stderr_mult)
+    reporting.write_grid_csv(f"{config.out_dir}/grid_search.csv", grid.result())
     reporting.write_verify_csv(f"{config.out_dir}/verify_report.csv", rows)
     ok = True
     for r in rows:

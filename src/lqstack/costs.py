@@ -31,14 +31,15 @@ on the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, NodeMoments
+from .equilibrium import Check, Chunk, EquilibriumSolution, NodeMoments, fold_chunks
 from .filtering import solve_follower_filter
 from .model import LQModel, lift
-from .simulate import TrajectoryEnsemble, closed_loop_chunks, sensitivity_nodes
+from .reporting import CheckRow, check_row
+from .simulate import TrajectoryEnsemble, sensitivity_nodes
 # Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .simulate import simulate_open_loop  # noqa: F401
 
@@ -184,13 +185,15 @@ def _curve(name: str, eps: np.ndarray, base_cost: np.ndarray,
 
 
 class OptimalitySweep:
-    """The optimality verifier, fed baseline ensembles chunk by chunk.
+    """The optimality verifier, fed baseline chunks in path order (fold_chunks).
 
     which="J1" is the check of verify_follower_optimality, "J2" that of
     verify_leader_optimality; the follower's filter re-solves run once, here.
-    add runs all directions of a chunk through one pass of the sensitivity
-    kernel and keeps only each path's cost and its a, b, so chunks fed in
-    path order report exactly what one ensemble of all their paths reports.
+    add runs all directions of a chunk's ensemble through one pass of the
+    sensitivity kernel and keeps only each path's cost and its a, b, so
+    chunks fed in path order report exactly what one ensemble of all their
+    paths reports.  rows(tol) gives verify's optimality, slope and curvature
+    rows of each direction.
 
     J1 shifts the follower's control by each direction; the baseline is the
     ensemble itself.  J2 shifts the leader's control by each direction and
@@ -213,7 +216,8 @@ class OptimalitySweep:
         self.pairs = [(0, 0)] + [p for i in range(1, k + 1) for p in ((0, i), (i, i))]
         self.parts: list[np.ndarray] = []  # per chunk: base cost, then a and b of each direction
 
-    def add(self, ens: TrajectoryEnsemble) -> "OptimalitySweep":
+    def add(self, chunk: Chunk) -> "OptimalitySweep":
+        ens = chunk.ens
         v, u1 = self.v, np.asarray(ens.u1, dtype=float)
         if self.which == "J1":
             v1, v2, controls = v, np.zeros_like(v), [u1, *v]
@@ -239,6 +243,19 @@ class OptimalitySweep:
         proven = self.which == "J1" or bool(np.all(nodes("D1") == 0.0) and np.all(nodes("D2") == 0.0))
         return PerturbationReport(which=self.which, curves=curves, proven_scope=proven)
 
+    def rows(self, tol) -> list[CheckRow]:
+        player = "follower" if self.which == "J1" else "leader"
+        allowance = tol.dt_coeff * self.eq.model.grid.dt
+        rows = []
+        for c in self.report().curves:
+            rows += [check_row(f"{player}_optimality_{c.name}", "statistical", -c.min_delta_margin(tol.stderr_mult),
+                               0.0, f"min over eps of dJ + {tol.stderr_mult:g} stderr, negated"),
+                     check_row(f"{player}_slope_{c.name}", "statistical", abs(c.slope),
+                               tol.stderr_mult * c.slope_stderr + allowance * (1.0 + abs(c.baseline_mean)),
+                               f"{tol.stderr_mult:g} stderr + O(dt) allowance"),
+                     check_row(f"{player}_curvature_{c.name}", "statistical", -c.curvature, 0.0)]
+        return rows
+
 
 def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
                                directions: dict[str, np.ndarray], eps_list) -> PerturbationReport:
@@ -251,7 +268,7 @@ def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnse
     """
     if np.asarray(baseline.u1).ndim != 1:
         raise ValueError("baseline follower control must be deterministic")
-    return OptimalitySweep(eq, "J1", directions, eps_list).add(baseline).report()
+    return OptimalitySweep(eq, "J1", directions, eps_list).add(Chunk(eq, baseline)).report()
 
 
 def follower_response(eq: EquilibriumSolution, u2hat) -> np.ndarray:
@@ -275,20 +292,17 @@ def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemb
     follows the pathwise-frozen leader process plus the shift under the
     baseline noise.
     """
-    return OptimalitySweep(eq, "J2", directions, eps_list).add(baseline).report()
+    return OptimalitySweep(eq, "J2", directions, eps_list).add(Chunk(eq, baseline)).report()
 
 
 def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
                               directions: dict[str, np.ndarray], eps_list,
                               seed: int, m: int) -> PerturbationReport:
-    """The optimality verifier on m fresh closed-loop paths, streamed in chunks.
+    """The optimality verifier on m fresh closed-loop paths, fed chunk by chunk by fold_chunks.
 
     Per-path noise streams make the result that of one ensemble of all m paths.
     """
-    sweep = OptimalitySweep(eq, which, directions, eps_list)
-    for ens in closed_loop_chunks(eq.closed_loop, seed, m):
-        sweep.add(ens)
-        del ens  # else it stays alive while the next chunk is simulated
+    sweep, = fold_chunks(eq, seed, m, [OptimalitySweep(eq, which, directions, eps_list)])
     return sweep.report()
 
 
@@ -376,3 +390,25 @@ def gain_grid_search(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
                      alphas, betas) -> GridSearchResult:
     """Constant-feedback grid for the follower on every path of one baseline ensemble."""
     return grid_result(grid_features(eq, baseline), alphas, betas)
+
+
+@dataclass
+class GridDominance(Check):
+    """grid_dominance: the equilibrium's J1 against the best point of the 21 x 21 grid
+    on [-3, 3]^2, on the first PATHS paths of the chunks."""
+
+    PATHS = 4000
+    parts: list = field(default_factory=list)
+
+    def add(self, chunk: Chunk) -> None:
+        first = chunk.ens.noise.first_path
+        if first < self.PATHS:
+            self.parts.append(grid_features(self.eq, chunk.ens)[:, :self.PATHS - first])
+
+    def result(self) -> GridSearchResult:
+        return grid_result(np.concatenate(self.parts, axis=1), np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
+
+    def rows(self, tol) -> list[CheckRow]:
+        grid = self.result()
+        return [check_row("grid_dominance", "statistical", -grid.dominance_margin(tol.grid_stderr_mult), 0.0,
+                          f"best grid ({grid.best_alpha!r},{grid.best_beta!r}) J1={grid.best_mean!r}")]

@@ -11,20 +11,27 @@ backward-equation step for the follower's adjoint.
 Residuals come in two flavours and are never conflated: algebraic identities
 (zero to rounding, tolerance ~1e-8 of scale) and statistical ones (bounded
 by 3 standard errors plus an O(dt) discretization allowance).
+
+Each family of verify's report rows is one check object: rows(tol) forms
+its rows, and a check that reads simulated paths also has add(chunk), which
+fold_chunks, the one streamed pass over closed-loop chunks, calls with each
+chunk in path order.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-from functools import reduce
+from dataclasses import astuple, dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import LQModel, validate_model
+from .reporting import CheckRow, check_row
 from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, assemble_leader_blocks,
                       compute_sigmas, solve_follower_P, solve_leader_riccati)
-from .simulate import ClosedLoopSystem, TrajectoryEnsemble
+from .simulate import (ClosedLoopSystem, TrajectoryEnsemble, backfill_theta, closed_loop_chunks,
+                       density_process)
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,56 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
 
 
 @dataclass(frozen=True)
+class Chunk:
+    """One closed-loop ensemble of a streamed pass.
+
+    theta, the pathwise offset, and recon, the adjoints, are built on their
+    first read and kept with the chunk: once at most, and only when a check
+    reads them.  (Freeing theta as soon as recon is built doubled the minor
+    page faults of a 20000-path verify and made it slower.)
+    """
+
+    eq: EquilibriumSolution
+    ens: TrajectoryEnsemble
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        eq, ens = self.eq, self.ens
+        return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat, eq.follower_filter.theta_hat)
+
+    @cached_property
+    def recon(self) -> AdjointReconstruction:
+        return reconstruct_adjoints(self.eq, self.ens, self.theta)
+
+
+def fold_chunks(eq: EquilibriumSolution, seed: int, paths: int, checks: list) -> list:
+    """Feed closed-loop paths 0 .. paths-1 to every check that has add, chunk by chunk.
+
+    Each chunk is released before the next one is simulated, so memory is
+    set by the chunk size, not by the path count.  Returns checks.
+    """
+    folds = [check for check in checks if hasattr(check, "add")]
+    for ens in closed_loop_chunks(eq.closed_loop, seed, paths):
+        chunk = Chunk(eq, ens)
+        for check in folds:
+            check.add(chunk)
+        del ens, chunk  # else they stay alive while the next chunk is simulated
+    return checks
+
+
+def _peak(running: float, values) -> float:
+    """The running maximum of |values|; a NaN propagates."""
+    return float(np.maximum(running, np.max(np.abs(values))))
+
+
+@dataclass
+class Check:
+    """Base of the checks that read the solved equilibrium; rows(tol) forms a family of report rows."""
+
+    eq: EquilibriumSolution
+
+
+@dataclass(frozen=True)
 class ResidualStats:
     """Per-node residual with optional Monte-Carlo standard errors."""
 
@@ -261,25 +318,33 @@ def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
                          scale=float(np.max(np.abs(u1_gain))) + 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass
 class LeaderStationarity:
-    """Leader first-order condition residual, an algebraic identity.
+    """Leader first-order condition residual, an algebraic identity; the
+    leader_stationarity check.
 
     algebraic_max: max over paths and nodes of the residual with the
     filtered quantities read from the reconstructions (zero up to rounding);
-    its scale adds the largest |R2 u2| and |c_phi phi|.  Chunks merge exactly.
+    its scale adds the largest |R2 u2| and |c_phi phi|.  add folds in each
+    chunk's maxima exactly.
     """
 
-    algebraic_max: float
-    control_max: float
-    adjoint_max: float
+    algebraic_max: float = 0.0
+    control_max: float = 0.0
+    adjoint_max: float = 0.0
 
     @property
     def scale(self) -> float:
         return self.control_max + self.adjoint_max + 1e-300
 
-    def merge(self, other: "LeaderStationarity") -> "LeaderStationarity":
-        return LeaderStationarity(*(float(np.maximum(a, b)) for a, b in zip(astuple(self), astuple(other))))
+    def add(self, chunk: Chunk) -> "LeaderStationarity":
+        other = leader_stationarity_residual(chunk.eq, chunk.ens, chunk.recon)
+        self.algebraic_max, self.control_max, self.adjoint_max = (
+            float(np.maximum(a, b)) for a, b in zip(astuple(self), astuple(other)))  # a NaN propagates
+        return self
+
+    def rows(self, tol) -> list[CheckRow]:
+        return [check_row("leader_stationarity", "algebraic", self.algebraic_max, tol.algebraic_rel * self.scale)]
 
 
 def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
@@ -318,12 +383,14 @@ class DriftResiduals:
     O(dt^2) differencing signal, and the coefficients of the estimate, the
     controls and the offset cancel algebraically.  The leader identity is
     grouped by the raw augmented state and its estimate; both vanish at
-    O(dt^2) when the two backward equations hold.
+    O(dt^2) when the two backward equations hold.  As a check (no add) they
+    give drift_residual_follower and drift_residual_leader.
     """
 
     follower_x: np.ndarray
     leader_x: np.ndarray
     leader_xhat: np.ndarray
+    dt: float
 
     @property
     def follower_max(self) -> float:
@@ -332,6 +399,11 @@ class DriftResiduals:
     @property
     def leader_max(self) -> float:
         return float(max(np.max(np.abs(self.leader_x)), np.max(np.abs(self.leader_xhat))))
+
+    def rows(self, tol) -> list[CheckRow]:
+        bound = tol.drift_coeff * self.dt * self.dt
+        return [check_row("drift_residual_follower", "order", self.follower_max, bound),
+                check_row("drift_residual_leader", "order", self.leader_max, bound)]
 
 
 def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
@@ -383,7 +455,7 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     lead_xh += blocks.a4e[q].swapaxes(-1, -2) @ s1
     lead_xh -= blocks.e55[q]
 
-    return DriftResiduals(follower_x=fol_x, leader_x=lead_x, leader_xhat=lead_xh)
+    return DriftResiduals(follower_x=fol_x, leader_x=lead_x, leader_xhat=lead_xh, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -413,3 +485,125 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
     k = recon.k[:-1]
     steps = (p[1:] - p[:-1] + (Q1 * ens.x[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw)
     return BsdeResidual(time_summed=reduce(np.add, steps))  # node order, whatever the chunk
+
+
+class Identities(Check):
+    """terminal_data, sigma_identity, gain_consistency and filter_route_consistency: identities
+    of the solved equilibrium, exact or zero to rounding."""
+
+    def rows(self, tol) -> list[CheckRow]:
+        eq, model, s = self.eq, self.eq.model, self.eq.sigmas
+        term = max(float(np.max(np.abs(eq.leader.p1[-1] - eq.blocks.gbar))), float(np.max(np.abs(eq.leader.p2[-1]))),
+                   abs(eq.P.p[-1] - model.G1), float(np.max(np.abs(eq.xhat[0] - np.array([model.x0, 0.0])))))
+        gc = gain_consistency_residual(eq)
+        # The follower's filter driven by the leader's filtered feedback reproduces the first
+        # component of xhat (the same ODE, both 4th-order discretizations).
+        xh = eq.xhat[::2, 0]
+        route_gap = float(np.max(np.abs(eq.follower_filter.xhat[::2] - xh)))
+        route_tol = max(tol.structural_rel, 1e2 * model.grid.dt ** 4) * (float(np.max(np.abs(xh))) + 1.0)
+        return [check_row("terminal_data", "algebraic", term, 0.0, "stored bit-exactly"),
+                check_row("sigma_identity", "algebraic", np.max(np.abs(s.s1 - (s.s2 + s.s3))),
+                          tol.sigma_rel * (float(np.max(np.abs(s.s1))) + 1.0)),
+                check_row("gain_consistency", "algebraic", gc.max_abs, tol.gain_rel * gc.scale,
+                          "two control representations"),
+                check_row("filter_route_consistency", "algebraic", route_gap, route_tol)]
+
+
+@dataclass
+class AdjointMaxima(Check):
+    """structural_zero and terminal_reconstruction, from maxima over paths of the adjoints:
+    z's second component is a structural zero, and y(T) = gbar X(T)."""
+
+    z: float = 0.0
+    z_2: float = 0.0
+    y_T: float = 0.0
+    y_T_gap: float = 0.0
+
+    def add(self, chunk: Chunk) -> None:
+        recon, ens = chunk.recon, chunk.ens
+        self.z = _peak(self.z, recon.z)
+        self.z_2 = _peak(self.z_2, recon.z[1])
+        self.y_T = _peak(self.y_T, recon.y[:, -1])
+        self.y_T_gap = _peak(self.y_T_gap, recon.y[:, -1] - self.eq.blocks.gbar @ np.stack([ens.x[-1], ens.q[-1]]))
+
+    def rows(self, tol) -> list[CheckRow]:
+        return [check_row("structural_zero", "algebraic", self.z_2, tol.structural_rel * (self.z + 1.0)),
+                check_row("terminal_reconstruction", "algebraic", self.y_T_gap, 1e-12 * (self.y_T + 1.0))]
+
+
+@dataclass
+class FollowerStationarity(Check):
+    """follower_stationarity: the follower's first-order condition, its conditional means
+    folded into per-node moments chunk by chunk."""
+
+    moments: NodeMoments = field(default_factory=NodeMoments)
+    stats: ResidualStats | None = None
+
+    def add(self, chunk: Chunk) -> None:
+        self.stats = follower_stationarity_residual(self.eq, chunk.ens, chunk.recon, self.moments)
+
+    def rows(self, tol) -> list[CheckRow]:
+        fs = self.stats
+        bound = tol.stderr_mult * float(np.max(fs.stderr)) + tol.dt_coeff * self.eq.model.grid.dt * fs.scale
+        return [check_row("follower_stationarity", "statistical", fs.max_abs, bound,
+                          f"{tol.stderr_mult:g} stderr + O(dt) allowance")]
+
+
+@dataclass
+class Bsde(Check):
+    """bsde_residual: the rms over paths of the follower adjoint's summed backward steps,
+    first order in dt, against the largest |p|."""
+
+    sums: list = field(default_factory=list)
+    p_max: float = 0.0
+
+    def add(self, chunk: Chunk) -> None:
+        self.p_max = _peak(self.p_max, chunk.recon.p)
+        self.sums.append(bsde_residual(self.eq, chunk.ens, chunk.recon).time_summed)
+
+    def rows(self, tol) -> list[CheckRow]:
+        rms = BsdeResidual(np.concatenate(self.sums)).rms
+        return [check_row("bsde_residual", "statistical", rms,
+                          tol.dt_coeff * 10.0 * self.eq.model.grid.dt * (self.p_max + 1.0), "first-order in dt")]
+
+
+@dataclass
+class Tower(Check):
+    """tower_property: the mean of X over paths at ten checkpoints against xhat; the gap beyond
+    the stderrs is held to the first-order weak-error allowance."""
+
+    moments: NodeMoments = field(default_factory=NodeMoments)
+
+    @property
+    def checkpoints(self) -> list[int]:
+        return [int(round(f * self.eq.model.grid.steps)) for f in np.linspace(0.1, 1.0, 10)]
+
+    def add(self, chunk: Chunk) -> None:
+        checkpoints = self.checkpoints
+        self.moments.add(np.stack([chunk.ens.x[checkpoints], chunk.ens.q[checkpoints]], axis=1))
+
+    def rows(self, tol) -> list[CheckRow]:
+        xh = self.eq.xhat[::2]
+        gap = np.abs(self.moments.mean - xh[self.checkpoints]) - tol.stderr_mult * self.moments.stderr
+        return [check_row("tower_property", "statistical", max(0.0, float(np.max(gap))),
+                          tol.dt_coeff * self.eq.model.grid.dt * (float(np.max(np.abs(xh))) + 1.0),
+                          f"gap beyond {tol.stderr_mult:g} stderr vs O(dt) weak-error allowance")]
+
+
+@dataclass
+class Density(Check):
+    """density_martingale: the mean of the observation density's terminal value against its
+    exact mean 1; a model with h = 0 has no such row."""
+
+    z_T: list = field(default_factory=list)
+
+    def add(self, chunk: Chunk) -> None:
+        if not np.all(self.eq.model.nodes("h") == 0.0):
+            self.z_T.append(density_process(self.eq.model, chunk.ens.noise))
+
+    def rows(self, tol) -> list[CheckRow]:
+        if not self.z_T:
+            return []
+        zt = np.concatenate(self.z_T)
+        return [check_row("density_martingale", "statistical", abs(float(zt.mean()) - 1.0),
+                          tol.stderr_mult * float(zt.std(ddof=1) / np.sqrt(len(zt))) + 1e-12)]

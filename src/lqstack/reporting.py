@@ -95,6 +95,12 @@ class CheckRow:
     note: str = ""
 
 
+def check_row(name: str, kind: str, residual, tolerance, note: str = "") -> CheckRow:
+    """A report row that passes when residual <= tolerance; a NaN residual fails."""
+    return CheckRow(name=name, kind=kind, residual=float(residual), tolerance=float(tolerance),
+                    passed=bool(residual <= tolerance), note=note)
+
+
 def write_verify_csv(path, rows: list[CheckRow]) -> None:
     header = ["check", "kind", "residual", "tolerance", "pass", "note"]
     write_csv(path, header, zip(*([r.name, r.kind, r.residual, r.tolerance, r.passed, r.note] for r in rows)))

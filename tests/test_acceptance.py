@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from lqstack.costs import OptimalitySweep, gain_grid_search
-from lqstack.equilibrium import (bsde_residual, drift_residuals, reconstruct_adjoints,
+from lqstack.equilibrium import (bsde_residual, drift_residuals, fold_chunks, reconstruct_adjoints,
                                  solve_equilibrium)
 from lqstack.riccati import assemble_leader_blocks, solve_follower_P, solve_leader_riccati
-from lqstack.simulate import closed_loop_chunks, density_process, generate_noise, simulate_closed_loop
+from lqstack.simulate import density_process, generate_noise, simulate_closed_loop
 
 from conftest import backfill, make_model, model_to_dict, random_admissible_model
 
@@ -198,8 +198,8 @@ def test_criterion_07_gain_consistency(eq_b200):
 def optimality_reports():
     """The J1 and J2 sweeps of criteria 08 and 09, fed from one closed-loop stream.
 
-    Both check the same seed-42 ensemble; each report equals that of its own
-    verify_optimality_chunked run.
+    Both check the same seed-42 ensemble, fed by fold_chunks as verify feeds
+    them; each report equals that of its own verify_optimality_chunked run.
     """
     # grid fine enough that the O(dt) bias of the frozen-control differencing
     # sits below the Monte-Carlo slope resolution
@@ -207,12 +207,9 @@ def optimality_reports():
     eq = solve_equilibrium(make_model(steps))
     t = eq.model.grid.times()
     dirs = {"const": np.ones(steps + 1), "ramp": t, "sine": np.sin(2.0 * np.pi * t)}
-    sweeps = {which: OptimalitySweep(eq, which, dirs, [0.05, 0.1, 0.2]) for which in ("J1", "J2")}
-    for ens in closed_loop_chunks(eq.closed_loop, 42, 100000):
-        for sweep in sweeps.values():
-            sweep.add(ens)
-        del ens  # else it stays alive while the next chunk is simulated
-    return {which: sweep.report() for which, sweep in sweeps.items()}
+    sweeps = [OptimalitySweep(eq, which, dirs, [0.05, 0.1, 0.2]) for which in ("J1", "J2")]
+    fold_chunks(eq, 42, 100000, sweeps)
+    return {sweep.which: sweep.report() for sweep in sweeps}
 
 
 def _optimality_criterion(num, rep):

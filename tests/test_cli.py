@@ -201,6 +201,25 @@ def test_verify_benchmark_passes(tmp_path):
         assert (out / name).exists()
 
 
+VERIFY_ROWS = ["terminal_data", "sigma_identity", "gain_consistency", "filter_route_consistency", "structural_zero",
+               "terminal_reconstruction", "leader_stationarity", "follower_stationarity", "drift_residual_follower",
+               "drift_residual_leader", "bsde_residual", "tower_property", "density_martingale",
+               *(f"{player}_{row}_{direction}" for player in ("follower", "leader")
+                 for direction in ("const", "ramp", "sine") for row in ("optimality", "slope", "curvature")),
+               "grid_dominance"]
+
+
+@pytest.mark.parametrize("h", [1.0, 0.0])
+def test_verify_row_names_and_order(tmp_path, h):
+    # every row of the report in its order: 32 on the standard model, 31
+    # with h = 0, which has no observation density to check
+    path = write_model(tmp_path, steps=20, h=h)
+    main(["verify", "--model", path, "--out", str(tmp_path / "out"), "--paths", "300"])
+    names = [r["check"] for r in read_report(tmp_path / "out")]
+    assert names == [name for name in VERIFY_ROWS if h or name != "density_martingale"]
+    assert len(names) == (32 if h else 31)
+
+
 def test_run_benchmark_script(tmp_path):
     # scripts/run_benchmark.py with its default arguments: validate, solve,
     # simulate and verify the standard model, every artifact written

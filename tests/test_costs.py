@@ -9,7 +9,7 @@ from lqstack import simulate
 from lqstack.costs import (OptimalitySweep, estimate_J1, estimate_J2, follower_response, gain_grid_search,
                            grid_features, pathwise_J1, pathwise_J2, verify_follower_optimality,
                            verify_leader_optimality, verify_optimality_chunked)
-from lqstack.equilibrium import bsde_residual, reconstruct_adjoints, solve_equilibrium
+from lqstack.equilibrium import Chunk, bsde_residual, reconstruct_adjoints, solve_equilibrium
 from lqstack.model import lift
 from lqstack.simulate import generate_noise, simulate_closed_loop, simulate_open_loop
 
@@ -111,7 +111,7 @@ def test_zero_direction_gives_exact_zero_slope_and_curvature(diffusion):
     ens = simulate_closed_loop(eq.closed_loop, generate_noise(8, 100, m.grid))
     dirs = {"zero": np.zeros(61), "const": np.ones(61)}
     for which in ("J1", "J2"):
-        _, a, b, a_const, _ = OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0]
+        _, a, b, a_const, _ = OptimalitySweep(eq, which, dirs, [0.1]).add(Chunk(eq, ens)).parts[0]
         assert np.all(a == 0.0) and np.all(b == 0.0), which
         assert np.all(a_const != 0.0), which
 
@@ -127,7 +127,7 @@ def test_path_values_independent_of_paths_beside_it():
     def path_values(noise, i):
         ens = simulate_closed_loop(eq.closed_loop, noise)
         recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
-        sweeps = [OptimalitySweep(eq, which, dirs, [0.1]).add(ens).parts[0][:, i] for which in ("J1", "J2")]
+        sweeps = [OptimalitySweep(eq, which, dirs, [0.1]).add(Chunk(eq, ens)).parts[0][:, i] for which in ("J1", "J2")]
         return [ens.x[:, i], ens.q[:, i], ens.u2[:, i], pathwise_J1(m, ens)[i], pathwise_J2(m, ens)[i], *sweeps,
                 grid_features(eq, ens)[:, i], bsde_residual(eq, ens, recon).time_summed[i]]
 
