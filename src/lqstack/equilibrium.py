@@ -434,17 +434,12 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     a1 = blocks.a1[q]
     a2e = blocks.a2e[q]
     a3 = blocks.a3[q]
-    bb = blocks.bb[q]
-    cc = blocks.cc[q]
     dp1 = (p1n[2:] - p1n[:-2]) / (2.0 * dt)
     dp2 = (p2n[2:] - p2n[:-2]) / (2.0 * dt)
 
-    lead_x = dp1 + p1 @ a1 + a1 @ p1 + p1 @ bb @ p1 + (p1 @ cc + a3) @ s2 + blocks.a5[q]
-    lead_xh = p1 @ a2e
-    lead_xh += p1 @ bb @ p2
-    lead_xh -= p1 @ blocks.e11[q] @ p12
-    lead_xh += p1 @ cc @ s3
-    lead_xh -= p1 @ blocks.e13[q] @ s1
+    # p1 times the closed loop's drift, read from the one place it is formed
+    lead_x = dp1 + p1 @ eq.closed_loop.drift_x[inner] + a1 @ p1 + a3 @ s2 + blocks.a5[q]
+    lead_xh = p1 @ eq.closed_loop.drift_xhat[inner]
     lead_xh += dp2
     lead_xh += p2 @ (a1 + a2e)
     lead_xh += p2 @ blocks.bb12[q] @ p12
