@@ -7,10 +7,12 @@ model (D1=0.3, D2=0.2, C=0.4, with A, R2, B1 and D2 as node arrays times
 1 + 0.3 sin(2 pi t / T)), each at N=200 and N=1600 steps.
 
 For every CSV file it prints each column's largest move over the column's
-scale (its largest absolute value in either run); a text column that
-differs, a differing row count, stdout or exit code is printed as a
-difference.  The last two lines give the largest move of all and the number
-of differences.
+scale (its largest absolute value in either run).  Each command's stdout is
+scored the same way, field by field: the k-th number of every line is one
+column.  A difference is a changed exit code, a text column, a row count,
+or any stdout text outside the numbers (a PASS/FAIL word, a row name, a
+line count).  The last two lines give the largest move of all and the
+number of differences; the script exits 1 when there are differences.
 
     python scripts/compare_outputs.py PARENT CHANGE [--steps 200 1600]
 """
@@ -19,6 +21,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,6 +35,9 @@ STANDARD = {
     "x0": 1.0, "T": 1.0,
 }
 COMMANDS = ("solve", "simulate", "verify")
+# A number standing alone in a line of stdout, as repr prints a float or an int;
+# digits inside a name such as standard_200_verify are text.
+NUMBER = re.compile(r"(?<![\w.])-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?!\w)")
 
 
 def models(steps: int) -> dict[str, dict]:
@@ -95,13 +101,33 @@ def compare_file(name: str, a: Path, b: Path) -> tuple[float, list[str]]:
     return max((move for _, move in moves), default=0.0), diffs
 
 
-def first_difference(a: str, b: str) -> str:
+def first_difference(lines_a: list[str], lines_b: list[str]) -> str:
     """The first differing line pair of two outputs."""
-    lines_a, lines_b = a.splitlines(), b.splitlines()
     for u, v in zip(lines_a, lines_b):
         if u != v:
             return f"{u!r} != {v!r}"
     return f"{len(lines_a)} lines != {len(lines_b)} lines"
+
+
+def compare_stdout(a: str, b: str) -> tuple[float, list[str]]:
+    """(largest column move, differences) of two stdouts.
+
+    Each line's numbers are cut out of its text; the k-th number of every
+    line is column k, scored as a CSV column.  Any other text that differs
+    is one difference.
+    """
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    text_a, text_b = ([NUMBER.sub("#", line) for line in lines] for lines in (lines_a, lines_b))
+    if text_a != text_b:
+        return 0.0, [f"stdout differs: {first_difference(lines_a, lines_b)}"]
+    columns: dict[int, list[tuple[str, str]]] = {}
+    for u, v in zip(lines_a, lines_b):
+        for k, pair in enumerate(zip(NUMBER.findall(u), NUMBER.findall(v))):
+            columns.setdefault(k, []).append(pair)
+    moves = [column_move(*zip(*pairs)) for pairs in columns.values()]
+    if columns:
+        print("    stdout: " + " | ".join(f"{k} {move:.2g}" for k, move in zip(columns, moves)))
+    return max(moves, default=0.0), []
 
 
 def compare_case(case: str, procs, outs: list[Path]) -> tuple[float, list[str]]:
@@ -110,12 +136,11 @@ def compare_case(case: str, procs, outs: list[Path]) -> tuple[float, list[str]]:
     diffs = []
     if procs[0].returncode != procs[1].returncode:
         diffs.append(f"exit code {procs[0].returncode} != {procs[1].returncode}")
-    if procs[0].stdout != procs[1].stdout:
-        diffs.append(f"stdout differs: {first_difference(procs[0].stdout, procs[1].stdout)}")
+    largest, stdout_diffs = compare_stdout(procs[0].stdout, procs[1].stdout)
+    diffs += stdout_diffs
     names = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
     if names[0] != names[1]:
         diffs.append(f"files {names[0]} != {names[1]}")
-    largest = 0.0
     for name in sorted(set(names[0]) & set(names[1])):
         move, file_diffs = compare_file(name, outs[0] / name, outs[1] / name)
         largest = max(largest, move)
@@ -148,7 +173,7 @@ def main() -> int:
         print(f"DIFF {d}")
     print(f"largest column move: {largest!r}")
     print(f"differences: {len(diffs)}")
-    return 0
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

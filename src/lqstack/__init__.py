@@ -8,7 +8,7 @@ Monte-Carlo, and verifies the optimality and decoupling identities
 numerically.
 """
 
-from .costs import (CostEstimate, GridSearchResult, PerturbationReport, estimate_J1,
+from .costs import (CostEstimate, GridSearchResult, OptimalitySweep, estimate_J1,
                     estimate_J2, follower_response, gain_grid_search,
                     verify_follower_optimality, verify_leader_optimality)
 from .equilibrium import (AdjointReconstruction, EquilibriumSolution, FeedbackGains,

@@ -220,8 +220,7 @@ def cmd_verify(config: RunConfig) -> int:
     rows = [row for check in checks for row in check.rows(tol)]
     *_, follower, leader, grid = checks
     reporting.ensure_dir(config.out_dir)
-    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", [follower.report(), leader.report()],
-                                     tol.stderr_mult)
+    reporting.write_perturbation_csv(f"{config.out_dir}/perturbations.csv", [follower, leader], tol.stderr_mult)
     reporting.write_grid_csv(f"{config.out_dir}/grid_search.csv", grid.result())
     reporting.write_verify_csv(f"{config.out_dir}/verify_report.csv", rows)
     ok = True

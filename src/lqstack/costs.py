@@ -148,20 +148,6 @@ class PerturbationCurve:
         return float(np.min(self.delta_mean + stderr_mult * self.delta_stderr))
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
-    """All directions of one optimality check.
-
-    proven_scope is False for leader checks with control-dependent diffusion,
-    where no verification theorem backs the test; such runs are labelled
-    outside proven scope and a failure there contradicts nothing.
-    """
-
-    which: str
-    curves: list[PerturbationCurve]
-    proven_scope: bool
-
-
 def _symmetrize_eps(eps_list) -> np.ndarray:
     magnitudes = {abs(float(e)) for e in eps_list} - {0.0}
     if not magnitudes:
@@ -192,8 +178,12 @@ class OptimalitySweep:
     add runs all directions of a chunk's ensemble through one pass of the
     sensitivity kernel and keeps only each path's cost and its a, b, so
     chunks fed in path order report exactly what one ensemble of all their
-    paths reports.  rows(tol) gives verify's optimality, slope and curvature
-    rows of each direction.
+    paths reports.  curves holds one PerturbationCurve per direction over the
+    paths added so far, and rows(tol) gives verify's optimality, slope and
+    curvature rows of each direction.  proven_scope is False for leader
+    checks with control-dependent diffusion, where no verification theorem
+    backs the test; such runs are labelled outside proven scope and a
+    failure there contradicts nothing.
 
     J1 shifts the follower's control by each direction; the baseline is the
     ensemble itself.  J2 shifts the leader's control by each direction and
@@ -214,6 +204,8 @@ class OptimalitySweep:
             n = eq.model.grid.steps
             self.du1 = np.array([follower_response(eq, u2hat + lift(v, n)) - self.u1_lead for v in self.v])
         self.pairs = [(0, 0)] + [p for i in range(1, k + 1) for p in ((0, i), (i, i))]
+        nodes = eq.model.nodes
+        self.proven_scope = which == "J1" or bool(np.all(nodes("D1") == 0.0) and np.all(nodes("D2") == 0.0))
         self.parts: list[np.ndarray] = []  # per chunk: base cost, then a and b of each direction
 
     def add(self, chunk: Chunk) -> "OptimalitySweep":
@@ -235,19 +227,16 @@ class OptimalitySweep:
         self.parts.append(forms)
         return self
 
-    def report(self) -> PerturbationReport:
+    @property
+    def curves(self) -> list[PerturbationCurve]:
         cols = np.concatenate(self.parts, axis=1)
-        curves = [_curve(name, self.eps, cols[0], cols[2 * i + 1], cols[2 * i + 2])
-                  for i, name in enumerate(self.dirs)]
-        nodes = self.eq.model.nodes
-        proven = self.which == "J1" or bool(np.all(nodes("D1") == 0.0) and np.all(nodes("D2") == 0.0))
-        return PerturbationReport(which=self.which, curves=curves, proven_scope=proven)
+        return [_curve(name, self.eps, cols[0], cols[2 * i + 1], cols[2 * i + 2]) for i, name in enumerate(self.dirs)]
 
     def rows(self, tol) -> list[CheckRow]:
         player = "follower" if self.which == "J1" else "leader"
         allowance = tol.dt_coeff * self.eq.model.grid.dt
         rows = []
-        for c in self.report().curves:
+        for c in self.curves:
             rows += [check_row(f"{player}_optimality_{c.name}", "statistical", -c.min_delta_margin(tol.stderr_mult),
                                0.0, f"min over eps of dJ + {tol.stderr_mult:g} stderr, negated"),
                      check_row(f"{player}_slope_{c.name}", "statistical", abs(c.slope),
@@ -258,7 +247,7 @@ class OptimalitySweep:
 
 
 def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
-                               directions: dict[str, np.ndarray], eps_list) -> PerturbationReport:
+                               directions: dict[str, np.ndarray], eps_list) -> OptimalitySweep:
     """Check that no tested follower deviation improves the follower's cost.
 
     The leader's control is frozen pathwise as the realized equilibrium
@@ -268,7 +257,7 @@ def verify_follower_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnse
     """
     if np.asarray(baseline.u1).ndim != 1:
         raise ValueError("baseline follower control must be deterministic")
-    return OptimalitySweep(eq, "J1", directions, eps_list).add(Chunk(eq, baseline)).report()
+    return OptimalitySweep(eq, "J1", directions, eps_list).add(Chunk(eq, baseline))
 
 
 def follower_response(eq: EquilibriumSolution, u2hat) -> np.ndarray:
@@ -284,7 +273,7 @@ def follower_response(eq: EquilibriumSolution, u2hat) -> np.ndarray:
 
 
 def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemble,
-                             directions: dict[str, np.ndarray], eps_list) -> PerturbationReport:
+                             directions: dict[str, np.ndarray], eps_list) -> OptimalitySweep:
     """Check that no tested leader deviation improves the leader's cost.
 
     The filtered leader control is shifted deterministically, the follower
@@ -292,18 +281,18 @@ def verify_leader_optimality(eq: EquilibriumSolution, baseline: TrajectoryEnsemb
     follows the pathwise-frozen leader process plus the shift under the
     baseline noise.
     """
-    return OptimalitySweep(eq, "J2", directions, eps_list).add(Chunk(eq, baseline)).report()
+    return OptimalitySweep(eq, "J2", directions, eps_list).add(Chunk(eq, baseline))
 
 
 def verify_optimality_chunked(eq: EquilibriumSolution, which: str,
                               directions: dict[str, np.ndarray], eps_list,
-                              seed: int, m: int) -> PerturbationReport:
+                              seed: int, m: int) -> OptimalitySweep:
     """The optimality verifier on m fresh closed-loop paths, fed chunk by chunk by fold_chunks.
 
     Per-path noise streams make the result that of one ensemble of all m paths.
     """
     sweep, = fold_chunks(eq, seed, m, [OptimalitySweep(eq, which, directions, eps_list)])
-    return sweep.report()
+    return sweep
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ by 3 standard errors plus an O(dt) discretization allowance).
 Each family of verify's report rows is one check object: rows(tol) forms
 its rows, and a check that reads simulated paths also has add(chunk), which
 fold_chunks, the one streamed pass over closed-loop chunks, calls with each
-chunk in path order.
+chunk in path order.  A family's residual function returns its check: the
+follower stationarity and backward-step residuals fold one ensemble into a
+check (a fresh one by default), the leader stationarity residual is one
+ensemble's check, and the drift residuals are a check of their own.
 """
 
 from __future__ import annotations
@@ -234,19 +237,6 @@ class Check:
     eq: EquilibriumSolution
 
 
-@dataclass(frozen=True)
-class ResidualStats:
-    """Per-node residual with optional Monte-Carlo standard errors."""
-
-    residual: np.ndarray
-    stderr: np.ndarray | None
-    scale: float
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residual)))
-
-
 @dataclass
 class NodeMoments:
     """Per-node count, mean and sum of squared deviations over paths (the last axis).
@@ -277,22 +267,46 @@ class NodeMoments:
         return np.sqrt(self.m2 / max(self.count - 1, 1)) / np.sqrt(self.count)
 
 
+@dataclass
+class FollowerStationarity(Check):
+    """follower_stationarity: the follower's first-order condition along the equilibrium.
+
+    r(t) = R1 u1 + B1 E[p | obs] + D1 E[k | obs].  The conditional means are
+    plain ensemble means because the observation is uninformative about the
+    state noise; they are folded into per-node moments chunk by chunk, so the
+    residual covers every path folded so far.
+    """
+
+    moments: NodeMoments = field(default_factory=NodeMoments)
+    control: np.ndarray | float = 0.0  # R1 u1, shared by every path
+
+    @property
+    def residual(self) -> np.ndarray:
+        return self.control + self.moments.mean
+
+    @property
+    def scale(self) -> float:
+        return float(np.max(np.abs(self.control) + np.abs(self.moments.mean)) + 1e-300)
+
+    def add(self, chunk: Chunk) -> None:
+        follower_stationarity_residual(self.eq, chunk.ens, chunk.recon, self)
+
+    def rows(self, tol) -> list[CheckRow]:
+        dt = self.eq.model.grid.dt
+        bound = tol.stderr_mult * float(np.max(self.moments.stderr)) + tol.dt_coeff * dt * self.scale
+        return [check_row("follower_stationarity", "statistical", np.max(np.abs(self.residual)), bound,
+                          f"{tol.stderr_mult:g} stderr + O(dt) allowance")]
+
+
 def follower_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
                                    recon: AdjointReconstruction,
-                                   moments: NodeMoments | None = None) -> ResidualStats:
-    """First-order condition of the follower along the equilibrium.
-
-    r(t) = R1 u1 + B1 E[p | obs] + D1 E[k | obs]; the conditional means are
-    plain ensemble means because the observation is uninformative about the
-    state noise.  This chunk's B1 p + D1 k is folded into moments (a fresh
-    one by default); the residual covers every path folded so far.
-    """
+                                   check: FollowerStationarity | None = None) -> FollowerStationarity:
+    """Fold this chunk's B1 p + D1 k into check (a fresh one by default) and return it."""
     model = eq.model
-    control = model.nodes("R1") * ens.u1
-    moments = (moments or NodeMoments()).add(model.nodes("B1")[:, None] * recon.p
-                                             + model.nodes("D1")[:, None] * recon.k)
-    scale = float(np.max(np.abs(control) + np.abs(moments.mean)) + 1e-300)
-    return ResidualStats(residual=control + moments.mean, stderr=moments.stderr, scale=scale)
+    check = check or FollowerStationarity(eq)
+    check.control = model.nodes("R1") * ens.u1
+    check.moments.add(model.nodes("B1")[:, None] * recon.p + model.nodes("D1")[:, None] * recon.k)
+    return check
 
 
 def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
@@ -304,18 +318,18 @@ def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
     return np.einsum("kij,kj->ki", eq.leader.p1[::2] + eq.leader.p2[::2], eq.xhat[::2])
 
 
-def gain_consistency_residual(eq: EquilibriumSolution) -> ResidualStats:
+def gain_consistency_residual(eq: EquilibriumSolution) -> tuple[np.ndarray, float]:
     """Follower control in gain form against the filtered-feedback substitution.
 
     u1 = f . xhat must equal the follower's control law with the offset and
     the filtered leader control read from the leader's solution: an
-    algebraic identity, zero to rounding.
+    algebraic identity, zero to rounding.  Returns the per-node residual and
+    its scale, max |u1| + 1.
     """
     xh = eq.xhat[::2]
     u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
     u1_sub = eq.P.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], eq.u2hat[::2])
-    return ResidualStats(residual=u1_gain - u1_sub, stderr=None,
-                         scale=float(np.max(np.abs(u1_gain))) + 1.0)
+    return u1_gain - u1_sub, float(np.max(np.abs(u1_gain))) + 1.0
 
 
 @dataclass
@@ -453,33 +467,49 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     return DriftResiduals(follower_x=fol_x, leader_x=lead_x, leader_xhat=lead_xh, dt=dt)
 
 
-@dataclass(frozen=True)
-class BsdeResidual:
-    """Discrete backward-step residual of the follower adjoint, per path.
+@dataclass
+class Bsde(Check):
+    """bsde_residual: the discrete backward-step residual of the follower adjoint.
 
-    step_residual[k, i] = p_{k+1} - p_k + (Q1 x_k + A p_k + C k_k) dt - k_k dW_k;
-    time_summed[i] accumulates the steps in node order (numpy's sum over the
-    time axis would round a 1-path chunk differently from a many-path one);
-    rms is over paths of the sum.
-    Shrinks at first order when the grid is refined.
+    step[k, i] = p_{k+1} - p_k + (Q1 x_k + A p_k + C k_k) dt - k_k dW_k.
+    time_summed[i] is path i's sum of steps, accumulated in node order
+    (numpy's sum over the time axis would round a 1-path chunk differently
+    from a many-path one); rms is over paths of the sum.  It shrinks at first
+    order in dt and is held to that order against the largest |p|.
     """
 
-    time_summed: np.ndarray
+    sums: list = field(default_factory=list)
+    p_max: float = 0.0
+
+    @property
+    def time_summed(self) -> np.ndarray:
+        return np.concatenate(self.sums)
 
     @property
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.time_summed ** 2)))
 
+    def add(self, chunk: Chunk) -> None:
+        bsde_residual(self.eq, chunk.ens, chunk.recon, self)
 
-def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
-                  recon: AdjointReconstruction) -> BsdeResidual:
+    def rows(self, tol) -> list[CheckRow]:
+        return [check_row("bsde_residual", "statistical", self.rms,
+                          tol.dt_coeff * 10.0 * self.eq.model.grid.dt * (self.p_max + 1.0), "first-order in dt")]
+
+
+def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble, recon: AdjointReconstruction,
+                  check: Bsde | None = None) -> Bsde:
+    """Fold this chunk's summed steps and max |p| into check (a fresh one by default) and return it."""
     model = eq.model
     dt = model.grid.dt
     A, C, Q1 = (model.nodes(name)[:-1, None] for name in ("A", "C", "Q1"))
     p = recon.p
     k = recon.k[:-1]
+    check = check or Bsde(eq)
+    check.p_max = _peak(check.p_max, p)
     steps = (p[1:] - p[:-1] + (Q1 * ens.x[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw)
-    return BsdeResidual(time_summed=reduce(np.add, steps))  # node order, whatever the chunk
+    check.sums.append(reduce(np.add, steps))  # node order, whatever the chunk
+    return check
 
 
 class Identities(Check):
@@ -490,7 +520,7 @@ class Identities(Check):
         eq, model, s = self.eq, self.eq.model, self.eq.sigmas
         term = max(float(np.max(np.abs(eq.leader.p1[-1] - eq.blocks.gbar))), float(np.max(np.abs(eq.leader.p2[-1]))),
                    abs(eq.P.p[-1] - model.G1), float(np.max(np.abs(eq.xhat[0] - np.array([model.x0, 0.0])))))
-        gc = gain_consistency_residual(eq)
+        gap, gap_scale = gain_consistency_residual(eq)
         # The follower's filter driven by the leader's filtered feedback reproduces the first
         # component of xhat (the same ODE, both 4th-order discretizations).
         xh = eq.xhat[::2, 0]
@@ -499,7 +529,7 @@ class Identities(Check):
         return [check_row("terminal_data", "algebraic", term, 0.0, "stored bit-exactly"),
                 check_row("sigma_identity", "algebraic", np.max(np.abs(s.s1 - (s.s2 + s.s3))),
                           tol.sigma_rel * (float(np.max(np.abs(s.s1))) + 1.0)),
-                check_row("gain_consistency", "algebraic", gc.max_abs, tol.gain_rel * gc.scale,
+                check_row("gain_consistency", "algebraic", np.max(np.abs(gap)), tol.gain_rel * gap_scale,
                           "two control representations"),
                 check_row("filter_route_consistency", "algebraic", route_gap, route_tol)]
 
@@ -524,42 +554,6 @@ class AdjointMaxima(Check):
     def rows(self, tol) -> list[CheckRow]:
         return [check_row("structural_zero", "algebraic", self.z_2, tol.structural_rel * (self.z + 1.0)),
                 check_row("terminal_reconstruction", "algebraic", self.y_T_gap, 1e-12 * (self.y_T + 1.0))]
-
-
-@dataclass
-class FollowerStationarity(Check):
-    """follower_stationarity: the follower's first-order condition, its conditional means
-    folded into per-node moments chunk by chunk."""
-
-    moments: NodeMoments = field(default_factory=NodeMoments)
-    stats: ResidualStats | None = None
-
-    def add(self, chunk: Chunk) -> None:
-        self.stats = follower_stationarity_residual(self.eq, chunk.ens, chunk.recon, self.moments)
-
-    def rows(self, tol) -> list[CheckRow]:
-        fs = self.stats
-        bound = tol.stderr_mult * float(np.max(fs.stderr)) + tol.dt_coeff * self.eq.model.grid.dt * fs.scale
-        return [check_row("follower_stationarity", "statistical", fs.max_abs, bound,
-                          f"{tol.stderr_mult:g} stderr + O(dt) allowance")]
-
-
-@dataclass
-class Bsde(Check):
-    """bsde_residual: the rms over paths of the follower adjoint's summed backward steps,
-    first order in dt, against the largest |p|."""
-
-    sums: list = field(default_factory=list)
-    p_max: float = 0.0
-
-    def add(self, chunk: Chunk) -> None:
-        self.p_max = _peak(self.p_max, chunk.recon.p)
-        self.sums.append(bsde_residual(self.eq, chunk.ens, chunk.recon).time_summed)
-
-    def rows(self, tol) -> list[CheckRow]:
-        rms = BsdeResidual(np.concatenate(self.sums)).rms
-        return [check_row("bsde_residual", "statistical", rms,
-                          tol.dt_coeff * 10.0 * self.eq.model.grid.dt * (self.p_max + 1.0), "first-order in dt")]
 
 
 @dataclass
@@ -599,6 +593,6 @@ class Density(Check):
     def rows(self, tol) -> list[CheckRow]:
         if not self.z_T:
             return []
-        zt = np.concatenate(self.z_T)
-        return [check_row("density_martingale", "statistical", abs(float(zt.mean()) - 1.0),
-                          tol.stderr_mult * float(zt.std(ddof=1) / np.sqrt(len(zt))) + 1e-12)]
+        moments = NodeMoments().add(np.concatenate(self.z_T))
+        return [check_row("density_martingale", "statistical", abs(float(moments.mean) - 1.0),
+                          tol.stderr_mult * float(moments.stderr) + 1e-12)]

@@ -253,11 +253,10 @@ class LeaderBlocks:
       e34 = d34 d34^T/r2,          e44 = d4 d4^T/r2,      e55 = d5 d5^T/r2,
       e11 = (d1 d12^T + d2 d1^T)/r2,  e13 = (d1 d34^T + d2 d3^T)/r2,
       e33 = (d3 d34^T + d4 d3^T)/r2.
-    e11 (read by the closed-loop matrices and the drift residual, not by
-    the solves) is evaluated on access.  The display blocks a2, a4, b1, c1
-    and r2 are read by no solver and are not kept; _display_blocks gives
-    them.  Arrays only: the leader solves read stage floats through
-    _window_reader.
+    e11 (read by the closed-loop matrices alone, not by the solves) is
+    evaluated on access.  The display blocks a2, a4, b1, c1 and r2 are read
+    by no solver and are not kept; _display_blocks gives them.  Arrays only:
+    the leader solves read stage floats through _window_reader.
     """
 
     a1: np.ndarray

@@ -209,7 +209,7 @@ def optimality_reports():
     dirs = {"const": np.ones(steps + 1), "ramp": t, "sine": np.sin(2.0 * np.pi * t)}
     sweeps = [OptimalitySweep(eq, which, dirs, [0.05, 0.1, 0.2]) for which in ("J1", "J2")]
     fold_chunks(eq, 42, 100000, sweeps)
-    return {sweep.which: sweep.report() for sweep in sweeps}
+    return {sweep.which: sweep for sweep in sweeps}
 
 
 def _optimality_criterion(num, rep):

@@ -11,9 +11,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lqstack.cli import main
+from lqstack.costs import (gain_grid_search, verify_follower_optimality, verify_leader_optimality,
+                           verify_optimality_chunked)
+from lqstack.equilibrium import solve_equilibrium
+from lqstack.simulate import generate_noise, simulate_closed_loop
 
 from conftest import make_model, model_to_dict
 
@@ -55,3 +60,21 @@ def test_traced_solve_counts_leader_stages(tracer, tmp_path):
                          "riccati.rhs_p2": 4 * steps + 1}
     metrics = tracer.layer_metrics(tr.spans, tr.counts)
     assert metrics["riccati.rhs_evals"][0] == 2 * (4 * steps + 1)
+
+
+def test_sweep_and_grid_hooks_read_their_results(tracer):
+    # No benchmark workload calls the sweeps or the grid search, so their span
+    # hooks are pinned here against what each traced function returns:
+    # 2 directions x 4 signed eps per sweep, 3 x 5 grid points.
+    eq = solve_equilibrium(make_model(steps=20, D1=0.3, D2=0.2))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(1, 50, eq.model.grid))
+    t = eq.model.grid.times()
+    dirs = {"const": np.ones_like(t), "ramp": t}
+    results = {"verify_follower_optimality": verify_follower_optimality(eq, ens, dirs, [0.1, 0.2]),
+               "verify_leader_optimality": verify_leader_optimality(eq, ens, dirs, [0.1, 0.2]),
+               "verify_optimality_chunked": verify_optimality_chunked(eq, "J2", dirs, [0.1, 0.2], seed=1, m=50),
+               "gain_grid_search": gain_grid_search(eq, ens, np.linspace(-1, 1, 3), np.linspace(-1, 1, 5))}
+    points = {"gain_grid_search": 15}
+    for func, result in results.items():
+        _, hook = tracer.SPANNED["costs"][func]
+        assert hook((), {}, result) == {"points": points.get(func, 8)}, func

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -379,6 +380,37 @@ def test_compare_outputs_script_sees_no_moves_against_itself():
     assert lines[-2:] == ["largest column move: 0.0", "differences: 0"], lines[-5:]
     assert sum(": exit " in line for line in lines) == 9  # 3 models x 3 commands
     assert sum(line.startswith("    verify_report.csv: ") for line in lines) == 3
+
+
+def test_compare_outputs_scores_stdout_numbers_and_counts_text(tmp_path, monkeypatch):
+    # verify's stdout: a residual moved by 1e-16 is a column move, not a
+    # difference; a PASS turned FAIL or a changed exit code is one difference,
+    # and any difference makes the script exit 1
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("compare_outputs", root / "scripts" / "compare_outputs.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+
+    def stdout(word="PASS", residual=3e-10):
+        return (f"PASS terminal_data [algebraic] residual=0.0125 tol=0.0\n"
+                f"{word} drift_residual_leader [order] residual={residual!r} tol=0.0005\n"
+                "report: out/verify_report.csv\n")
+
+    def case(a, b, codes=(0, 0)):
+        procs = [subprocess.CompletedProcess([], code, stdout=out, stderr="") for code, out in zip(codes, (a, b))]
+        return compare.compare_case("verify", procs, [tmp_path / "a", tmp_path / "b"])
+
+    move, diffs = case(stdout(), stdout(residual=3e-10 + 1e-16))
+    assert diffs == [] and 0.0 < move < 1e-13
+    assert case(stdout(), stdout()) == (0.0, [])
+    assert len(case(stdout(), stdout("FAIL"))[1]) == 1
+    assert len(case(stdout(), stdout(), codes=(0, 4))[1]) == 1
+
+    monkeypatch.setattr(compare, "run", lambda checkout, model, command, out: subprocess.CompletedProcess(
+        [], 0, stdout=stdout("FAIL" if checkout.name == "change" and command == "verify" else "PASS"), stderr=""))
+    monkeypatch.setattr(sys, "argv", ["compare_outputs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                                      "--steps", "4"])
+    assert compare.main() == 1
 
 
 def test_verify_report_independent_of_chunking(tmp_path, monkeypatch):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqstack.costs import pathwise_J1, pathwise_J2
-from lqstack.equilibrium import (bsde_residual, closed_loop_matrices, drift_residuals,
+from lqstack.cli import Tolerances
+from lqstack.costs import (OptimalitySweep, pathwise_J1, pathwise_J2, verify_follower_optimality,
+                           verify_leader_optimality)
+from lqstack.equilibrium import (Bsde, FollowerStationarity, LeaderStationarity, bsde_residual,
+                                 closed_loop_matrices, drift_residuals, fold_chunks,
                                  follower_stationarity_residual, gain_consistency_residual,
                                  leader_stationarity_residual, reconstruct_adjoints, solve_equilibrium)
 from lqstack.model import LQModel
@@ -215,7 +218,7 @@ def test_follower_stationarity_statistical(eq_b200, ens_b200, recon_b200):
     _, recon = recon_b200
     stats = follower_stationarity_residual(eq_b200, ens_b200, recon_b200[1])
     dt = eq_b200.model.grid.dt
-    tol = 3.0 * stats.stderr + 2.0 * dt * stats.scale
+    tol = 3.0 * stats.moments.stderr + 2.0 * dt * stats.scale
     assert np.all(np.abs(stats.residual) <= tol)
 
 
@@ -235,7 +238,7 @@ def test_follower_stationarity_deterministic_degenerate():
     ens = TrajectoryEnsemble(grid=m.grid, x=x, q=q_path, u1=u1, u2=u2, noise=noise)
     recon = reconstruct_adjoints(eq, ens, theta)
     stats = follower_stationarity_residual(eq, ens, recon)
-    assert stats.max_abs <= 1e-8
+    assert np.max(np.abs(stats.residual)) <= 1e-8
 
 
 def test_leader_stationarity_zero_weights():
@@ -358,7 +361,7 @@ def test_time_varying_algebraic_identities(eq_time_varying):
     sig = eq.sigmas
     scale = np.max(np.abs(sig.s1)) + 1.0
     assert np.max(np.abs(sig.s1 - (sig.s2 + sig.s3))) <= 1e-13 * scale
-    assert gain_consistency_residual(eq).max_abs <= 1e-10
+    assert np.max(np.abs(gain_consistency_residual(eq)[0])) <= 1e-10
     noise = generate_noise(4, 200, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop, noise)
     theta = backfill(eq, ens)
@@ -386,3 +389,33 @@ def test_bsde_residual_first_order():
         return bsde_residual(eq, ens, recon).rms
 
     assert 1.6 < rms(400) / rms(800) < 2.6
+
+
+# --- each residual function returns the check that verify folds ---
+
+@pytest.mark.parametrize("name", ["follower_stationarity_residual", "bsde_residual", "leader_stationarity_residual",
+                                  "verify_follower_optimality", "verify_leader_optimality"])
+def test_residual_function_returns_its_check(name):
+    # On the paths of one chunk, each function returns its family's check,
+    # whose rows equal, bit for bit, those of the check fold_chunks fills
+    m = make_model(steps=40, D1=0.3, D2=0.2)
+    eq = solve_equilibrium(m)
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(5, 300, m.grid))
+    recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
+    t = m.grid.times()
+    dirs = {"const": np.ones_like(t), "ramp": t}
+    call, fresh = {
+        "follower_stationarity_residual": (lambda: follower_stationarity_residual(eq, ens, recon),
+                                           FollowerStationarity(eq)),
+        "bsde_residual": (lambda: bsde_residual(eq, ens, recon), Bsde(eq)),
+        "leader_stationarity_residual": (lambda: leader_stationarity_residual(eq, ens, recon), LeaderStationarity()),
+        "verify_follower_optimality": (lambda: verify_follower_optimality(eq, ens, dirs, [0.1]),
+                                       OptimalitySweep(eq, "J1", dirs, [0.1])),
+        "verify_leader_optimality": (lambda: verify_leader_optimality(eq, ens, dirs, [0.1]),
+                                     OptimalitySweep(eq, "J2", dirs, [0.1])),
+    }[name]
+    result = call()
+    assert type(result) is type(fresh)
+    folded, = fold_chunks(eq, 5, 300, [fresh])
+    tol = Tolerances()
+    assert repr(result.rows(tol)) == repr(folded.rows(tol))
