@@ -7,12 +7,15 @@ model (D1=0.3, D2=0.2, C=0.4, with A, R2, B1 and D2 as node arrays times
 1 + 0.3 sin(2 pi t / T)), each at N=200 and N=1600 steps.
 
 For every CSV file it prints each column's largest move over the column's
-scale (its largest absolute value in either run).  Each command's stdout is
-scored the same way, field by field: the k-th number of every line is one
-column.  A difference is a changed exit code, a text column, a row count,
-or any stdout text outside the numbers (a PASS/FAIL word, a row name, a
-line count).  The last two lines give the largest move of all and the
-number of differences; the script exits 1 when there are differences.
+scale (its largest absolute value in either run), and for a column that
+moved, the rows it moved in (at most five), named by the file's first text
+column or else by row number.  Each command's stdout is scored the same
+way, field by field: the k-th number of every line is one column, and a
+line is named by its text with the numbers cut out.  A difference is a
+changed exit code, a text column, a row count, or any stdout text outside
+the numbers (a PASS/FAIL word, a row name, a line count).  The last two
+lines give the largest move of all and the number of differences; the
+script exits 1 when there are differences.
 
     python scripts/compare_outputs.py PARENT CHANGE [--steps 200 1600]
 """
@@ -79,6 +82,24 @@ def column_move(a: list[str], b: list[str]) -> float | None:
     return float(np.max(np.abs(x - y)) / scale) if scale > 0 else float("inf")
 
 
+def moved_in(a: list[str], b: list[str], keys: list[str]) -> str:
+    """' in [key, ...]': the keys of the rows in which a numeric column moved, at most five."""
+    x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+    moved = [key for key, u, v in zip(keys, x, y) if u != v and not (np.isnan(u) and np.isnan(v))]
+    more = f", ... {len(moved)} rows" if len(moved) > 5 else ""
+    return f" in [{', '.join(moved[:5])}{more}]" if moved else ""
+
+
+def row_keys(cols: dict[str, list[str]]) -> list[str]:
+    """Each row's name: its value in the first text column, else 'row i'."""
+    for values in cols.values():
+        try:
+            np.array(values, dtype=float)
+        except ValueError:
+            return values
+    return [f"row {i}" for i in range(len(next(iter(cols.values()), [])))]
+
+
 def compare_file(name: str, a: Path, b: Path) -> tuple[float, list[str]]:
     """(largest column move, differences) of one CSV file; prints one line per file."""
     cols_a, cols_b = read_columns(a), read_columns(b)
@@ -97,7 +118,9 @@ def compare_file(name: str, a: Path, b: Path) -> tuple[float, list[str]]:
                              f" ({cols_a[col][rows[0]]!r} != {cols_b[col][rows[0]]!r})")
         else:
             moves.append((col, move))
-    print(f"    {name}: " + " | ".join(f"{col} {move:.2g}" for col, move in moves))
+    keys = row_keys(cols_a)
+    print(f"    {name}: " + " | ".join(f"{col} {move:.2g}" + moved_in(cols_a[col], cols_b[col], keys)
+                                       for col, move in moves))
     return max((move for _, move in moves), default=0.0), diffs
 
 
@@ -120,14 +143,19 @@ def compare_stdout(a: str, b: str) -> tuple[float, list[str]]:
     text_a, text_b = ([NUMBER.sub("#", line) for line in lines] for lines in (lines_a, lines_b))
     if text_a != text_b:
         return 0.0, [f"stdout differs: {first_difference(lines_a, lines_b)}"]
-    columns: dict[int, list[tuple[str, str]]] = {}
-    for u, v in zip(lines_a, lines_b):
+    columns: dict[int, list[tuple[str, str, str]]] = {}
+    for u, v, text in zip(lines_a, lines_b, text_a):
         for k, pair in enumerate(zip(NUMBER.findall(u), NUMBER.findall(v))):
-            columns.setdefault(k, []).append(pair)
-    moves = [column_move(*zip(*pairs)) for pairs in columns.values()]
-    if columns:
-        print("    stdout: " + " | ".join(f"{k} {move:.2g}" for k, move in zip(columns, moves)))
-    return max(moves, default=0.0), []
+            columns.setdefault(k, []).append((*pair, text))
+    largest, parts = 0.0, []
+    for k, rows in columns.items():
+        col_a, col_b, keys = zip(*rows)
+        move = column_move(col_a, col_b)
+        largest = max(largest, move)
+        parts.append(f"{k} {move:.2g}" + moved_in(col_a, col_b, keys))
+    if parts:
+        print("    stdout: " + " | ".join(parts))
+    return largest, []
 
 
 def compare_case(case: str, procs, outs: list[Path]) -> tuple[float, list[str]]:

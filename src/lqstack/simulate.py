@@ -4,11 +4,10 @@ and the exponential observation-density process.
 Reproducibility contract: every sampled quantity is a pure function of
 (master seed, path index, step), independent of path batching or execution
 order.  Noise is counter-based (Salmon et al., SC'11): SeedSequence(seed)
-keys one Philox, and path i reads its state increments from counter
-(0, 0, 0, i) and its observation increments from counter (0, 0, 1, i).  A
-path's N normals advance the first counter word by about N/4, which never
-carries into the third, so the two streams never meet.  Only the density
-process reads the observation increments; they are drawn on first read.
+keys one Philox, and path i reads its N + 1 normals from counter
+(0, 0, 0, i): the first N are its state increments, the last its
+observation noise, which the density process reads as one draw, since the
+observation drift h is deterministic.
 
 Every per-path array is node-major, paths along the last axis: (N+1, m)
 states and controls, (N, m) noise.  The Euler kernels write row k+1 from row
@@ -21,7 +20,7 @@ sum over the time axis rounds a 1-path chunk differently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -38,32 +37,27 @@ NOISE_ROWS = 64  # paths drawn path-major into one buffer before it is stored in
 class NoiseBundle:
     """Brownian increments of paths first_path .. first_path + m - 1.
 
-    dw drives the state, dwbar the observation; both are (steps, m), Normal(0, dt).
-    dwbar is drawn on its first read and then kept.
+    dw, (steps, m), drives the state; dwbar, (m,), is each path's observation
+    noise, one Normal(0, dt) draw that the density process scales.
     """
 
-    seed: int
     grid: TimeGrid
     dw: np.ndarray
+    dwbar: np.ndarray
     first_path: int = 0
 
     @property
     def m(self) -> int:
         return self.dw.shape[1]
 
-    @cached_property
-    def dwbar(self) -> np.ndarray:
-        return _increments(self.seed, self.m, self.grid, self.first_path, process=1)
 
-
-def _increments(seed: int, m: int, grid: TimeGrid, first_path: int, process: int) -> np.ndarray:
-    """The (steps, m) increments of one process (0: state, 1: observation)
-    of paths first_path .. first_path + m - 1, read from counter (0, 0, process, path)."""
-    n = grid.steps
+def _increments(seed: int, m: int, grid: TimeGrid, first_path: int) -> np.ndarray:
+    """The (steps + 1, m) normals of paths first_path .. first_path + m - 1,
+    each path's read from counter (0, 0, 0, path), times sqrt(dt)."""
+    n = grid.steps + 1
     bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
     gen = np.random.Generator(bits)
-    state = bits.state  # unused: counter 0 and an empty output buffer
-    state["state"]["counter"][2] = process
+    state = bits.state  # counter 0 and an empty output buffer
     table = np.empty((n, m))
     rows = np.empty((min(m, NOISE_ROWS), n))
     for first in range(0, m, NOISE_ROWS):
@@ -78,7 +72,7 @@ def _increments(seed: int, m: int, grid: TimeGrid, first_path: int, process: int
 
 
 def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> NoiseBundle:
-    """Draw the state increments of paths first_path .. first_path + m - 1.
+    """Draw the noise of paths first_path .. first_path + m - 1.
 
     Identical (seed, grid, path index) always reproduce the same column, so
     a smaller bundle is the leading columns of a larger one and chunked runs
@@ -89,8 +83,8 @@ def generate_noise(seed: int, m: int, grid: TimeGrid, first_path: int = 0) -> No
         raise ValueError(f"path count must be >= 1, got {m}")
     if first_path < 0 or first_path + m > 2**64:
         raise ValueError(f"path indices {first_path} .. {first_path + m - 1} must lie in [0, 2**64)")
-    return NoiseBundle(seed=seed, grid=grid, dw=_increments(seed, m, grid, first_path, process=0),
-                       first_path=first_path)
+    table = _increments(seed, m, grid, first_path)
+    return NoiseBundle(grid=grid, dw=table[:-1], dwbar=table[-1], first_path=first_path)
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class TrajectoryEnsemble:
         def paths(a):
             return None if a is None else (a.copy() if a.ndim == 1 else a[:, :m].copy())
 
-        noise = replace(self.noise, dw=paths(self.noise.dw))  # dwbar, if read, is drawn for these paths
+        noise = replace(self.noise, dw=paths(self.noise.dw), dwbar=self.noise.dwbar[:m].copy())
         return replace(self, x=paths(self.x), q=paths(self.q), u1=paths(self.u1), u2=paths(self.u2), noise=noise)
 
 
@@ -315,10 +309,11 @@ def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:
     """Terminal value z_T of the exponential-martingale discretization of the
     density process, one per path.
 
-    z_T = exp(sum_j h(t_j) dwbar_j - 1/2 sum_j h(t_j)^2 dt), the left-point
-    (Ito) quadrature in the exponent; with Gaussian increments its mean is
-    exactly one, as is that of every z_k.  Every z_T is strictly positive.
+    The left-point (Ito) exponent sum_j h(t_j) dWbar_j - 1/2 sum_j h(t_j)^2 dt
+    of a deterministic h is Normal(-s dt / 2, s dt) with s = sum_j h(t_j)^2,
+    so z_T = exp(sqrt(s) dwbar - s dt / 2) has its law from one draw per path;
+    its mean is exactly one.  Every z_T is strictly positive.
     """
-    h = model.nodes("h")[:-1, None]
-    # Folded in node order: numpy's sum over the node axis rounds a 1-path chunk differently.
-    return np.exp(reduce(np.add, h * noise.dwbar - 0.5 * (h * h) * model.grid.dt))
+    h = model.nodes("h")[:-1]
+    s = np.sum(h * h)
+    return np.exp(np.sqrt(s) * noise.dwbar - 0.5 * model.grid.dt * s)

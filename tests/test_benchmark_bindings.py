@@ -78,3 +78,18 @@ def test_sweep_and_grid_hooks_read_their_results(tracer):
     for func, result in results.items():
         _, hook = tracer.SPANNED["costs"][func]
         assert hook((), {}, result) == {"points": points.get(func, 8)}, func
+
+
+def test_noise_hook_reads_the_bundle_as_drawn(tracer):
+    # The simulate.noise hook runs after its span has closed, so it may only
+    # read sizes: on a fresh bundle it draws nothing and reports the bytes
+    # generate_noise drew, dw's and dwbar's.
+    grid = make_model(steps=20).grid
+    bundle = generate_noise(3, 70, grid, first_path=5)
+    drawn = dict(vars(bundle))
+    _, hook = tracer.SPANNED["simulate"]["generate_noise"]
+    attrs = hook((3, 70, grid), {"first_path": 5}, bundle)
+    assert vars(bundle).keys() == drawn.keys() and all(vars(bundle)[k] is v for k, v in drawn.items())
+    assert attrs == {"key": [3, 20, grid.horizon], "first": 5, "paths": 70,
+                     "bytes": bundle.dw.nbytes + bundle.dwbar.nbytes}
+    assert attrs["bytes"] == 21 * 70 * 8

@@ -382,10 +382,11 @@ def test_compare_outputs_script_sees_no_moves_against_itself():
     assert sum(line.startswith("    verify_report.csv: ") for line in lines) == 3
 
 
-def test_compare_outputs_scores_stdout_numbers_and_counts_text(tmp_path, monkeypatch):
+def test_compare_outputs_scores_stdout_numbers_and_counts_text(tmp_path, monkeypatch, capsys):
     # verify's stdout: a residual moved by 1e-16 is a column move, not a
     # difference; a PASS turned FAIL or a changed exit code is one difference,
-    # and any difference makes the script exit 1
+    # and any difference makes the script exit 1.  A column that moved names
+    # the rows it moved in, by the first text column of its CSV file
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("compare_outputs", root / "scripts" / "compare_outputs.py")
     compare = importlib.util.module_from_spec(spec)
@@ -405,6 +406,19 @@ def test_compare_outputs_scores_stdout_numbers_and_counts_text(tmp_path, monkeyp
     assert case(stdout(), stdout()) == (0.0, [])
     assert len(case(stdout(), stdout("FAIL"))[1]) == 1
     assert len(case(stdout(), stdout(), codes=(0, 4))[1]) == 1
+
+    header = "check,kind,residual,tolerance,pass,note\n"
+    for side, residual in (("a", "0.0031"), ("b", "0.0042")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "verify_report.csv").write_text(
+            header + "terminal_data,algebraic,0.0,1e-12,True,\n"
+            f"density_martingale,statistical,{residual},0.027,True,\n")
+    capsys.readouterr()
+    move, diffs = case(stdout(), stdout(residual=3e-10 + 1e-16))
+    assert diffs == [] and move == pytest.approx(0.0011 / 0.0042)
+    out = capsys.readouterr().out.splitlines()
+    assert "    verify_report.csv: residual 0.26 in [density_martingale] | tolerance 0" in out, out
+    assert "    stdout: 0 8e-15 in [PASS drift_residual_leader [order] residual=# tol=#] | 1 0" in out, out
 
     monkeypatch.setattr(compare, "run", lambda checkout, model, command, out: subprocess.CompletedProcess(
         [], 0, stdout=stdout("FAIL" if checkout.name == "change" and command == "verify" else "PASS"), stderr=""))
