@@ -1,10 +1,16 @@
 """Compare the outputs of two lqstack checkouts, column by column.
 
 Runs `solve`, `simulate` and `verify` (--paths 4000 --seed 3) from each
-checkout, with that checkout's src/ on PYTHONPATH, on three models: the
-standard model, the standard model with D1=0.3, D2=0.2, and a time-varying
-model (D1=0.3, D2=0.2, C=0.4, with A, R2, B1 and D2 as node arrays times
-1 + 0.3 sin(2 pi t / T)), each at N=200 and N=1600 steps.
+checkout, with that checkout's src/ on PYTHONPATH, on four models, each at
+N=200 and N=1600 steps:
+  * standard: the standard model (D1 = D2 = 0), on which the follower's
+    offset gain lambda is exactly zero;
+  * d1d2: the standard model with D1=0.3, D2=0.2;
+  * time_varying: D1=0.3, D2=0.2, C=0.4, with A, R2, B1 and D2 as node
+    arrays times 1 + 0.3 sin(2 pi t / T);
+  * rng91: the constant-coefficient draw of perfbench's
+    random_model(np.random.default_rng(91), N), to six digits, whose large
+    D1 and D2 make lambda and the offset's diffusion far from zero.
 
 For every CSV file it prints each column's largest move over the column's
 scale (its largest absolute value in either run), and for a column that
@@ -37,6 +43,11 @@ STANDARD = {
     "Q1": 1.0, "R1": 1.0, "Q2": 1.0, "R2": 1.0, "G1": 1.0, "G2": 1.0,
     "x0": 1.0, "T": 1.0,
 }
+RNG91 = {
+    "A": -0.433834, "B1": 1.392301, "B2": 1.283178, "C": -0.331959, "D1": 0.552308, "D2": 0.242119, "h": 1.0,
+    "Q1": 1.786074, "R1": 0.977239, "Q2": 1.1476, "R2": 0.625546, "G1": 1.672381, "G2": 1.770467,
+    "x0": -0.069928, "T": 1.0,
+}
 COMMANDS = ("solve", "simulate", "verify")
 # A number standing alone in a line of stdout, as repr prints a float or an int;
 # digits inside a name such as standard_200_verify are text.
@@ -44,14 +55,15 @@ NUMBER = re.compile(r"(?<![\w.])-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|in
 
 
 def models(steps: int) -> dict[str, dict]:
-    """The three compared problem files at the given step count."""
+    """The four compared problem files at the given step count."""
     t = np.linspace(0.0, STANDARD["T"], steps + 1)
     factor = 1.0 + 0.3 * np.sin(2.0 * np.pi * t / STANDARD["T"])
     varying = dict(STANDARD, D1=0.3, D2=0.2, C=0.4, steps=steps)
     varying.update({k: (varying[k] * factor).tolist() for k in ("A", "R2", "B1", "D2")})
     return {"standard": dict(STANDARD, steps=steps),
             "d1d2": dict(STANDARD, D1=0.3, D2=0.2, steps=steps),
-            "time_varying": varying}
+            "time_varying": varying,
+            "rng91": dict(RNG91, steps=steps)}
 
 
 def run(checkout: Path, model: Path, command: str, out: Path) -> subprocess.CompletedProcess:

@@ -106,11 +106,13 @@ class EquilibriumSolution:
 
     xhat is the (2N+1, 2) half-grid path of the filtered augmented state,
     the conditional mean of the closed loop, and u2hat = lhat . xhat the
-    leader's filtered control on the same grid.  closed_loop holds the
+    leader's filtered control on the same grid.  drift_x is the closed
+    loop's (2N+1, 2, 2) drift on the raw state X, and closed_loop holds the
     node rows of the closed loop's coefficients, which the Euler kernel
     reads.  follower_filter is the follower's filtered pair under u2hat.
     P is the follower's solve: P.p and the follower's coefficients, which
     blocks.follower holds as well, since the blocks are built from them.
+    offset_gain is solved on its first read, which only the adjoints make.
     """
 
     model: LQModel
@@ -121,8 +123,14 @@ class EquilibriumSolution:
     gains: FeedbackGains
     xhat: np.ndarray
     u2hat: np.ndarray
+    drift_x: np.ndarray
     closed_loop: ClosedLoopSystem
     follower_filter: FilterPath
+
+    @cached_property
+    def offset_gain(self) -> np.ndarray:
+        """lambda of simulate.backfill_theta: theta = theta_hat + lambda . (X - Xhat)."""
+        return backfill_theta(self.model, self.P, self.drift_x, self.gains.lx)
 
 
 def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
@@ -142,7 +150,7 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
         lx=gains.lx[::2], lxhat=gains.lxhat[::2], f=gains.f[::2], xhat=xhat[::2],
     )
     return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader, sigmas=sigmas,
-                               gains=gains, xhat=xhat, u2hat=u2hat, closed_loop=closed_loop,
+                               gains=gains, xhat=xhat, u2hat=u2hat, drift_x=fx, closed_loop=closed_loop,
                                follower_filter=solve_follower_filter(model, P, u2hat))
 
 
@@ -161,53 +169,46 @@ class AdjointReconstruction:
     z: np.ndarray
 
 
-def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
-                         theta: np.ndarray) -> AdjointReconstruction:
-    """Evaluate the decoupling ansatz quantities on a closed-loop ensemble."""
-    pn = eq.P.p[::2, None]
-    C, D2 = (eq.model.nodes(name)[:, None] for name in ("C", "D2"))
-    x, q = ens.x, ens.q
+def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble) -> AdjointReconstruction:
+    """The adjoints on a closed-loop ensemble, each affine in X = (x, q) per node and path.
 
-    p = pn * x + theta
-    k = pn * (C * x + (eq.model.nodes("D1") * ens.u1)[:, None] + D2 * ens.u2)
+    y = p1 X + p2 Xhat and z = s2 X + s3 Xhat.  With w = P e1 + lambda
+    (eq.offset_gain), p = w . X + theta_hat - lambda . Xhat is P x plus the
+    adapted offset, and k = w . (gx X + gxh Xhat) is P (C x + D1 u1 + D2 u2)
+    plus the offset's diffusion beta.
+    """
+    x, q, cl = ens.x, ens.q, eq.closed_loop
     xh = eq.xhat[::2, :, None]
+    lam = eq.offset_gain[::2, None, :]  # one-row gains, (N+1, 1, 2)
+    w = lam + eq.P.p[::2, None, None] * np.array([1.0, 0.0])
     scratch = np.empty_like(x)
 
-    def affine(gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """gain X + shift Xhat per node and path, X = (x, q), as (2, N+1, m)."""
-        shared = (shift @ xh)[..., 0]
-        out = np.empty((2,) + x.shape)
+    def affine(gain: np.ndarray, shift: np.ndarray, shared=0.0) -> np.ndarray:
+        """gain X + shift Xhat + shared per node and path, for (N+1, r, 2) gain and shift, as (r, N+1, m)."""
+        shared = (shift @ xh)[..., 0] + shared
+        out = np.empty((gain.shape[1],) + x.shape)
         for i, row in enumerate(out):
             np.multiply(x, gain[:, i, 0, None], out=row)
             row += np.multiply(q, gain[:, i, 1, None], out=scratch)
             row += shared[:, i, None]
         return out
 
+    (p,), (k,) = affine(w, -lam, eq.follower_filter.theta_hat[::2, None]), affine(w @ cl.diff_x, w @ cl.diff_xhat)
     return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1[::2], eq.leader.p2[::2]),
                                  z=affine(eq.sigmas.s2[::2], eq.sigmas.s3[::2]))
 
 
 @dataclass(frozen=True)
 class Chunk:
-    """One closed-loop ensemble of a streamed pass.
-
-    theta, the pathwise offset, and recon, the adjoints, are built on their
-    first read and kept with the chunk: once at most, and only when a check
-    reads them.  (Freeing theta as soon as recon is built doubled the minor
-    page faults of a 20000-path verify and made it slower.)
-    """
+    """One closed-loop ensemble of a streamed pass; recon, the adjoints, is
+    built on its first read, at most once and only when a check reads it."""
 
     eq: EquilibriumSolution
     ens: TrajectoryEnsemble
 
     @cached_property
-    def theta(self) -> np.ndarray:
-        eq, ens = self.eq, self.ens
-        return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat, eq.follower_filter.theta_hat)
-
-    @cached_property
     def recon(self) -> AdjointReconstruction:
-        return reconstruct_adjoints(self.eq, self.ens, self.theta)
+        return reconstruct_adjoints(self.eq, self.ens)
 
 
 def fold_chunks(eq: EquilibriumSolution, seed: int, paths: int, checks: list) -> list:

@@ -21,9 +21,9 @@ midpoints, which keeps every consumer of off-node values at the integrator's
 accuracy; a path input given at the nodes only is read linearly between them
 (model.lift).  The follower's pair reads its coefficients from the
 follower's solve (riccati.FollowerRiccati), where they are evaluated once.
-The pathwise offset reconstruction (simulate.backfill_theta) starts from
-the filtered offset solved here and integrates the deviation from it, one
-column per path, through the same integrator.
+The follower's adapted offset is the filtered offset solved here plus
+lambda . (X - Xhat), whose gain lambda (simulate.backfill_theta) is one more
+backward ODE through the same integrator.
 """
 
 from __future__ import annotations

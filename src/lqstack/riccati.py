@@ -2,9 +2,9 @@
 
 Every deterministic ODE of the equilibrium -- the follower's Riccati
 equation, the leader's two Riccati equations, the follower's filtered
-pair and the leader's filtered state -- and the pathwise offset of
-simulate.backfill_theta are solved by rk4_half_grid: classical RK4 with its
-stages at half points of the step.  It returns the path as a (2N+1, ...)
+pair, the leader's filtered state and the follower's offset gain
+(simulate.backfill_theta) -- is solved by rk4_half_grid: classical RK4 with
+its stages at half points of the step.  It returns the path as a (2N+1, ...)
 half-grid array, the one representation of every deterministic path: index j
 is t = j * dt/2, node values at even indices and cubic-Hermite midpoints (4th
 order, from node values and node slopes) at odd ones.
@@ -32,7 +32,7 @@ The follower's coefficients -- (D1^2 P + R1)^-1 and its products with
 B1 + D1 C, B1 and D1 D2 P -- are evaluated once per solve, where P is
 sampled, by follower_coefficients, and kept with P in the one result of the
 follower's solve, FollowerRiccati.  The leader's blocks, the follower's
-filtered pair, the pathwise offset, the follower's control law, the gains
+filtered pair, the offset gain, the follower's control law, the gains
 and the drift residuals read them from there.
 
 The leader's side reads one family of effective blocks (1/r2,
@@ -149,7 +149,8 @@ class FollowerRiccati:
     w s_inv (bc P, B1, D1 D2 P) multiplied left to right (offset takes its P
     last), a rounding the leader's blocks inherit.  offset[0] and
     offset_u2 = (B2 + D2 C) P weigh x - xhat and the raw leader control in
-    the pathwise offset's drift.  The filtered offset solves
+    the offset's drift, the forcing of its gain on X - Xhat
+    (simulate.backfill_theta).  The filtered offset solves
     d(theta_hat)/dtau = theta_self theta_hat + theta_u2 u2hat, tau = T - t.
     """
 

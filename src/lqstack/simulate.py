@@ -1,5 +1,6 @@
-"""Monte-Carlo layer: noise streams, Euler-Maruyama, pathwise backward offset,
-and the exponential observation-density process.
+"""Monte-Carlo layer: noise streams, Euler-Maruyama, the exponential
+observation-density process, and the gain that reads the follower's adapted
+offset off a simulated state.
 
 Reproducibility contract: every sampled quantity is a pure function of
 (master seed, path index, step), independent of path batching or execution
@@ -25,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NonFiniteState, SolverError
-from .model import LQModel, TimeGrid, lift
+from .model import LQModel, TimeGrid
 from .riccati import FollowerRiccati, rk4_half_grid
 
 
@@ -271,38 +272,26 @@ def sensitivity_nodes(model: LQModel, v1: np.ndarray, v2: np.ndarray, noise: Noi
         yield dx
 
 
-def backfill_theta(model: LQModel, P: FollowerRiccati, x: np.ndarray, u2,
-                   xhat, u2hat, theta_hat) -> np.ndarray:
-    """Pathwise backward reconstruction of the follower's adjoint offset.
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness guard reports overflow
+def backfill_theta(model: LQModel, P: FollowerRiccati, drift_x: np.ndarray, lx: np.ndarray) -> np.ndarray:
+    """lambda, the follower's offset gain on D = X - Xhat: (2N+1, 2) on the half grid.
 
-    theta = theta_hat + e along each realized path, where theta_hat is the
-    filtered offset that solve_follower_filter gives for u2hat.  The
-    deviation e integrates backward from e(T) = 0 by rk4_half_grid,
-        de/dtau = bc^2 s_inv P^2 (x - xhat) + (B2 + D2 C) P (u2 - u2hat) + A e,
-    with its forcing formed on the half grid.  Every input is lifted there
-    (model.lift): the deterministic paths xhat, u2hat and theta_hat are
-    (2N+1,) half-grid or (N+1,) node arrays, and x and a per-path u2 are
-    (N+1, m) node arrays, or (N+1,) or (2N+1,) for one path, read linearly
-    between nodes.  RK4 is linear, so this equals integrating the offset and
-    its filtered value jointly, and a path that coincides with its filter
-    gives theta_hat exactly.  The result is (N+1, m), one column per path.
-    Used for residual verification only; the reconstruction anticipates the
-    path and is never fed back into controls.
+    Along a path the offset's deviation from its filtered value solves
+    de/dt = -A e - f . D, e(T) = 0, with f = c e1 + c2 lx (c = P.offset[0],
+    c2 = P.offset_u2, lx the leader's gain on X, so u2 - u2hat = lx . D).
+    D solves dD = fx D dt + G dW (fx = drift_x, the closed loop's half-grid
+    drift on X, and G its diffusion), so E_t[D_s] = Phi(s, t) D_t with Phi
+    the flow of fx, and the adapted deviation is
+        E_t[int_t^T exp(int_t^s A) f(s) . D_s ds] = lambda(t) . D_t,
+        d(lambda)/dtau = (A + fx^T) lambda + f,  lambda(T) = 0,  tau = T - t.
+    By Clark-Ocone its martingale integrand is beta = lambda . G.  Zero
+    forcing gives exact zeros; a non-finite node raises SolverError.
     """
-    grid = model.grid
-    n = grid.steps
-
-    def gap(arr, filtered, coef) -> np.ndarray:
-        """coef (arr - filtered) on the half grid, one column per path (or one shared column)."""
-        out = lift(arr, n).reshape(2 * n + 1, -1) - lift(filtered, n)[:, None]
-        out *= coef[:, None]
-        return out
-
-    A = model.nodes("A", 2)
-    forcing = gap(x, xhat, P.offset[0]) + gap(u2, u2hat, P.offset_u2)
-    e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), grid.dt, n,
-                      backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
-    return e[::2] + lift(theta_hat, n)[::2, None]
+    gain = model.nodes("A", 2)[:, None, None] * np.eye(2) + drift_x.swapaxes(-1, -2)
+    forcing = P.offset_u2[:, None] * lx
+    forcing[:, 0] += P.offset[0]
+    return rk4_half_grid(lambda j, lam: gain[j] @ lam + forcing[j], np.zeros(2), model.grid.dt, model.grid.steps,
+                         backward=True, fail=partial(SolverError, "follower's offset gain is not finite"))
 
 
 def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:

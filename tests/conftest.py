@@ -1,10 +1,12 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
-from lqstack.errors import LQStackError
-from lqstack.model import _MODEL_KEYS, Coefficient, LQModel, TimeGrid
+from lqstack.errors import LQStackError, SolverError
+from lqstack.model import _MODEL_KEYS, Coefficient, LQModel, TimeGrid, lift
+from lqstack.riccati import rk4_half_grid
 
 
 class OutOfRange(LQStackError):
@@ -53,6 +55,13 @@ def model_to_dict(model: LQModel) -> dict:
     return out
 
 
+# The constant-coefficient draw of perfbench/workloads.random_model(np.random.default_rng(91), N,
+# time_varying=False), to six digits: D1 and D2 are large enough that the
+# follower's offset gain lambda is far from zero.
+RNG91 = dict(A=-0.433834, B1=1.392301, B2=1.283178, C=-0.331959, D1=0.552308, D2=0.242119, h=1.0,
+             Q1=1.786074, R1=0.977239, Q2=1.1476, R2=0.625546, G1=1.672381, G2=1.770467, x0=-0.069928)
+
+
 def random_admissible_model(rng, steps=200):
     """Draw a bounded model satisfying the weight hypotheses, D1/D2 included."""
     return make_model(
@@ -79,11 +88,42 @@ def time_varying(model):
     return dataclasses.replace(model, **{k: getattr(model, k) * factor for k in ("A", "R2", "B1", "D2")})
 
 
+def pathwise_theta(model, P, x, u2, xhat, u2hat, theta_hat):
+    """Pathwise backward solve of the follower's offset along realized paths: the
+    oracle of the adapted offset theta_hat + lambda . (X - Xhat).
+
+    theta = theta_hat + e along each path, where theta_hat is the filtered
+    offset that solve_follower_filter gives for u2hat.  The deviation e
+    integrates backward from e(T) = 0 by rk4_half_grid,
+        de/dtau = bc^2 s_inv P^2 (x - xhat) + (B2 + D2 C) P (u2 - u2hat) + A e,
+    with its forcing formed on the half grid.  Every input is lifted there
+    (model.lift): the deterministic paths xhat, u2hat and theta_hat are
+    (2N+1,) half-grid or (N+1,) node arrays, and x and a per-path u2 are
+    (N+1, m) node arrays, or (N+1,) or (2N+1,) for one path, read linearly
+    between nodes.  RK4 is linear, so this equals integrating the offset and
+    its filtered value jointly, and a path that coincides with its filter
+    gives theta_hat exactly.  The result is (N+1, m), one column per path.
+    It reads each path's future; its conditional mean given X(t_k) is the
+    adapted offset.
+    """
+    n = model.grid.steps
+
+    def gap(arr, filtered, coef):
+        """coef (arr - filtered) on the half grid, one column per path (or one shared column)."""
+        out = lift(arr, n).reshape(2 * n + 1, -1) - lift(filtered, n)[:, None]
+        out *= coef[:, None]
+        return out
+
+    A = model.nodes("A", 2)
+    forcing = gap(x, xhat, P.offset[0]) + gap(u2, u2hat, P.offset_u2)
+    e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), model.grid.dt, n,
+                      backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
+    return e[::2] + lift(theta_hat, n)[::2, None]
+
+
 def backfill(eq, ens):
-    """Pathwise offset along a closed-loop ensemble, built as lqstack verify builds it."""
-    from lqstack.simulate import backfill_theta
-    return backfill_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat,
-                          eq.follower_filter.theta_hat)
+    """The pathwise offset oracle along a closed-loop ensemble."""
+    return pathwise_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat, eq.follower_filter.theta_hat)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from lqstack.equilibrium import (bsde_residual, drift_residuals, fold_chunks, re
 from lqstack.riccati import assemble_leader_blocks, solve_follower_P, solve_leader_riccati
 from lqstack.simulate import density_process, generate_noise, simulate_closed_loop
 
-from conftest import backfill, make_model, model_to_dict, random_admissible_model
+from conftest import make_model, model_to_dict, random_admissible_model
 
 # Frozen 100000-step reference for the first leader Riccati matrix at t=0 on
 # the benchmark model (regenerate with scripts/make_reference.py).
@@ -249,8 +249,7 @@ def test_criterion_11_bsde_residual_order():
         eq = solve_equilibrium(make_model(steps))
         noise = generate_noise(42, 10000, eq.model.grid)
         ens = simulate_closed_loop(eq.closed_loop, noise)
-        theta = backfill(eq, ens)
-        recon = reconstruct_adjoints(eq, ens, theta)
+        recon = reconstruct_adjoints(eq, ens)
         return bsde_residual(eq, ens, recon).rms
 
     ratio = rms(400) / rms(800)

@@ -18,7 +18,7 @@ from lqstack.cli import main
 from lqstack.costs import (gain_grid_search, verify_follower_optimality, verify_leader_optimality,
                            verify_optimality_chunked)
 from lqstack.equilibrium import solve_equilibrium
-from lqstack.simulate import generate_noise, simulate_closed_loop
+from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
 
 from conftest import make_model, model_to_dict
 
@@ -93,3 +93,26 @@ def test_noise_hook_reads_the_bundle_as_drawn(tracer):
     assert attrs == {"key": [3, 20, grid.horizon], "first": 5, "paths": 70,
                      "bytes": bundle.dw.nbytes + bundle.dwbar.nbytes}
     assert attrs["bytes"] == 21 * 70 * 8
+
+
+def test_backfill_hook_reads_the_offset_gain(tracer, tmp_path):
+    # backfill_theta returns the follower's offset gain, a (2N+1, 2) array,
+    # and the simulate.backfill hook reports its bytes.  A traced verify
+    # solves it once, as the adjoints are first read; simulate never does
+    steps = 40
+    model = make_model(steps=steps, D1=0.3, D2=0.2)
+    eq = solve_equilibrium(model)
+    gain = backfill_theta(eq.model, eq.P, eq.drift_x, eq.gains.lx)
+    _, hook = tracer.SPANNED["simulate"]["backfill_theta"]
+    assert hook((eq.model, eq.P, eq.drift_x, eq.gains.lx), {}, gain) == {"bytes": (2 * steps + 1) * 2 * 8}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    for command, solves in (("verify", 1), ("simulate", 0)):
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            assert main([command, "--model", str(path), "--out", str(tmp_path / command), "--paths", "300"]) == 0
+        finally:
+            tr.uninstall()
+        spans = [s for s in tr.spans if s.name == "simulate.backfill"]
+        assert [s.attrs for s in spans] == [{"bytes": gain.nbytes}] * solves, command

@@ -13,7 +13,7 @@ from lqstack.equilibrium import Chunk, bsde_residual, reconstruct_adjoints, solv
 from lqstack.model import lift
 from lqstack.simulate import generate_noise, simulate_closed_loop, simulate_open_loop
 
-from conftest import backfill, make_model, random_admissible_model, time_varying
+from conftest import make_model, random_admissible_model, time_varying
 
 
 def zero_weight_model(steps=100, **kw):
@@ -126,7 +126,7 @@ def test_path_values_independent_of_paths_beside_it():
 
     def path_values(noise, i):
         ens = simulate_closed_loop(eq.closed_loop, noise)
-        recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
+        recon = reconstruct_adjoints(eq, ens)
         sweeps = [OptimalitySweep(eq, which, dirs, [0.1]).add(Chunk(eq, ens)).parts[0][:, i] for which in ("J1", "J2")]
         return [ens.x[:, i], ens.q[:, i], ens.u2[:, i], pathwise_J1(m, ens)[i], pathwise_J2(m, ens)[i], *sweeps,
                 grid_features(eq, ens)[:, i], bsde_residual(eq, ens, recon).time_summed[i]]

@@ -13,9 +13,9 @@ from lqstack.equilibrium import (Bsde, FollowerStationarity, LeaderStationarity,
                                  follower_stationarity_residual, gain_consistency_residual,
                                  leader_stationarity_residual, reconstruct_adjoints, solve_equilibrium)
 from lqstack.model import LQModel
-from lqstack.simulate import backfill_theta, generate_noise, simulate_closed_loop
+from lqstack.simulate import generate_noise, simulate_closed_loop
 
-from conftest import backfill, make_model, random_admissible_model, sample_at, time_varying
+from conftest import make_model, random_admissible_model, sample_at, time_varying
 
 
 def zero_weight_equilibrium(steps=100):
@@ -48,7 +48,7 @@ def test_zero_weights_give_exact_zeros_random_models(seed, varying):
     dr = drift_residuals(eq)
     assert dr.follower_max == 0.0
     assert dr.leader_max == 0.0
-    recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
+    recon = reconstruct_adjoints(eq, ens)
     assert np.all(follower_stationarity_residual(eq, ens, recon).residual == 0.0)
     assert leader_stationarity_residual(eq, ens, recon).algebraic_max == 0.0
     assert bsde_residual(eq, ens, recon).rms == 0.0
@@ -178,18 +178,17 @@ def test_hamiltonian_convex_in_control():
 
 @pytest.fixture(scope="module")
 def recon_b200(eq_b200, ens_b200):
-    theta = backfill(eq_b200, ens_b200)
-    return theta, reconstruct_adjoints(eq_b200, ens_b200, theta)
+    return reconstruct_adjoints(eq_b200, ens_b200)
 
 
 def test_structural_zero_of_adjoint_diffusion(eq_b200, ens_b200, recon_b200):
-    _, recon = recon_b200
+    recon = recon_b200
     scale = np.max(np.abs(recon.z)) + 1.0
     assert np.max(np.abs(recon.z[1])) <= 1e-9 * scale
 
 
 def test_terminal_reconstruction(eq_b200, ens_b200, recon_b200):
-    _, recon = recon_b200
+    recon = recon_b200
     assert np.array_equal(eq_b200.leader.p1[-1], eq_b200.blocks.gbar)
     X_T = np.stack([ens_b200.x[-1], ens_b200.q[-1]], axis=-1)
     expected = X_T @ eq_b200.blocks.gbar.T
@@ -198,9 +197,9 @@ def test_terminal_reconstruction(eq_b200, ens_b200, recon_b200):
 
 
 def test_terminal_follower_adjoint(eq_b200, ens_b200, recon_b200):
-    theta, recon = recon_b200
+    recon = recon_b200
     # p(T) = G1 x(T) exactly: terminal offset is zero and P(T) = G1
-    assert np.all(theta[-1] == 0.0)
+    assert np.all(eq_b200.offset_gain[-1] == 0.0)
     assert np.array_equal(recon.p[-1], eq_b200.model.G1 * ens_b200.x[-1])
 
 
@@ -208,15 +207,14 @@ def test_follower_stationarity_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 200, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop, noise)
-    theta = backfill(eq, ens)
-    recon = reconstruct_adjoints(eq, ens, theta)
+    recon = reconstruct_adjoints(eq, ens)
     stats = follower_stationarity_residual(eq, ens, recon)
     assert np.all(stats.residual == 0.0)
 
 
 def test_follower_stationarity_statistical(eq_b200, ens_b200, recon_b200):
-    _, recon = recon_b200
-    stats = follower_stationarity_residual(eq_b200, ens_b200, recon_b200[1])
+    recon = recon_b200
+    stats = follower_stationarity_residual(eq_b200, ens_b200, recon)
     dt = eq_b200.model.grid.dt
     tol = 3.0 * stats.moments.stderr + 2.0 * dt * stats.scale
     assert np.all(np.abs(stats.residual) <= tol)
@@ -232,11 +230,10 @@ def test_follower_stationarity_deterministic_degenerate():
     q_path = eq.xhat[::2, 1][:, None]
     u1 = np.einsum("ki,ki->k", eq.gains.f[::2], eq.xhat[::2])
     u2 = eq.u2hat[::2, None]
-    theta = backfill_theta(m, eq.P, fp.xhat, eq.u2hat, fp.xhat, eq.u2hat, fp.theta_hat)
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)
     ens = TrajectoryEnsemble(grid=m.grid, x=x, q=q_path, u1=u1, u2=u2, noise=noise)
-    recon = reconstruct_adjoints(eq, ens, theta)
+    recon = reconstruct_adjoints(eq, ens)
     stats = follower_stationarity_residual(eq, ens, recon)
     assert np.max(np.abs(stats.residual)) <= 1e-8
 
@@ -245,14 +242,13 @@ def test_leader_stationarity_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 100, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop, noise)
-    theta = backfill(eq, ens)
-    recon = reconstruct_adjoints(eq, ens, theta)
+    recon = reconstruct_adjoints(eq, ens)
     stats = leader_stationarity_residual(eq, ens, recon)
     assert stats.algebraic_max == 0.0
 
 
 def test_leader_stationarity_algebraic(eq_b200, ens_b200, recon_b200):
-    _, recon = recon_b200
+    recon = recon_b200
     stats = leader_stationarity_residual(eq_b200, ens_b200, recon)
     assert stats.algebraic_max <= 1e-8 * stats.scale
 
@@ -263,8 +259,7 @@ def test_leader_stationarity_general_model():
     eq = solve_equilibrium(m)
     noise = generate_noise(8, 2000, m.grid)
     ens = simulate_closed_loop(eq.closed_loop, noise)
-    theta = backfill(eq, ens)
-    recon = reconstruct_adjoints(eq, ens, theta)
+    recon = reconstruct_adjoints(eq, ens)
     stats = leader_stationarity_residual(eq, ens, recon)
     assert stats.algebraic_max <= 1e-8 * stats.scale
 
@@ -364,8 +359,7 @@ def test_time_varying_algebraic_identities(eq_time_varying):
     assert np.max(np.abs(gain_consistency_residual(eq)[0])) <= 1e-10
     noise = generate_noise(4, 200, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop, noise)
-    theta = backfill(eq, ens)
-    stats = leader_stationarity_residual(eq, ens, reconstruct_adjoints(eq, ens, theta))
+    stats = leader_stationarity_residual(eq, ens, reconstruct_adjoints(eq, ens))
     assert stats.algebraic_max <= 1e-8 * stats.scale
 
 # --- discrete backward-step residual ---
@@ -374,8 +368,7 @@ def test_bsde_residual_zero_weights():
     eq = zero_weight_equilibrium()
     noise = generate_noise(3, 100, eq.model.grid)
     ens = simulate_closed_loop(eq.closed_loop, noise)
-    theta = backfill(eq, ens)
-    recon = reconstruct_adjoints(eq, ens, theta)
+    recon = reconstruct_adjoints(eq, ens)
     assert bsde_residual(eq, ens, recon).rms == 0.0
 
 
@@ -384,8 +377,7 @@ def test_bsde_residual_first_order():
         eq = solve_equilibrium(make_model(steps=steps))
         noise = generate_noise(99, 2000, eq.model.grid)
         ens = simulate_closed_loop(eq.closed_loop, noise)
-        theta = backfill(eq, ens)
-        recon = reconstruct_adjoints(eq, ens, theta)
+        recon = reconstruct_adjoints(eq, ens)
         return bsde_residual(eq, ens, recon).rms
 
     assert 1.6 < rms(400) / rms(800) < 2.6
@@ -401,7 +393,7 @@ def test_residual_function_returns_its_check(name):
     m = make_model(steps=40, D1=0.3, D2=0.2)
     eq = solve_equilibrium(m)
     ens = simulate_closed_loop(eq.closed_loop, generate_noise(5, 300, m.grid))
-    recon = reconstruct_adjoints(eq, ens, backfill(eq, ens))
+    recon = reconstruct_adjoints(eq, ens)
     t = m.grid.times()
     dirs = {"const": np.ones_like(t), "ramp": t}
     call, fresh = {

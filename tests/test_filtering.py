@@ -11,9 +11,8 @@ from lqstack.errors import SolverError
 from lqstack.filtering import solve_follower_filter
 from lqstack.model import TimeGrid, lift, sample_on_grid
 from lqstack.riccati import solve_follower_P
-from lqstack.simulate import backfill_theta
 
-from conftest import make_model, random_admissible_model
+from conftest import make_model, pathwise_theta, random_admissible_model
 
 # Frozen 100000-step self-reference for the filter state at t=T
 # (regenerate with scripts/make_reference.py; cross-checked there against an
@@ -199,7 +198,7 @@ def test_node_and_lifted_inputs_agree(eq_b200, ens_b200):
     assert np.array_equal(a.xhat, b.xhat) and np.array_equal(a.theta_hat, b.theta_hat)
     x, u2 = ens_b200.x[:, :50], ens_b200.u2[:, :50]
     xhat_nodes = eq.xhat[::2, 0]
-    from_nodes = backfill_theta(eq.model, eq.P, x, u2, xhat_nodes, u2_nodes, a.theta_hat[::2])
-    from_half = backfill_theta(eq.model, eq.P, lift(x, n), lift(u2, n), lift(xhat_nodes, n),
+    from_nodes = pathwise_theta(eq.model, eq.P, x, u2, xhat_nodes, u2_nodes, a.theta_hat[::2])
+    from_half = pathwise_theta(eq.model, eq.P, lift(x, n), lift(u2, n), lift(xhat_nodes, n),
                                lift(u2_nodes, n), a.theta_hat)
     assert np.array_equal(from_nodes, from_half)

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from lqstack import simulate
 from lqstack.cli import main
 from lqstack.equilibrium import reconstruct_adjoints, solve_equilibrium
-from lqstack.errors import NonFiniteState
+from lqstack.errors import NonFiniteState, SolverError
 from lqstack.filtering import solve_follower_filter
 from lqstack.model import TimeGrid
-from lqstack.simulate import (ClosedLoopSystem, NoiseBundle, backfill_theta, density_process, generate_noise,
-                              sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
+from lqstack.riccati import rk4_half_grid
+from lqstack.simulate import (ClosedLoopSystem, NoiseBundle, TrajectoryEnsemble, backfill_theta, density_process,
+                              generate_noise, sensitivity_nodes, simulate_closed_loop, simulate_open_loop)
 
-from conftest import backfill, make_model, model_to_dict, random_admissible_model, time_varying
+from conftest import (RNG91, backfill, make_model, model_to_dict, pathwise_theta, random_admissible_model,
+                      time_varying)
 
 
 def test_noise_reproducible():
@@ -78,9 +80,8 @@ def test_head_copies_observation_noise():
     ens = simulate_closed_loop(eq.closed_loop, generate_noise(3, 100, eq.model.grid, first_path=50))
     head = ens.head(3)
     assert np.array_equal(head.noise.dwbar, ens.noise.dwbar[:3])
-    theta = backfill(eq, ens)
-    recon = reconstruct_adjoints(eq, ens, theta)
-    layout = {(21, 100): [ens.x, ens.q, ens.u2, theta, recon.p, recon.k],
+    recon = reconstruct_adjoints(eq, ens)
+    layout = {(21, 100): [ens.x, ens.q, ens.u2, recon.p, recon.k],
               (20, 100): [ens.noise.dw], (100,): [ens.noise.dwbar], (2, 21, 100): [recon.y, recon.z],
               (21, 3): [head.x, head.q, head.u2], (20, 3): [head.noise.dw], (3,): [head.noise.dwbar]}
     for shape, arrays in layout.items():
@@ -371,14 +372,14 @@ def test_backfill_zero_forcing():
     u2 = np.tile(u2hat[:, None], (1, 5))
     theta_hat = solve_follower_filter(m, P, u2hat).theta_hat
     assert np.all(theta_hat[::2] == 0.0)
-    theta = backfill_theta(m, P, x, u2, xhat, u2hat, theta_hat)
+    theta = pathwise_theta(m, P, x, u2, xhat, u2hat, theta_hat)
     assert np.all(theta == 0.0)
 
 
 def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
     u2hat = eq_b200.u2hat
     theta_hat = eq_b200.follower_filter.theta_hat
-    theta = backfill_theta(eq_b200.model, eq_b200.P, ens_b200.x[:, :100], ens_b200.u2[:, :100],
+    theta = pathwise_theta(eq_b200.model, eq_b200.P, ens_b200.x[:, :100], ens_b200.u2[:, :100],
                            eq_b200.xhat[:, 0], u2hat, theta_hat)
     assert np.all(theta[-1] == 0.0)
 
@@ -387,7 +388,7 @@ def test_backfill_degenerate_path_matches_filter(eq_b400):
     # feeding the filter path itself reproduces the filtered offset
     eq = eq_b400
     fp = eq.follower_filter
-    theta = backfill_theta(eq.model, eq.P, fp.xhat, eq.u2hat,
+    theta = pathwise_theta(eq.model, eq.P, fp.xhat, eq.u2hat,
                            fp.xhat, eq.u2hat, fp.theta_hat)
     assert np.array_equal(theta[:, 0], fp.theta_hat[::2])
 
@@ -400,12 +401,116 @@ def test_backfill_fourth_order_off_the_filter():
         u2hat = eq.u2hat
         fp = eq.follower_filter
         x = fp.xhat + 0.3 * np.sin(2.0 * np.pi * np.linspace(0.0, eq.model.grid.horizon, 2 * steps + 1))
-        return backfill_theta(eq.model, eq.P, x, u2hat, fp.xhat, u2hat, fp.theta_hat)[0, 0]
+        return pathwise_theta(eq.model, eq.P, x, u2hat, fp.xhat, u2hat, fp.theta_hat)[0, 0]
 
     vals = [theta0(steps) for steps in (25, 50, 100, 200)]
     gaps = [abs(a - b) for a, b in zip(vals, vals[1:])]
     for g1, g2 in zip(gaps, gaps[1:]):
         assert 12.0 <= g1 / g2 <= 20.0, gaps
+
+
+def test_offset_gain_fourth_order():
+    # lambda(0) on constant coefficients: the RK4 solve keeps 4th order, so
+    # each halving of dt shrinks the self-gap by ~16
+    vals = [solve_equilibrium(make_model(steps=steps, D1=0.3, D2=0.2)).offset_gain[0, 0]
+            for steps in (25, 50, 100, 200, 400)]
+    gaps = [abs(a - b) for a, b in zip(vals, vals[1:])]
+    for g1, g2 in zip(gaps, gaps[1:]):
+        assert 12.0 <= g1 / g2 <= 20.0, gaps
+
+
+def test_offset_gain_exact_zeros():
+    # on the standard model the forcing c + c2 lx cancels exactly; with
+    # Q1 = G1 = 0, P = 0 leaves no forcing at all
+    for model in (make_model(steps=100), make_model(steps=100, D1=0.3, D2=0.2, Q1=0.0, G1=0.0)):
+        assert np.all(solve_equilibrium(model).offset_gain == 0.0)
+
+
+def test_offset_gain_not_finite_raises():
+    # an overflowing gain is reported as a solver error, not as a numpy warning
+    eq = solve_equilibrium(make_model(steps=20, D1=0.3, D2=0.2))
+    with pytest.raises(SolverError, match="offset gain is not finite"):
+        backfill_theta(eq.model, eq.P, np.full_like(eq.drift_x, 1e300), eq.gains.lx)
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_offset_gain_is_the_pathwise_offset_along_the_mean_flow(varying):
+    # from a unit deviation D(t_k) = e_i the conditional mean of D is the
+    # flow of the closed loop's drift fx; the oracle's theta - theta_hat along
+    # X = Xhat + that flow (on the half grid, so nothing is interpolated) is
+    # lambda(t_k)_i up to the two 4th-order solves (about 1e-10 here)
+    model = make_model(steps=200, **RNG91)
+    eq = solve_equilibrium(time_varying(model) if varying else model)
+    fx, lx, theta_hat = eq.drift_x, eq.gains.lx, eq.follower_filter.theta_hat
+    for k in (50, 100, 150):
+        for i in range(2):
+            d = np.zeros((401, 2))
+            d[2 * k:] = rk4_half_grid(lambda j, y: fx[j + 2 * k] @ y, np.eye(2)[i], eq.model.grid.dt, 200 - k,
+                                      fail=SolverError)
+            theta = pathwise_theta(eq.model, eq.P, eq.xhat[:, 0] + d[:, 0], eq.u2hat + np.einsum("ji,ji->j", lx, d),
+                                   eq.xhat[:, 0], eq.u2hat, theta_hat)
+            assert abs(theta[k, 0] - theta_hat[2 * k] - eq.offset_gain[2 * k, i]) <= 1e-8, (k, i)
+
+
+def test_offset_gain_is_the_regression_of_the_pathwise_offset():
+    # the adapted offset is the conditional mean of the pathwise one: at
+    # each probed node the least-squares fit of the oracle's theta - theta_hat
+    # on D = X - Xhat recovers lambda within 4 heteroscedasticity-robust
+    # (sandwich) standard errors; the Euler paths bias the fit by O(dt), 6e-4 here
+    eq = solve_equilibrium(make_model(steps=200, **RNG91))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(21, 4000, eq.model.grid))
+    e = backfill(eq, ens) - eq.follower_filter.theta_hat[::2, None]
+    d = np.stack([ens.x - eq.xhat[::2, 0, None], ens.q - eq.xhat[::2, 1, None]], axis=-1)
+    lam = eq.offset_gain[::2]
+    assert np.max(np.abs(lam[:, 0])) > 0.1
+    for k in (50, 100, 150):
+        inv = np.linalg.inv(d[k].T @ d[k])
+        coef = inv @ d[k].T @ e[k]
+        resid = e[k] - d[k] @ coef
+        stderr = np.sqrt(np.diag(inv @ ((d[k] * resid[:, None] ** 2).T @ d[k]) @ inv))
+        assert np.all(np.abs(coef - lam[k]) <= 4.0 * stderr), (k, coef, lam[k], stderr)
+
+
+def test_adapted_adjoints_are_the_offset_and_its_diffusion():
+    # p = P x + theta_hat + lambda . D, and k = P (C x + D1 u1 + D2 u2) plus
+    # the offset's diffusion beta = lambda . (gx X + gxh Xhat), to rounding
+    eq = solve_equilibrium(make_model(steps=100, **RNG91))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(4, 200, eq.model.grid))
+    recon = reconstruct_adjoints(eq, ens)
+    model, cl, lam = eq.model, eq.closed_loop, eq.offset_gain[::2]
+    pn, C, D1, D2 = (a[:, None] for a in (eq.P.p[::2], *(model.nodes(k) for k in ("C", "D1", "D2"))))
+    X = np.stack([ens.x, ens.q], axis=-1)
+    xh = eq.xhat[::2, None, :]
+    theta = eq.follower_filter.theta_hat[::2, None] + np.einsum("ki,kmi->km", lam, X - xh)
+    G = np.einsum("kij,kmj->kmi", cl.diff_x, X) + (cl.diff_xhat @ eq.xhat[::2, :, None])[:, None, :, 0]
+    k = pn * (C * ens.x + D1 * ens.u1[:, None] + D2 * ens.u2) + np.einsum("ki,kmi->km", lam, G)
+    for got, want in ((recon.p, pn * ens.x + theta), (recon.k, k)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_adapted_offset_terminal_zero_every_path():
+    # lambda(T) = 0 and theta_hat(T) = 0: p(T) = G1 x(T) exactly on every path
+    eq = solve_equilibrium(make_model(steps=100, **RNG91))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(4, 200, eq.model.grid))
+    assert np.all(eq.offset_gain[-1] == 0.0)
+    assert np.array_equal(reconstruct_adjoints(eq, ens).p[-1], eq.model.G1 * ens.x[-1])
+
+
+def test_adapted_offset_on_its_filter_path():
+    # a path equal to its filter has D = 0, so p = P xhat + theta_hat: exactly
+    # where lambda = 0; to rounding where it is not, since p is read as
+    # w . X + (theta_hat - lambda . Xhat)
+    for model in (make_model(steps=100), make_model(steps=100, **RNG91)):
+        eq = solve_equilibrium(model)
+        xh = eq.xhat[::2]
+        ens = TrajectoryEnsemble(grid=model.grid, x=xh[:, :1].copy(), q=xh[:, 1:].copy(), u1=np.zeros(101),
+                                 u2=np.zeros((101, 1)), noise=generate_noise(1, 1, model.grid))
+        p = reconstruct_adjoints(eq, ens).p[:, 0]
+        expected = eq.P.p[::2] * xh[:, 0] + eq.follower_filter.theta_hat[::2]
+        if np.any(eq.offset_gain):
+            assert np.max(np.abs(p - expected)) <= 1e-14 * np.max(np.abs(eq.P.p[::2] * xh[:, 0]))
+        else:
+            assert np.array_equal(p, expected)
 
 
 def test_density_trivial_and_positivity():
