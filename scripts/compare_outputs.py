@@ -19,9 +19,11 @@ column or else by row number.  Each command's stdout is scored the same
 way, field by field: the k-th number of every line is one column, and a
 line is named by its text with the numbers cut out.  A difference is a
 changed exit code, a text column, a row count, or any stdout text outside
-the numbers (a PASS/FAIL word, a row name, a line count).  The last two
-lines give the largest move of all and the number of differences; the
-script exits 1 when there are differences.
+the numbers (a PASS/FAIL word, a row name, a line count).  Before the last
+two lines it prints the src/ line count of both checkouts, as
+`wc -l src/lqstack/*.py` counts them; the last two lines give the largest
+move of all and the number of differences.  The script exits 1 when there
+are differences.
 
     python scripts/compare_outputs.py PARENT CHANGE [--steps 200 1600]
 """
@@ -188,6 +190,11 @@ def compare_case(case: str, procs, outs: list[Path]) -> tuple[float, list[str]]:
     return largest, [f"{case}: {d}" for d in diffs]
 
 
+def src_lines(checkout: Path) -> int:
+    """The newlines in the checkout's src/lqstack/*.py, the total of wc -l."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "lqstack").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout whose outputs are the reference")
@@ -211,6 +218,7 @@ def main() -> int:
                     diffs += case_diffs
     for d in diffs:
         print(f"DIFF {d}")
+    print(f"src/ lines: {src_lines(args.parent)} / {src_lines(args.change)}")
     print(f"largest column move: {largest!r}")
     print(f"differences: {len(diffs)}")
     return 1 if diffs else 0

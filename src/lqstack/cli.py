@@ -30,8 +30,8 @@ from . import reporting
 from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
                      ModelValidationError, ParseError, SolverError)
 from .model import LQModel, check_hypotheses, load_model
-# Unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
-from .riccati import solve_follower_P  # noqa: F401
+# solve_follower_P is unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding.
+from .riccati import BLOW_UP_FACTOR, DET_TOL, solve_follower_P  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -49,8 +49,8 @@ class Tolerances:
     first-order discretization bias of the Euler ensemble.
     """
 
-    det_tol: float = 1e-10
-    blow_up_factor: float = 1e8
+    det_tol: float = DET_TOL
+    blow_up_factor: float = BLOW_UP_FACTOR
     algebraic_rel: float = 1e-8
     gain_rel: float = 1e-10
     structural_rel: float = 1e-9

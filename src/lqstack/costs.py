@@ -143,7 +143,7 @@ class PerturbationCurve:
     curvature: float
     fit_max_residual: float
 
-    def min_delta_margin(self, stderr_mult: float = 3.0) -> float:
+    def min_delta_margin(self, stderr_mult: float) -> float:
         """min over eps of delta_mean + stderr_mult * stderr (>= 0 means pass)."""
         return float(np.min(self.delta_mean + stderr_mult * self.delta_stderr))
 
@@ -314,14 +314,15 @@ class GridSearchResult:
     best_stderr: float
     equilibrium_mean: float
 
-    def dominance_margin(self, stderr_mult: float = 2.0) -> float:
+    def dominance_margin(self, stderr_mult: float) -> float:
         """best grid cost + allowance - equilibrium cost (>= 0 means pass)."""
         return self.best_mean + stderr_mult * self.best_stderr - self.equilibrium_mean
 
 
 # Feature k of the grid cost pairs basis responses (i, j) with weight c; it
 # multiplies the monomial [1, alpha, beta, alpha^2, alpha*beta, beta^2][k].
-_GRID_FEATURES = ((0, 0, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0))
+# The last pair, the baseline with itself, is the baseline's own cost.
+_GRID_FEATURES = ((0, 0, 1.0), (0, 1, 2.0), (0, 2, 2.0), (1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0), (3, 3, 1.0))
 
 
 def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.ndarray:
@@ -332,18 +333,17 @@ def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.n
     u1 = 1, so each path's cost is a quadratic form in (1, alpha, beta) with
     six features.  x0 is the baseline less its response to its own follower
     control, so one pass of the sensitivity kernel gives all three.  The
-    baseline's own cost is the equilibrium cost.  Grid means come from the
-    feature means (grid_result), grid stderrs from the covariance of the
-    features.
+    baseline's own cost, the equilibrium cost, is a seventh form of the same
+    pass, bit for bit pathwise_J1.  Grid means come from the feature means
+    (grid_result), grid stderrs from the covariance of the features.
     """
     model = eq.model
     xhat = eq.xhat[::2, 0]
     v1 = np.array([baseline.u1, xhat, np.ones_like(xhat)])
     nodes = zip(baseline.x, sensitivity_nodes(model, v1, np.zeros_like(v1), baseline.noise))
-    forms = _pair_forms(model, "J1", baseline.m, ([xk - dx[0], dx[1], dx[2]] for xk, dx in nodes),
-                        [np.zeros_like(xhat), *v1[1:]], [(i, j) for i, j, _ in _GRID_FEATURES])
-    return np.concatenate([forms * np.array([c for _, _, c in _GRID_FEATURES])[:, None],
-                           [pathwise_J1(model, baseline)]])
+    forms = _pair_forms(model, "J1", baseline.m, ([xk - dx[0], dx[1], dx[2], xk] for xk, dx in nodes),
+                        [np.zeros_like(xhat), *v1[1:], baseline.u1], [(i, j) for i, j, _ in _GRID_FEATURES])
+    return forms * np.array([c for _, _, c in _GRID_FEATURES])[:, None]
 
 
 def grid_result(features: np.ndarray, alphas, betas) -> GridSearchResult:

@@ -31,8 +31,8 @@ import numpy as np
 from .filtering import FilterPath, solve_follower_filter, solve_leader_xhat
 from .model import LQModel, validate_model
 from .reporting import CheckRow, check_row
-from .riccati import (FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas, assemble_leader_blocks,
-                      compute_sigmas, solve_follower_P, solve_leader_riccati)
+from .riccati import (BLOW_UP_FACTOR, DET_TOL, FollowerRiccati, LeaderBlocks, LeaderRiccati, Sigmas,
+                      assemble_leader_blocks, compute_sigmas, solve_follower_P, solve_leader_riccati)
 from .simulate import (ClosedLoopSystem, TrajectoryEnsemble, backfill_theta, closed_loop_chunks,
                        density_process)
 
@@ -106,10 +106,10 @@ class EquilibriumSolution:
 
     xhat is the (2N+1, 2) half-grid path of the filtered augmented state,
     the conditional mean of the closed loop, and u2hat = lhat . xhat the
-    leader's filtered control on the same grid.  drift_x is the closed
-    loop's (2N+1, 2, 2) drift on the raw state X, and closed_loop holds the
-    node rows of the closed loop's coefficients, which the Euler kernel
-    reads.  follower_filter is the follower's filtered pair under u2hat.
+    leader's filtered control on the same grid.  closed_loop holds the
+    closed loop's half-grid coefficients (drift_x, its drift on the raw
+    state X, among them), whose node rows the Euler kernel reads.
+    follower_filter is the follower's filtered pair under u2hat.
     P is the follower's solve: P.p and the follower's coefficients, which
     blocks.follower holds as well, since the blocks are built from them.
     offset_gain is solved on its first read, which only the adjoints make.
@@ -123,18 +123,17 @@ class EquilibriumSolution:
     gains: FeedbackGains
     xhat: np.ndarray
     u2hat: np.ndarray
-    drift_x: np.ndarray
     closed_loop: ClosedLoopSystem
     follower_filter: FilterPath
 
     @cached_property
     def offset_gain(self) -> np.ndarray:
         """lambda of simulate.backfill_theta: theta = theta_hat + lambda . (X - Xhat)."""
-        return backfill_theta(self.model, self.P, self.drift_x, self.gains.lx)
+        return backfill_theta(self.model, self.P, self.closed_loop.drift_x, self.gains.lx)
 
 
-def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
-                      blow_up_factor: float = 1e8) -> EquilibriumSolution:
+def solve_equilibrium(model: LQModel, *, det_tol: float = DET_TOL,
+                      blow_up_factor: float = BLOW_UP_FACTOR) -> EquilibriumSolution:
     """Run the full deterministic pipeline for a validated model, each part once."""
     validate_model(model)
     P = solve_follower_P(model, blow_up_factor=blow_up_factor)
@@ -145,12 +144,10 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = 1e-10,
     fx, fxh, gx, gxh = closed_loop_matrices(blocks, leader, sigmas)
     xhat = solve_leader_xhat(model, fx + fxh)
     u2hat = np.einsum("ji,ji->j", gains.lhat, xhat)
-    closed_loop = ClosedLoopSystem(
-        grid=model.grid, drift_x=fx[::2], drift_xhat=fxh[::2], diff_x=gx[::2], diff_xhat=gxh[::2],
-        lx=gains.lx[::2], lxhat=gains.lxhat[::2], f=gains.f[::2], xhat=xhat[::2],
-    )
+    closed_loop = ClosedLoopSystem(grid=model.grid, drift_x=fx, drift_xhat=fxh, diff_x=gx, diff_xhat=gxh,
+                                   lx=gains.lx, lxhat=gains.lxhat, f=gains.f, xhat=xhat)
     return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader, sigmas=sigmas,
-                               gains=gains, xhat=xhat, u2hat=u2hat, drift_x=fx, closed_loop=closed_loop,
+                               gains=gains, xhat=xhat, u2hat=u2hat, closed_loop=closed_loop,
                                follower_filter=solve_follower_filter(model, P, u2hat))
 
 
@@ -193,7 +190,8 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble) -> Ad
             row += shared[:, i, None]
         return out
 
-    (p,), (k,) = affine(w, -lam, eq.follower_filter.theta_hat[::2, None]), affine(w @ cl.diff_x, w @ cl.diff_xhat)
+    (p,), (k,) = (affine(w, -lam, eq.follower_filter.theta_hat[::2, None]),
+                  affine(w @ cl.diff_x[::2], w @ cl.diff_xhat[::2]))
     return AdjointReconstruction(p=p, k=k, y=affine(eq.leader.p1[::2], eq.leader.p2[::2]),
                                  z=affine(eq.sigmas.s2[::2], eq.sigmas.s3[::2]))
 
@@ -452,13 +450,13 @@ def drift_residuals(eq: EquilibriumSolution) -> DriftResiduals:
     dp1 = (p1n[2:] - p1n[:-2]) / (2.0 * dt)
     dp2 = (p2n[2:] - p2n[:-2]) / (2.0 * dt)
 
-    # p1 times the closed loop's drift, read from the one place it is formed
-    lead_x = dp1 + p1 @ eq.closed_loop.drift_x[inner] + a1 @ p1 + a3 @ s2 + blocks.a5[q]
-    lead_xh = p1 @ eq.closed_loop.drift_xhat[inner]
+    # p1 and p2 times the closed loop's drift, read from the one place it is
+    # formed; drift_x + drift_xhat is the drift that xhat steps
+    cl = eq.closed_loop
+    lead_x = dp1 + p1 @ cl.drift_x[q] + a1 @ p1 + a3 @ s2 + blocks.a5[q]
+    lead_xh = p1 @ cl.drift_xhat[q]
     lead_xh += dp2
-    lead_xh += p2 @ (a1 + a2e)
-    lead_xh += p2 @ blocks.bb12[q] @ p12
-    lead_xh += p2 @ blocks.cc12[q] @ s1
+    lead_xh += p2 @ (cl.drift_x[q] + cl.drift_xhat[q])
     lead_xh += a1 @ p2
     lead_xh += a2e.swapaxes(-1, -2) @ p12
     lead_xh += a3 @ s3

@@ -44,14 +44,14 @@ of gain_inverses, p1_terms, sigma1-sigma3 and rhs_p2 are entry tuples
 read: Python floats at one RK4 stage, arrays over a slice of the half grid;
 one formula set serves both, rounding identically.  A numpy call on a 2x2
 matrix costs several times the arithmetic it does, and the two leader
-recurrences call these functions about 19000 times at N=1600.  So both
-leader equations get their stage floats from one _window_reader, which
-evaluates a stage's inputs on arrays a window of half-grid indices at a
-time: the first equation's seven corner entries, and the second's P1Terms
--- p1, its gain inverses and nine products of p1 with the blocks, fixed
-once the first is solved -- with the six blocks it reads besides, so its
-stages compute only the terms with p2.  compute_sigmas evaluates the
-P1Terms in wider windows.  Only the RK4 recurrence loops over grid points.
+recurrences call these functions about 19000 times at N=1600.  So the
+second equation's P1Terms -- p1, its gain inverses and nine products of p1
+with the blocks, fixed once the first is solved -- are formed once on the
+half grid and kept (LeaderRiccati.terms): its stages compute only the terms
+with p2, and compute_sigmas reads them whole.  Both equations read their
+stage floats through one _window_reader, which converts a window of
+half-grid indices at a time: the first's seven corner entries, the second's
+kept terms and six blocks.  Only the RK4 recurrence loops over grid points.
 
 Each result holds every half-grid array under one name, and a reader takes
 node rows as [::2]; terminal values are stored bit-exactly as given.
@@ -70,12 +70,10 @@ from .model import LQModel, TimeGrid, linear_midpoints
 
 # Relative guard on the follower's D1^2 P + R1, the H3 check.
 INV_TOL = 1e-10
-# Half-grid indices per array evaluation of the leader equations' stage
-# inputs: few where the stages read them back as Python floats
-# (_window_reader), more where the sigmas keep the first solution's terms as
-# arrays.  Either bounds the memory a whole-grid evaluation would hold.
+# Defaults of the leader's gain-inverse guard (H5, H6) and of the blow-up bound's factor.
+DET_TOL, BLOW_UP_FACTOR = 1e-10, 1e8
+# Half-grid indices per tolist() of a leader equation's stage inputs (_window_reader).
 _STAGE_WINDOW = 64
-_SIGMA_WINDOW = 512
 
 
 def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
@@ -169,7 +167,7 @@ class FollowerRiccati:
         return -(k[0] * xhat + k[1] * theta_hat + k[2] * u2hat)
 
 
-def solve_follower_P(model: LQModel, *, blow_up_factor: float = 1e8) -> FollowerRiccati:
+def solve_follower_P(model: LQModel, *, blow_up_factor: float = BLOW_UP_FACTOR) -> FollowerRiccati:
     """Integrate the follower's Riccati equation backward from P(T) = G1.
 
     _solve_backward with the coefficients read at the half-grid stage times;
@@ -423,7 +421,7 @@ def _corner_inverse(det, det_tol: float, t, err):
     return (1.0 / det, -0.0 / det, -0.0 / det, det / det)
 
 
-def gain_inverses(pi, e34, e44, t, *, det_tol: float = 1e-10):
+def gain_inverses(pi, e34, e44, t, *, det_tol: float = DET_TOL):
     """The two 2x2 inverse matrices guarding the Z-elimination, plus determinants.
 
     First: [I + p1 (d3+d4) r2^-1 (d3+d4)^T]^-1, second: [I + p1 d4 r2^-1 d4^T]^-1,
@@ -508,8 +506,8 @@ class LeaderRiccati:
     losing order; the node values are p1[::2] and p2[::2].
     Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
     m1 and m2 are the two guarded gain inverses of gain_inverses at p1, on
-    the same half grid; the second equation and compute_sigmas read them,
-    with p1, through p1_terms.
+    the same half grid, and terms is p1_terms there, formed once: the
+    second equation's stages and compute_sigmas read it.
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
@@ -518,6 +516,7 @@ class LeaderRiccati:
     p2: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
+    terms: P1Terms
     min_det_m1: float
     min_det_m2: float
 
@@ -543,8 +542,8 @@ def _window_reader(evaluate, width: int):
     return read
 
 
-def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float = 1e-10,
-                         blow_up_factor: float = 1e8) -> LeaderRiccati:
+def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float = DET_TOL,
+                         blow_up_factor: float = BLOW_UP_FACTOR) -> LeaderRiccati:
     """Integrate both leader Riccati equations backward.
 
     Both equations step on the node grid through _solve_backward, as P
@@ -552,11 +551,12 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     first is autonomous and is solved first, for pi alone, with the gain
     inverses guarded at every RK4 stage; the second reads the first at its
     stage times, so its inverses are computed and guarded once over the half
-    grid, and kept.  Both read their stage inputs (the first its corner
-    entries, the second p1_terms and its blocks) through a _window_reader of
-    _STAGE_WINDOW indices, with the same bits as a per-stage evaluation.  When D1 = D2 = 0 the inverses
-    are exactly the identity and the general right-hand sides reduce to the
-    special-case forms.
+    grid, and kept with p1_terms there.  Both read their stage inputs (the
+    first its corner entries, the second the kept terms and its blocks)
+    through a _window_reader of _STAGE_WINDOW indices, with the same bits as
+    a per-stage evaluation.  When D1 = D2 = 0 the inverses are exactly the
+    identity and the general right-hand sides reduce to the special-case
+    forms.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
     blow_up_factor * (1 + max|gbar|).
     """
@@ -584,21 +584,22 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         flipped = np.flatnonzero(np.sign(det) != np.sign(det[-1]))
         if flipped.size:
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
+    terms = p1_terms(_entries(p1), _entries(m1), _entries(m2), blocks, slice(None))
 
     def second_inputs(q):
-        terms = p1_terms(_entries(p1[q]), _entries(m1[q]), _entries(m2[q]), blocks, q)
-        return [*terms, *blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")]
+        return [*(tuple(e[q] for e in term) for term in terms),
+                *blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")]
 
     read2 = _window_reader(second_inputs, _STAGE_WINDOW)
 
     def rhs2(j, mat):
-        *terms, a1, a2e, a4e, bb12, cc12, e55 = read2(j)
-        return _matrix(rhs_p2(P1Terms._make(terms), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
+        *f, a1, a2e, a4e, bb12, cc12, e55 = read2(j)
+        return _matrix(rhs_p2(P1Terms._make(f), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
 
     return LeaderRiccati(
         p1=p1,
         p2=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
-        m1=m1, m2=m2,
+        m1=m1, m2=m2, terms=terms,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),
     )
@@ -619,15 +620,9 @@ class Sigmas:
 def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
     """Evaluate the three gain matrices on the whole half grid from the Riccati output.
 
-    The gain inverses are the ones the leader solve guarded and kept; the
-    first solution's terms (p1_terms) and the gains are evaluated on arrays,
-    _SIGMA_WINDOW half-grid indices at a time.
+    The first solution's terms, its gain inverses among them, are the ones
+    the leader solve formed and kept (leader.terms).
     """
-    s1, s2, s3 = (np.empty_like(leader.p1) for _ in range(3))
-    for lo in range(0, len(s1), _SIGMA_WINDOW):
-        q = slice(lo, lo + _SIGMA_WINDOW)
-        f = p1_terms(_entries(leader.p1[q]), _entries(leader.m1[q]), _entries(leader.m2[q]), blocks, q)
-        p2 = _entries(leader.p2[q])
-        s1q = sigma1(f, p2)
-        s1[q], s2[q], s3[q] = _matrix(s1q), _matrix(sigma2(f, blocks, q)), _matrix(sigma3(f, p2, s1q))
-    return Sigmas(s1=s1, s2=s2, s3=s3)
+    f, p2, q = leader.terms, _entries(leader.p2), slice(None)
+    s1 = sigma1(f, p2)
+    return Sigmas(s1=_matrix(s1), s2=_matrix(sigma2(f, blocks, q)), s3=_matrix(sigma3(f, p2, s1)))

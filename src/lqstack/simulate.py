@@ -120,12 +120,12 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    """Node-sampled coefficient data of the equilibrium closed-loop dynamics.
+    """Coefficient data of the equilibrium closed-loop dynamics on the half grid.
 
     dX = [drift_x X + drift_xhat Xhat] dt + [diff_x X + diff_xhat Xhat] dW,
     with the leader control  u2 = lx . X + lxhat . Xhat  and the follower
-    control  u1 = f . Xhat  recorded along the way; xhat holds the (N+1, 2)
-    node rows of Xhat, the only rows the Euler kernel reads.
+    control  u1 = f . Xhat  recorded along the way; xhat is Xhat.  Each is a
+    (2N+1, ...) half-grid path; the Euler kernel reads its node rows, [::2].
     """
 
     grid: TimeGrid
@@ -172,13 +172,13 @@ def simulate_closed_loop(system: ClosedLoopSystem, noise: NoiseBundle) -> Trajec
     n = grid.steps
     dt = grid.dt
     m = noise.m
-    xh = system.xhat
+    xh = system.xhat[::2]
     # The terms every path shares, once per node.
-    u1 = _node_products(system.f, xh)
-    u2_shared = _node_products(system.lxhat, xh).tolist()
-    drift_shared = _node_products(system.drift_xhat, xh).tolist()
-    diff_shared = _node_products(system.diff_xhat, xh).tolist()
-    fx, gx, lx = system.drift_x.tolist(), system.diff_x.tolist(), system.lx.tolist()
+    u1 = _node_products(system.f[::2], xh)
+    u2_shared = _node_products(system.lxhat[::2], xh).tolist()
+    drift_shared = _node_products(system.drift_xhat[::2], xh).tolist()
+    diff_shared = _node_products(system.diff_xhat[::2], xh).tolist()
+    fx, gx, lx = (a[::2].tolist() for a in (system.drift_x, system.diff_x, system.lx))
 
     dw = noise.dw
     x = np.empty((n + 1, m))

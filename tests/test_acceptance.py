@@ -131,7 +131,7 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
     disc[0] = eq_b200.xhat[0]
     m_k = disc[0].copy()
     for k in range(n):
-        m_k = m_k + dt * (sys_cl.drift_x[k] @ m_k + sys_cl.drift_xhat[k] @ eq_b200.xhat[::2][k])
+        m_k = m_k + dt * (sys_cl.drift_x[2 * k] @ m_k + sys_cl.drift_xhat[2 * k] @ eq_b200.xhat[::2][k])
         disc[k + 1] = m_k
     ok = True
     for frac in np.linspace(0.1, 1.0, 10):
@@ -145,8 +145,8 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
         m_k = eq.xhat[0].copy()
         worst = 0.0
         for k in range(steps):
-            m_k = m_k + eq.model.grid.dt * (scl.drift_x[k] @ m_k
-                                            + scl.drift_xhat[k] @ eq.xhat[::2][k])
+            m_k = m_k + eq.model.grid.dt * (scl.drift_x[2 * k] @ m_k
+                                            + scl.drift_xhat[2 * k] @ eq.xhat[::2][k])
             worst = max(worst, float(np.max(np.abs(m_k - eq.xhat[::2][k + 1]))))
         return worst
 

@@ -378,6 +378,8 @@ def test_compare_outputs_script_sees_no_moves_against_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-2:] == ["largest column move: 0.0", "differences: 0"], lines[-5:]
+    src = sum(path.read_bytes().count(b"\n") for path in (root / "src" / "lqstack").glob("*.py"))
+    assert lines[-3] == f"src/ lines: {src} / {src}" and src > 0
     assert sum(": exit " in line for line in lines) == 12  # 4 models x 3 commands
     assert sum(line.startswith("    verify_report.csv: ") for line in lines) == 4
 

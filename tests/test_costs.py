@@ -248,6 +248,16 @@ def test_grid_search_dominance_benchmark(eq_ens_small):
     assert res.equilibrium_mean <= res.best_mean + 2.0 * res.best_stderr
 
 
+@pytest.mark.parametrize("diffusion", [{}, {"D1": 0.3, "D2": 0.2}])
+def test_grid_equilibrium_cost_is_pathwise_J1(diffusion):
+    # the grid's equilibrium cost is the baseline's own form in the grid's
+    # sensitivity pass; it is pathwise_J1 of the baseline, bit for bit
+    model = make_model(steps=100, **diffusion)
+    eq = solve_equilibrium(model)
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(17, 300, model.grid))
+    assert grid_features(eq, ens)[-1].tobytes() == pathwise_J1(model, ens).tobytes()
+
+
 def test_follower_response_matches_gain_form(eq_b200):
     u1 = follower_response(eq_b200, eq_b200.u2hat)
     u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f[::2], eq_b200.xhat[::2])

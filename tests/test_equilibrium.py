@@ -79,8 +79,8 @@ def test_xhat_drift_is_closed_loop_drift(seed, varying):
     oracle = leader_xhat_matrix(eq.blocks, eq.leader, eq.sigmas)
     fx, fxh, _, _ = closed_loop_matrices(eq.blocks, eq.leader, eq.sigmas)
     assert np.max(np.abs(fx + fxh - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-    assert np.array_equal(eq.closed_loop.drift_x, fx[::2])
-    assert np.array_equal(eq.closed_loop.drift_xhat, fxh[::2])
+    assert np.array_equal(eq.closed_loop.drift_x, fx)
+    assert np.array_equal(eq.closed_loop.drift_xhat, fxh)
 
 
 def test_follower_gain_structure_zero_diffusion(eq_b200):

@@ -537,10 +537,10 @@ def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
 @pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
 def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch):
     # 601 half-grid points: the solver evaluates the first solution's terms
-    # in windows (ten for its stages, two for the sigmas), the reference at
-    # each of the 1201 stages and over the whole half grid.  An ulp in one
-    # stage's right-hand side rarely survives the RK4 update y + (h/6)(...),
-    # so each of the solver's rhs_p2 values is compared too.
+    # once over the half grid and reads its stages' floats in ten windows,
+    # the reference at each of the 1201 stages and over the whole half grid.
+    # An ulp in one stage's right-hand side rarely survives the RK4 update
+    # y + (h/6)(...), so each of the solver's rhs_p2 values is compared too.
     m = make_model(steps=300)
     if case != "standard":
         m = random_admissible_model(np.random.default_rng(31), steps=300)
@@ -582,10 +582,11 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
 @pytest.mark.parametrize("width", [1, 7, 10**6])
 @pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
 def test_leader_outputs_do_not_depend_on_window_width(case, width, monkeypatch):
-    # The stage inputs and the sigmas are evaluated on arrays, a window of
-    # half-grid indices at a time; any width gives the same bits.  The widths
-    # are read from the module when the solve runs, and each consumer
-    # evaluates every half-grid index once.
+    # The stage inputs are converted to floats a window of half-grid indices
+    # at a time; any width gives the same bits.  The width is read from the
+    # module when the solve runs, and the first solution's terms are
+    # evaluated once per solve, over the whole half grid, and never again
+    # for the sigmas.
     m = make_model(steps=40)
     if case != "standard":
         m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(41), steps=40))
@@ -606,12 +607,11 @@ def test_leader_outputs_do_not_depend_on_window_width(case, width, monkeypatch):
 
     monkeypatch.setattr(riccati, "p1_terms", recorded)
     monkeypatch.setattr(riccati, "_STAGE_WINDOW", width)
-    monkeypatch.setattr(riccati, "_SIGMA_WINDOW", width)
     L = len(blocks.rr)
     for a, b in zip(default, run()):
         for field in dataclasses.fields(a):
             assert np.asarray(getattr(a, field.name)).tobytes() == np.asarray(getattr(b, field.name)).tobytes()
-    assert sum(sizes) == 2 * L and max(sizes) == min(width, L)
+    assert sizes == [L]
 
 
 def _with_diffusion_controls(m):

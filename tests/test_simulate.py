@@ -271,28 +271,28 @@ def _q_first_system(grid: TimeGrid) -> ClosedLoopSystem:
     overflows first on every path, and x, which reads q through a zero
     coefficient, turns NaN one step later."""
     n = grid.steps
-    drift_x, drift_xhat, diff_x = (np.zeros((n + 1, 2, 2)) for _ in range(3))
+    drift_x, drift_xhat, diff_x = (np.zeros((2 * n + 1, 2, 2)) for _ in range(3))
     drift_x[:, 1, 1] = 20000.0
     drift_xhat[:, 1, 0] = 1.0
     diff_x[:, 0, 0] = diff_x[:, 1, 1] = 1000.0
-    zeros = np.zeros((n + 1, 2))
+    zeros = np.zeros((2 * n + 1, 2))
     return ClosedLoopSystem(grid=grid, drift_x=drift_x, drift_xhat=drift_xhat, diff_x=diff_x,
-                            diff_xhat=np.zeros((n + 1, 2, 2)), lx=zeros, lxhat=zeros, f=zeros,
-                            xhat=np.tile([1.0, 0.0], (n + 1, 1)))
+                            diff_xhat=np.zeros((2 * n + 1, 2, 2)), lx=zeros, lxhat=zeros, f=zeros,
+                            xhat=np.tile([1.0, 0.0], (2 * n + 1, 1)))
 
 
 def _first_non_finite(system: ClosedLoopSystem, noise) -> tuple[int, int]:
     """(path, step) at which a plain per-path Euler loop over the noise rows
     first leaves the finite numbers: the lowest such path, then its earliest
     step."""
-    xh = system.xhat
+    xh = system.xhat[::2]
     dt = system.grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i, dw in enumerate(noise.dw.T):
             state = xh[0].copy()
             for k in range(system.grid.steps):
-                drift = system.drift_x[k] @ state + system.drift_xhat[k] @ xh[k]
-                diffusion = system.diff_x[k] @ state + system.diff_xhat[k] @ xh[k]
+                drift = system.drift_x[2 * k] @ state + system.drift_xhat[2 * k] @ xh[k]
+                diffusion = system.diff_x[2 * k] @ state + system.diff_xhat[2 * k] @ xh[k]
                 state = state + drift * dt + diffusion * dw[k]
                 if not np.isfinite(state).all():
                     return noise.first_path + i, k + 1
@@ -430,7 +430,7 @@ def test_offset_gain_not_finite_raises():
     # an overflowing gain is reported as a solver error, not as a numpy warning
     eq = solve_equilibrium(make_model(steps=20, D1=0.3, D2=0.2))
     with pytest.raises(SolverError, match="offset gain is not finite"):
-        backfill_theta(eq.model, eq.P, np.full_like(eq.drift_x, 1e300), eq.gains.lx)
+        backfill_theta(eq.model, eq.P, np.full_like(eq.closed_loop.drift_x, 1e300), eq.gains.lx)
 
 
 @pytest.mark.parametrize("varying", [False, True])
@@ -441,7 +441,7 @@ def test_offset_gain_is_the_pathwise_offset_along_the_mean_flow(varying):
     # lambda(t_k)_i up to the two 4th-order solves (about 1e-10 here)
     model = make_model(steps=200, **RNG91)
     eq = solve_equilibrium(time_varying(model) if varying else model)
-    fx, lx, theta_hat = eq.drift_x, eq.gains.lx, eq.follower_filter.theta_hat
+    fx, lx, theta_hat = eq.closed_loop.drift_x, eq.gains.lx, eq.follower_filter.theta_hat
     for k in (50, 100, 150):
         for i in range(2):
             d = np.zeros((401, 2))
@@ -482,7 +482,7 @@ def test_adapted_adjoints_are_the_offset_and_its_diffusion():
     X = np.stack([ens.x, ens.q], axis=-1)
     xh = eq.xhat[::2, None, :]
     theta = eq.follower_filter.theta_hat[::2, None] + np.einsum("ki,kmi->km", lam, X - xh)
-    G = np.einsum("kij,kmj->kmi", cl.diff_x, X) + (cl.diff_xhat @ eq.xhat[::2, :, None])[:, None, :, 0]
+    G = np.einsum("kij,kmj->kmi", cl.diff_x[::2], X) + (cl.diff_xhat[::2] @ eq.xhat[::2, :, None])[:, None, :, 0]
     k = pn * (C * ens.x + D1 * ens.u1[:, None] + D2 * ens.u2) + np.einsum("ki,kmi->km", lam, G)
     for got, want in ((recon.p, pn * ens.x + theta), (recon.k, k)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
