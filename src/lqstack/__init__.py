@@ -11,11 +11,9 @@ numerically.
 from .costs import (CostEstimate, GridSearchResult, OptimalitySweep, estimate_J1,
                     estimate_J2, follower_response, gain_grid_search,
                     verify_follower_optimality, verify_leader_optimality)
-from .equilibrium import (AdjointReconstruction, EquilibriumSolution, FeedbackGains,
-                          bsde_residual, build_gains, drift_residuals,
-                          follower_stationarity_residual, gain_consistency_residual,
-                          leader_stationarity_residual, reconstruct_adjoints,
-                          solve_equilibrium)
+from .equilibrium import (AdjointReconstruction, EquilibriumSolution, bsde_residual, build_gains,
+                          drift_residuals, follower_stationarity_residual, gain_consistency_residual,
+                          leader_stationarity_residual, reconstruct_adjoints, solve_equilibrium)
 from .errors import (H3Violated, LQStackError, M1NotInvertible, M2NotInvertible,
                      ModelValidationError, NonFiniteState, ParseError,
                      RiccatiBlowUp, SolverError)

@@ -147,14 +147,14 @@ def cmd_solve(config: RunConfig) -> int:
     """Run the deterministic pipeline and write riccati/gains/xhat CSVs."""
     model = _load(config)
     eq = _solve(config, model)
-    leader, gains = eq.leader, eq.gains
+    leader, cl = eq.leader, eq.closed_loop
     times = model.grid.times()
     reporting.ensure_dir(config.out_dir)
     out = lambda name: f"{config.out_dir}/{name}"
     reporting.write_riccati_csv(out("riccati.csv"), times, eq.P.p[::2], leader.p1[::2], leader.p2[::2])
     reporting.write_gains_csv(out("gains.csv"), times,
-                              *(g[::2] for g in (gains.lx, gains.lxhat, gains.lhat, gains.f)))
-    reporting.write_xhat_csv(out("xhat.csv"), times, eq.follower_filter, eq.xhat)
+                              *(g[::2] for g in (cl.lx, cl.lxhat, cl.lhat, cl.f)))
+    reporting.write_xhat_csv(out("xhat.csv"), times, eq.follower_filter, cl.xhat)
     print(f"solved: P(0)={float(eq.P.p[0])!r}, min|det| gain guards: "
           f"{float(leader.min_det_m1)!r}, {float(leader.min_det_m2)!r}")
     print(f"wrote {out('riccati.csv')}, {out('gains.csv')}, {out('xhat.csv')}")
@@ -203,7 +203,7 @@ def _verify_checks(config: RunConfig, model: LQModel, eq) -> list:
     t = model.grid.times()
     horizon = model.grid.horizon
     dirs = {"const": np.ones_like(t), "ramp": t / horizon, "sine": np.sin(2.0 * np.pi * t / horizon)}
-    checks = [eq_mod.Identities(eq), eq_mod.AdjointMaxima(eq), eq_mod.LeaderStationarity(),
+    checks = [eq_mod.Identities(eq), eq_mod.AdjointMaxima(eq), eq_mod.LeaderStationarity(eq),
               eq_mod.FollowerStationarity(eq), eq_mod.drift_residuals(eq), eq_mod.Bsde(eq), eq_mod.Tower(eq),
               eq_mod.Density(eq),
               *(costs_mod.OptimalitySweep(eq, which, dirs, config.eps) for which in ("J1", "J2")),

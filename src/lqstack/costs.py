@@ -195,8 +195,7 @@ class OptimalitySweep:
 
     def __init__(self, eq: EquilibriumSolution, which: str, directions: dict[str, np.ndarray], eps_list):
         self.eq, self.which, self.eps = eq, which, _symmetrize_eps(eps_list)
-        self.dirs = {name: np.asarray(v, dtype=float) for name, v in directions.items()}
-        self.v = np.array(list(self.dirs.values()))
+        self.names, self.v = list(directions), np.array(list(directions.values()), dtype=float)
         k = len(self.v)
         if which == "J2":
             fp, u2hat = eq.follower_filter, eq.u2hat
@@ -230,7 +229,7 @@ class OptimalitySweep:
     @property
     def curves(self) -> list[PerturbationCurve]:
         cols = np.concatenate(self.parts, axis=1)
-        return [_curve(name, self.eps, cols[0], cols[2 * i + 1], cols[2 * i + 2]) for i, name in enumerate(self.dirs)]
+        return [_curve(name, self.eps, cols[0], cols[2 * i + 1], cols[2 * i + 2]) for i, name in enumerate(self.names)]
 
     def rows(self, tol) -> list[CheckRow]:
         player = "follower" if self.which == "J1" else "leader"
@@ -338,7 +337,7 @@ def grid_features(eq: EquilibriumSolution, baseline: TrajectoryEnsemble) -> np.n
     (grid_result), grid stderrs from the covariance of the features.
     """
     model = eq.model
-    xhat = eq.xhat[::2, 0]
+    xhat = eq.closed_loop.xhat[::2, 0]
     v1 = np.array([baseline.u1, xhat, np.ones_like(xhat)])
     nodes = zip(baseline.x, sensitivity_nodes(model, v1, np.zeros_like(v1), baseline.noise))
     forms = _pair_forms(model, "J1", baseline.m, ([xk - dx[0], dx[1], dx[2], xk] for xk, dx in nodes),

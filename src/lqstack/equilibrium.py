@@ -16,14 +16,14 @@ Each family of verify's report rows is one check object: rows(tol) forms
 its rows, and a check that reads simulated paths also has add(chunk), which
 fold_chunks, the one streamed pass over closed-loop chunks, calls with each
 chunk in path order.  A family's residual function returns its check: the
-follower stationarity and backward-step residuals fold one ensemble into a
-check (a fresh one by default), the leader stationarity residual is one
-ensemble's check, and the drift residuals are a check of their own.
+follower and leader stationarity and backward-step residuals fold one
+ensemble into a check (a fresh one by default), and the drift residuals are
+a check of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -37,33 +37,18 @@ from .simulate import (ClosedLoopSystem, TrajectoryEnsemble, backfill_theta, clo
                        density_process)
 
 
-@dataclass(frozen=True)
-class FeedbackGains:
-    """Row gains, (2N+1, 2) on the half grid (t = j * dt/2); node values are [::2].
-
-    Leader control:  u2(t) = lx(t) . X(t) + lxhat(t) . Xhat(t),
-    filtered leader control:  u2hat(t) = lhat(t) . Xhat(t), lhat = lx + lxhat,
-    follower control:  u1(t) = f(t) . Xhat(t).
-    """
-
-    lx: np.ndarray
-    lxhat: np.ndarray
-    f: np.ndarray
-
-    @property
-    def lhat(self) -> np.ndarray:
-        return self.lx + self.lxhat
-
-
 def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Row vectors times 2x2 matrices, batched over the leading grid axis."""
     return (v[:, None, :] @ m)[:, 0]
 
 
-def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> FeedbackGains:
-    """Evaluate both players' feedback rows at every half-grid point."""
+def build_gains(P: FollowerRiccati, blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas):
+    """Both players' feedback rows lx, lxhat and f, (2N+1, 2) on the half grid.
+
+    Leader control:  u2 = lx . X + lxhat . Xhat,  follower control:  u1 = f . Xhat.
+    """
     # s_inv D1 D2 P, the follower's coefficient on the filtered leader control.
-    cross = blocks.follower.law[2, :, None]
+    cross = P.law[2, :, None]
     rr = blocks.rr[:, None]
     p1 = leader.p1
     p2 = leader.p2
@@ -76,7 +61,7 @@ def build_gains(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas) -> 
     f = (blocks.a6 + _rows(blocks.b2, p12)
          + cross * rr * (_rows(blocks.d1, p12) + _rows(blocks.d2, p12)
                          + _rows(blocks.d3, s1) + _rows(blocks.d4, s1) + d5))
-    return FeedbackGains(lx=lx, lxhat=lxhat, f=f)
+    return lx, lxhat, f
 
 
 def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Sigmas):
@@ -104,14 +89,14 @@ def closed_loop_matrices(blocks: LeaderBlocks, leader: LeaderRiccati, sigmas: Si
 class EquilibriumSolution:
     """Everything the closed-loop equilibrium needs, solved once per model.
 
-    xhat is the (2N+1, 2) half-grid path of the filtered augmented state,
-    the conditional mean of the closed loop, and u2hat = lhat . xhat the
-    leader's filtered control on the same grid.  closed_loop holds the
-    closed loop's half-grid coefficients (drift_x, its drift on the raw
-    state X, among them), whose node rows the Euler kernel reads.
-    follower_filter is the follower's filtered pair under u2hat.
-    P is the follower's solve: P.p and the follower's coefficients, which
-    blocks.follower holds as well, since the blocks are built from them.
+    Each array has one name.  P is the follower's solve: P.p and the
+    follower's coefficients, from which the leader's blocks are built.
+    closed_loop holds the closed loop's half-grid coefficients (drift_x, its
+    drift on the raw state X, among them), the control rows lx, lxhat and f
+    (and lhat = lx + lxhat), and xhat, the (2N+1, 2) half-grid path of the
+    filtered augmented state, the conditional mean of the closed loop.
+    u2hat = lhat . xhat is the leader's filtered control on the same grid,
+    and follower_filter the follower's filtered pair under it.
     offset_gain is solved on its first read, which only the adjoints make.
     """
 
@@ -120,8 +105,6 @@ class EquilibriumSolution:
     blocks: LeaderBlocks
     leader: LeaderRiccati
     sigmas: Sigmas
-    gains: FeedbackGains
-    xhat: np.ndarray
     u2hat: np.ndarray
     closed_loop: ClosedLoopSystem
     follower_filter: FilterPath
@@ -129,7 +112,7 @@ class EquilibriumSolution:
     @cached_property
     def offset_gain(self) -> np.ndarray:
         """lambda of simulate.backfill_theta: theta = theta_hat + lambda . (X - Xhat)."""
-        return backfill_theta(self.model, self.P, self.closed_loop.drift_x, self.gains.lx)
+        return backfill_theta(self.model, self.P, self.closed_loop.drift_x, self.closed_loop.lx)
 
 
 def solve_equilibrium(model: LQModel, *, det_tol: float = DET_TOL,
@@ -140,14 +123,13 @@ def solve_equilibrium(model: LQModel, *, det_tol: float = DET_TOL,
     blocks = assemble_leader_blocks(model, P)
     leader = solve_leader_riccati(model, blocks, det_tol=det_tol, blow_up_factor=blow_up_factor)
     sigmas = compute_sigmas(blocks, leader)
-    gains = build_gains(blocks, leader, sigmas)
+    lx, lxhat, f = build_gains(P, blocks, leader, sigmas)
     fx, fxh, gx, gxh = closed_loop_matrices(blocks, leader, sigmas)
-    xhat = solve_leader_xhat(model, fx + fxh)
-    u2hat = np.einsum("ji,ji->j", gains.lhat, xhat)
     closed_loop = ClosedLoopSystem(grid=model.grid, drift_x=fx, drift_xhat=fxh, diff_x=gx, diff_xhat=gxh,
-                                   lx=gains.lx, lxhat=gains.lxhat, f=gains.f, xhat=xhat)
+                                   lx=lx, lxhat=lxhat, f=f, xhat=solve_leader_xhat(model, fx + fxh))
+    u2hat = np.einsum("ji,ji->j", closed_loop.lhat, closed_loop.xhat)
     return EquilibriumSolution(model=model, P=P, blocks=blocks, leader=leader, sigmas=sigmas,
-                               gains=gains, xhat=xhat, u2hat=u2hat, closed_loop=closed_loop,
+                               u2hat=u2hat, closed_loop=closed_loop,
                                follower_filter=solve_follower_filter(model, P, u2hat))
 
 
@@ -175,7 +157,7 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble) -> Ad
     plus the offset's diffusion beta.
     """
     x, q, cl = ens.x, ens.q, eq.closed_loop
-    xh = eq.xhat[::2, :, None]
+    xh = cl.xhat[::2, :, None]
     lam = eq.offset_gain[::2, None, :]  # one-row gains, (N+1, 1, 2)
     w = lam + eq.P.p[::2, None, None] * np.array([1.0, 0.0])
     scratch = np.empty_like(x)
@@ -314,7 +296,7 @@ def _filtered_adjoint(eq: EquilibriumSolution) -> np.ndarray:
     Its first component is the filtered phi of the leader's condition, its
     second the follower's filtered offset theta_hat.
     """
-    return np.einsum("kij,kj->ki", eq.leader.p1[::2] + eq.leader.p2[::2], eq.xhat[::2])
+    return np.einsum("kij,kj->ki", eq.leader.p1[::2] + eq.leader.p2[::2], eq.closed_loop.xhat[::2])
 
 
 def gain_consistency_residual(eq: EquilibriumSolution) -> tuple[np.ndarray, float]:
@@ -325,21 +307,21 @@ def gain_consistency_residual(eq: EquilibriumSolution) -> tuple[np.ndarray, floa
     algebraic identity, zero to rounding.  Returns the per-node residual and
     its scale, max |u1| + 1.
     """
-    xh = eq.xhat[::2]
-    u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+    xh = eq.closed_loop.xhat[::2]
+    u1_gain = np.einsum("ki,ki->k", eq.closed_loop.f[::2], xh)
     u1_sub = eq.P.control(xh[:, 0], _filtered_adjoint(eq)[:, 1], eq.u2hat[::2])
     return u1_gain - u1_sub, float(np.max(np.abs(u1_gain))) + 1.0
 
 
 @dataclass
-class LeaderStationarity:
-    """Leader first-order condition residual, an algebraic identity; the
-    leader_stationarity check.
+class LeaderStationarity(Check):
+    """leader_stationarity: the leader's first-order condition along the equilibrium, an
+    algebraic identity.
 
     algebraic_max: max over paths and nodes of the residual with the
     filtered quantities read from the reconstructions (zero up to rounding);
-    its scale adds the largest |R2 u2| and |c_phi phi|.  add folds in each
-    chunk's maxima exactly.
+    its scale adds the largest |R2 u2| and |c_phi phi|.  Each is a running
+    maximum over the chunks folded so far.
     """
 
     algebraic_max: float = 0.0
@@ -350,41 +332,43 @@ class LeaderStationarity:
     def scale(self) -> float:
         return self.control_max + self.adjoint_max + 1e-300
 
-    def add(self, chunk: Chunk) -> "LeaderStationarity":
-        other = leader_stationarity_residual(chunk.eq, chunk.ens, chunk.recon)
-        self.algebraic_max, self.control_max, self.adjoint_max = (
-            float(np.maximum(a, b)) for a, b in zip(astuple(self), astuple(other)))  # a NaN propagates
-        return self
+    def add(self, chunk: Chunk) -> None:
+        leader_stationarity_residual(self.eq, chunk.ens, chunk.recon, self)
 
     def rows(self, tol) -> list[CheckRow]:
         return [check_row("leader_stationarity", "algebraic", self.algebraic_max, tol.algebraic_rel * self.scale)]
 
 
 def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble,
-                                 recon: AdjointReconstruction) -> LeaderStationarity:
+                                 recon: AdjointReconstruction,
+                                 check: LeaderStationarity | None = None) -> LeaderStationarity:
+    """Fold this chunk's three maxima into check (a fresh one by default) and return it."""
     blocks = eq.blocks
+    xh = eq.closed_loop.xhat[::2]
     c_phi = blocks.d2[::2, 0]
     c_delta = blocks.d4[::2, 0]
     c_phih = blocks.d1[::2, 0]
     c_deltah = blocks.d3[::2, 0]
     c_qh = blocks.d5[::2, 1]
     # The filtered terms, shared by every path: phi_hat, delta_hat = (s1 xhat)[0] and q_hat.
-    delta_hat = (eq.sigmas.s1[::2] @ eq.xhat[::2, :, None])[:, 0, 0]
-    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * eq.xhat[::2, 1]
+    delta_hat = (eq.sigmas.s1[::2] @ xh[:, :, None])[:, 0, 0]
+    shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * xh[:, 1]
 
     # phi = y[0], delta = z[0].  Each term is added into the control's buffer
     # once its maximum is taken, in the order control + adjoint
-    # + c_delta delta + shared: at most three (N+1, m) arrays are alive here,
-    # where a plain expression holds five.
+    # + c_delta delta + shared, and the residual's |.| is taken in place: at
+    # most three (N+1, m) arrays are alive here, where a plain expression
+    # holds five.
+    check = check or LeaderStationarity(eq)
     algebraic = eq.model.nodes("R2")[:, None] * ens.u2
-    control_max = float(np.max(np.abs(algebraic)))
+    check.control_max = _peak(check.control_max, algebraic)
     term = c_phi[:, None] * recon.y[0]
-    adjoint_max = float(np.max(np.abs(term)))
+    check.adjoint_max = _peak(check.adjoint_max, term)
     algebraic += term
     algebraic += np.multiply(c_delta[:, None], recon.z[0], out=term)
     algebraic += shared[:, None]
-    return LeaderStationarity(algebraic_max=float(np.max(np.abs(algebraic, out=algebraic))),
-                              control_max=control_max, adjoint_max=adjoint_max)
+    check.algebraic_max = float(np.maximum(check.algebraic_max, np.max(np.abs(algebraic, out=algebraic))))
+    return check
 
 
 @dataclass(frozen=True)
@@ -516,13 +500,13 @@ class Identities(Check):
     of the solved equilibrium, exact or zero to rounding."""
 
     def rows(self, tol) -> list[CheckRow]:
-        eq, model, s = self.eq, self.eq.model, self.eq.sigmas
+        eq, model, s, xhat = self.eq, self.eq.model, self.eq.sigmas, self.eq.closed_loop.xhat
         term = max(float(np.max(np.abs(eq.leader.p1[-1] - eq.blocks.gbar))), float(np.max(np.abs(eq.leader.p2[-1]))),
-                   abs(eq.P.p[-1] - model.G1), float(np.max(np.abs(eq.xhat[0] - np.array([model.x0, 0.0])))))
+                   abs(eq.P.p[-1] - model.G1), float(np.max(np.abs(xhat[0] - np.array([model.x0, 0.0])))))
         gap, gap_scale = gain_consistency_residual(eq)
         # The follower's filter driven by the leader's filtered feedback reproduces the first
         # component of xhat (the same ODE, both 4th-order discretizations).
-        xh = eq.xhat[::2, 0]
+        xh = xhat[::2, 0]
         route_gap = float(np.max(np.abs(eq.follower_filter.xhat[::2] - xh)))
         route_tol = max(tol.structural_rel, 1e2 * model.grid.dt ** 4) * (float(np.max(np.abs(xh))) + 1.0)
         return [check_row("terminal_data", "algebraic", term, 0.0, "stored bit-exactly"),
@@ -571,7 +555,7 @@ class Tower(Check):
         self.moments.add(np.stack([chunk.ens.x[checkpoints], chunk.ens.q[checkpoints]], axis=1))
 
     def rows(self, tol) -> list[CheckRow]:
-        xh = self.eq.xhat[::2]
+        xh = self.eq.closed_loop.xhat[::2]
         gap = np.abs(self.moments.mean - xh[self.checkpoints]) - tol.stderr_mult * self.moments.stderr
         return [check_row("tower_property", "statistical", max(0.0, float(np.max(gap))),
                           tol.dt_coeff * self.eq.model.grid.dt * (float(np.max(np.abs(xh))) + 1.0),

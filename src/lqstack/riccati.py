@@ -31,9 +31,10 @@ as for the rest of the pipeline).
 The follower's coefficients -- (D1^2 P + R1)^-1 and its products with
 B1 + D1 C, B1 and D1 D2 P -- are evaluated once per solve, where P is
 sampled, by follower_coefficients, and kept with P in the one result of the
-follower's solve, FollowerRiccati.  The leader's blocks, the follower's
-filtered pair, the offset gain, the follower's control law, the gains
-and the drift residuals read them from there.
+follower's solve, FollowerRiccati (EquilibriumSolution.P).  The leader's
+blocks, the follower's filtered pair, the offset gain, the follower's
+control law, the feedback rows and the drift residuals read them from
+there; the blocks do not keep it.
 
 The leader's side reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
@@ -47,8 +48,9 @@ matrix costs several times the arithmetic it does, and the two leader
 recurrences call these functions about 19000 times at N=1600.  So the
 second equation's P1Terms -- p1, its gain inverses and nine products of p1
 with the blocks, fixed once the first is solved -- are formed once on the
-half grid and kept (LeaderRiccati.terms): its stages compute only the terms
-with p2, and compute_sigmas reads them whole.  Both equations read their
+half grid and kept (LeaderRiccati.terms, whose m1 and m2 are the gain
+inverses' one name): its stages compute only the terms with p2, and
+compute_sigmas reads them whole.  Both equations read their
 stage floats through one _window_reader, which converts a window of
 half-grid indices at a time: the first's seven corner entries, the second's
 kept terms and six blocks.  Only the RK4 recurrence loops over grid points.
@@ -238,9 +240,9 @@ class LeaderBlocks:
       d5       the filtered-control coupling in the adjoint drift,
       a6, b2   rows assembling the follower's control from the estimate and Y,
       r2       leader control weight,
-      gbar     terminal matrix [[G2, 0], [0, 0]];
-    follower is the follower's solve (P and its coefficients) these blocks
-    are built from.
+      gbar     terminal matrix [[G2, 0], [0, 0]].
+    The follower's solve they are built from, P and its coefficients, is
+    not held here: EquilibriumSolution.P is its one name.
 
     Effective blocks, left after the leader's control is eliminated (every
     consumer reads these; none re-derives them), with d12 = d1 + d2 and
@@ -268,7 +270,6 @@ class LeaderBlocks:
     d5: np.ndarray
     a6: np.ndarray
     b2: np.ndarray
-    follower: FollowerRiccati
     gbar: np.ndarray
     rr: np.ndarray
     bb: np.ndarray
@@ -338,7 +339,7 @@ def _display_blocks(model: LQModel, P: FollowerRiccati) -> dict:
         d1=column(-P.drift[2]), d2=column(model.nodes("B2", 2)),
         d3=column(-P.diffusion[2]), d4=column(model.nodes("D2", 2)),
         d5=column(zeros, P.theta_u2), a6=column(-P.law[0]), b2=column(zeros, -P.law[1]),
-        r2=model.nodes("R2", 2), follower=P,
+        r2=model.nodes("R2", 2),
         gbar=np.array([[model.G2, 0.0], [0.0, 0.0]]),
     )
 
@@ -505,17 +506,16 @@ class LeaderRiccati:
     Hermite midpoints, so downstream stages can read them off-node without
     losing order; the node values are p1[::2] and p2[::2].
     Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
-    m1 and m2 are the two guarded gain inverses of gain_inverses at p1, on
-    the same half grid, and terms is p1_terms there, formed once: the
-    second equation's stages and compute_sigmas read it.
+    terms is p1_terms on the same half grid, formed once: the second
+    equation's stages and compute_sigmas read it.  Its m1 and m2 are the
+    one name of the two guarded gain inverses of gain_inverses at p1, as
+    entry tuples.
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
 
     p1: np.ndarray
     p2: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
     terms: P1Terms
     min_det_m1: float
     min_det_m2: float
@@ -577,14 +577,14 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     pi = _solve_backward(rhs1, float(blocks.gbar[0, 0]), grid, bound, "leader Riccati solution (first) exploded")
     t, *_, e34, e44 = first
     m1, m2, det1, det2 = gain_inverses(pi, e34, e44, t, det_tol=det_tol)
-    m1, m2, p1 = _matrix(m1), _matrix(m2), _matrix((pi, *[np.zeros_like(pi)] * 3))
+    p1 = _matrix((pi, *[np.zeros_like(pi)] * 3))
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
     for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):
         flipped = np.flatnonzero(np.sign(det) != np.sign(det[-1]))
         if flipped.size:
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
-    terms = p1_terms(_entries(p1), _entries(m1), _entries(m2), blocks, slice(None))
+    terms = p1_terms(_entries(p1), m1, m2, blocks, slice(None))
 
     def second_inputs(q):
         return [*(tuple(e[q] for e in term) for term in terms),
@@ -599,7 +599,7 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     return LeaderRiccati(
         p1=p1,
         p2=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
-        m1=m1, m2=m2, terms=terms,
+        terms=terms,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),
     )

@@ -120,12 +120,14 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    """Coefficient data of the equilibrium closed-loop dynamics on the half grid.
+    """The equilibrium closed loop on the half grid, the one owner of its arrays.
 
     dX = [drift_x X + drift_xhat Xhat] dt + [diff_x X + diff_xhat Xhat] dW,
-    with the leader control  u2 = lx . X + lxhat . Xhat  and the follower
-    control  u1 = f . Xhat  recorded along the way; xhat is Xhat.  Each is a
-    (2N+1, ...) half-grid path; the Euler kernel reads its node rows, [::2].
+    with the leader control  u2 = lx . X + lxhat . Xhat, its filtered value
+    u2hat = lhat . Xhat (lhat = lx + lxhat), and the follower control
+    u1 = f . Xhat recorded along the way; xhat is Xhat, the filtered
+    augmented state.  Each is a (2N+1, ...) half-grid path; the Euler kernel
+    reads its node rows, [::2].
     """
 
     grid: TimeGrid
@@ -137,6 +139,10 @@ class ClosedLoopSystem:
     lxhat: np.ndarray
     f: np.ndarray
     xhat: np.ndarray
+
+    @property
+    def lhat(self) -> np.ndarray:
+        return self.lx + self.lxhat
 
 
 def _node_products(coef: np.ndarray, xh: np.ndarray) -> np.ndarray:

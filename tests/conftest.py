@@ -123,7 +123,8 @@ def pathwise_theta(model, P, x, u2, xhat, u2hat, theta_hat):
 
 def backfill(eq, ens):
     """The pathwise offset oracle along a closed-loop ensemble."""
-    return pathwise_theta(eq.model, eq.P, ens.x, ens.u2, eq.xhat[:, 0], eq.u2hat, eq.follower_filter.theta_hat)
+    return pathwise_theta(eq.model, eq.P, ens.x, ens.u2, eq.closed_loop.xhat[:, 0], eq.u2hat,
+                          eq.follower_filter.theta_hat)
 
 
 @pytest.fixture(scope="session")

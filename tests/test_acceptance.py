@@ -72,7 +72,7 @@ def test_criterion_03_exact_terminal_data(eq_b200):
           and np.all(eq_b200.leader.p2[-1] == 0.0)
           and eq_b200.P.p[-1] == m.G1
           and fp.theta_hat[-1] == 0.0
-          and np.array_equal(eq_b200.xhat[0], np.array([m.x0, 0.0])))
+          and np.array_equal(eq_b200.closed_loop.xhat[0], np.array([m.x0, 0.0])))
     assert report(3, ok, "bit-exact")
 
 
@@ -105,7 +105,7 @@ def test_criterion_05_tower_property_strict(eq_b200, tower_ensemble):
     worst = 0.0
     for frac in np.linspace(0.1, 1.0, 10):
         k = int(round(frac * n))
-        gap = np.abs(mean[k] - eq_b200.xhat[::2][k])
+        gap = np.abs(mean[k] - eq_b200.closed_loop.xhat[::2][k])
         ok &= bool(np.all(gap <= 3.0 * stderr[k]))
         worst = max(worst, float(np.max(gap - 3.0 * stderr[k])))
     elapsed = time.perf_counter() - t0
@@ -128,10 +128,10 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
     stderr = X.std(axis=0, ddof=1) / np.sqrt(ens.m)
 
     disc = np.empty((n + 1, 2))
-    disc[0] = eq_b200.xhat[0]
+    disc[0] = eq_b200.closed_loop.xhat[0]
     m_k = disc[0].copy()
     for k in range(n):
-        m_k = m_k + dt * (sys_cl.drift_x[2 * k] @ m_k + sys_cl.drift_xhat[2 * k] @ eq_b200.xhat[::2][k])
+        m_k = m_k + dt * (sys_cl.drift_x[2 * k] @ m_k + sys_cl.drift_xhat[2 * k] @ eq_b200.closed_loop.xhat[::2][k])
         disc[k + 1] = m_k
     ok = True
     for frac in np.linspace(0.1, 1.0, 10):
@@ -142,12 +142,12 @@ def test_criterion_05_companion_discrete_tower(eq_b200, tower_ensemble):
     def recursion_gap(steps):
         eq = solve_equilibrium(make_model(steps))
         scl = eq.closed_loop
-        m_k = eq.xhat[0].copy()
+        m_k = eq.closed_loop.xhat[0].copy()
         worst = 0.0
         for k in range(steps):
             m_k = m_k + eq.model.grid.dt * (scl.drift_x[2 * k] @ m_k
-                                            + scl.drift_xhat[2 * k] @ eq.xhat[::2][k])
-            worst = max(worst, float(np.max(np.abs(m_k - eq.xhat[::2][k + 1]))))
+                                            + scl.drift_xhat[2 * k] @ eq.closed_loop.xhat[::2][k])
+            worst = max(worst, float(np.max(np.abs(m_k - eq.closed_loop.xhat[::2][k + 1]))))
         return worst
 
     g200, g400 = recursion_gap(200), recursion_gap(400)
@@ -173,10 +173,10 @@ def test_criterion_07_gain_consistency(eq_b200):
         D1 = model.nodes("D1")
         D2 = model.nodes("D2")
         si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
-        xh = eq.xhat[::2]
-        u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+        xh = eq.closed_loop.xhat[::2]
+        u1_gain = np.einsum("ki,ki->k", eq.closed_loop.f[::2], xh)
         theta = np.array([(eq.leader.p1[2 * k] + eq.leader.p2[2 * k])[1] @ xh[k] for k in range(n + 1)])
-        u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
+        u2hat = np.einsum("ki,ki->k", eq.closed_loop.lhat[::2], xh)
         u1_sub = -si * ((B1 + D1 * C) * pn * xh[:, 0] + B1 * theta + D1 * D2 * pn * u2hat)
         return np.max(np.abs(u1_gain - u1_sub)) / (np.max(np.abs(u1_gain)) + 1e-300)
 

@@ -102,9 +102,10 @@ def test_backfill_hook_reads_the_offset_gain(tracer, tmp_path):
     steps = 40
     model = make_model(steps=steps, D1=0.3, D2=0.2)
     eq = solve_equilibrium(model)
-    gain = backfill_theta(eq.model, eq.P, eq.closed_loop.drift_x, eq.gains.lx)
+    args = (eq.model, eq.P, eq.closed_loop.drift_x, eq.closed_loop.lx)
+    gain = backfill_theta(*args)
     _, hook = tracer.SPANNED["simulate"]["backfill_theta"]
-    assert hook((eq.model, eq.P, eq.closed_loop.drift_x, eq.gains.lx), {}, gain) == {"bytes": (2 * steps + 1) * 2 * 8}
+    assert hook(args, {}, gain) == {"bytes": (2 * steps + 1) * 2 * 8}
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_to_dict(model)))
     for command, solves in (("verify", 1), ("simulate", 0)):

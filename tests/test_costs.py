@@ -260,7 +260,7 @@ def test_grid_equilibrium_cost_is_pathwise_J1(diffusion):
 
 def test_follower_response_matches_gain_form(eq_b200):
     u1 = follower_response(eq_b200, eq_b200.u2hat)
-    u1_gain = np.einsum("ki,ki->k", eq_b200.gains.f[::2], eq_b200.xhat[::2])
+    u1_gain = np.einsum("ki,ki->k", eq_b200.closed_loop.f[::2], eq_b200.closed_loop.xhat[::2])
     assert np.max(np.abs(u1 - u1_gain)) <= 1e-9
 
 
@@ -320,7 +320,7 @@ def test_leader_sweep_matches_resimulation(eq_ens_oracle):
 def test_grid_search_matches_resimulation(eq_ens_oracle):
     eq, ens = eq_ens_oracle
     model = eq.model
-    xhat = eq.xhat[::2, 0]
+    xhat = eq.closed_loop.xhat[::2, 0]
     alphas, betas = [-3.0, 0.4, 2.5], [-1.5, 0.0, 3.0]
     res = gain_grid_search(eq, ens, alphas, betas)
     for i, (a, b) in enumerate(zip(alphas, betas)):

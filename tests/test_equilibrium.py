@@ -12,7 +12,8 @@ from lqstack.equilibrium import (Bsde, FollowerStationarity, LeaderStationarity,
                                  closed_loop_matrices, drift_residuals, fold_chunks,
                                  follower_stationarity_residual, gain_consistency_residual,
                                  leader_stationarity_residual, reconstruct_adjoints, solve_equilibrium)
-from lqstack.model import LQModel
+from lqstack.model import LQModel, TimeGrid
+from lqstack.riccati import FollowerRiccati
 from lqstack.simulate import generate_noise, simulate_closed_loop
 
 from conftest import make_model, random_admissible_model, sample_at, time_varying
@@ -24,9 +25,9 @@ def zero_weight_equilibrium(steps=100):
 
 def test_gains_zero_when_weights_zero():
     eq = zero_weight_equilibrium()
-    assert np.all(eq.gains.lx == 0.0)
-    assert np.all(eq.gains.lxhat == 0.0)
-    assert np.all(eq.gains.f == 0.0)
+    assert np.all(eq.closed_loop.lx == 0.0)
+    assert np.all(eq.closed_loop.lxhat == 0.0)
+    assert np.all(eq.closed_loop.f == 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -40,7 +41,7 @@ def test_zero_weights_give_exact_zeros_random_models(seed, varying):
         m = time_varying(m)
     eq = solve_equilibrium(m)
     for arr in (eq.P.p, eq.leader.p1, eq.leader.p2, eq.sigmas.s1, eq.sigmas.s2,
-                eq.sigmas.s3, eq.gains.lx, eq.gains.lxhat, eq.gains.f):
+                eq.sigmas.s3, eq.closed_loop.lx, eq.closed_loop.lxhat, eq.closed_loop.f):
         assert np.all(arr == 0.0)
     ens = simulate_closed_loop(eq.closed_loop, generate_noise(seed, 20, m.grid))
     assert np.all(pathwise_J1(m, ens) == 0.0)
@@ -90,7 +91,7 @@ def test_follower_gain_structure_zero_diffusion(eq_b200):
     j = 2 * 60
     p12 = eq.leader.p1[j] + eq.leader.p2[j]
     expected = eq.blocks.a6[j] + eq.blocks.b2[j] @ p12
-    assert np.allclose(eq.gains.f[j], expected, rtol=0, atol=1e-15)
+    assert np.allclose(eq.closed_loop.f[j], expected, rtol=0, atol=1e-15)
 
 
 def test_follower_two_form_consistency(eq_b200):
@@ -104,11 +105,11 @@ def test_follower_two_form_consistency(eq_b200):
     D1 = model.nodes("D1")
     D2 = model.nodes("D2")
     si = 1.0 / (D1 * D1 * pn + model.nodes("R1"))
-    xh = eq.xhat[::2]
+    xh = eq.closed_loop.xhat[::2]
     n = model.grid.steps
-    u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+    u1_gain = np.einsum("ki,ki->k", eq.closed_loop.f[::2], xh)
     theta_rec = np.array([(eq.leader.p1[2 * k] + eq.leader.p2[2 * k])[1] @ xh[k] for k in range(n + 1)])
-    u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
+    u2hat = np.einsum("ki,ki->k", eq.closed_loop.lhat[::2], xh)
     u1_sub = -si * ((B1 + D1 * C) * pn * xh[:, 0] + B1 * theta_rec + D1 * D2 * pn * u2hat)
     scale = np.max(np.abs(u1_gain)) + 1e-300
     assert np.max(np.abs(u1_gain - u1_sub)) <= 1e-10 * scale
@@ -125,17 +126,44 @@ def test_two_form_consistency_with_diffusion_controls():
     D1 = m.nodes("D1")
     D2 = m.nodes("D2")
     si = 1.0 / (D1 * D1 * pn + m.nodes("R1"))
-    xh = eq.xhat[::2]
-    u1_gain = np.einsum("ki,ki->k", eq.gains.f[::2], xh)
+    xh = eq.closed_loop.xhat[::2]
+    u1_gain = np.einsum("ki,ki->k", eq.closed_loop.f[::2], xh)
     theta_rec = np.array([(eq.leader.p1[2 * k] + eq.leader.p2[2 * k])[1] @ xh[k] for k in range(n + 1)])
-    u2hat = np.einsum("ki,ki->k", eq.gains.lhat[::2], xh)
+    u2hat = np.einsum("ki,ki->k", eq.closed_loop.lhat[::2], xh)
     u1_sub = -si * ((B1 + D1 * C) * pn * xh[:, 0] + B1 * theta_rec + D1 * D2 * pn * u2hat)
     scale = np.max(np.abs(u1_gain)) + 1e-300
     assert np.max(np.abs(u1_gain - u1_sub)) <= 1e-10 * scale
 
 
 def test_lhat_is_sum_of_leader_gain_rows(eq_b200):
-    assert np.array_equal(eq_b200.gains.lhat, eq_b200.gains.lx + eq_b200.gains.lxhat)
+    assert np.array_equal(eq_b200.closed_loop.lhat, eq_b200.closed_loop.lx + eq_b200.closed_loop.lxhat)
+
+
+def test_each_equilibrium_array_has_one_name():
+    # Walking the solution through its dataclasses and tuples reaches every
+    # array, and the follower's solve, by one path; the model and its grid
+    # are inputs and are not walked.  The one array with many names is the
+    # structural zero of p1 = diag(pi, 0): each product p1 b in leader.terms
+    # has a zero second row, and its entries there are p1's own (1, 1) entry.
+    eq = solve_equilibrium(make_model(steps=40, D1=0.3, D2=0.2))
+    paths = {}
+
+    def walk(obj, path):
+        if isinstance(obj, (LQModel, TimeGrid)):
+            return
+        if isinstance(obj, (np.ndarray, FollowerRiccati)):
+            paths.setdefault(id(obj), []).append(path)
+        if dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name), f"{path}.{f.name}")
+        elif isinstance(obj, tuple):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}.{obj._fields[i]}" if hasattr(obj, "_fields") else f"{path}[{i}]")
+
+    walk(eq, "eq")
+    zero = eq.leader.terms.p1[3]
+    assert not np.any(zero)
+    assert [p for key, p in paths.items() if len(p) > 1 and key != id(zero)] == []
 
 
 # --- Hamiltonian ---
@@ -227,8 +255,8 @@ def test_follower_stationarity_deterministic_degenerate():
     eq = solve_equilibrium(m)
     fp = eq.follower_filter
     x = fp.xhat[::2, None]
-    q_path = eq.xhat[::2, 1][:, None]
-    u1 = np.einsum("ki,ki->k", eq.gains.f[::2], eq.xhat[::2])
+    q_path = eq.closed_loop.xhat[::2, 1][:, None]
+    u1 = np.einsum("ki,ki->k", eq.closed_loop.f[::2], eq.closed_loop.xhat[::2])
     u2 = eq.u2hat[::2, None]
     from lqstack.simulate import TrajectoryEnsemble
     noise = generate_noise(1, 1, m.grid)
@@ -344,7 +372,7 @@ def test_time_varying_leader_self_convergence():
     # solve by about 4.
     eqs = [solve_equilibrium(time_varying_model(steps)) for steps in (100, 200, 400, 800)]
     quantities = {"P": lambda eq: eq.P.p[::2], "p1": lambda eq: eq.leader.p1[::2],
-                  "p2": lambda eq: eq.leader.p2[::2], "xhat": lambda eq: eq.xhat[::2]}
+                  "p2": lambda eq: eq.leader.p2[::2], "xhat": lambda eq: eq.closed_loop.xhat[::2]}
     for name, get in quantities.items():
         gaps = [np.max(np.abs(get(coarse) - get(fine)[::2])) for coarse, fine in zip(eqs, eqs[1:])]
         for g1, g2 in zip(gaps, gaps[1:]):
@@ -400,7 +428,8 @@ def test_residual_function_returns_its_check(name):
         "follower_stationarity_residual": (lambda: follower_stationarity_residual(eq, ens, recon),
                                            FollowerStationarity(eq)),
         "bsde_residual": (lambda: bsde_residual(eq, ens, recon), Bsde(eq)),
-        "leader_stationarity_residual": (lambda: leader_stationarity_residual(eq, ens, recon), LeaderStationarity()),
+        "leader_stationarity_residual": (lambda: leader_stationarity_residual(eq, ens, recon),
+                                         LeaderStationarity(eq)),
         "verify_follower_optimality": (lambda: verify_follower_optimality(eq, ens, dirs, [0.1]),
                                        OptimalitySweep(eq, "J1", dirs, [0.1])),
         "verify_leader_optimality": (lambda: verify_leader_optimality(eq, ens, dirs, [0.1]),

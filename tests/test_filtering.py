@@ -105,17 +105,17 @@ def test_leader_xhat_trivial_cases(eq_b200):
     from lqstack.equilibrium import solve_equilibrium
     eq = solve_equilibrium(m)
     times = m.grid.times()
-    assert np.max(np.abs(eq.xhat[::2, 0] - np.exp(0.1 * times))) < 1e-10
-    assert np.all(eq.xhat[::2, 1] == 0.0)
+    assert np.max(np.abs(eq.closed_loop.xhat[::2, 0] - np.exp(0.1 * times))) < 1e-10
+    assert np.all(eq.closed_loop.xhat[::2, 1] == 0.0)
 
     # zero initial state: homogeneous linear ODE stays at zero
     m0 = make_model(steps=200, x0=0.0)
     eq0 = solve_equilibrium(m0)
-    assert np.all(eq0.xhat[::2] == 0.0)
+    assert np.all(eq0.closed_loop.xhat[::2] == 0.0)
 
 
 def test_leader_xhat_initial_exact(eq_b200):
-    assert np.array_equal(eq_b200.xhat[0], [1.0, 0.0])
+    assert np.array_equal(eq_b200.closed_loop.xhat[0], [1.0, 0.0])
 
 
 def test_two_xhat_routes_agree(eq_b400):
@@ -123,8 +123,8 @@ def test_two_xhat_routes_agree(eq_b400):
     # driven by the leader's filtered feedback discretize the same ODE.
     eq = eq_b400
     fp = eq.follower_filter
-    scale = np.max(np.abs(eq.xhat[::2, 0]))
-    assert np.max(np.abs(fp.xhat[::2] - eq.xhat[::2, 0])) <= 1e-9 * scale
+    scale = np.max(np.abs(eq.closed_loop.xhat[::2, 0]))
+    assert np.max(np.abs(fp.xhat[::2] - eq.closed_loop.xhat[::2, 0])) <= 1e-9 * scale
 
 
 
@@ -144,8 +144,8 @@ def test_linearity_in_initial_state():
     m1 = make_model(steps=150, x0=1.25)
     m2 = make_model(steps=150, x0=2.5)
     from lqstack.equilibrium import solve_equilibrium
-    a = solve_equilibrium(m1).xhat[::2]
-    b = solve_equilibrium(m2).xhat[::2]
+    a = solve_equilibrium(m1).closed_loop.xhat[::2]
+    b = solve_equilibrium(m2).closed_loop.xhat[::2]
     # doubling x0 doubles the whole path (exact: scaling by 2 is lossless)
     assert np.array_equal(2.0 * a, b)
 
@@ -160,12 +160,12 @@ def test_linearity_in_initial_state_random_models(seed, c):
     b = solve_equilibrium(dataclasses.replace(m, x0=c * m.x0))
     for x, y in ((a.P.p, b.P.p), (a.leader.p1, b.leader.p1),
                  (a.leader.p2, b.leader.p2), (a.sigmas.s1, b.sigmas.s1),
-                 (a.sigmas.s2, b.sigmas.s2), (a.sigmas.s3, b.sigmas.s3), (a.gains.lx, b.gains.lx),
-                 (a.gains.lxhat, b.gains.lxhat), (a.gains.f, b.gains.f)):
+                 (a.sigmas.s2, b.sigmas.s2), (a.sigmas.s3, b.sigmas.s3), (a.closed_loop.lx, b.closed_loop.lx),
+                 (a.closed_loop.lxhat, b.closed_loop.lxhat), (a.closed_loop.f, b.closed_loop.f)):
         assert np.array_equal(x, y)
     fa = a.follower_filter
     fb = b.follower_filter
-    for pa, pb in ((a.xhat, b.xhat), (fa.xhat, fb.xhat), (fa.theta_hat, fb.theta_hat)):
+    for pa, pb in ((a.closed_loop.xhat, b.closed_loop.xhat), (fa.xhat, fb.xhat), (fa.theta_hat, fb.theta_hat)):
         assert np.array_equal(c * pa[::2], pb[::2])
         assert np.array_equal(c * pa[1::2], pb[1::2])
 
@@ -197,7 +197,7 @@ def test_node_and_lifted_inputs_agree(eq_b200, ens_b200):
     b = solve_follower_filter(eq.model, eq.P, lift(u2_nodes, n))
     assert np.array_equal(a.xhat, b.xhat) and np.array_equal(a.theta_hat, b.theta_hat)
     x, u2 = ens_b200.x[:, :50], ens_b200.u2[:, :50]
-    xhat_nodes = eq.xhat[::2, 0]
+    xhat_nodes = eq.closed_loop.xhat[::2, 0]
     from_nodes = pathwise_theta(eq.model, eq.P, x, u2, xhat_nodes, u2_nodes, a.theta_hat[::2])
     from_half = pathwise_theta(eq.model, eq.P, lift(x, n), lift(u2, n), lift(xhat_nodes, n),
                                lift(u2_nodes, n), a.theta_hat)

@@ -478,7 +478,8 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     for a, b in zip(g_stage, g):
         same(a, b)
     m1, m2 = riccati._matrix(g[0]), riccati._matrix(g[1])
-    assert (leader.m1.tobytes(), leader.m2.tobytes()) == (m1.tobytes(), m2.tobytes())
+    assert ((riccati._matrix(leader.terms.m1).tobytes(), riccati._matrix(leader.terms.m2).tobytes())
+            == (m1.tobytes(), m2.tobytes()))
     f_stage, f = p1_terms(p1j, *g_stage[:2], blocks, stage), p1_terms(p1, *g[:2], blocks, grid)
     for a, b in zip(f_stage, f):
         same(a, b)
@@ -559,7 +560,8 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
     monkeypatch.setattr(riccati, "rhs_p2", recorded)
     leader = solve_leader_riccati(m, blocks)
     ref = leader_per_stage(m, blocks)
-    got = (leader.p1, leader.p2, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2)
+    got = (leader.p1, leader.p2, riccati._matrix(leader.terms.m1), riccati._matrix(leader.terms.m2),
+           leader.min_det_m1, leader.min_det_m2)
     for a, b in zip(got, ref):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     entries = riccati._entries
@@ -636,7 +638,8 @@ def test_first_leader_equation_is_scalar_bit_for_bit(seed, varying):
     for i, j in ((0, 1), (1, 0), (1, 1)):
         assert p1[:, i, j].tobytes() == zeros.tobytes()
     leader = solve_leader_riccati(m, blocks)
-    for a, b in zip((leader.p1, leader.m1, leader.m2, leader.min_det_m1, leader.min_det_m2),
+    for a, b in zip((leader.p1, riccati._matrix(leader.terms.m1), riccati._matrix(leader.terms.m2),
+                     leader.min_det_m1, leader.min_det_m2),
                     (p1, m1, m2, min1, min2)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

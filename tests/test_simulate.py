@@ -380,7 +380,7 @@ def test_backfill_terminal_zero_every_path(eq_b200, ens_b200):
     u2hat = eq_b200.u2hat
     theta_hat = eq_b200.follower_filter.theta_hat
     theta = pathwise_theta(eq_b200.model, eq_b200.P, ens_b200.x[:, :100], ens_b200.u2[:, :100],
-                           eq_b200.xhat[:, 0], u2hat, theta_hat)
+                           eq_b200.closed_loop.xhat[:, 0], u2hat, theta_hat)
     assert np.all(theta[-1] == 0.0)
 
 
@@ -430,7 +430,7 @@ def test_offset_gain_not_finite_raises():
     # an overflowing gain is reported as a solver error, not as a numpy warning
     eq = solve_equilibrium(make_model(steps=20, D1=0.3, D2=0.2))
     with pytest.raises(SolverError, match="offset gain is not finite"):
-        backfill_theta(eq.model, eq.P, np.full_like(eq.closed_loop.drift_x, 1e300), eq.gains.lx)
+        backfill_theta(eq.model, eq.P, np.full_like(eq.closed_loop.drift_x, 1e300), eq.closed_loop.lx)
 
 
 @pytest.mark.parametrize("varying", [False, True])
@@ -441,14 +441,15 @@ def test_offset_gain_is_the_pathwise_offset_along_the_mean_flow(varying):
     # lambda(t_k)_i up to the two 4th-order solves (about 1e-10 here)
     model = make_model(steps=200, **RNG91)
     eq = solve_equilibrium(time_varying(model) if varying else model)
-    fx, lx, theta_hat = eq.closed_loop.drift_x, eq.gains.lx, eq.follower_filter.theta_hat
+    fx, lx, xhat = eq.closed_loop.drift_x, eq.closed_loop.lx, eq.closed_loop.xhat
+    theta_hat = eq.follower_filter.theta_hat
     for k in (50, 100, 150):
         for i in range(2):
             d = np.zeros((401, 2))
             d[2 * k:] = rk4_half_grid(lambda j, y: fx[j + 2 * k] @ y, np.eye(2)[i], eq.model.grid.dt, 200 - k,
                                       fail=SolverError)
-            theta = pathwise_theta(eq.model, eq.P, eq.xhat[:, 0] + d[:, 0], eq.u2hat + np.einsum("ji,ji->j", lx, d),
-                                   eq.xhat[:, 0], eq.u2hat, theta_hat)
+            theta = pathwise_theta(eq.model, eq.P, xhat[:, 0] + d[:, 0], eq.u2hat + np.einsum("ji,ji->j", lx, d),
+                                   xhat[:, 0], eq.u2hat, theta_hat)
             assert abs(theta[k, 0] - theta_hat[2 * k] - eq.offset_gain[2 * k, i]) <= 1e-8, (k, i)
 
 
@@ -460,7 +461,7 @@ def test_offset_gain_is_the_regression_of_the_pathwise_offset():
     eq = solve_equilibrium(make_model(steps=200, **RNG91))
     ens = simulate_closed_loop(eq.closed_loop, generate_noise(21, 4000, eq.model.grid))
     e = backfill(eq, ens) - eq.follower_filter.theta_hat[::2, None]
-    d = np.stack([ens.x - eq.xhat[::2, 0, None], ens.q - eq.xhat[::2, 1, None]], axis=-1)
+    d = np.stack([ens.x - eq.closed_loop.xhat[::2, 0, None], ens.q - eq.closed_loop.xhat[::2, 1, None]], axis=-1)
     lam = eq.offset_gain[::2]
     assert np.max(np.abs(lam[:, 0])) > 0.1
     for k in (50, 100, 150):
@@ -480,9 +481,9 @@ def test_adapted_adjoints_are_the_offset_and_its_diffusion():
     model, cl, lam = eq.model, eq.closed_loop, eq.offset_gain[::2]
     pn, C, D1, D2 = (a[:, None] for a in (eq.P.p[::2], *(model.nodes(k) for k in ("C", "D1", "D2"))))
     X = np.stack([ens.x, ens.q], axis=-1)
-    xh = eq.xhat[::2, None, :]
+    xh = cl.xhat[::2, None, :]
     theta = eq.follower_filter.theta_hat[::2, None] + np.einsum("ki,kmi->km", lam, X - xh)
-    G = np.einsum("kij,kmj->kmi", cl.diff_x[::2], X) + (cl.diff_xhat[::2] @ eq.xhat[::2, :, None])[:, None, :, 0]
+    G = np.einsum("kij,kmj->kmi", cl.diff_x[::2], X) + (cl.diff_xhat[::2] @ cl.xhat[::2, :, None])[:, None, :, 0]
     k = pn * (C * ens.x + D1 * ens.u1[:, None] + D2 * ens.u2) + np.einsum("ki,kmi->km", lam, G)
     for got, want in ((recon.p, pn * ens.x + theta), (recon.k, k)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -502,7 +503,7 @@ def test_adapted_offset_on_its_filter_path():
     # w . X + (theta_hat - lambda . Xhat)
     for model in (make_model(steps=100), make_model(steps=100, **RNG91)):
         eq = solve_equilibrium(model)
-        xh = eq.xhat[::2]
+        xh = eq.closed_loop.xhat[::2]
         ens = TrajectoryEnsemble(grid=model.grid, x=xh[:, :1].copy(), q=xh[:, 1:].copy(), u1=np.zeros(101),
                                  u2=np.zeros((101, 1)), noise=generate_noise(1, 1, model.grid))
         p = reconstruct_adjoints(eq, ens).p[:, 0]
