@@ -18,12 +18,13 @@ moved, the rows it moved in (at most five), named by the file's first text
 column or else by row number.  Each command's stdout is scored the same
 way, field by field: the k-th number of every line is one column, and a
 line is named by its text with the numbers cut out.  A difference is a
-changed exit code, a text column, a row count, or any stdout text outside
-the numbers (a PASS/FAIL word, a row name, a line count).  Before the last
-two lines it prints the src/ line count of both checkouts, as
-`wc -l src/lqstack/*.py` counts them; the last two lines give the largest
-move of all and the number of differences.  The script exits 1 when there
-are differences.
+changed exit code, a text column, a row count, any stdout text outside the
+numbers (a PASS/FAIL word, a row name, a line count), or a number whose text
+changed while its value did not (0.0 to -0.0, say), named by its column and
+row.  Before the last two lines it prints the src/ line count of both
+checkouts, as `wc -l src/lqstack/*.py` counts them; the last two lines give
+the largest move of all and the number of differences.  The script exits 1
+when there are differences.
 
     python scripts/compare_outputs.py PARENT CHANGE [--steps 200 1600]
 """
@@ -104,6 +105,13 @@ def moved_in(a: list[str], b: list[str], keys: list[str]) -> str:
     return f" in [{', '.join(moved[:5])}{more}]" if moved else ""
 
 
+def same_value_changes(a: list[str], b: list[str], keys: list[str]) -> list[str]:
+    """'row key: text != text' for each row of a numeric column whose text changed but whose value did not."""
+    x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+    return [f"row {key}: {s!r} != {t!r}" for key, s, t, u, v in zip(keys, a, b, x, y)
+            if s != t and (u == v or (np.isnan(u) and np.isnan(v)))]
+
+
 def row_keys(cols: dict[str, list[str]]) -> list[str]:
     """Each row's name: its value in the first text column, else 'row i'."""
     for values in cols.values():
@@ -119,7 +127,7 @@ def compare_file(name: str, a: Path, b: Path) -> tuple[float, list[str]]:
     cols_a, cols_b = read_columns(a), read_columns(b)
     if list(cols_a) != list(cols_b):
         return 0.0, [f"{name}: header {list(cols_a)} != {list(cols_b)}"]
-    moves, diffs = [], []
+    moves, diffs, keys = [], [], row_keys(cols_a)
     for col in cols_a:
         if len(cols_a[col]) != len(cols_b[col]):
             diffs.append(f"{name}: {len(cols_a[col])} rows != {len(cols_b[col])} rows")
@@ -132,7 +140,8 @@ def compare_file(name: str, a: Path, b: Path) -> tuple[float, list[str]]:
                              f" ({cols_a[col][rows[0]]!r} != {cols_b[col][rows[0]]!r})")
         else:
             moves.append((col, move))
-    keys = row_keys(cols_a)
+            diffs += [f"{name}: column {col} {change}"
+                      for change in same_value_changes(cols_a[col], cols_b[col], keys)]
     print(f"    {name}: " + " | ".join(f"{col} {move:.2g}" + moved_in(cols_a[col], cols_b[col], keys)
                                        for col, move in moves))
     return max((move for _, move in moves), default=0.0), diffs
@@ -151,7 +160,8 @@ def compare_stdout(a: str, b: str) -> tuple[float, list[str]]:
 
     Each line's numbers are cut out of its text; the k-th number of every
     line is column k, scored as a CSV column.  Any other text that differs
-    is one difference.
+    is one difference, and so is each number whose text changed but whose
+    value did not.
     """
     lines_a, lines_b = a.splitlines(), b.splitlines()
     text_a, text_b = ([NUMBER.sub("#", line) for line in lines] for lines in (lines_a, lines_b))
@@ -161,15 +171,16 @@ def compare_stdout(a: str, b: str) -> tuple[float, list[str]]:
     for u, v, text in zip(lines_a, lines_b, text_a):
         for k, pair in enumerate(zip(NUMBER.findall(u), NUMBER.findall(v))):
             columns.setdefault(k, []).append((*pair, text))
-    largest, parts = 0.0, []
+    largest, parts, diffs = 0.0, [], []
     for k, rows in columns.items():
         col_a, col_b, keys = zip(*rows)
         move = column_move(col_a, col_b)
         largest = max(largest, move)
         parts.append(f"{k} {move:.2g}" + moved_in(col_a, col_b, keys))
+        diffs += [f"stdout: number {k} {change}" for change in same_value_changes(col_a, col_b, keys)]
     if parts:
         print("    stdout: " + " | ".join(parts))
-    return largest, []
+    return largest, diffs
 
 
 def compare_case(case: str, procs, outs: list[Path]) -> tuple[float, list[str]]:

@@ -24,7 +24,7 @@ a check of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -160,16 +160,14 @@ def reconstruct_adjoints(eq: EquilibriumSolution, ens: TrajectoryEnsemble) -> Ad
     xh = cl.xhat[::2, :, None]
     lam = eq.offset_gain[::2, None, :]  # one-row gains, (N+1, 1, 2)
     w = lam + eq.P.p[::2, None, None] * np.array([1.0, 0.0])
-    scratch = np.empty_like(x)
 
     def affine(gain: np.ndarray, shift: np.ndarray, shared=0.0) -> np.ndarray:
-        """gain X + shift Xhat + shared per node and path, for (N+1, r, 2) gain and shift, as (r, N+1, m)."""
+        """gain X + shift Xhat + shared, one node row at a time, for (N+1, r, 2) gain and shift, as (r, N+1, m)."""
         shared = (shift @ xh)[..., 0] + shared
         out = np.empty((gain.shape[1],) + x.shape)
-        for i, row in enumerate(out):
-            np.multiply(x, gain[:, i, 0, None], out=row)
-            row += np.multiply(q, gain[:, i, 1, None], out=scratch)
-            row += shared[:, i, None]
+        for i, rows in enumerate(out):
+            for k, ((g0, g1), c) in enumerate(zip(gain[:, i].tolist(), shared[:, i].tolist())):
+                rows[k] = x[k] * g0 + q[k] * g1 + c
         return out
 
     (p,), (k,) = (affine(w, -lam, eq.follower_filter.theta_hat[::2, None]),
@@ -206,9 +204,9 @@ def fold_chunks(eq: EquilibriumSolution, seed: int, paths: int, checks: list) ->
     return checks
 
 
-def _peak(running: float, values) -> float:
-    """The running maximum of |values|; a NaN propagates."""
-    return float(np.maximum(running, np.max(np.abs(values))))
+def _peak(running: float, values: np.ndarray) -> float:
+    """The running maximum of |values|, max(running, max, -min) with no |values| array; a NaN propagates."""
+    return abs(float(np.maximum(np.maximum(running, values.max()), -values.min())))  # abs: all zeros give -0.0
 
 
 @dataclass
@@ -354,20 +352,14 @@ def leader_stationarity_residual(eq: EquilibriumSolution, ens: TrajectoryEnsembl
     delta_hat = (eq.sigmas.s1[::2] @ xh[:, :, None])[:, 0, 0]
     shared = c_phih * _filtered_adjoint(eq)[:, 0] + c_deltah * delta_hat + c_qh * xh[:, 1]
 
-    # phi = y[0], delta = z[0].  Each term is added into the control's buffer
-    # once its maximum is taken, in the order control + adjoint
-    # + c_delta delta + shared, and the residual's |.| is taken in place: at
-    # most three (N+1, m) arrays are alive here, where a plain expression
-    # holds five.
+    # phi = y[0], delta = z[0]; the residual (R2 u2 + c_phi phi) + c_delta delta + shared, node by node.
     check = check or LeaderStationarity(eq)
-    algebraic = eq.model.nodes("R2")[:, None] * ens.u2
-    check.control_max = _peak(check.control_max, algebraic)
-    term = c_phi[:, None] * recon.y[0]
-    check.adjoint_max = _peak(check.adjoint_max, term)
-    algebraic += term
-    algebraic += np.multiply(c_delta[:, None], recon.z[0], out=term)
-    algebraic += shared[:, None]
-    check.algebraic_max = float(np.maximum(check.algebraic_max, np.max(np.abs(algebraic, out=algebraic))))
+    nodes = zip(eq.model.nodes("R2"), c_phi, c_delta, shared, ens.u2, recon.y[0], recon.z[0])
+    for r2, cp, cd, c, u2, phi, delta in nodes:
+        control, adjoint = r2 * u2, cp * phi
+        check.control_max = _peak(check.control_max, control)
+        check.adjoint_max = _peak(check.adjoint_max, adjoint)
+        check.algebraic_max = _peak(check.algebraic_max, control + adjoint + cd * delta + c)
     return check
 
 
@@ -455,7 +447,7 @@ class Bsde(Check):
     """bsde_residual: the discrete backward-step residual of the follower adjoint.
 
     step[k, i] = p_{k+1} - p_k + (Q1 x_k + A p_k + C k_k) dt - k_k dW_k.
-    time_summed[i] is path i's sum of steps, accumulated in node order
+    time_summed[i] is path i's sum of steps, added node by node in node order
     (numpy's sum over the time axis would round a 1-path chunk differently
     from a many-path one); rms is over paths of the sum.  It shrinks at first
     order in dt and is held to that order against the largest |p|.
@@ -485,13 +477,16 @@ def bsde_residual(eq: EquilibriumSolution, ens: TrajectoryEnsemble, recon: Adjoi
     """Fold this chunk's summed steps and max |p| into check (a fresh one by default) and return it."""
     model = eq.model
     dt = model.grid.dt
-    A, C, Q1 = (model.nodes(name)[:-1, None] for name in ("A", "C", "Q1"))
-    p = recon.p
-    k = recon.k[:-1]
+    A, C, Q1 = (model.nodes(name).tolist() for name in ("A", "C", "Q1"))
+    p, k, x, dw = recon.p, recon.k, ens.x, ens.noise.dw
     check = check or Bsde(eq)
     check.p_max = _peak(check.p_max, p)
-    steps = (p[1:] - p[:-1] + (Q1 * ens.x[:-1] + A * p[:-1] + C * k) * dt - k * ens.noise.dw)
-    check.sums.append(reduce(np.add, steps))  # node order, whatever the chunk
+    steps = (p[j + 1] - p[j] + (Q1[j] * x[j] + A[j] * p[j] + C[j] * k[j]) * dt - k[j] * dw[j]
+             for j in range(len(dw)))
+    summed = next(steps)
+    for step in steps:
+        summed += step  # node order from node 0, whatever the chunk
+    check.sums.append(summed)
     return check
 
 

@@ -48,12 +48,12 @@ matrix costs several times the arithmetic it does, and the two leader
 recurrences call these functions about 19000 times at N=1600.  So the
 second equation's P1Terms -- p1, its gain inverses and nine products of p1
 with the blocks, fixed once the first is solved -- are formed once on the
-half grid and kept (LeaderRiccati.terms, whose m1 and m2 are the gain
-inverses' one name): its stages compute only the terms with p2, and
-compute_sigmas reads them whole.  Both equations read their
-stage floats through one _window_reader, which converts a window of
-half-grid indices at a time: the first's seven corner entries, the second's
-kept terms and six blocks.  Only the RK4 recurrence loops over grid points.
+half grid and kept (LeaderRiccati.terms, whose p1, m1 and m2 are the one
+name of p1 and the gain inverses): its stages compute only the terms with
+p2, and compute_sigmas reads them whole.  Both equations read their stage
+floats through one _window_reader, which converts a window of half-grid
+indices at a time: the first's seven corner entries, the second's kept terms
+and six blocks.  Only the RK4 recurrence loops over grid points.
 
 Each result holds every half-grid array under one name, and a reader takes
 node rows as [::2]; terminal values are stored bit-exactly as given.
@@ -501,7 +501,7 @@ def rhs_p2(f: P1Terms, p2, a1, a2e, a4e, bb12, cc12, e55):
 class LeaderRiccati:
     """Both leader Riccati solutions, (L, 2, 2) and never symmetrized; p1 = diag(pi, 0).
 
-    p1 and p2 hold the two solutions on the half grid (index j: t = j * dt/2):
+    p1 and p2 are the two solutions on the half grid (index j: t = j * dt/2):
     even indices are the RK4 node values, odd indices the integrator's
     Hermite midpoints, so downstream stages can read them off-node without
     losing order; the node values are p1[::2] and p2[::2].
@@ -509,16 +509,20 @@ class LeaderRiccati:
     terms is p1_terms on the same half grid, formed once: the second
     equation's stages and compute_sigmas read it.  Its m1 and m2 are the
     one name of the two guarded gain inverses of gain_inverses at p1, as
-    entry tuples.
+    entry tuples, and its p1 = (pi, 0, 0, 0) is p1's one stored form, read by
+    p1 (one zero array fills its zeros and the other terms' zero rows).
     min_det_m1/min_det_m2 log the worst determinant of the two guarded
     inverses seen during integration.
     """
 
-    p1: np.ndarray
     p2: np.ndarray
     terms: P1Terms
     min_det_m1: float
     min_det_m2: float
+
+    @property
+    def p1(self) -> np.ndarray:
+        return _matrix(self.terms.p1)
 
 
 def _window_reader(evaluate, width: int):
@@ -577,14 +581,13 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     pi = _solve_backward(rhs1, float(blocks.gbar[0, 0]), grid, bound, "leader Riccati solution (first) exploded")
     t, *_, e34, e44 = first
     m1, m2, det1, det2 = gain_inverses(pi, e34, e44, t, det_tol=det_tol)
-    p1 = _matrix((pi, *[np.zeros_like(pi)] * 3))
     # A determinant that changes sign between two samples passes the
     # magnitude guard, so each must keep its sign at T on the whole half grid.
     for det, err in ((det1, M1NotInvertible), (det2, M2NotInvertible)):
         flipped = np.flatnonzero(np.sign(det) != np.sign(det[-1]))
         if flipped.size:
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
-    terms = p1_terms(_entries(p1), m1, m2, blocks, slice(None))
+    terms = p1_terms((pi, *[np.zeros_like(pi)] * 3), m1, m2, blocks, slice(None))
 
     def second_inputs(q):
         return [*(tuple(e[q] for e in term) for term in terms),
@@ -597,7 +600,6 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         return _matrix(rhs_p2(P1Terms._make(f), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
 
     return LeaderRiccati(
-        p1=p1,
         p2=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
         terms=terms,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),

@@ -384,15 +384,21 @@ def test_compare_outputs_script_sees_no_moves_against_itself():
     assert sum(line.startswith("    verify_report.csv: ") for line in lines) == 4
 
 
+def compare_outputs_module():
+    """scripts/compare_outputs.py, imported as a module."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("compare_outputs", root / "scripts" / "compare_outputs.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    return compare
+
+
 def test_compare_outputs_scores_stdout_numbers_and_counts_text(tmp_path, monkeypatch, capsys):
     # verify's stdout: a residual moved by 1e-16 is a column move, not a
     # difference; a PASS turned FAIL or a changed exit code is one difference,
     # and any difference makes the script exit 1.  A column that moved names
     # the rows it moved in, by the first text column of its CSV file
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("compare_outputs", root / "scripts" / "compare_outputs.py")
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
+    compare = compare_outputs_module()
 
     def stdout(word="PASS", residual=3e-10):
         return (f"PASS terminal_data [algebraic] residual=0.0125 tol=0.0\n"
@@ -427,6 +433,20 @@ def test_compare_outputs_scores_stdout_numbers_and_counts_text(tmp_path, monkeyp
     monkeypatch.setattr(sys, "argv", ["compare_outputs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
                                       "--steps", "4"])
     assert compare.main() == 1
+
+
+def test_compare_outputs_counts_number_text_that_changed_at_one_value(tmp_path):
+    # 0.0 and -0.0 are one value, so no column moves, but the changed text is
+    # a difference, named by its file, column and row or stdout line
+    compare = compare_outputs_module()
+    for side, zero in (("a", "0.0"), ("b", "-0.0")):
+        (tmp_path / side).write_text(f"check,residual\nstructural_zero,{zero}\nbsde_residual,0.25\n")
+    assert compare.compare_file("verify_report.csv", tmp_path / "a", tmp_path / "b") == (
+        0.0, ["verify_report.csv: column residual row structural_zero: '0.0' != '-0.0'"])
+    line = "PASS structural_zero [algebraic] residual={} tol=1e-12\n"
+    assert compare.compare_stdout(line.format("0.0"), line.format("-0.0")) == (
+        0.0, ["stdout: number 0 row PASS structural_zero [algebraic] residual=# tol=#: '0.0' != '-0.0'"])
+    assert compare.compare_stdout(line.format("0.0"), line.format("0.0")) == (0.0, [])
 
 
 def test_verify_report_independent_of_chunking(tmp_path, monkeypatch):

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from lqstack.cli import Tolerances
 from lqstack.costs import (OptimalitySweep, pathwise_J1, pathwise_J2, verify_follower_optimality,
                            verify_leader_optimality)
-from lqstack.equilibrium import (Bsde, FollowerStationarity, LeaderStationarity, bsde_residual,
+from lqstack.equilibrium import (Bsde, FollowerStationarity, LeaderStationarity, _peak, bsde_residual,
                                  closed_loop_matrices, drift_residuals, fold_chunks,
                                  follower_stationarity_residual, gain_consistency_residual,
                                  leader_stationarity_residual, reconstruct_adjoints, solve_equilibrium)
@@ -16,7 +19,7 @@ from lqstack.model import LQModel, TimeGrid
 from lqstack.riccati import FollowerRiccati
 from lqstack.simulate import generate_noise, simulate_closed_loop
 
-from conftest import make_model, random_admissible_model, sample_at, time_varying
+from conftest import RNG91, make_model, random_admissible_model, sample_at, time_varying
 
 
 def zero_weight_equilibrium(steps=100):
@@ -141,18 +144,21 @@ def test_lhat_is_sum_of_leader_gain_rows(eq_b200):
 
 def test_each_equilibrium_array_has_one_name():
     # Walking the solution through its dataclasses and tuples reaches every
-    # array, and the follower's solve, by one path; the model and its grid
-    # are inputs and are not walked.  The one array with many names is the
-    # structural zero of p1 = diag(pi, 0): each product p1 b in leader.terms
-    # has a zero second row, and its entries there are p1's own (1, 1) entry.
+    # array, and the follower's solve, by one path, and no two arrays share
+    # memory; the model and its grid are inputs and are not walked.  The one
+    # array with many names is the structural zero of p1 = diag(pi, 0): one
+    # zero array holds p1's zero entries in leader.terms.p1 and the zero
+    # second row of each product p1 b in leader.terms.
     eq = solve_equilibrium(make_model(steps=40, D1=0.3, D2=0.2))
-    paths = {}
+    paths, arrays = {}, {}
 
     def walk(obj, path):
         if isinstance(obj, (LQModel, TimeGrid)):
             return
         if isinstance(obj, (np.ndarray, FollowerRiccati)):
             paths.setdefault(id(obj), []).append(path)
+        if isinstance(obj, np.ndarray):
+            arrays[id(obj)] = obj
         if dataclasses.is_dataclass(obj):
             for f in dataclasses.fields(obj):
                 walk(getattr(obj, f.name), f"{path}.{f.name}")
@@ -164,6 +170,8 @@ def test_each_equilibrium_array_has_one_name():
     zero = eq.leader.terms.p1[3]
     assert not np.any(zero)
     assert [p for key, p in paths.items() if len(p) > 1 and key != id(zero)] == []
+    assert [(paths[i][0], paths[j][0]) for i, j in itertools.combinations(arrays, 2)
+            if np.shares_memory(arrays[i], arrays[j])] == []
 
 
 # --- Hamiltonian ---
@@ -409,6 +417,58 @@ def test_bsde_residual_first_order():
         return bsde_residual(eq, ens, recon).rms
 
     assert 1.6 < rms(400) / rms(800) < 2.6
+
+
+# --- the node walks against whole-array expressions ---
+
+def test_peak_is_the_largest_magnitude_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for shape in [(1,), (2,), (7,), (40, 3), (2, 5, 9)]:
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        v.flat[rng.integers(v.size, size=(v.size + 2) // 3)] = rng.choice([0.0, -0.0], size=(v.size + 2) // 3)
+        for running in (0.0, 0.5 * float(np.max(np.abs(v))), 2.0 * float(np.max(np.abs(v)))):
+            assert np.float64(_peak(running, v)).tobytes() == np.maximum(running, np.max(np.abs(v))).tobytes()
+
+
+def test_peak_never_returns_negative_zero_and_propagates_nan():
+    for v in (np.zeros(5), np.array([-0.0]), np.array([0.0, -0.0]), np.full((3, 4), -0.0)):
+        assert math.copysign(1.0, _peak(0.0, v)) == 1.0
+    v = np.random.default_rng(30).standard_normal((4, 5))
+    for i in range(v.size):
+        w = v.copy()
+        w.flat[i] = np.nan
+        assert math.isnan(_peak(0.0, w))
+    assert math.isnan(_peak(math.nan, v))
+
+
+def whole_array_folds(eq, ens, recon):
+    """The leader stationarity's three maxima and the backward-step sums as whole (N+1, m)
+    array expressions: each maximum over every node and path at once, each path's sum of
+    steps as a reduce over the (N, m) steps, from node 0."""
+    model, blocks = eq.model, eq.blocks
+    xh = eq.closed_loop.xhat[::2]
+    phi_hat = np.einsum("kij,kj->ki", eq.leader.p1[::2] + eq.leader.p2[::2], xh)[:, 0]
+    delta_hat = (eq.sigmas.s1[::2] @ xh[:, :, None])[:, 0, 0]
+    shared = blocks.d1[::2, 0] * phi_hat + blocks.d3[::2, 0] * delta_hat + blocks.d5[::2, 1] * xh[:, 1]
+    control = model.nodes("R2")[:, None] * ens.u2
+    adjoint = blocks.d2[::2, 0, None] * recon.y[0]
+    algebraic = control + adjoint + blocks.d4[::2, 0, None] * recon.z[0] + shared[:, None]
+    A, C, Q1 = (model.nodes(name)[:-1, None] for name in ("A", "C", "Q1"))
+    p, k = recon.p, recon.k[:-1]
+    steps = p[1:] - p[:-1] + (Q1 * ens.x[:-1] + A * p[:-1] + C * k) * model.grid.dt - k * ens.noise.dw
+    return [float(np.max(np.abs(a))) for a in (control, adjoint, algebraic)], functools.reduce(np.add, steps)
+
+
+@pytest.mark.parametrize("overrides", [RNG91, dict(D1=0.3, D2=0.2)], ids=["rng91", "d1d2"])
+def test_node_walks_match_whole_array_expressions(overrides):
+    eq = solve_equilibrium(make_model(steps=200, **overrides))
+    ens = simulate_closed_loop(eq.closed_loop, generate_noise(17, 300, eq.model.grid))
+    recon = reconstruct_adjoints(eq, ens)
+    maxima, summed = whole_array_folds(eq, ens, recon)
+    stats = leader_stationarity_residual(eq, ens, recon)
+    got = [stats.control_max, stats.adjoint_max, stats.algebraic_max]
+    assert np.array(got).tobytes() == np.array(maxima).tobytes()
+    assert bsde_residual(eq, ens, recon).time_summed.tobytes() == summed.tobytes()
 
 
 # --- each residual function returns the check that verify folds ---
