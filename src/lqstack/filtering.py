@@ -16,11 +16,14 @@ follower's pair is solved again only for another filtered leader control.
 Each is solved by riccati.rk4_half_grid, the integrator every deterministic
 ODE of the equilibrium goes through: RK4 on the node grid with stages at
 half-grid points, so a step never crosses a kink of a piecewise-linear input.
-Each path is a (2N+1, ...) half-grid array of node values and cubic-Hermite
-midpoints, which keeps every consumer of off-node values at the integrator's
-accuracy; a path input given at the nodes only is read linearly between them
-(model.lift).  The follower's pair reads its coefficients from the
-follower's solve (riccati.FollowerRiccati), where they are evaluated once.
+Each state is stepped in float arithmetic, a scalar as a float and the
+leader's 2-vector as a tuple of two floats, its drift read as float lists.
+Each path is a (2N+1,) or (2N+1, 2) half-grid array of node values and
+cubic-Hermite midpoints, which keeps every consumer of off-node values at
+the integrator's accuracy; a path input given at the nodes only is read
+linearly between them (model.lift).  The follower's pair reads its
+coefficients from the follower's solve (riccati.FollowerRiccati), where
+they are evaluated once.
 The follower's adapted offset is the filtered offset solved here plus
 lambda . (X - Xhat), whose gain lambda (simulate.backfill_theta) is one more
 backward ODE through the same integrator.
@@ -93,5 +96,7 @@ def solve_leader_xhat(model: LQModel, drift: np.ndarray) -> np.ndarray:
     its row 0 is (x0, 0) exactly.  Raises SolverError at the first node
     where the state is not finite.
     """
-    return rk4_half_grid(lambda j, y: drift[j] @ y, np.array([model.x0, 0.0]), model.grid.dt,
-                         model.grid.steps, fail=partial(SolverError, "filtered leader state is not finite"))
+    d00, d01, d10, d11 = drift.reshape(-1, 4).T.tolist()
+    return rk4_half_grid(lambda j, y: (d00[j] * y[0] + d01[j] * y[1], d10[j] * y[0] + d11[j] * y[1]),
+                         (float(model.x0), 0.0), model.grid.dt, model.grid.steps,
+                         fail=partial(SolverError, "filtered leader state is not finite"))

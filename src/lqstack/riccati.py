@@ -17,7 +17,8 @@ The Riccati equations, integrated under the time reversal tau = T - t:
   * the leader's first equation (autonomous given P, terminal diag(G2, 0)),
     whose solution is p1 = diag(pi, 0) (see gain_inverses), with
         pi' + 2 A pi + C^2 pi - (D2^2 pi + R2)^-1 (B2 + D2 C)^2 pi^2 + Q2 = 0,
-  * the leader's second 2x2 equation (consumes the first, terminal 0).
+  * the leader's second 2x2 equation (consumes the first, terminal 0),
+    stepped in Riccati normal form (p2_coefficients).
 
 All three go through one backward solve, _solve_backward: step dt on the
 node grid, stages at half-grid points.  Everything is stored on the half
@@ -40,20 +41,21 @@ The leader's side reads one family of effective blocks (1/r2,
 b1 - d2 d2^T/r2, c1 - d2 d4^T/r2, ..., built with d1+d2 and d3+d4), which
 assemble_leader_blocks evaluates once on the whole half grid; a transpose is
 a swapaxes view.  gain_inverses and rhs_p1 take pi, and the 2x2 matrices
-of gain_inverses, p1_terms, sigma1-sigma3 and rhs_p2 are entry tuples
-(m00, m01, m10, m11).  The stage functions take the block entries they
-read: Python floats at one RK4 stage, arrays over a slice of the half grid;
-one formula set serves both, rounding identically.  A numpy call on a 2x2
-matrix costs several times the arithmetic it does, and the two leader
-recurrences call these functions about 19000 times at N=1600.  So the
-second equation's P1Terms -- p1, its gain inverses and nine products of p1
-with the blocks, fixed once the first is solved -- are formed once on the
-half grid and kept (LeaderRiccati.terms, whose p1, m1 and m2 are the one
-name of p1 and the gain inverses): its stages compute only the terms with
-p2, and compute_sigmas reads them whole.  Both equations read their stage
-floats through one _window_reader, which converts a window of half-grid
-indices at a time: the first's seven corner entries, the second's kept terms
-and six blocks.  Only the RK4 recurrence loops over grid points.
+of gain_inverses, p1_terms, sigma1-sigma3, p2_coefficients and rhs_p2 are
+entry tuples (m00, m01, m10, m11).  These functions take the block entries
+they read: Python floats at one RK4 stage, arrays over a slice of the half
+grid; one formula set serves both, rounding identically.  A numpy call on a
+2x2 matrix costs several times the arithmetic it does, so what does not
+depend on the stepped unknown is formed once on the half grid: the first
+solution's P1Terms -- p1, its gain inverses and nine products of p1 with
+the blocks -- kept as LeaderRiccati.terms (whose p1, m1 and m2 are the one
+name of p1 and the gain inverses) for compute_sigmas, and from them the
+four coefficients of the second equation's normal form (p2_coefficients).
+Its stages (rhs_p2) are then three 2x2 products on p2's four entries.  Both
+equations read their stage floats through one _window_reader, which
+converts a window of half-grid indices at a time: the first's seven corner
+entries, the second's 16 coefficient entries.  Only the RK4 recurrence
+loops over grid points.
 
 Each result holds every half-grid array under one name, and a reader takes
 node rows as [::2]; terminal values are stored bit-exactly as given.
@@ -82,37 +84,52 @@ def rk4_half_grid(rhs, y0, h: float, steps: int, *, backward: bool = False,
                   bound: float = np.finfo(float).max, fail) -> np.ndarray:
     """Classical RK4 over `steps` steps of size h, stages at half points.
 
-    Returns the (2*steps+1, ...) half-grid path: index j is at t = j h/2,
-    node k at index 2k and the midpoint of its step at 2k+1.  rhs(j, y) is the
-    derivative of y in the stepping direction: d/dt forward from node 0, or
-    d/dtau (tau = T - t) backward from node `steps`; y0 is stored there
-    exactly.  Each new node must have every component within [-bound,
-    bound]; a node that is not (a NaN never is) raises fail(t) at its time
-    t.  The default bound rejects non-finite values only.  The midpoints are
-    cubic-Hermite interpolants from node values and node slopes (dense
-    output, Hairer, Norsett & Wanner, Solving ODEs I, II.6): 4th-order
-    accurate, so consumers of off-node values keep the integrator's order.
+    The state is a float or a tuple of n floats, stepped a component at a
+    time in float arithmetic.  rhs(j, y) is its derivative in the stepping
+    direction, a float or n floats: d/dt forward from node 0, or d/dtau
+    (tau = T - t) backward from node `steps`, where y0 is stored exactly.
+    Returns the (2*steps+1,) or (2*steps+1, n) half-grid path: index j is at
+    t = j h/2, node k at index 2k and the midpoint of its step at 2k+1.
+    Each new node must have every component within [-bound, bound]; a node
+    that is not (a NaN never is) raises fail(t) at its time t.  The default
+    bound rejects non-finite values only.  The midpoints are cubic-Hermite
+    interpolants from node values and node slopes (dense output, Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6): 4th-order accurate, so
+    consumers of off-node values keep the integrator's order.
     """
     d = -1 if backward else 1
     k = steps if backward else 0
-    out = np.empty((2 * steps + 1, *np.shape(y0)))
-    nodes = out[::2]
-    slopes = np.empty_like(nodes)
-    nodes[k] = y0
+    half, sixth = 0.5 * h, h / 6.0
+    scalar = isinstance(y0, float)
+    if scalar:
+        def ahead(y, c, s):
+            return y + c * s
+
+        def update(y, s1, s2, s3, s4):
+            return y + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    else:
+        def ahead(y, c, s):
+            return tuple([a + c * b for a, b in zip(y, s)])
+
+        def update(y, *s):
+            return tuple([a + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4) for a, s1, s2, s3, s4 in zip(y, *s)])
+    nodes, slopes = [y0] * (steps + 1), [y0] * (steps + 1)
     y = y0
     for _ in range(steps):
         j = 2 * k
-        k1 = rhs(j, y)
-        slopes[k] = k1
-        k2 = rhs(j + d, y + 0.5 * h * k1)
-        k3 = rhs(j + d, y + 0.5 * h * k2)
-        k4 = rhs(j + 2 * d, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = slopes[k] = rhs(j, y)
+        k2 = rhs(j + d, ahead(y, half, k1))
+        k3 = rhs(j + d, ahead(y, half, k2))
+        k4 = rhs(j + 2 * d, ahead(y, h, k3))
+        y = update(y, k1, k2, k3, k4)
         k += d
-        if not (abs(y) <= bound if isinstance(y, float) else (np.abs(y) <= bound).all()):
+        if not (abs(y) <= bound if scalar else all([abs(a) <= bound for a in y])):
             raise fail(k * h)
         nodes[k] = y
     slopes[k] = rhs(2 * k, y)
+    out = np.empty((2 * steps + 1, *np.shape(y0)))
+    out[::2] = nodes
+    slopes = np.array(slopes, dtype=float)
     # The linear midpoint plus (d h/8)(s_a - s_b), formed in place; slopes are
     # taken in the stepping direction, hence the sign d.
     mids = linear_midpoints(out)
@@ -396,18 +413,9 @@ def _t(a):
     return (a[0], a[2], a[1], a[3])
 
 
-def _entries(mat: np.ndarray):
-    """Entry tuple of a (2, 2) matrix (floats) or of a stack of them (arrays)."""
-    if mat.ndim == 2:
-        return mat.ravel().tolist()
-    return (mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1])
-
-
 def _matrix(m) -> np.ndarray:
-    """The (2, 2) matrix, or the (..., 2, 2) stack, with entry tuple m."""
-    if isinstance(m[0], float):
-        return np.array(m).reshape(2, 2)
-    return np.stack(m, axis=-1).reshape(m[0].shape + (2, 2))
+    """The (..., 2, 2) stack with entry tuple m."""
+    return np.stack(m, axis=-1).reshape(np.shape(m[0]) + (2, 2))
 
 
 def _corner_inverse(det, det_tol: float, t, err):
@@ -482,19 +490,32 @@ def sigma3(f: P1Terms, p2, s1):
     return _mm(f.m2, inner)
 
 
-def rhs_p2(f: P1Terms, p2, a1, a2e, a4e, bb12, cc12, e55):
-    """d(p2)/dtau of the second leader Riccati equation (general form), an entry tuple."""
-    s1 = sigma1(f, p2)
-    s3 = sigma3(f, p2, s1)
-    p12 = _add(f.p1, p2)
+def p2_coefficients(f: P1Terms, a1, a2e, a4e, bb12, cc12, e55):
+    """K, M, N, O of the second leader equation: d(p2)/dtau = K + M p2 + p2 N + p2 O p2.
 
-    out = _add(_mm(p12, a2e), _mm(_t(a2e), p12))
-    out = _add(out, _add(_mm(p2, a1), _mm(a1, p2)))
-    out = _add(out, _mm(_mm(p12, bb12), p12))
-    out = _sub(out, f.p1_bb_p1)
-    out = _add(out, _mm(f.a3_p1_cc, s3))
-    out = _add(out, _mm(_sub(_add(_t(a4e), _mm(p2, cc12)), f.p1_e13), s1))
-    return _sub(out, e55)
+    The general right-hand side, with p12 = p1 + p2 and s1, s3 = sigma1, sigma3,
+        p12 a2e + a2e^T p12 + p2 a1 + a1 p2 + p12 bb12 p12 - p1 bb p1
+        + (a3 + p1 cc) s3 + (a4e^T + p2 cc12 - p1 e13) s1 - e55,
+    reads p2 in s1 = S1_0 + S1_l p2, s3 = S3_0 + S3_l p2 and two products: it
+    is this matrix-Riccati normal form (Reid, Riccati Differential Equations,
+    1972), whose coefficients, entry tuples, do not depend on p2.
+    """
+    s1_0 = _mm(f.m1, _add(f.p1_a34, _mm(f.p1_cc12t, f.p1)))
+    s1_l = _mm(f.m1, f.p1_cc12t)
+    s3_0 = _mm(f.m2, _sub(_sub(f.p1_a4e, _mm(f.p1_e13t, f.p1)), _mm(f.p1_e33, s1_0)))
+    s3_l = _mm(f.m2, _sub(_sub(f.p1_cct, f.p1_e13t), _mm(f.p1_e33, s1_l)))
+    a4e_t_e13 = _sub(_t(a4e), f.p1_e13)
+    k = _add(_mm(f.p1, a2e), _mm(_t(a2e), f.p1))
+    k = _sub(_add(k, _mm(_mm(f.p1, bb12), f.p1)), f.p1_bb_p1)
+    k = _sub(_add(_add(k, _mm(f.a3_p1_cc, s3_0)), _mm(a4e_t_e13, s1_0)), e55)
+    m = _add(_add(_add(_t(a2e), a1), _mm(f.p1, bb12)), _add(_mm(f.a3_p1_cc, s3_l), _mm(a4e_t_e13, s1_l)))
+    n = _add(_add(_add(a2e, a1), _mm(bb12, f.p1)), _mm(cc12, s1_0))
+    return k, m, n, _add(bb12, _mm(cc12, s1_l))
+
+
+def rhs_p2(p2, k, m, n, o):
+    """d(p2)/dtau of the second leader Riccati equation, K + M p2 + p2 (N + O p2), entry tuples."""
+    return _add(_add(k, _mm(m, p2)), _mm(p2, _add(n, _mm(o, p2))))
 
 
 @dataclass(frozen=True)
@@ -504,15 +525,15 @@ class LeaderRiccati:
     p1 and p2 are the two solutions on the half grid (index j: t = j * dt/2):
     even indices are the RK4 node values, odd indices the integrator's
     Hermite midpoints, so downstream stages can read them off-node without
-    losing order; the node values are p1[::2] and p2[::2].
-    Terminal data are stored bit-exactly: p1(T) = gbar, p2(T) = 0.
-    terms is p1_terms on the same half grid, formed once: the second
-    equation's stages and compute_sigmas read it.  Its m1 and m2 are the
-    one name of the two guarded gain inverses of gain_inverses at p1, as
-    entry tuples, and its p1 = (pi, 0, 0, 0) is p1's one stored form, read by
-    p1 (one zero array fills its zeros and the other terms' zero rows).
-    min_det_m1/min_det_m2 log the worst determinant of the two guarded
-    inverses seen during integration.
+    losing order; the node values are p1[::2] and p2[::2].  p2 is stepped
+    as a tuple of its four entries.  Terminal data are stored bit-exactly:
+    p1(T) = gbar, p2(T) = 0.  terms is p1_terms on the same half grid,
+    formed once, which the second equation's coefficients and compute_sigmas
+    read.  Its m1 and m2 are the one name of the two guarded gain inverses
+    of gain_inverses at p1, as entry tuples, and its p1 = (pi, 0, 0, 0) is
+    p1's one stored form, read by p1 (one zero array fills its zeros and the
+    other terms' zero rows).  min_det_m1/min_det_m2 log the worst
+    determinant of the two guarded inverses seen during integration.
     """
 
     p2: np.ndarray
@@ -555,12 +576,13 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
     first is autonomous and is solved first, for pi alone, with the gain
     inverses guarded at every RK4 stage; the second reads the first at its
     stage times, so its inverses are computed and guarded once over the half
-    grid, and kept with p1_terms there.  Both read their stage inputs (the
-    first its corner entries, the second the kept terms and its blocks)
-    through a _window_reader of _STAGE_WINDOW indices, with the same bits as
-    a per-stage evaluation.  When D1 = D2 = 0 the inverses are exactly the
-    identity and the general right-hand sides reduce to the special-case
-    forms.
+    grid, and kept with p1_terms there, from which its normal-form
+    coefficients are formed once over the half grid (p2_coefficients).  Both
+    read their stage inputs (the first its corner entries, the second its
+    coefficients) through a _window_reader of _STAGE_WINDOW indices, with the
+    same bits as a per-stage evaluation.  When D1 = D2 = 0 the inverses are
+    exactly the identity and the general right-hand sides reduce to the
+    special-case forms.
     Raises RiccatiBlowUp when a node value is not finite or exceeds
     blow_up_factor * (1 + max|gbar|).
     """
@@ -588,19 +610,12 @@ def solve_leader_riccati(model: LQModel, blocks: LeaderBlocks, *, det_tol: float
         if flipped.size:
             raise err("gain matrix determinant changes sign", float(flipped[-1]) * grid.dt / 2)
     terms = p1_terms((pi, *[np.zeros_like(pi)] * 3), m1, m2, blocks, slice(None))
-
-    def second_inputs(q):
-        return [*(tuple(e[q] for e in term) for term in terms),
-                *blocks.entries(q, "a1", "a2e", "a4e", "bb12", "cc12", "e55")]
-
-    read2 = _window_reader(second_inputs, _STAGE_WINDOW)
-
-    def rhs2(j, mat):
-        *f, a1, a2e, a4e, bb12, cc12, e55 = read2(j)
-        return _matrix(rhs_p2(P1Terms._make(f), _entries(mat), a1, a2e, a4e, bb12, cc12, e55))
-
+    coefficients = p2_coefficients(terms, *blocks.entries(slice(None), "a1", "a2e", "a4e", "bb12", "cc12", "e55"))
+    read2 = _window_reader(lambda q: [[e[q] for e in c] for c in coefficients], _STAGE_WINDOW)
+    p2 = _solve_backward(lambda j, p2: rhs_p2(p2, *read2(j)), (0.0,) * 4, grid, bound,
+                         "leader Riccati solution (second) exploded")
     return LeaderRiccati(
-        p2=_solve_backward(rhs2, np.zeros((2, 2)), grid, bound, "leader Riccati solution (second) exploded"),
+        p2=p2.reshape(-1, 2, 2),
         terms=terms,
         min_det_m1=float(min(min_det[0], np.min(np.abs(det1)))),
         min_det_m2=float(min(min_det[1], np.min(np.abs(det2)))),
@@ -625,6 +640,6 @@ def compute_sigmas(blocks: LeaderBlocks, leader: LeaderRiccati) -> Sigmas:
     The first solution's terms, its gain inverses among them, are the ones
     the leader solve formed and kept (leader.terms).
     """
-    f, p2, q = leader.terms, _entries(leader.p2), slice(None)
+    f, p2, q = leader.terms, tuple(leader.p2.reshape(-1, 4).T), slice(None)
     s1 = sigma1(f, p2)
     return Sigmas(s1=_matrix(s1), s2=_matrix(sigma2(f, blocks, q)), s3=_matrix(sigma3(f, p2, s1)))

@@ -296,8 +296,11 @@ def backfill_theta(model: LQModel, P: FollowerRiccati, drift_x: np.ndarray, lx: 
     gain = model.nodes("A", 2)[:, None, None] * np.eye(2) + drift_x.swapaxes(-1, -2)
     forcing = P.offset_u2[:, None] * lx
     forcing[:, 0] += P.offset[0]
-    return rk4_half_grid(lambda j, lam: gain[j] @ lam + forcing[j], np.zeros(2), model.grid.dt, model.grid.steps,
-                         backward=True, fail=partial(SolverError, "follower's offset gain is not finite"))
+    g00, g01, g10, g11 = gain.reshape(-1, 4).T.tolist()
+    f0, f1 = forcing.T.tolist()
+    return rk4_half_grid(lambda j, y: (g00[j] * y[0] + g01[j] * y[1] + f0[j], g10[j] * y[0] + g11[j] * y[1] + f1[j]),
+                         (0.0, 0.0), model.grid.dt, model.grid.steps, backward=True,
+                         fail=partial(SolverError, "follower's offset gain is not finite"))
 
 
 def density_process(model: LQModel, noise: NoiseBundle) -> np.ndarray:

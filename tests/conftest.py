@@ -114,9 +114,13 @@ def pathwise_theta(model, P, x, u2, xhat, u2hat, theta_hat):
         out *= coef[:, None]
         return out
 
-    A = model.nodes("A", 2)
-    forcing = gap(x, xhat, P.offset[0]) + gap(u2, u2hat, P.offset_u2)
-    e = rk4_half_grid(lambda j, e: forcing[j] + A[j] * e, np.zeros(forcing.shape[1]), model.grid.dt, n,
+    A = model.nodes("A", 2).tolist()
+    forcing = (gap(x, xhat, P.offset[0]) + gap(u2, u2hat, P.offset_u2)).tolist()
+
+    def de_dtau(j, e):
+        return [f + A[j] * v for f, v in zip(forcing[j], e)]
+
+    e = rk4_half_grid(de_dtau, (0.0,) * len(forcing[0]), model.grid.dt, n,
                       backward=True, fail=partial(SolverError, "pathwise offset is not finite"))
     return e[::2] + lift(theta_hat, n)[::2, None]
 

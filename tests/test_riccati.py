@@ -9,9 +9,9 @@ from scipy.integrate import solve_ivp
 
 from lqstack import riccati
 from lqstack.errors import H3Violated, M1NotInvertible, M2NotInvertible, RiccatiBlowUp
-from lqstack.riccati import (LeaderBlocks, assemble_leader_blocks, compute_sigmas, follower_coefficients,
-                             gain_inverses, p1_terms, rhs_p1, rhs_p2, rk4_half_grid, sigma1, sigma2,
-                             sigma3, solve_follower_P, solve_leader_riccati)
+from lqstack.riccati import (LeaderBlocks, LeaderRiccati, assemble_leader_blocks, compute_sigmas,
+                             follower_coefficients, gain_inverses, p1_terms, p2_coefficients, rhs_p1, rhs_p2,
+                             rk4_half_grid, sigma1, sigma2, sigma3, solve_follower_P, solve_leader_riccati)
 
 from conftest import make_model, random_admissible_model, time_varying
 
@@ -23,6 +23,13 @@ def block_entries(blocks: LeaderBlocks, q, *names):
     if isinstance(q, int):
         return [tuple(getattr(blocks, n)[q].ravel().tolist()) for n in names]
     return blocks.entries(q, *names)
+
+
+def entries(mat: np.ndarray):
+    """Entry tuple of a (2, 2) matrix (Python floats) or of a stack of them (arrays)."""
+    if mat.ndim == 2:
+        return tuple(mat.ravel().tolist())
+    return (mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1])
 
 
 def first_inputs(model, blocks: LeaderBlocks, q):
@@ -41,8 +48,46 @@ def rhs_p1_at(pi, model, blocks: LeaderBlocks, q, *, m2):
     return rhs_p1(pi, *first_inputs(model, blocks, q)[1:6], m2=m2)
 
 
+SECOND_BLOCKS = ("a1", "a2e", "a4e", "bb12", "cc12", "e55")
+
+
+def coefficients_at(f, blocks: LeaderBlocks, q):
+    return p2_coefficients(f, *block_entries(blocks, q, *SECOND_BLOCKS))
+
+
 def rhs_p2_at(f, p2, blocks: LeaderBlocks, q):
-    return rhs_p2(f, p2, *block_entries(blocks, q, "a1", "a2e", "a4e", "bb12", "cc12", "e55"))
+    return rhs_p2(p2, *coefficients_at(f, blocks, q))
+
+
+# --- the second leader equation in its general form, the oracle of the normal form ---
+# The solver steps p2 through K + M p2 + p2 N + p2 O p2 (p2_coefficients).
+# This is the right-hand side it expands, with the sigmas formed from p2.
+
+def rhs_p2_general(f, p2, a1, a2e, a4e, bb12, cc12, e55):
+    """d(p2)/dtau of the second leader Riccati equation in general form, an entry tuple."""
+    add, mm, sub, t = riccati._add, riccati._mm, riccati._sub, riccati._t
+    s1 = sigma1(f, p2)
+    s3 = sigma3(f, p2, s1)
+    p12 = add(f.p1, p2)
+
+    out = add(mm(p12, a2e), mm(t(a2e), p12))
+    out = add(out, add(mm(p2, a1), mm(a1, p2)))
+    out = add(out, mm(mm(p12, bb12), p12))
+    out = sub(out, f.p1_bb_p1)
+    out = add(out, mm(f.a3_p1_cc, s3))
+    out = add(out, mm(sub(add(t(a4e), mm(p2, cc12)), f.p1_e13), s1))
+    return sub(out, e55)
+
+
+def leader_second_general(leader: LeaderRiccati, model, blocks: LeaderBlocks) -> np.ndarray:
+    """p2 stepped through rhs_p2_general, reading the solver's first solution at each stage."""
+    f, args = leader.terms, block_entries(blocks, slice(None), *SECOND_BLOCKS)
+
+    def rhs2(j, p2):
+        at = [tuple(e[j].item() for e in term) for term in (*f, *args)]
+        return rhs_p2_general(riccati.P1Terms._make(at[:len(f)]), p2, *at[len(f):])
+
+    return reference_solve(rhs2, (0.0,) * 4, model, blocks).reshape(-1, 2, 2)
 
 
 # --- the first leader equation in general 2x2 form, the oracle of its scalar route ---
@@ -96,16 +141,15 @@ def leader_first_2x2(model, blocks: LeaderBlocks, det_tol=1e-10):
     gain_inverses_2x2 and rhs_p1_2x2 at each stage, then the inverses over
     the half grid.  Returns p1, m1, m2 and the two smallest |det|.
     """
-    entries, matrix = riccati._entries, riccati._matrix
+    matrix = riccati._matrix
     min_det = [np.inf, np.inf]
 
-    def rhs1(j, mat):
-        p1 = entries(mat)
+    def rhs1(j, p1):
         _, m2, det1, det2 = gain_inverses_2x2(p1, model, blocks, j, det_tol=det_tol)
         min_det[:] = min(min_det[0], abs(det1)), min(min_det[1], abs(det2))
-        return matrix(rhs_p1_2x2(p1, blocks, j, m2=m2))
+        return rhs_p1_2x2(p1, blocks, j, m2=m2)
 
-    p1 = reference_solve(rhs1, blocks.gbar, model, blocks)
+    p1 = reference_solve(rhs1, tuple(blocks.gbar.ravel().tolist()), model, blocks).reshape(-1, 2, 2)
     m1, m2, det1, det2 = gain_inverses_2x2(entries(p1), model, blocks, slice(None), det_tol=det_tol)
     return (p1, matrix(m1), matrix(m2),
             float(min(min_det[0], np.min(np.abs(det1)))), float(min(min_det[1], np.min(np.abs(det2)))))
@@ -169,12 +213,69 @@ def test_rk4_half_grid_both_directions():
 def test_rk4_half_grid_guard_reports_node_time():
     # y' = y from 1 passes the bound 2 between t = 0.6 and t = 0.8.
     with pytest.raises(RiccatiBlowUp) as info:
-        rk4_half_grid(lambda j, y: y, np.ones(2), 0.2, 5, bound=2.0,
+        rk4_half_grid(lambda j, y: y, (1.0, 1.0), 0.2, 5, bound=2.0,
                       fail=lambda t: RiccatiBlowUp("bound exceeded", t))
     assert info.value.time == pytest.approx(0.8)
     with pytest.raises(RiccatiBlowUp):  # a NaN fails the default bound
         rk4_half_grid(lambda j, y: np.nan * y, 1.0, 0.1, 3, backward=True,
                       fail=lambda t: RiccatiBlowUp("not finite", t))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 100.0])
+@pytest.mark.parametrize("component", range(3))
+@pytest.mark.parametrize("backward", [False, True])
+def test_rk4_tuple_state_guard_checks_every_component(backward, component, bad):
+    # From (1, 1, 1) with zero slopes except at half point 5, the midpoint of
+    # the step between nodes 2 and 3, where one component's slope is `bad`:
+    # that component reaches 1 + (4/6) 0.1 bad, NaN or 7.7 > 2, at node 3
+    # stepping forward and at node 2 stepping backward.
+    def rhs(j, y):
+        return tuple(bad if (j == 5 and i == component) else 0.0 for i in range(3))
+
+    with pytest.raises(RiccatiBlowUp) as info:
+        rk4_half_grid(rhs, (1.0, 1.0, 1.0), 0.1, 5, backward=backward, bound=2.0,
+                      fail=lambda t: RiccatiBlowUp("bound exceeded", t))
+    assert info.value.time == pytest.approx(0.2 if backward else 0.3)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_rk4_tuple_state_is_the_float_path_per_component(backward):
+    # A tuple state gives the (2N+1, n) half-grid array with y0 at its end
+    # node bit-exactly; each component of a decoupled system rounds as the
+    # float path does on its own.
+    y0 = (0.1, -1.0 / 3.0, 7.0)
+    rates = np.linspace(-1.0, 1.0, 41).tolist()
+    path = rk4_half_grid(lambda j, y: tuple(rates[j] * v for v in y), y0, 1.0 / 20, 20, backward=backward,
+                         fail=AssertionError)
+    assert path.shape == (41, 3)
+    assert path[-1 if backward else 0].tobytes() == np.array(y0).tobytes()
+    for i, v in enumerate(y0):
+        alone = rk4_half_grid(lambda j, y: rates[j] * y, v, 1.0 / 20, 20, backward=backward, fail=AssertionError)
+        assert path[:, i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_rk4_tuple_state_linear_system_fourth_order(backward):
+    # y' = [[-0.5, -2], [2, -0.5]] y on [0, 1] from y(0) = (1, 0):
+    # y = exp(-t/2) (cos 2t, sin 2t), stepped forward from y(0) or backward
+    # (d/dtau = -y') from y(1).  Nodes and Hermite midpoints each converge
+    # at 4th order.
+    def exact(t):
+        return np.exp(-0.5 * t)[:, None] * np.column_stack([np.cos(2.0 * t), np.sin(2.0 * t)])
+
+    def errors(steps):
+        sign = -1.0 if backward else 1.0
+
+        def rhs(j, y):
+            return sign * (-0.5 * y[0] - 2.0 * y[1]), sign * (2.0 * y[0] - 0.5 * y[1])
+
+        end = tuple(exact(np.array([1.0 if backward else 0.0]))[0].tolist())
+        path = rk4_half_grid(rhs, end, 1.0 / steps, steps, backward=backward, fail=AssertionError)
+        err = np.abs(path - exact(np.arange(2 * steps + 1) * (0.5 / steps))).max(axis=1)
+        return np.array([err[::2].max(), err[1::2].max()])
+
+    ratios = errors(50) / errors(100)
+    assert np.all((12.0 <= ratios) & (ratios <= 20.0)), ratios
 
 
 # --- closed-form oracles, verified against an independent integrator first ---
@@ -381,7 +482,7 @@ def test_reduced_integrands_match_general_when_zero_diffusion():
         q = 2 * k
         p1 = leader.p1[q]
         p2 = leader.p2[q]
-        e1, e2 = riccati._entries(p1), riccati._entries(p2)
+        e1, e2 = entries(p1), entries(p2)
         m1, m2, _, _ = gain_inverses_at(e1[0], m, blocks, q)
         g1 = riccati._matrix((rhs_p1_at(e1[0], m, blocks, q, m2=m2), 0.0, 0.0, 0.0))
         r1 = rhs_p1_reduced(p1, blocks, display, q)
@@ -467,8 +568,8 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     blocks = assemble_leader_blocks(m, P)
     leader = solve_leader_riccati(m, blocks)
     grid, stage = slice(None), j
-    p1, p2 = riccati._entries(leader.p1), riccati._entries(leader.p2)
-    p1j, p2j = riccati._entries(leader.p1[j]), riccati._entries(leader.p2[j])
+    p1, p2 = entries(leader.p1), entries(leader.p2)
+    p1j, p2j = entries(leader.p1[j]), entries(leader.p2[j])
 
     def same(at_stage, on_grid):
         row = [e[j] for e in on_grid] if isinstance(on_grid, tuple) else on_grid[j]
@@ -488,73 +589,80 @@ def test_stage_and_half_grid_evaluations_agree_bit_for_bit(seed, varying, j):
     same(sigma2(f_stage, blocks, stage), sigma2(f, blocks, grid))
     same(sigma3(f_stage, p2j, s1_stage), sigma3(f, p2, s1))
     same(rhs_p1_at(p1j[0], m, blocks, stage, m2=g_stage[1]), rhs_p1_at(p1[0], m, blocks, grid, m2=g[1]))
+    for a, b in zip(coefficients_at(f_stage, blocks, stage), coefficients_at(f, blocks, grid)):
+        same(a, b)
     same(rhs_p2_at(f_stage, p2j, blocks, stage), rhs_p2_at(f, p2, blocks, grid))
 
 
-def rhs_p2_at_stage(p1, p2, m1, m2, blocks: LeaderBlocks, q: int):
-    """rhs_p2 with sigma1 and sigma3 written out, every product formed at the stage.
+def p2_coefficients_at_stage(p1, m1, m2, blocks: LeaderBlocks, q: int):
+    """K, M, N and O of the second equation with every product of p1 formed at the stage.
 
-    The same entry-tuple operations in the same order as the solver's, so it
-    rounds identically, but nothing is read from a P1Terms: a product of the
-    first solution evaluated any other way in the solver shows as a bit
-    difference.
+    The same entry-tuple operations in the same order as p2_coefficients
+    over p1_terms, so they round identically, but nothing is read from a
+    P1Terms: a product of the first solution evaluated any other way in the
+    solver shows as a bit difference.
     """
     mm, add, sub, t = riccati._mm, riccati._add, riccati._sub, riccati._t
     a1, a2e, a3, a4e, bb, bb12, cc, cc12, e13, e33, e55 = block_entries(
         blocks, q, "a1", "a2e", "a3", "a4e", "bb", "bb12", "cc", "cc12", "e13", "e33", "e55")
-    p12 = add(p1, p2)
-    s1 = mm(m1, add(mm(p1, add(a3, a4e)), mm(mm(p1, t(cc12)), p12)))
-    inner = add(mm(p1, a4e), mm(mm(p1, t(cc)), p2))
-    inner = sub(inner, mm(mm(p1, t(e13)), p12))
-    inner = sub(inner, mm(mm(p1, e33), s1))
-    s3 = mm(m2, inner)
-    out = add(mm(p12, a2e), mm(t(a2e), p12))
-    out = add(out, add(mm(p2, a1), mm(a1, p2)))
-    out = add(out, mm(mm(p12, bb12), p12))
-    out = sub(out, mm(mm(p1, bb), p1))
-    out = add(out, mm(add(a3, mm(p1, cc)), s3))
-    out = add(out, mm(sub(add(t(a4e), mm(p2, cc12)), mm(p1, e13)), s1))
-    return sub(out, e55)
+    p1_cc12t, p1_e13t, p1_e33 = mm(p1, t(cc12)), mm(p1, t(e13)), mm(p1, e33)
+    s1_0 = mm(m1, add(mm(p1, add(a3, a4e)), mm(p1_cc12t, p1)))
+    s1_l = mm(m1, p1_cc12t)
+    s3_0 = mm(m2, sub(sub(mm(p1, a4e), mm(p1_e13t, p1)), mm(p1_e33, s1_0)))
+    s3_l = mm(m2, sub(sub(mm(p1, t(cc)), p1_e13t), mm(p1_e33, s1_l)))
+    a3_p1_cc, a4e_t_e13 = add(a3, mm(p1, cc)), sub(t(a4e), mm(p1, e13))
+    k = add(mm(p1, a2e), mm(t(a2e), p1))
+    k = sub(add(k, mm(mm(p1, bb12), p1)), mm(mm(p1, bb), p1))
+    k = sub(add(add(k, mm(a3_p1_cc, s3_0)), mm(a4e_t_e13, s1_0)), e55)
+    m = add(add(add(t(a2e), a1), mm(p1, bb12)), add(mm(a3_p1_cc, s3_l), mm(a4e_t_e13, s1_l)))
+    n = add(add(add(a2e, a1), mm(bb12, p1)), mm(cc12, s1_0))
+    return k, m, n, add(bb12, mm(cc12, s1_l))
+
+
+def normal_form(p2, coefficients):
+    """K + M p2 + p2 (N + O p2), in the solver's operation order."""
+    mm, add = riccati._mm, riccati._add
+    k, m, n, o = coefficients
+    return add(add(k, mm(m, p2)), mm(p2, add(n, mm(o, p2))))
 
 
 def leader_per_stage(model, blocks: LeaderBlocks, det_tol=1e-10):
     """Both leader equations stepped through rk4_half_grid with every stage computed at the stage.
 
-    The first equation is the 2x2 oracle leader_first_2x2, the second reads
-    its solution and half-grid inverses at index j and evaluates
-    rhs_p2_at_stage.  Returns p1, p2, m1, m2 and the two smallest
-    |det|.
+    The first equation is the 2x2 oracle leader_first_2x2; the second reads
+    its solution and half-grid inverses at index j, forms K, M, N and O
+    there (p2_coefficients_at_stage) and evaluates the normal form.  Returns
+    p1, p2, m1, m2 and the two smallest |det|.
     """
-    entries, matrix = riccati._entries, riccati._matrix
     p1, m1, m2, min1, min2 = leader_first_2x2(model, blocks, det_tol)
 
-    def rhs2(j, mat):
-        return matrix(rhs_p2_at_stage(entries(p1[j]), entries(mat), entries(m1[j]), entries(m2[j]),
-                                      blocks, j))
+    def rhs2(j, p2):
+        return normal_form(p2, p2_coefficients_at_stage(entries(p1[j]), entries(m1[j]),
+                                                        entries(m2[j]), blocks, j))
 
-    return p1, reference_solve(rhs2, np.zeros((2, 2)), model, blocks), m1, m2, min1, min2
+    p2 = reference_solve(rhs2, (0.0,) * 4, model, blocks).reshape(-1, 2, 2)
+    return p1, p2, m1, m2, min1, min2
 
 
 @pytest.mark.parametrize("case", ["standard", "random", "time_varying"])
 def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch):
-    # 601 half-grid points: the solver evaluates the first solution's terms
-    # once over the half grid and reads its stages' floats in ten windows,
-    # the reference at each of the 1201 stages and over the whole half grid.
-    # An ulp in one stage's right-hand side rarely survives the RK4 update
-    # y + (h/6)(...), so each of the solver's rhs_p2 values is compared too.
+    # 601 half-grid points: the solver forms the first solution's terms and
+    # the second equation's K, M, N and O once over the half grid and reads
+    # its stages' floats in ten windows, the reference forms them at each of
+    # the 1201 stages.  An ulp in one stage's right-hand side rarely survives
+    # the RK4 update y + (h/6)(...), so each of the solver's rhs_p2 values,
+    # and the coefficients it read, are compared too.
     m = make_model(steps=300)
     if case != "standard":
-        m = random_admissible_model(np.random.default_rng(31), steps=300)
-        m = dataclasses.replace(m, D1=math.copysign(max(abs(m.D1), 0.1), m.D1),
-                                D2=math.copysign(max(abs(m.D2), 0.1), m.D2))
+        m = _with_diffusion_controls(random_admissible_model(np.random.default_rng(31), steps=300))
     if case == "time_varying":
         m = time_varying(m)
     blocks = assemble_leader_blocks(m, solve_follower_P(m))
     stages = []
 
-    def recorded(f, p2, *block_args):
-        out = rhs_p2(f, p2, *block_args)
-        stages.append((p2, out))
+    def recorded(p2, *coefficients):
+        out = rhs_p2(p2, *coefficients)
+        stages.append((p2, coefficients, out))
         return out
 
     monkeypatch.setattr(riccati, "rhs_p2", recorded)
@@ -564,21 +672,42 @@ def test_leader_solve_matches_per_stage_reference_bit_for_bit(case, monkeypatch)
            leader.min_det_m1, leader.min_det_m2)
     for a, b in zip(got, ref):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    entries = riccati._entries
     p1, _, m1, m2 = ref[:4]
     assert len(stages) == 4 * m.grid.steps + 1
     # A backward RK4 step from node k reads half-grid points 2k, 2k-1 twice
     # and 2k-2; the last call is the slope at node 0.
     order = [j for k in range(m.grid.steps, 0, -1) for j in (2 * k, 2 * k - 1, 2 * k - 1, 2 * k - 2)] + [0]
-    for j, (p2, out) in zip(order, stages):
-        at_stage = rhs_p2_at_stage(entries(p1[j]), p2, entries(m1[j]), entries(m2[j]), blocks, j)
-        assert np.asarray(out).tobytes() == np.asarray(at_stage).tobytes()
+    for j, (p2, coefficients, out) in zip(order, stages):
+        at_stage = p2_coefficients_at_stage(entries(p1[j]), entries(m1[j]), entries(m2[j]), blocks, j)
+        assert np.asarray(coefficients).tobytes() == np.asarray(at_stage).tobytes()
+        assert np.asarray(out).tobytes() == np.asarray(normal_form(p2, at_stage)).tobytes()
     whole = slice(None)
     f, p2 = p1_terms(entries(p1), entries(m1), entries(m2), blocks, whole), entries(ref[1])
     s1 = sigma1(f, p2)
     sig = compute_sigmas(blocks, leader)
     for a, b in zip((sig.s1, sig.s2, sig.s3), (s1, sigma2(f, blocks, whole), sigma3(f, p2, s1))):
         assert a.tobytes() == riccati._matrix(b).tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), varying=st.booleans(), j=st.integers(0, 80))
+def test_normal_form_matches_general_form(seed, varying, j):
+    # K + M p2 + p2 N + p2 O p2 regroups the general right-hand side by
+    # powers of p2, so at a random p2 the two agree to rounding, and so do
+    # p2 stepped through either.
+    rng = np.random.default_rng(seed)
+    m = _with_diffusion_controls(random_admissible_model(rng, steps=40))
+    if varying:
+        m = time_varying(m)
+    blocks = assemble_leader_blocks(m, solve_follower_P(m))
+    leader = solve_leader_riccati(m, blocks)
+    m1, m2 = (tuple(e[j].item() for e in g) for g in (leader.terms.m1, leader.terms.m2))
+    f = p1_terms(entries(leader.p1[j]), m1, m2, blocks, j)
+    p2 = tuple(rng.normal(size=4).tolist())
+    general = np.array(rhs_p2_general(f, p2, *block_entries(blocks, j, *SECOND_BLOCKS)))
+    assert np.max(np.abs(np.array(rhs_p2_at(f, p2, blocks, j)) - general)) <= 1e-13 * np.max(np.abs(general))
+    oracle = leader_second_general(leader, m, blocks)
+    assert np.max(np.abs(leader.p2 - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("width", [1, 7, 10**6])
@@ -677,8 +806,8 @@ def test_sigmas_vanish_with_zero_first_riccati():
     P = solve_follower_P(m)
     blocks = assemble_leader_blocks(m, P)
     q = 2 * 7
-    zero = riccati._entries(np.zeros((2, 2)))
-    some = riccati._entries(np.array([[0.3, -0.2], [0.1, 0.4]]))
+    zero = entries(np.zeros((2, 2)))
+    some = entries(np.array([[0.3, -0.2], [0.1, 0.4]]))
     m1, m2, _, _ = gain_inverses_at(zero[0], m, blocks, q)
     f = p1_terms(zero, m1, m2, blocks, q)
     s1 = sigma1(f, some)

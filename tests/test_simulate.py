@@ -446,8 +446,8 @@ def test_offset_gain_is_the_pathwise_offset_along_the_mean_flow(varying):
     for k in (50, 100, 150):
         for i in range(2):
             d = np.zeros((401, 2))
-            d[2 * k:] = rk4_half_grid(lambda j, y: fx[j + 2 * k] @ y, np.eye(2)[i], eq.model.grid.dt, 200 - k,
-                                      fail=SolverError)
+            d[2 * k:] = rk4_half_grid(lambda j, y: tuple((fx[j + 2 * k] @ y).tolist()), tuple(np.eye(2)[i].tolist()),
+                                      eq.model.grid.dt, 200 - k, fail=SolverError)
             theta = pathwise_theta(eq.model, eq.P, xhat[:, 0] + d[:, 0], eq.u2hat + np.einsum("ji,ji->j", lx, d),
                                    xhat[:, 0], eq.u2hat, theta_hat)
             assert abs(theta[k, 0] - theta_hat[2 * k] - eq.offset_gain[2 * k, i]) <= 1e-8, (k, i)
